@@ -26,6 +26,7 @@ from .order import (
     Poset,
     dilworth_partition,
     interval_order_from_intervals,
+    iter_bits,
 )
 
 __all__ = [
@@ -135,49 +136,6 @@ class GoodElement:
     certificate: GoodElementCertificate
 
 
-def _entries_for(p: Poset, cp: ChainPartition, block: Block, k: int) -> dict[int, CertEntry]:
-    window = 2 * k - 3
-    entries: dict[int, CertEntry] = {}
-    for i, ((lo, hi), chain) in enumerate(zip(block.segments, cp.chains)):
-        if hi >= len(chain.elements):
-            continue  # chain contributes nothing above its segment
-        if hi - lo != window:
-            raise InvalidBlock(
-                f"chain {i} segment holds {hi - lo} elements; the certificate needs {window}"
-            )
-        seg = chain.elements[lo:hi]
-        d = chain.elements[hi]
-        lower = (seg + (d,))[:k]  # k smallest of segment + {d}
-        a, c = lower[0], lower[-1]
-        b = lower[-2]
-        upper = seg[k - 2 :] + (d,)
-        assert len(upper) == k
-        assert a == b or p.less(a, b)
-        assert p.less(b, c)
-        assert c == d or p.less(c, d)
-        entries[i] = CertEntry(a=a, b=b, c=c, d=d, lower=lower, upper=upper)
-    return entries
-
-
-def _least_cycle(vertices: list[int], arcs: set[tuple[int, int]]) -> list[int]:
-    """Deterministic cycle in a sinkless digraph: walk min out-neighbors."""
-    out: dict[int, list[int]] = {i: [] for i in vertices}
-    for i, j in sorted(arcs):
-        out[i].append(j)
-    cur = min(vertices)
-    pos = {cur: 0}
-    path = [cur]
-    while True:
-        cur = out[cur][0]
-        if cur in pos:
-            cycle = path[pos[cur] :]
-            break
-        pos[cur] = len(path)
-        path.append(cur)
-    m = cycle.index(min(cycle))
-    return cycle[m:] + cycle[:m]
-
-
 def _witness_from_cycle(
     p: Poset, entries: dict[int, CertEntry], cycle: list[int]
 ) -> KkWitness:
@@ -227,28 +185,15 @@ def find_good_element(
     verifies goodness directly against every up-set member.  Without a
     sink, the cycle replay yields a genuine two-chain witness instead.
     """
-    ups = up_set(p, cp, block)
-    if not ups:
+    _check_block(cp, block)
+    state = _SinkDigraph(p, cp, block.segments, k)
+    if not state.ups:
         raise NoUpSet("block has an empty up-set; nothing to admit")
-    entries = _entries_for(p, cp, block, k)
-    verts = sorted(entries)
-    arcs = {
-        (i, j)
-        for i in verts
-        for j in verts
-        if i != j and not p.less(entries[i].a, entries[j].d)
-    }
-    has_out = {i for i, _ in arcs}
-    sinks = [i for i in verts if i not in has_out]
-    if not sinks:
-        return _witness_from_cycle(p, entries, _least_cycle(verts, arcs))
-    sink = sinks[0]
-    good = entries[sink].a
-    for y in ups:
-        if not p.less(good, y):
-            raise InternalError(f"sink element {good} is not below up-set member {y}")
-    cert = GoodElementCertificate(entries=entries, arcs=frozenset(arcs), sink=sink)
-    return GoodElement(chain=sink, element=good, certificate=cert)
+    got = state.pick()
+    if isinstance(got, KkWitness):
+        return got
+    cert = state.certificate(got)
+    return GoodElement(chain=got, element=state.entries[got].a, certificate=cert)
 
 
 @dataclass(frozen=True)
@@ -256,6 +201,125 @@ class BlockMove:
     removed: int
     added: int
     chain: int
+
+
+class _SinkDigraph:
+    """The certifying digraph of one block, kept current as windows slide.
+
+    ``entries`` holds a CertEntry for every chain still reaching above its
+    segment, in increasing chain order; ``succ[i]`` has bit j set for the
+    arc i -> j (a_i is not below d_j) between two such chains; ``ups`` is
+    the up-set as an element bitmask.  A move changes only the moved
+    chain's entry, so ``advance`` rebuilds one row and one column: O(w)
+    comparisons per step instead of O(w^2).
+    """
+
+    __slots__ = ("p", "cp", "k", "segments", "entries", "succ", "ups")
+
+    def __init__(
+        self, p: Poset, cp: ChainPartition, segments: tuple[tuple[int, int], ...], k: int
+    ):
+        self.p, self.cp, self.k = p, cp, k
+        self.segments = list(segments)
+        self.entries: dict[int, CertEntry] = {}
+        self.succ = [0] * len(cp.chains)
+        self.ups = 0
+        for i, ((_, hi), chain) in enumerate(zip(self.segments, cp.chains)):
+            if hi >= len(chain.elements):
+                continue  # chain contributes nothing above its segment
+            for e in chain.elements[hi:]:
+                self.ups |= 1 << e
+            self.entries[i] = self._entry(i)
+        for i, entry in self.entries.items():
+            above_a = p.succ_mask(entry.a)
+            for j, other in self.entries.items():
+                if j != i and not (above_a >> other.d) & 1:
+                    self.succ[i] |= 1 << j
+
+    def _entry(self, i: int) -> CertEntry:
+        k = self.k
+        window = 2 * k - 3
+        lo, hi = self.segments[i]
+        if hi - lo != window:
+            raise InvalidBlock(
+                f"chain {i} segment holds {hi - lo} elements; the certificate needs {window}"
+            )
+        chain = self.cp.chains[i].elements
+        seg = chain[lo:hi]
+        d = chain[hi]
+        lower = (seg + (d,))[:k]  # k smallest of segment + {d}
+        a, b, c = lower[0], lower[-2], lower[-1]
+        upper = seg[k - 2 :] + (d,)
+        if len(upper) != k:
+            raise InternalError(f"chain {i} upper chain has {len(upper)} elements, not {k}")
+        less = self.p.less
+        if not ((a == b or less(a, b)) and less(b, c) and (c == d or less(c, d))):
+            raise InternalError(f"chain {i} certificate breaks a <= b < c <= d")
+        return CertEntry(a=a, b=b, c=c, d=d, lower=lower, upper=upper)
+
+    def pick(self) -> int | KkWitness:
+        """The smallest sink, checked good against the whole up-set, or a witness."""
+        for sink, entry in self.entries.items():
+            if not self.succ[sink]:
+                break
+        else:
+            return _witness_from_cycle(self.p, self.entries, self._least_cycle())
+        bad = self.ups & ~self.p.succ_mask(entry.a)
+        if bad:
+            y = (bad & -bad).bit_length() - 1
+            raise InternalError(f"sink element {entry.a} is not below up-set member {y}")
+        return sink
+
+    def _least_cycle(self) -> list[int]:
+        """Deterministic cycle in a sinkless digraph: walk min out-neighbors."""
+        cur = next(iter(self.entries))
+        pos = {cur: 0}
+        path = [cur]
+        while True:
+            out = self.succ[cur]
+            cur = (out & -out).bit_length() - 1
+            if cur in pos:
+                cycle = path[pos[cur] :]
+                break
+            pos[cur] = len(path)
+            path.append(cur)
+        m = cycle.index(min(cycle))
+        return cycle[m:] + cycle[:m]
+
+    def certificate(self, sink: int) -> GoodElementCertificate:
+        arcs = frozenset((i, j) for i in self.entries for j in iter_bits(self.succ[i]))
+        return GoodElementCertificate(entries=dict(self.entries), arcs=arcs, sink=sink)
+
+    def advance(self, s: int) -> BlockMove:
+        """Slide chain s past its segment minimum, then relink or drop chain s."""
+        lo, hi = self.segments[s]
+        chain = self.cp.chains[s].elements
+        removed, added = chain[lo], chain[hi]
+        if removed != self.entries[s].a:
+            raise InternalError(f"removed {removed} is not chain {s}'s certified minimum")
+        self.segments[s] = (lo + 1, hi + 1)
+        self.ups &= ~(1 << added)
+        bit = 1 << s
+        if hi + 1 == len(chain):
+            del self.entries[s]
+            self.succ[s] = 0
+            for j in self.entries:
+                self.succ[j] &= ~bit
+            return BlockMove(removed=removed, added=added, chain=s)
+        entry = self.entries[s] = self._entry(s)
+        above_a = self.p.succ_mask(entry.a)
+        below_d = self.p.pred_mask(entry.d)
+        row = 0
+        for j, other in self.entries.items():
+            if j == s:
+                continue
+            if not (above_a >> other.d) & 1:
+                row |= 1 << j
+            # d_s only moves up its chain, so an arc into s can vanish but never appear
+            if (below_d >> other.a) & 1:
+                self.succ[j] &= ~bit
+        self.succ[s] = row
+        return BlockMove(removed=removed, added=added, chain=s)
 
 
 @dataclass(frozen=True)
@@ -311,30 +375,22 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
 
     Each step removes the certified good element and admits the smallest
     element above the same chain's segment, so per-chain segment sizes
-    never change.  Propagates a two-chain witness when certification
-    fails.
+    never change.  One certifying digraph is carried across the steps and
+    relinked only at the moved chain.  Propagates a two-chain witness when
+    certification fails.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     cp = dilworth_partition(p)
-    segments = list(initial_block(cp, k).segments)
-    blocks = [Block.over(cp, tuple(segments))]
+    state = _SinkDigraph(p, cp, initial_block(cp, k).segments, k)
+    blocks = [Block.over(cp, tuple(state.segments))]
     moves: list[BlockMove] = []
-    while True:
-        current = blocks[-1]
-        if not up_set(p, cp, current):
-            break
-        got = find_good_element(p, cp, current, k)
+    while state.ups:
+        got = state.pick()
         if isinstance(got, KkWitness):
             return got
-        i = got.chain
-        lo, hi = segments[i]
-        chain = cp.chains[i]
-        assert got.element == chain.elements[lo]
-        admitted = chain.elements[hi]
-        segments[i] = (lo + 1, hi + 1)
-        moves.append(BlockMove(removed=got.element, added=admitted, chain=i))
-        blocks.append(Block.over(cp, tuple(segments)))
+        moves.append(state.advance(got))
+        blocks.append(Block.over(cp, tuple(state.segments)))
     return BlockSequence(partition=cp, blocks=tuple(blocks), moves=tuple(moves))
 
 
@@ -343,20 +399,18 @@ def interval_order_of(p: Poset, k: int) -> IntervalExtension | KkWitness:
     seq = block_sequence(p, k)
     if isinstance(seq, KkWitness):
         return seq
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    count = [0] * p.n
-    for t, blk in enumerate(seq.blocks, start=1):
-        for e in blk.elements:
-            first.setdefault(e, t)
-            last[e] = t
-            count[e] += 1
-    if len(first) != p.n:
-        raise InternalError("an element never entered any block")
-    intervals = tuple((first[e], last[e]) for e in range(p.n))
-    for e, (lo, hi) in enumerate(intervals):
-        if count[e] != hi - lo + 1:
-            raise InternalError(f"element {e} appears in non-consecutive blocks")
+    # an element enters in block 1 or when admitted, and leaves when removed
+    # or after the last block, so its span is read straight off the moves
+    first = [0] * p.n
+    last = [len(seq.blocks)] * p.n
+    for e in seq.blocks[0].elements:
+        first[e] = 1
+    for t, mv in enumerate(seq.moves, start=1):
+        last[mv.removed] = t
+        first[mv.added] = t + 1
+    if 0 in first:
+        raise InternalError(f"element {first.index(0)} never entered any block")
+    intervals = tuple(zip(first, last))
     rep = IntervalRepresentation(intervals)
     q = interval_order_from_intervals(intervals, names=p.names)
     return IntervalExtension(order=q, representation=rep, sequence=seq)
@@ -375,20 +429,24 @@ def decomposition_from_blocks(seq: BlockSequence) -> PathDecomposition:
 
 
 def validate_path_decomposition(g: Graph, pd: PathDecomposition) -> bool:
-    """Consecutive occurrence of every vertex and coverage of every edge."""
-    occurrences: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    """Consecutive occurrence of every vertex and coverage of every edge.
+
+    Once every vertex's bags are known to be consecutive, an edge is covered
+    exactly when the spans of bag indices of its two ends intersect.
+    """
+    first = [-1] * g.n
+    last = [-1] * g.n
     for t, bag in enumerate(pd.bags):
         for v in bag:
             if not 0 <= v < g.n:
                 return False
-            occurrences[v].append(t)
-    for v, occ in occurrences.items():
-        if not occ:
-            return False
-        if occ[-1] - occ[0] + 1 != len(set(occ)):
-            return False
-    bag_sets = [set(b) for b in pd.bags]
-    for u, v in g.edges:
-        if not any(u in b and v in b for b in bag_sets):
-            return False
-    return True
+            if last[v] == t:
+                continue  # repeated within this bag
+            if first[v] < 0:
+                first[v] = t
+            elif last[v] != t - 1:
+                return False
+            last[v] = t
+    if -1 in first:
+        return False
+    return all(first[u] <= last[v] and first[v] <= last[u] for u, v in g.edges)

@@ -9,6 +9,7 @@ reduce to integer set algebra.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -16,6 +17,7 @@ from .errors import (
     BudgetExhausted,
     CycleError,
     IdOutOfRange,
+    InternalError,
     MalformedInterval,
     SizeMismatch,
 )
@@ -345,14 +347,15 @@ def interval_order_from_intervals(
         if left > right:
             raise MalformedInterval(f"interval {t!r} has left > right")
         spans.append((left, right))
+    # u < v iff right_u < left_v: with ids sorted by left end, the successors
+    # of u are the suffix that starts after bisect_right(lefts, right_u)
     n = len(spans)
-    succ = []
-    for _, right in spans:
-        m = 0
-        for v, (left_v, _) in enumerate(spans):
-            if right < left_v:
-                m |= 1 << v
-        succ.append(m)
+    by_left = sorted(range(n), key=lambda v: spans[v][0])
+    lefts = [spans[v][0] for v in by_left]
+    suffix = [0] * (n + 1)
+    for pos in range(n - 1, -1, -1):
+        suffix[pos] = suffix[pos + 1] | (1 << by_left[pos])
+    succ = [suffix[bisect_right(lefts, right)] for _, right in spans]
     return Poset(n, succ, names)
 
 
@@ -445,8 +448,8 @@ def width_with_witness(p: Poset) -> tuple[int, Antichain]:
             zr |= fresh
             for v in iter_bits(fresh):
                 w = match_r[v]
-                # w == -1 would mean an augmenting path survived
-                assert w != -1
+                if w == -1:
+                    raise InternalError("an augmenting path survived the maximum matching")
                 if not (zl >> w) & 1:
                     zl |= 1 << w
                     nxt.append(w)
@@ -454,7 +457,8 @@ def width_with_witness(p: Poset) -> tuple[int, Antichain]:
     matched = sum(1 for v in match_r if v != -1)
     width = n - matched
     witness = tuple(x for x in range(n) if (zl >> x) & 1 and not (zr >> x) & 1)
-    assert len(witness) == width
+    if len(witness) != width:
+        raise InternalError(f"Koenig witness has {len(witness)} elements, width is {width}")
     return width, Antichain(witness)
 
 
@@ -539,24 +543,19 @@ def find_k_plus_k(p: Poset, k: int, budget: int | None = None) -> KkWitness | No
         return None
     a, b = got
     witness = KkWitness(Chain(p.sort_chain(a)), Chain(p.sort_chain(b)))
-    assert witness.is_valid(p)
+    if not witness.is_valid(p):
+        raise InternalError("k+k search returned an invalid witness")
     return witness
 
 
 def is_interval_order(p: Poset) -> bool:
     """True iff the poset has no pair of disjoint incomparable 2-chains.
 
-    Complete polynomial scan: for every comparable pair (a, b), look for a
-    second comparable pair inside the elements incomparable to both.
+    Fishburn's characterisation: exactly then the down-sets are totally
+    ordered by inclusion, so sorted by size each must contain the previous.
     """
-    n = p.n
-    for a in range(n):
-        for b in iter_bits(p.succ_mask(a)):
-            both = p.inc_mask(a) & p.inc_mask(b)
-            for c in iter_bits(both):
-                if p.succ_mask(c) & both:
-                    return False
-    return True
+    downs = sorted((p.pred_mask(u) for u in range(p.n)), key=int.bit_count)
+    return all(small & ~big == 0 for small, big in zip(downs, downs[1:]))
 
 
 def is_extension(p: Poset, q: Poset) -> bool:

@@ -3,10 +3,15 @@ from hypothesis import given, settings
 
 from posetff import (
     Block,
+    BlockMove,
     BlockSequence,
+    Chain,
+    ChainPartition,
     GoodElement,
+    InternalError,
     InvalidBlock,
     KkWitness,
+    SplitMix64,
     NoUpSet,
     PathDecomposition,
     antichain_poset,
@@ -19,6 +24,7 @@ from posetff import (
     find_k_plus_k,
     gen_interval_order,
     gen_kk_free,
+    gen_random_poset,
     incomparability_graph,
     initial_block,
     interval_order_of,
@@ -27,13 +33,55 @@ from posetff import (
     kierstead,
     path_decomposition_of,
     path_graph,
+    stacked,
     up_set,
     validate_path_decomposition,
     width_with_witness,
 )
+import posetff.extension as extension_module
 from helpers import posets
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
+
+
+def slide_from_scratch(p, k):
+    """Reference slide: a fresh find_good_element on every block.
+
+    Also checks each certificate's arcs against the definition (i -> j iff
+    a_i is not below d_j).  Returns (moves, blocks, witness or None).
+    """
+    cp = dilworth_partition(p)
+    segments = list(initial_block(cp, k).segments)
+    blocks = [Block.over(cp, tuple(segments))]
+    moves = []
+    while up_set(p, cp, blocks[-1]):
+        got = find_good_element(p, cp, blocks[-1], k)
+        if isinstance(got, KkWitness):
+            return moves, blocks, got
+        entries = got.certificate.entries
+        assert got.certificate.arcs == {
+            (i, j)
+            for i in entries
+            for j in entries
+            if i != j and not p.less(entries[i].a, entries[j].d)
+        }
+        lo, hi = segments[got.chain]
+        chain = cp.chains[got.chain].elements
+        assert got.element == chain[lo]
+        moves.append(BlockMove(removed=got.element, added=chain[hi], chain=got.chain))
+        segments[got.chain] = (lo + 1, hi + 1)
+        blocks.append(Block.over(cp, tuple(segments)))
+    return moves, blocks, None
+
+
+def assert_slide_matches_scratch(p, k):
+    moves, blocks, witness = slide_from_scratch(p, k)
+    got = block_sequence(p, k)
+    if witness is not None:
+        assert got == witness
+    else:
+        assert got.moves == tuple(moves)
+        assert got.blocks == tuple(blocks)
 
 
 class TestUpSet:
@@ -168,6 +216,29 @@ class TestBlockSequence:
         with pytest.raises(ValueError):
             block_sequence(chain_poset(3), 1)
 
+    @given(posets(max_n=12))
+    @settings(max_examples=80)
+    def test_incremental_slide_matches_scratch_on_random_posets(self, p):
+        for k in (2, 3):
+            assert_slide_matches_scratch(p, k)
+
+    def test_incremental_slide_matches_scratch_on_seeded_posets(self):
+        cases = [(gen_interval_order(seed, 40 + 5 * seed), 2) for seed in range(4)]
+        cases += [(gen_interval_order(seed, 60), 3) for seed in (4, 5)]
+        cases += [(stacked(3, 12).poset, 3), (stacked(4, 8).poset, 4), (stacked(4, 8).poset, 3)]
+        cases += [(gen_kk_free(seed, 16, 3), k) for seed in (1, 2) for k in (2, 3)]
+        cases += [(gen_random_poset(SplitMix64(seed), 20, 0.4), 2) for seed in range(6)]
+        for p, k in cases:
+            assert_slide_matches_scratch(p, k)
+
+    def test_non_increasing_chain_raises_internal_error(self, monkeypatch):
+        def sabotaged(p):
+            return ChainPartition((Chain(tuple(reversed(range(p.n)))),))
+
+        monkeypatch.setattr(extension_module, "dilworth_partition", sabotaged)
+        with pytest.raises(InternalError):
+            block_sequence(chain_poset(4), 2)
+
     @given(posets(max_n=10))
     @settings(max_examples=60)
     def test_one_sided_contract(self, p):
@@ -254,6 +325,14 @@ class TestPathDecomposition:
     def test_validator_rejects_gap(self):
         pd = PathDecomposition(((0, 1), (2,), (1, 2)))
         assert not validate_path_decomposition(path_graph(3), pd)
+
+    def test_validator_accepts_vertex_repeated_in_a_bag(self):
+        pd = PathDecomposition(((0, 1, 1), (1, 2)))
+        assert validate_path_decomposition(path_graph(3), pd)
+
+    def test_validator_rejects_out_of_range_ids(self):
+        assert not validate_path_decomposition(path_graph(2), PathDecomposition(((0, 1, 2),)))
+        assert not validate_path_decomposition(path_graph(2), PathDecomposition(((-1, 0, 1),)))
 
     def test_validator_rejects_missing_vertex(self):
         pd = PathDecomposition(((0,),))

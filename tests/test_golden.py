@@ -117,4 +117,5 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(canonical_dumps({name: golden_record(p, k) for name, (p, k) in CASES.items()}))
+    records = {name: golden_record(p, k) for name, (p, k) in CASES.items()}
+    FIXTURE.write_text(canonical_dumps(records))

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetff import (
     Antichain,
@@ -26,6 +29,20 @@ from posetff import (
 from helpers import brute_contains_kk, brute_width, posets
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
+
+
+def naive_interval_succ(intervals):
+    """Successor masks straight from the definition: u < v iff right_u < left_v."""
+    return [
+        sum(1 << v for v, (left, _) in enumerate(intervals) if right < left)
+        for _, right in intervals
+    ]
+
+
+def interval_lists(endpoints):
+    """Closed intervals, with the first two repeated at the end as duplicates."""
+    intervals = st.lists(st.tuples(endpoints, endpoints).map(sorted).map(tuple), max_size=14)
+    return intervals.map(lambda ivs: ivs + ivs[:2])
 
 
 class TestBuildPoset:
@@ -205,6 +222,26 @@ class TestIntervalOrders:
         assert p.less(0, 1)
         assert p.incomparable(0, 2)
         assert p.incomparable(1, 2)
+
+    @pytest.mark.parametrize("endpoints", [
+        st.integers(0, 6),
+        st.fractions(Fraction(0), Fraction(3), max_denominator=4),
+        st.floats(-2.0, 2.0, allow_nan=False),
+    ], ids=["ints", "fractions", "floats"])
+    def test_matches_definition(self, endpoints):
+        # small ranges force ties, where right == left is not <
+        @given(interval_lists(endpoints))
+        @settings(max_examples=80)
+        def check(intervals):
+            p = interval_order_from_intervals(intervals)
+            assert [p.succ_mask(u) for u in range(p.n)] == naive_interval_succ(intervals)
+
+        check()
+
+    def test_empty_and_touching(self):
+        assert interval_order_from_intervals([]).n == 0
+        p = interval_order_from_intervals([(0, 1), (1, 2), (Fraction(3, 2), 2.5), (1, 1)])
+        assert [p.succ_mask(u) for u in range(4)] == [0b0100, 0, 0, 0b0100]
 
     def test_malformed(self):
         with pytest.raises(MalformedInterval):
