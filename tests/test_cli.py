@@ -48,7 +48,17 @@ def test_gen_interval_empty(tmp_path):
 def test_gen_kkfree_file(tmp_path):
     out = tmp_path / "kk.json"
     assert run(["gen", "kkfree", "--n", 14, "--k", 3, "--seed", 2, "--out", out]) == 0
-    assert read_json(out)["n"] == 14
+    d = read_json(out)
+    assert d["n"] == 14
+    assert d["meta"] == {"seed": 2, "kind": "kkfree", "n": 14, "k": 3, "density": 0.5}
+
+
+def test_gen_interval_range_meta(tmp_path):
+    out = tmp_path / "iv.json"
+    assert run(["gen", "interval", "--n", 4, "--seed", 3, "--range", 10, "--out", out]) == 0
+    d = read_json(out)
+    assert d["n"] == 4
+    assert d["meta"] == {"seed": 3, "kind": "interval", "n": 4, "range": 10}
 
 
 def test_gen_stdout(capsys):
