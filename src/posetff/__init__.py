@@ -18,6 +18,7 @@ from .errors import (
     BudgetExhausted,
     CoverageError,
     CycleError,
+    FormatError,
     GaveUp,
     IdOutOfRange,
     InternalError,
@@ -62,7 +63,6 @@ from .firstfit import (
     validate_ff_partition,
 )
 from .generators import (
-    GenConfig,
     SplitMix64,
     gen_graph,
     gen_interval_order,

@@ -16,9 +16,9 @@ import time
 
 from .adversary import kierstead, stacked
 from .errors import PosetFFError
-from .extension import decomposition_from_blocks, interval_order_of
+from .extension import block_sequence, decomposition_from_blocks, interval_order_of
 from .firstfit import PresentationOrder, first_fit_chains, validate_ff_partition
-from .generators import GenConfig, SplitMix64, gen_interval_order, gen_kk_free
+from .generators import SplitMix64, gen_interval_order, gen_kk_free
 from .jsonio import (
     canonical_dumps,
     ff_result_to_dict,
@@ -32,7 +32,7 @@ from .jsonio import (
     witness_to_dict,
     write_json,
 )
-from .order import KkWitness, width_with_witness
+from .order import KkWitness
 
 BUDGET_ENV = "POSETFF_BUDGET"
 CSV_COLUMNS = ["kind", "params", "n", "width", "k", "ff_chains", "bound", "pd_width", "seconds"]
@@ -65,16 +65,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if args.out_order:
             write_json(order_to_dict(sp.natural_order), args.out_order)
     elif args.family == "interval":
-        cfg = GenConfig(seed=args.seed, kind="interval", n=args.n,
-                        params={"range": args.range} if args.range else {})
+        meta = {"seed": args.seed, "kind": "interval", "n": args.n}
+        if args.range:
+            meta["range"] = args.range
         p = gen_interval_order(args.seed, args.n, args.range)
-        _emit(poset_to_dict(p, meta=cfg.to_meta()), args.out)
+        _emit(poset_to_dict(p, meta=meta), args.out)
     elif args.family == "kkfree":
-        cfg = GenConfig(seed=args.seed, kind="kkfree", n=args.n,
-                        params={"k": args.k, "density": args.density})
+        meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
+                "density": args.density}
         p = gen_kk_free(args.seed, args.n, args.k, max_tries=args.max_tries,
                         density=args.density, budget=_budget())
-        _emit(poset_to_dict(p, meta=cfg.to_meta()), args.out)
+        _emit(poset_to_dict(p, meta=meta), args.out)
     return 0
 
 
@@ -105,10 +106,12 @@ def cmd_extend(args: argparse.Namespace) -> int:
         if args.out_witness:
             write_json(payload, args.out_witness)
         return 1
-    w, _ = width_with_witness(p)
-    wq, _ = width_with_witness(got.order)
+    # the slide's Dilworth partition has width(p) chains, and an antichain of
+    # q is a set of pairwise-intersecting spans, all inside one block, so
+    # width(q) is the largest bag's size
+    w = len(got.sequence.partition)
     pd = decomposition_from_blocks(got.sequence)
-    print(f"width_q={wq} bound={(2 * args.k - 3) * w} pd_width={pd.width}")
+    print(f"width_q={pd.width + 1} bound={(2 * args.k - 3) * w} pd_width={pd.width}")
     if args.out_order:
         write_json(poset_to_dict(got.order), args.out_order)
     if args.out_intervals:
@@ -148,9 +151,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
                             budget=_budget())
             params = (f"w={w};orders={args.orders};instance_seed={inst_seed};"
                       f"density={DEFAULT_KKFREE_DENSITY}")
-        width, _ = width_with_witness(p)
+        seq = block_sequence(p, k)
+        if isinstance(seq, KkWitness):
+            raise PosetFFError("certified k+k-free instance produced a witness")
+        width = len(seq.partition)
         bound = 8 * (2 * k - 3) * width
-        pd = decomposition_from_blocks_or_fail(p, k)
+        pd = decomposition_from_blocks(seq)
         orders_rng = SplitMix64(inst_seed + 1)
         worst = 0
         worst_order = None
@@ -181,13 +187,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             write_json(violation, args.out_witness)
         return 1
     return 0
-
-
-def decomposition_from_blocks_or_fail(p, k):
-    got = interval_order_of(p, k)
-    if isinstance(got, KkWitness):
-        raise PosetFFError("certified k+k-free instance produced a witness")
-    return decomposition_from_blocks(got.sequence)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,10 @@ class PosetFFError(Exception):
     """Base class for all library errors."""
 
 
+class FormatError(PosetFFError):
+    """An input document lacks a key or holds a value of the wrong shape."""
+
+
 class CycleError(PosetFFError):
     """The input relation admits a directed cycle, so no strict order exists."""
 

@@ -14,6 +14,7 @@ disjoint incomparable k-chains instead.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -51,33 +52,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Block:
-    """One contiguous run of positions per chain, plus the induced element set."""
+    """One contiguous run of positions per chain; its elements are those runs."""
 
     segments: tuple[tuple[int, int], ...]  # per chain: [lo, hi) positions
-    elements: frozenset[int]
-
-    @classmethod
-    def over(cls, cp: ChainPartition, segments: tuple[tuple[int, int], ...]) -> "Block":
-        elems = []
-        for (lo, hi), chain in zip(segments, cp.chains):
-            elems.extend(chain.elements[lo:hi])
-        return cls(tuple(segments), frozenset(elems))
 
     def size(self) -> int:
-        return len(self.elements)
+        return sum(hi - lo for lo, hi in self.segments)
 
 
 def _check_block(cp: ChainPartition, block: Block) -> None:
     """Structural validity: one non-empty in-range segment per chain."""
     if len(block.segments) != len(cp.chains):
         raise InvalidBlock("segment count differs from chain count")
-    elems = []
     for (lo, hi), chain in zip(block.segments, cp.chains):
         if not (0 <= lo < hi <= len(chain.elements)):
             raise InvalidBlock(f"segment [{lo},{hi}) invalid for chain of size {len(chain.elements)}")
-        elems.extend(chain.elements[lo:hi])
-    if frozenset(elems) != block.elements:
-        raise InvalidBlock("element set inconsistent with segments")
 
 
 def initial_block(cp: ChainPartition, k: int) -> Block:
@@ -85,7 +74,7 @@ def initial_block(cp: ChainPartition, k: int) -> Block:
     if k < 2:
         raise ValueError("k must be at least 2")
     width = 2 * k - 3
-    return Block.over(cp, tuple((0, min(len(c.elements), width)) for c in cp.chains))
+    return Block(tuple((0, min(len(c.elements), width)) for c in cp.chains))
 
 
 def up_set(p: Poset, cp: ChainPartition, block: Block) -> frozenset[int]:
@@ -333,9 +322,6 @@ class BlockSequence:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def max_block_size(self) -> int:
-        return max((b.size() for b in self.blocks), default=0)
-
 
 @dataclass(frozen=True)
 class IntervalRepresentation:
@@ -383,14 +369,14 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
         raise ValueError("k must be at least 2")
     cp = dilworth_partition(p)
     state = _SinkDigraph(p, cp, initial_block(cp, k).segments, k)
-    blocks = [Block.over(cp, tuple(state.segments))]
+    blocks = [Block(tuple(state.segments))]
     moves: list[BlockMove] = []
     while state.ups:
         got = state.pick()
         if isinstance(got, KkWitness):
             return got
         moves.append(state.advance(got))
-        blocks.append(Block.over(cp, tuple(state.segments)))
+        blocks.append(Block(tuple(state.segments)))
     return BlockSequence(partition=cp, blocks=tuple(blocks), moves=tuple(moves))
 
 
@@ -403,8 +389,9 @@ def interval_order_of(p: Poset, k: int) -> IntervalExtension | KkWitness:
     # or after the last block, so its span is read straight off the moves
     first = [0] * p.n
     last = [len(seq.blocks)] * p.n
-    for e in seq.blocks[0].elements:
-        first[e] = 1
+    for (lo, hi), chain in zip(seq.blocks[0].segments, seq.partition.chains):
+        for e in chain.elements[lo:hi]:
+            first[e] = 1
     for t, mv in enumerate(seq.moves, start=1):
         last[mv.removed] = t
         first[mv.added] = t + 1
@@ -425,7 +412,22 @@ def path_decomposition_of(p: Poset, k: int) -> PathDecomposition | KkWitness:
 
 
 def decomposition_from_blocks(seq: BlockSequence) -> PathDecomposition:
-    return PathDecomposition(tuple(tuple(sorted(b.elements)) for b in seq.blocks))
+    """One bag per block, in increasing id order.
+
+    The first bag is read off the first block's segments; each move then
+    swaps one element out and one in.
+    """
+    bag = sorted(
+        e
+        for (lo, hi), chain in zip(seq.blocks[0].segments, seq.partition.chains)
+        for e in chain.elements[lo:hi]
+    )
+    bags = [tuple(bag)]
+    for mv in seq.moves:
+        del bag[bisect_left(bag, mv.removed)]
+        insort(bag, mv.added)
+        bags.append(tuple(bag))
+    return PathDecomposition(tuple(bags))
 
 
 def validate_path_decomposition(g: Graph, pd: PathDecomposition) -> bool:

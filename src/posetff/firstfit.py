@@ -50,11 +50,10 @@ class PresentationOrder:
 
 @dataclass(frozen=True)
 class FFChainResult:
-    """Chains produced by an online run, with the 1-based assignment and trace."""
+    """Chains produced by an online run, with the 1-based assignment."""
 
     partition: ChainPartition
     assignment: tuple[int, ...]
-    trace: tuple[tuple[int, int], ...]
 
     @property
     def chain_count(self) -> int:
@@ -71,10 +70,6 @@ class FFColoring:
     def color_count(self) -> int:
         return len(self.classes)
 
-    def color_of(self) -> dict[int, int]:
-        """Vertex -> 1-based color."""
-        return {v: i + 1 for i, cls in enumerate(self.classes) for v in cls}
-
 
 def first_fit_chains(p: Poset, order: PresentationOrder) -> FFChainResult:
     """Run First-Fit chain partitioning online in the given order."""
@@ -83,7 +78,6 @@ def first_fit_chains(p: Poset, order: PresentationOrder) -> FFChainResult:
     members: list[list[int]] = []
     blocked: list[int] = []  # per chain: union of inc masks of its members
     assignment = [0] * p.n
-    trace = []
     for v in order.order:
         chosen = -1
         for i, bm in enumerate(blocked):
@@ -98,9 +92,8 @@ def first_fit_chains(p: Poset, order: PresentationOrder) -> FFChainResult:
             members[chosen].append(v)
             blocked[chosen] |= p.inc_mask(v)
         assignment[v] = chosen + 1
-        trace.append((v, chosen + 1))
     partition = ChainPartition(tuple(Chain(p.sort_chain(c)) for c in members))
-    return FFChainResult(partition, tuple(assignment), tuple(trace))
+    return FFChainResult(partition, tuple(assignment))
 
 
 def validate_ff_partition(p: Poset, cp: ChainPartition) -> bool:

@@ -9,14 +9,11 @@ the complete pattern search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import GaveUp
 from .order import Graph, Poset, build_poset, find_k_plus_k, interval_order_from_intervals
 
 __all__ = [
     "SplitMix64",
-    "GenConfig",
     "gen_interval_order",
     "gen_kk_free",
     "gen_random_poset",
@@ -64,21 +61,6 @@ def _threshold(density: float) -> int:
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     return min(_MASK64 + 1, int(density * (_MASK64 + 1)))
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Echoed into output metadata so every instance can be regenerated."""
-
-    seed: int
-    kind: str
-    n: int
-    params: dict = field(default_factory=dict)
-
-    def to_meta(self) -> dict:
-        meta = {"seed": self.seed, "kind": self.kind, "n": self.n}
-        meta.update(self.params)
-        return meta
 
 
 def gen_interval_order(seed: int, n: int, coordinate_range: int | None = None) -> Poset:

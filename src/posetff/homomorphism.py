@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidColoring, InvalidDecomposition, TooLarge
+from .errors import InternalError, InvalidColoring, InvalidDecomposition, TooLarge
 from .extension import PathDecomposition, validate_path_decomposition
 from .firstfit import FFColoring, validate_ff_coloring
 from .order import Graph, iter_bits
@@ -40,7 +40,6 @@ class IntervalCompletion:
     """Vertex intervals (1-based bag spans) implying an interval supergraph."""
 
     n: int
-    bag_count: int
     intervals: tuple[tuple[int, int], ...]
 
     def graph(self) -> Graph:
@@ -67,12 +66,11 @@ class Homomorphism:
 
 @dataclass(frozen=True)
 class FFImage:
-    """The quotient interval graph with its intervals, classes, and components."""
+    """The quotient interval graph with its intervals and transported classes."""
 
     h: Graph
     intervals: tuple[tuple[int, int], ...]
     classes: tuple[tuple[int, ...], ...]  # per input class: the quotient vertices
-    components: tuple[tuple[tuple[int, ...], ...], ...]  # [class][component] -> members
 
     def coloring(self) -> FFColoring:
         return FFColoring(tuple(frozenset(z) for z in self.classes))
@@ -89,9 +87,7 @@ def interval_completion(g: Graph, pd: PathDecomposition) -> IntervalCompletion:
             if first[v] == 0:
                 first[v] = t
             last[v] = t
-    return IntervalCompletion(
-        n=g.n, bag_count=len(pd.bags), intervals=tuple(zip(first, last))
-    )
+    return IntervalCompletion(n=g.n, intervals=tuple(zip(first, last)))
 
 
 def interval_clique_number(intervals: Sequence[tuple[int, int]]) -> int:
@@ -121,7 +117,6 @@ def build_ff_image(
     mapping = [-1] * g.n
     h_intervals: list[tuple[int, int]] = []
     classes: list[tuple[int, ...]] = []
-    components: list[tuple[tuple[int, ...], ...]] = []
     for cls in coloring.classes:
         verts = sorted(cls)
         comp_of: dict[int, int] = {}
@@ -145,24 +140,23 @@ def build_ff_image(
                         stack.append(w)
             comps.append(sorted(comp))
         ids = []
-        members: list[tuple[int, ...]] = []
         for comp in comps:
             lo = min(spans[v][0] for v in comp)
             hi = max(spans[v][1] for v in comp)
             # connectivity means the member spans tile [lo, hi] without a gap
             reach = lo - 1
             for a, b in sorted(spans[v] for v in comp):
-                assert a <= reach + 1
+                if a > reach + 1:
+                    raise InternalError(f"component spans leave a gap before {a}")
                 reach = max(reach, b)
-            assert reach == hi
+            if reach != hi:
+                raise InternalError(f"component spans reach {reach}, not {hi}")
             hid = len(h_intervals)
             h_intervals.append((lo, hi))
             for v in comp:
                 mapping[v] = hid
             ids.append(hid)
-            members.append(tuple(comp))
         classes.append(tuple(ids))
-        components.append(tuple(members))
     edges = []
     for x in range(len(h_intervals)):
         ax, bx = h_intervals[x]
@@ -171,17 +165,16 @@ def build_ff_image(
             if ax <= by and ay <= bx:
                 edges.append((x, y))
     h = Graph(len(h_intervals), edges)
-    image = FFImage(
-        h=h,
-        intervals=tuple(h_intervals),
-        classes=tuple(classes),
-        components=tuple(components),
-    )
+    image = FFImage(h=h, intervals=tuple(h_intervals), classes=tuple(classes))
     hom = Homomorphism(tuple(mapping))
-    assert validate_homomorphism(g, h, hom)
-    assert interval_clique_number(image.intervals) <= ic.clique_number()
-    assert validate_ff_coloring(h, image.coloring())
-    assert len(image.classes) == len(coloring.classes)
+    if not validate_homomorphism(g, h, hom):
+        raise InternalError("quotient map is not a surjective homomorphism")
+    if interval_clique_number(image.intervals) > ic.clique_number():
+        raise InternalError("quotient clique number exceeds the completion's")
+    if not validate_ff_coloring(h, image.coloring()):
+        raise InternalError("transported classes are not a First-Fit coloring")
+    if len(image.classes) != len(coloring.classes):
+        raise InternalError("quotient lost color classes")
     return image, hom
 
 
@@ -264,6 +257,8 @@ def path_decomposition_exact(
         placed |= 1 << v
         bags.append(tuple(sorted(bag)))
     pd = PathDecomposition(tuple(bags))
-    assert validate_path_decomposition(g, pd)
-    assert pd.width == cost[(1 << n) - 1]
+    if not validate_path_decomposition(g, pd):
+        raise InternalError("recovered layout is not a path decomposition")
+    if pd.width != cost[(1 << n) - 1]:
+        raise InternalError(f"recovered width {pd.width} misses the optimum {cost[(1 << n) - 1]}")
     return pd

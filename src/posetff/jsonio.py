@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from .errors import FormatError
 from .extension import BlockSequence, IntervalRepresentation, PathDecomposition
 from .firstfit import FFChainResult, PresentationOrder
 from .homomorphism import Homomorphism
@@ -63,10 +64,30 @@ def poset_to_dict(p: Poset, meta: dict | None = None) -> dict:
     return d
 
 
+def _field(d: Any, key: str) -> Any:
+    if not isinstance(d, dict):
+        raise FormatError(f"expected a JSON object, got {type(d).__name__}")
+    if key not in d:
+        raise FormatError(f"missing key {key!r}")
+    return d[key]
+
+
 def poset_from_dict(d: dict) -> Poset:
-    return build_poset(
-        d["n"], [tuple(pair) for pair in d["relations"]], d.get("names")
-    )
+    n = _field(d, "n")
+    if type(n) is not int:
+        raise FormatError(f"'n' must be an integer, got {n!r}")
+    relations = _field(d, "relations")
+    if not isinstance(relations, list) or not all(
+        type(r) is list and len(r) == 2 and type(r[0]) is int and type(r[1]) is int
+        for r in relations
+    ):
+        raise FormatError("'relations' must be a list of integer pairs")
+    names = d.get("names")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(s, str) for s in names)
+    ):
+        raise FormatError("'names' must be a list of strings")
+    return build_poset(n, [(u, v) for u, v in relations], names)
 
 
 def graph_to_dict(g: Graph, meta: dict | None = None) -> dict:
@@ -85,7 +106,10 @@ def order_to_dict(order: PresentationOrder) -> dict:
 
 
 def order_from_dict(d: dict) -> PresentationOrder:
-    return PresentationOrder(tuple(d["order"]))
+    order = _field(d, "order")
+    if not isinstance(order, list) or not all(type(v) is int for v in order):
+        raise FormatError("'order' must be a list of integers")
+    return PresentationOrder(tuple(order))
 
 
 def ff_result_to_dict(res: FFChainResult) -> dict:

@@ -129,12 +129,6 @@ class Poset:
             )
         return self._inc[u]
 
-    def relation_pairs(self) -> Iterator[tuple[int, int]]:
-        """All ordered pairs (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in iter_bits(self._succ[u]):
-                yield (u, v)
-
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Transitive reduction: pairs u < v with nothing strictly between."""
         out = []
@@ -215,10 +209,6 @@ class ChainPartition:
                     return False
                 seen.add(e)
         return len(seen) == p.n
-
-    def chain_of(self) -> dict[int, int]:
-        """Element -> 0-based chain index."""
-        return {e: i for i, c in enumerate(self.chains) for e in c.elements}
 
     def __len__(self) -> int:
         return len(self.chains)

@@ -1,11 +1,17 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from posetff import (
+    gen_interval_order,
+    gen_kk_free,
     incomparability_graph,
+    interval_order_of,
     pd_from_dict,
     poset_from_dict,
     read_json,
@@ -19,6 +25,29 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def instance_seed(row):
+    return int(dict(kv.split("=") for kv in row["params"].split(";"))["instance_seed"])
+
+
+def check_extend_report(report, poset_file, q_file, pd_file, k):
+    """The report line's numbers equal the matching-based widths and the written pd."""
+    m = re.fullmatch(r"width_q=(-?\d+) bound=(-?\d+) pd_width=(-?\d+)\n", report)
+    assert m, report
+    width_q, bound, pd_width = map(int, m.groups())
+    w, _ = width_with_witness(poset_from_dict(read_json(poset_file)))
+    wq, _ = width_with_witness(poset_from_dict(read_json(q_file)))
+    assert width_q == wq
+    assert bound == (2 * k - 3) * w
+    assert pd_width == pd_from_dict(read_json(pd_file)).width
+
+
+def check_bench_row(row, p, k):
+    """width is width(p); pd_width + 1 is the width of the slide's interval order."""
+    assert int(row["width"]) == width_with_witness(p)[0]
+    wq, _ = width_with_witness(interval_order_of(p, k).order)
+    assert int(row["pd_width"]) + 1 == wq
 
 
 def test_gen_kierstead_files(tmp_path):
@@ -119,8 +148,7 @@ def test_extend_success(tmp_path, capsys):
     pd_file = tmp_path / "pd.json"
     assert run(["extend", "--poset", poset_file, "--k", 2, "--out-order", q_file,
                 "--out-intervals", iv_file, "--out-pd", pd_file]) == 0
-    report = capsys.readouterr().out
-    assert "width_q=" in report and "pd_width=" in report
+    check_extend_report(capsys.readouterr().out, poset_file, q_file, pd_file, 2)
     p = poset_from_dict(read_json(poset_file))
     pd = pd_from_dict(read_json(pd_file))
     assert validate_path_decomposition(incomparability_graph(p), pd)
@@ -128,6 +156,55 @@ def test_extend_success(tmp_path, capsys):
     w, _ = width_with_witness(p)
     assert wq <= w
     assert len(read_json(iv_file)["intervals"]) == p.n
+
+
+@pytest.mark.parametrize("doc, k", [
+    ('{"n": 0, "relations": []}', 2),
+    ('{"n": 6, "relations": []}', 2),
+    ('{"n": 6, "relations": []}', 3),
+    ('{"n": 4, "relations": [[0, 1], [1, 2], [2, 3]]}', 3),
+])
+def test_extend_report_on_small_inputs(tmp_path, capsys, doc, k):
+    poset_file = tmp_path / "p.json"
+    poset_file.write_text(doc)
+    q_file, pd_file = tmp_path / "q.json", tmp_path / "pd.json"
+    assert run(["extend", "--poset", poset_file, "--k", k, "--out-order", q_file,
+                "--out-pd", pd_file]) == 0
+    check_extend_report(capsys.readouterr().out, poset_file, q_file, pd_file, k)
+
+
+BAD_POSETS = [
+    '{"relations": [[0, 1]]}',
+    '[1, 2]',
+    '{"n": "2", "relations": []}',
+    '{"n": 2.0, "relations": []}',
+    '{"n": 2, "relations": [[0, 1, 1]]}',
+    '{"n": 2, "relations": [[0, "1"]]}',
+    '{"n": 2, "relations": [0, 1]}',
+    '{"n": 2, "relations": {}}',
+    '{"n": 2, "relations": [], "names": 5}',
+]
+BAD_ORDERS = ['[1, 2]', '{}', '{"order": 5}', '{"order": [0.0, 1]}']
+GOOD_POSET, GOOD_ORDER = '{"n": 2, "relations": [[0, 1]]}', '{"order": [1, 0]}'
+
+
+@pytest.mark.parametrize("command, poset_doc, order_doc", [
+    *[("ff", doc, GOOD_ORDER) for doc in BAD_POSETS],
+    *[("ff", GOOD_POSET, doc) for doc in BAD_ORDERS],
+    *[("extend", doc, None) for doc in BAD_POSETS],
+])
+def test_malformed_input_exits_2(tmp_path, capsys, command, poset_doc, order_doc):
+    poset_file = tmp_path / "p.json"
+    poset_file.write_text(poset_doc)
+    if order_doc is None:
+        argv = [command, "--poset", poset_file, "--k", 2]
+    else:
+        order_file = tmp_path / "o.json"
+        order_file.write_text(order_doc)
+        argv = [command, "--poset", poset_file, "--order", order_file]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_extend_witness_exit_1(tmp_path, capsys):
@@ -160,10 +237,9 @@ def test_bench_rows_respect_bound(tmp_path):
     for row in rows:
         assert int(row["ff_chains"]) <= int(row["bound"])
         assert int(row["bound"]) == 8 * 3 * int(row["width"])
-    seeds = [
-        int(dict(kv.split("=") for kv in row["params"].split(";"))["instance_seed"])
-        for row in rows
-    ]
+        p = gen_kk_free(instance_seed(row), int(row["n"]), 3, density=0.5)
+        check_bench_row(row, p, 3)
+    seeds = [instance_seed(row) for row in rows]
     assert seeds == sorted(seeds)
 
 
@@ -176,6 +252,7 @@ def test_bench_k2_uses_interval_orders(tmp_path):
     assert all(row["kind"] == "interval" for row in rows)
     for row in rows:
         assert int(row["ff_chains"]) <= 8 * int(row["width"])
+        check_bench_row(row, gen_interval_order(instance_seed(row), int(row["n"])), 2)
 
 
 def test_bench_zero_trials_header_only(tmp_path):

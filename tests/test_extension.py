@@ -18,6 +18,7 @@ from posetff import (
     block_sequence,
     build_poset,
     chain_poset,
+    decomposition_from_blocks,
     dilworth_partition,
     empty_graph,
     find_good_element,
@@ -52,7 +53,7 @@ def slide_from_scratch(p, k):
     """
     cp = dilworth_partition(p)
     segments = list(initial_block(cp, k).segments)
-    blocks = [Block.over(cp, tuple(segments))]
+    blocks = [Block(tuple(segments))]
     moves = []
     while up_set(p, cp, blocks[-1]):
         got = find_good_element(p, cp, blocks[-1], k)
@@ -70,7 +71,7 @@ def slide_from_scratch(p, k):
         assert got.element == chain[lo]
         moves.append(BlockMove(removed=got.element, added=chain[hi], chain=got.chain))
         segments[got.chain] = (lo + 1, hi + 1)
-        blocks.append(Block.over(cp, tuple(segments)))
+        blocks.append(Block(tuple(segments)))
     return moves, blocks, None
 
 
@@ -88,37 +89,40 @@ class TestUpSet:
     def test_single_chain_window(self):
         p = chain_poset(5)
         cp = dilworth_partition(p)
-        block = Block.over(cp, ((1, 2),))  # X = {c_2}
+        block = Block(((1, 2),))  # X = {c_2}
         assert up_set(p, cp, block) == {2, 3, 4}
 
     def test_full_antichain_block(self):
         p = antichain_poset(4)
         cp = dilworth_partition(p)
         block = initial_block(cp, 2)
-        assert block.elements == frozenset(range(4))
+        assert block.segments == ((0, 1),) * 4
+        assert block.size() == 4
         assert up_set(p, cp, block) == frozenset()
 
     def test_two_chains(self):
         # a1 < a2 < a3 plus an isolated b1
         p = build_poset(4, [(0, 1), (1, 2)])
         cp = dilworth_partition(p)
-        block = Block.over(cp, ((0, 1), (0, 1)))  # X = {a1, b1}
+        block = Block(((0, 1), (0, 1)))  # X = {a1, b1}
         assert up_set(p, cp, block) == {1, 2}
 
     def test_invalid_segments(self):
         p = chain_poset(3)
         cp = dilworth_partition(p)
         with pytest.raises(InvalidBlock):
-            up_set(p, cp, Block.over(cp, ((2, 5),)))
+            up_set(p, cp, Block(((2, 5),)))
         with pytest.raises(InvalidBlock):
-            up_set(p, cp, Block(((1, 1),), frozenset()))
+            up_set(p, cp, Block(((1, 1),)))
+        with pytest.raises(InvalidBlock):
+            up_set(p, cp, Block(((0, 1), (1, 2))))
 
 
 class TestFindGoodElement:
     def test_single_chain_window_is_good(self):
         p = chain_poset(5)
         cp = dilworth_partition(p)
-        block = Block.over(cp, ((1, 2),))
+        block = Block(((1, 2),))
         got = find_good_element(p, cp, block, 2)
         assert isinstance(got, GoodElement)
         assert got.element == 1
@@ -167,7 +171,7 @@ class TestFindGoodElement:
         p = chain_poset(6)
         cp = dilworth_partition(p)
         with pytest.raises(InvalidBlock):
-            find_good_element(p, cp, Block.over(cp, ((0, 2),)), 2)
+            find_good_element(p, cp, Block(((0, 2),)), 2)
 
     def test_saturated_chain_is_omitted_from_certificate(self):
         # a singleton chain sits wholly inside the block and never participates
@@ -184,18 +188,20 @@ class TestBlockSequence:
         p = chain_poset(7)
         seq = block_sequence(p, 2)
         assert isinstance(seq, BlockSequence)
-        assert [sorted(b.elements) for b in seq.blocks] == [[t] for t in range(7)]
+        assert decomposition_from_blocks(seq).bags == tuple((t,) for t in range(7))
 
     def test_antichain_is_one_block(self):
         seq = block_sequence(antichain_poset(5), 2)
         assert len(seq.blocks) == 1
-        assert seq.blocks[0].elements == frozenset(range(5))
+        assert decomposition_from_blocks(seq).bags == (tuple(range(5)),)
 
     def test_block_count_formula(self):
         for seed in (0, 3, 9):
             p = gen_interval_order(seed, 25)
             seq = block_sequence(p, 2)
             assert len(seq.blocks) == p.n - seq.blocks[0].size() + 1
+            bags = decomposition_from_blocks(seq).bags
+            assert [b.size() for b in seq.blocks] == [len(bag) for bag in bags]
 
     def test_segment_sizes_are_conserved(self):
         p = gen_interval_order(5, 30)
@@ -272,7 +278,7 @@ class TestIntervalOrderOf:
             wq, _ = width_with_witness(ext.order)
             assert is_extension(p, ext.order)
             assert is_interval_order(ext.order)
-            assert wq == ext.sequence.max_block_size() <= (2 * 2 - 3) * w
+            assert wq == decomposition_from_blocks(ext.sequence).width + 1 <= (2 * 2 - 3) * w
 
     def test_postconditions_on_seeded_three_free(self):
         for seed in range(5):
@@ -283,7 +289,7 @@ class TestIntervalOrderOf:
             wq, _ = width_with_witness(ext.order)
             assert is_extension(p, ext.order)
             assert is_interval_order(ext.order)
-            assert wq == ext.sequence.max_block_size() <= (2 * 3 - 3) * w
+            assert wq == decomposition_from_blocks(ext.sequence).width + 1 <= (2 * 3 - 3) * w
 
     def test_witness_propagates(self):
         got = interval_order_of(build_poset(4, TWO_PLUS_TWO), 2)

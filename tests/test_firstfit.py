@@ -60,12 +60,6 @@ class TestFirstFitChains:
             for j in range(1, i + 1):
                 assert res.assignment[kp.element_id(i, j)] == i - j + 1
 
-    def test_trace_is_in_presentation_order(self):
-        p = chain_poset(3)
-        order = PresentationOrder((2, 0, 1))
-        res = first_fit_chains(p, order)
-        assert tuple(v for v, _ in res.trace) == order.order
-
     def test_empty(self):
         res = first_fit_chains(chain_poset(0), PresentationOrder(()))
         assert res.chain_count == 0

@@ -2,7 +2,6 @@ import pytest
 
 from posetff import (
     GaveUp,
-    GenConfig,
     SplitMix64,
     canonical_dumps,
     complete_graph,
@@ -116,9 +115,3 @@ class TestGenGraph:
         a = canonical_dumps(graph_to_dict(gen_graph(8, 10, 0.5)))
         b = canonical_dumps(graph_to_dict(gen_graph(8, 10, 0.5)))
         assert a == b
-
-
-class TestGenConfig:
-    def test_meta_echo(self):
-        cfg = GenConfig(seed=7, kind="interval", n=30, params={"range": 60})
-        assert cfg.to_meta() == {"seed": 7, "kind": "interval", "n": 30, "range": 60}

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from posetff import (
     FFColoring,
     Homomorphism,
+    InternalError,
     InvalidColoring,
     InvalidDecomposition,
     PathDecomposition,
@@ -29,6 +30,7 @@ from posetff import (
     validate_homomorphism,
 )
 from posetff import SplitMix64, interval_order_from_intervals, kierstead
+import posetff.homomorphism as homomorphism_module
 from helpers import graphs, graphs_with_orders
 
 
@@ -107,6 +109,14 @@ class TestBuildFFImage:
         image, hom = build_ff_image(g, ic, FFColoring((frozenset({0, 1, 2}),)))
         assert image.h.n == 3  # disjoint spans stay separate components
         assert validate_homomorphism(g, image.h, hom)
+
+    def test_failed_certificate_raises_internal_error(self, monkeypatch):
+        g = path_graph(4)
+        ic = interval_completion(g, PathDecomposition(((0, 1), (1, 2), (2, 3))))
+        coloring = FFColoring((frozenset({0, 3}), frozenset({2}), frozenset({1})))
+        monkeypatch.setattr(homomorphism_module, "validate_homomorphism", lambda *a: False)
+        with pytest.raises(InternalError):
+            build_ff_image(g, ic, coloring)
 
     def test_rejects_non_ff_coloring(self):
         g = path_graph(3)
@@ -205,6 +215,11 @@ class TestPathwidthExact:
             g = gen_graph(seed, 8, 0.35)
             pd = path_decomposition_exact(g)
             assert pd.width == pathwidth_exact(g)
+
+    def test_failed_certificate_raises_internal_error(self, monkeypatch):
+        monkeypatch.setattr(homomorphism_module, "validate_path_decomposition", lambda *a: False)
+        with pytest.raises(InternalError):
+            path_decomposition_exact(path_graph(4))
 
     @given(graphs(max_n=7))
     @settings(max_examples=40, deadline=None)
