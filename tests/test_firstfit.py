@@ -16,6 +16,7 @@ from posetff import (
     empty_graph,
     first_fit_chains,
     first_fit_color,
+    gen_graph,
     grundy_coloring,
     grundy_number,
     incomparability_graph,
@@ -179,3 +180,29 @@ class TestGrundy:
     def test_dominates_any_single_order(self, pair):
         g, order = pair
         assert grundy_number(g) >= first_fit_color(g, order).color_count
+
+
+# Graph i is gen_graph(1000 + i, 5 + i % 6, GOLDEN_DENSITIES[i // 6 % 6]);
+# GOLDEN_GRUNDY[i] is its Grundy number, pinned from the colour-tuple sweep
+# over presentation orders that the first-class recursion replaced.
+GOLDEN_DENSITIES = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)
+GOLDEN_GRUNDY = (
+    2, 1, 2, 2, 2, 3, 3, 3, 3, 2, 3, 3, 2, 3, 4, 4, 4, 6, 3, 3,
+    4, 5, 6, 6, 4, 4, 6, 5, 6, 7, 4, 5, 5, 6, 7, 7, 2, 2, 2, 2,
+    2, 3, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 5, 2, 4, 5, 6, 4, 5,
+)
+
+
+def golden_graph(i):
+    return gen_graph(1000 + i, 5 + i % 6, GOLDEN_DENSITIES[i // 6 % 6])
+
+
+@pytest.mark.parametrize("i", range(len(GOLDEN_GRUNDY)))
+def test_golden_grundy(i):
+    g = golden_graph(i)
+    coloring = grundy_coloring(g)
+    assert coloring.color_count == GOLDEN_GRUNDY[i]
+    assert grundy_number(g) == GOLDEN_GRUNDY[i]
+    # facts that hold for any maximum witness, whatever the tie-break
+    assert validate_ff_coloring(g, coloring)
+    assert coloring.color_count <= max(g.degree(v) for v in range(g.n)) + 1
