@@ -131,9 +131,13 @@ def _bench_size(k: int, w: int) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     k, w = args.k, args.w
-    if k < 2:
-        print("bench needs k >= 2", file=sys.stderr)
-        return 2
+    # zero trials is an empty sweep (header only); zero orders or width would
+    # write rows that describe no First-Fit run
+    for flag, value, least in (("--k", k, 2), ("--w", w, 1), ("--trials", args.trials, 0),
+                               ("--orders", args.orders, 1)):
+        if value < least:
+            print(f"error: bench needs {flag} >= {least}, got {value}", file=sys.stderr)
+            return 2
     master = SplitMix64(args.seed)
     seeds = sorted(master.next_u64() for _ in range(args.trials))
     rows = []

@@ -3,8 +3,13 @@
 First-Fit on a poset places each arriving element into the least-index
 chain whose members are all comparable to it; on a graph it greedily
 assigns the least color absent from the neighborhood.  Both views agree
-through the incomparability graph, and ``grundy_number`` sweeps every
-presentation order (with state pruning) to compute the worst case.
+through the incomparability graph.  ``grundy_number`` computes the worst
+case over all presentation orders exactly, by the first-class recursion:
+the first class of any greedy coloring is a maximal independent set, so
+Gamma(G[S]) = max over maximal independent I in S of 1 + Gamma(G[S - I]).
+It is memoised on the bitmask S, enumerates I by Bron-Kerbosch on the
+complement, and stops a state at the Delta(G[S]) + 1 ceiling; the default
+limit is 16 vertices.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ __all__ = [
     "grundy_coloring",
 ]
 
-GRUNDY_DEFAULT_LIMIT = 10
+GRUNDY_DEFAULT_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -174,52 +179,82 @@ def validate_ff_coloring(g: Graph, coloring: FFColoring) -> bool:
     return True
 
 
+def _maximal_independent_sets(closed: list[int], p: int, x: int = 0, r: int = 0):
+    """Yield each maximal independent set of G[p], as a bitmask.
+
+    Bron-Kerbosch with a pivot, run on the complement graph, whose cliques
+    are the independent sets here.  In the recursion r is the set built so
+    far, p the vertices that may still join it and x those already tried;
+    ``closed[v]`` is v's closed neighbourhood.
+    """
+    if not p:
+        if not x:
+            yield r
+        return
+    # pivot: the vertex of p | x whose closed neighbourhood leaves fewest branches;
+    # bits are peeled inline, since this is the oracle's innermost loop
+    branch, size = p, p.bit_count()
+    m = p | x
+    while m:
+        low = m & -m
+        m ^= low
+        meet = p & closed[low.bit_length() - 1]
+        if meet.bit_count() < size:
+            branch, size = meet, meet.bit_count()
+    while branch:
+        low = branch & -branch
+        branch ^= low
+        cv = closed[low.bit_length() - 1]
+        yield from _maximal_independent_sets(closed, p & ~cv, x & ~cv, r | low)
+        p ^= low
+        x |= low
+
+
+def _fill_grundy(nbr: list[int], closed: list[int], s: int,
+                 table: dict[int, tuple[int, int]]) -> None:
+    """Set table[s] = (Gamma(G[s]), first class of a witness), and so below s.
+
+    The first class of a greedy coloring is a maximal independent set I, and
+    the rest is a greedy coloring of G[s - I]; the loop stops at the
+    Delta(G[s]) + 1 ceiling.  A module-level function rather than a closure,
+    so the table is freed as soon as the caller drops it.
+    """
+    ceiling = 1 + max((nbr[v] & s).bit_count() for v in iter_bits(s))
+    best, first = 0, 0
+    for i in _maximal_independent_sets(closed, s):
+        rest = s & ~i
+        if rest not in table:
+            _fill_grundy(nbr, closed, rest, table)
+        value = table[rest][0] + 1
+        if value > best:
+            best, first = value, i
+            if best == ceiling:
+                break
+    table[s] = (best, first)
+
+
 def grundy_coloring(g: Graph, limit: int = GRUNDY_DEFAULT_LIMIT) -> FFColoring:
     """A greedy coloring attaining the maximum color count over all orders.
 
-    Depth-first sweep over presentation orders, collapsing orders that
-    reach the same partial coloring; memoization makes the sweep exact
-    without visiting all n! permutations.
+    Gamma(G[S]) = max over maximal independent I in S of 1 + Gamma(G[S - I]),
+    memoised on the bitmask S; the witness takes, from the full set down,
+    the first I that attains each maximum.
     """
     n = g.n
     if n > limit:
-        raise TooLarge(f"exact sweep limited to {limit} vertices, got {n}")
-    if n == 0:
-        return FFColoring(())
+        raise TooLarge(f"exact Grundy recursion limited to {limit} vertices, got {n}")
     nbr = [g.nbr_mask(v) for v in range(n)]
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def explore(colors: tuple[int, ...]) -> tuple[int, ...]:
-        cached = memo.get(colors)
-        if cached is not None:
-            return cached
-        best = None
-        best_top = -1
-        for v in range(n):
-            if colors[v]:
-                continue
-            used = 0
-            for u in iter_bits(nbr[v]):
-                used |= 1 << colors[u]
-            c = 1
-            while (used >> c) & 1:
-                c += 1
-            final = explore(colors[:v] + (c,) + colors[v + 1 :])
-            top = max(final)
-            if top > best_top:
-                best_top = top
-                best = final
-        if best is None:  # everything colored
-            best = colors
-        memo[colors] = best
-        return best
-
-    final = explore((0,) * n)
-    top = max(final)
-    classes = tuple(
-        frozenset(v for v in range(n) if final[v] == c) for c in range(1, top + 1)
-    )
-    return FFColoring(classes)
+    closed = [m | 1 << v for v, m in enumerate(nbr)]
+    s = (1 << n) - 1
+    table = {0: (0, 0)}
+    if s:
+        _fill_grundy(nbr, closed, s, table)
+    classes = []
+    while s:
+        i = table[s][1]
+        classes.append(frozenset(iter_bits(i)))
+        s &= ~i
+    return FFColoring(tuple(classes))
 
 
 def grundy_number(g: Graph, limit: int = GRUNDY_DEFAULT_LIMIT) -> int:

@@ -72,22 +72,43 @@ def _field(d: Any, key: str) -> Any:
     return d[key]
 
 
-def poset_from_dict(d: dict) -> Poset:
-    n = _field(d, "n")
-    if type(n) is not int:
-        raise FormatError(f"'n' must be an integer, got {n!r}")
-    relations = _field(d, "relations")
-    if not isinstance(relations, list) or not all(
+def _int_field(d: Any, key: str) -> int:
+    value = _field(d, key)
+    if type(value) is not int:
+        raise FormatError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _is_int_list(value: Any) -> bool:
+    return type(value) is list and all(type(v) is int for v in value)
+
+
+def _int_list_field(d: Any, key: str) -> tuple[int, ...]:
+    value = _field(d, key)
+    if not _is_int_list(value):
+        raise FormatError(f"{key!r} must be a list of integers")
+    return tuple(value)
+
+
+def _int_pairs_field(d: Any, key: str) -> list[tuple[int, int]]:
+    value = _field(d, key)
+    if not isinstance(value, list) or not all(
         type(r) is list and len(r) == 2 and type(r[0]) is int and type(r[1]) is int
-        for r in relations
+        for r in value
     ):
-        raise FormatError("'relations' must be a list of integer pairs")
+        raise FormatError(f"{key!r} must be a list of integer pairs")
+    return [(u, v) for u, v in value]
+
+
+def poset_from_dict(d: dict) -> Poset:
+    n = _int_field(d, "n")
+    relations = _int_pairs_field(d, "relations")
     names = d.get("names")
     if names is not None and not (
         isinstance(names, list) and all(isinstance(s, str) for s in names)
     ):
         raise FormatError("'names' must be a list of strings")
-    return build_poset(n, [(u, v) for u, v in relations], names)
+    return build_poset(n, relations, names)
 
 
 def graph_to_dict(g: Graph, meta: dict | None = None) -> dict:
@@ -98,7 +119,7 @@ def graph_to_dict(g: Graph, meta: dict | None = None) -> dict:
 
 
 def graph_from_dict(d: dict) -> Graph:
-    return Graph(d["n"], [tuple(e) for e in d["edges"]])
+    return Graph(_int_field(d, "n"), _int_pairs_field(d, "edges"))
 
 
 def order_to_dict(order: PresentationOrder) -> dict:
@@ -106,10 +127,7 @@ def order_to_dict(order: PresentationOrder) -> dict:
 
 
 def order_from_dict(d: dict) -> PresentationOrder:
-    order = _field(d, "order")
-    if not isinstance(order, list) or not all(type(v) is int for v in order):
-        raise FormatError("'order' must be a list of integers")
-    return PresentationOrder(tuple(order))
+    return PresentationOrder(_int_list_field(d, "order"))
 
 
 def ff_result_to_dict(res: FFChainResult) -> dict:
@@ -124,7 +142,7 @@ def intervals_to_dict(rep: IntervalRepresentation) -> dict:
 
 
 def intervals_from_dict(d: dict) -> IntervalRepresentation:
-    return IntervalRepresentation(tuple(tuple(iv) for iv in d["intervals"]))
+    return IntervalRepresentation(tuple(_int_pairs_field(d, "intervals")))
 
 
 def block_trace_to_list(seq: BlockSequence) -> list[dict]:
@@ -138,7 +156,10 @@ def pd_to_dict(pd: PathDecomposition) -> dict:
 
 
 def pd_from_dict(d: dict) -> PathDecomposition:
-    return PathDecomposition(tuple(tuple(bag) for bag in d["bags"]))
+    bags = _field(d, "bags")
+    if not isinstance(bags, list) or not all(_is_int_list(bag) for bag in bags):
+        raise FormatError("'bags' must be a list of integer lists")
+    return PathDecomposition(tuple(tuple(bag) for bag in bags))
 
 
 def homomorphism_to_dict(f: Homomorphism) -> dict:
@@ -146,7 +167,7 @@ def homomorphism_to_dict(f: Homomorphism) -> dict:
 
 
 def homomorphism_from_dict(d: dict) -> Homomorphism:
-    return Homomorphism(tuple(d["map"]))
+    return Homomorphism(_int_list_field(d, "map"))
 
 
 def witness_to_dict(w: KkWitness) -> dict:

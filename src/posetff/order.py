@@ -241,6 +241,8 @@ class Graph:
     __slots__ = ("n", "edges", "_nbr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if n < 0:
+            raise IdOutOfRange("negative vertex count")
         self.n = n
         norm = set()
         nbr = [0] * n

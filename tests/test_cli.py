@@ -263,6 +263,19 @@ def test_bench_zero_trials_header_only(tmp_path):
     assert lines == ["kind,params,n,width,k,ff_chains,bound,pd_width,seconds"]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--k", 1), ("--w", 0), ("--w", -2), ("--trials", -1), ("--orders", 0), ("--orders", -1),
+])
+def test_bench_rejects_out_of_range_sizes(tmp_path, capsys, flag, value):
+    csv_file = tmp_path / "rejected.csv"
+    argv = {"--k": 3, "--w": 2, "--trials": 1, "--orders": 5}
+    argv[flag] = value
+    assert run(["bench", *[a for kv in argv.items() for a in kv], "--csv", csv_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bench needs {flag} >= ") and "Traceback" not in err
+    assert not csv_file.exists()
+
+
 def test_budget_env_var_caps_generation(tmp_path, monkeypatch):
     monkeypatch.setenv("POSETFF_BUDGET", "1")
     out = tmp_path / "kk.json"

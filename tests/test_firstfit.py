@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,6 +8,7 @@ from posetff import (
     Chain,
     CoverageError,
     FFColoring,
+    Graph,
     PresentationOrder,
     TooLarge,
     antichain_poset,
@@ -151,7 +154,25 @@ class TestGrundy:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            grundy_number(empty_graph(11))
+            grundy_number(empty_graph(17))
+
+    def test_exact_at_the_default_limit(self):
+        assert grundy_number(minus_perfect_matching(8)) == 8
+        assert grundy_number(complete_graph(16)) == 16
+        assert grundy_number(path_graph(16)) == 3
+        triangles = Graph(15, [(3 * t + a, 3 * t + b) for t in range(5)
+                               for a, b in ((0, 1), (0, 2), (1, 2))])
+        assert grundy_number(triangles) == 3
+
+    def test_leaves_no_reference_cycle(self):
+        g = minus_perfect_matching(5)
+        gc.collect()
+        gc.disable()
+        try:
+            grundy_coloring(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_empty(self):
         assert grundy_number(empty_graph(0)) == 0
@@ -182,9 +203,10 @@ class TestGrundy:
         assert grundy_number(g) >= first_fit_color(g, order).color_count
 
 
-# Graph i is gen_graph(1000 + i, 5 + i % 6, GOLDEN_DENSITIES[i // 6 % 6]);
-# GOLDEN_GRUNDY[i] is its Grundy number, pinned from the colour-tuple sweep
-# over presentation orders that the first-class recursion replaced.
+# Graph i is gen_graph(1000 + i, 5 + i % 6, GOLDEN_DENSITIES[i // 6 % 6]).
+# GOLDEN_GRUNDY[i] is its Grundy number, pinned from an earlier oracle that
+# shares no code with the first-class recursion: a memoised sweep over
+# presentation orders on colour tuples.
 GOLDEN_DENSITIES = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)
 GOLDEN_GRUNDY = (
     2, 1, 2, 2, 2, 3, 3, 3, 3, 2, 3, 3, 2, 3, 4, 4, 4, 6, 3, 3,

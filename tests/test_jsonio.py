@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from posetff import (
+    FormatError,
+    PosetFFError,
     Homomorphism,
     PathDecomposition,
     PresentationOrder,
@@ -119,3 +123,42 @@ def test_write_and_read(tmp_path):
     first = path.read_bytes()
     write_json(poset_to_dict(p), path)
     assert path.read_bytes() == first
+
+
+MALFORMED = [
+    (graph_from_dict, [1, 2]),
+    (graph_from_dict, {"n": 2}),
+    (graph_from_dict, {"edges": [[0, 1]]}),
+    (graph_from_dict, {"n": "2", "edges": [[0, 1]]}),
+    (graph_from_dict, {"n": 2, "edges": [[0, 1, 1]]}),
+    (graph_from_dict, {"n": 2, "edges": [[0, 1.0]]}),
+    (graph_from_dict, {"n": 2, "edges": {"0": 1}}),
+    (pd_from_dict, {}),
+    (pd_from_dict, "bags"),
+    (pd_from_dict, {"bags": 3}),
+    (pd_from_dict, {"bags": [[0, 1], 2]}),
+    (pd_from_dict, {"bags": [[0, "1"]]}),
+    (intervals_from_dict, {}),
+    (intervals_from_dict, {"intervals": [[1, 2], [3]]}),
+    (intervals_from_dict, {"intervals": [[1, None]]}),
+    (intervals_from_dict, {"intervals": "[[1, 2]]"}),
+    (homomorphism_from_dict, {}),
+    (homomorphism_from_dict, None),
+    (homomorphism_from_dict, {"map": [0, [1]]}),
+    (homomorphism_from_dict, {"map": {"0": 0}}),
+    (homomorphism_from_dict, {"map": [True, 0]}),
+    (poset_from_dict, {"n": 2}),
+    (order_from_dict, {"order": [0, 1.5]}),
+]
+
+
+@pytest.mark.parametrize("loader, doc", MALFORMED,
+                         ids=[f"{f.__name__}-{i}" for i, (f, _) in enumerate(MALFORMED)])
+def test_malformed_document_raises_format_error(loader, doc):
+    with pytest.raises(FormatError):
+        loader(doc)
+
+
+def test_graph_negative_size_is_a_library_error():
+    with pytest.raises(PosetFFError):
+        graph_from_dict({"n": -1, "edges": []})
