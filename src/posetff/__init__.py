@@ -10,7 +10,6 @@ from .adversary import (
     KiersteadPoset,
     StackedPoset,
     kierstead,
-    predicted_assignment,
     stacked,
     stacked_degenerate,
 )
@@ -47,7 +46,6 @@ from .extension import (
     find_good_element,
     initial_block,
     interval_order_of,
-    path_decomposition_of,
     up_set,
     validate_path_decomposition,
 )

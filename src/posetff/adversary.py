@@ -23,7 +23,6 @@ __all__ = [
     "kierstead",
     "stacked",
     "stacked_degenerate",
-    "predicted_assignment",
 ]
 
 
@@ -171,28 +170,3 @@ def stacked_degenerate(w: int) -> tuple[Poset, PresentationOrder]:
     if w < 1:
         raise ParamError("w must be at least 1")
     return antichain_poset(w), PresentationOrder.identity(w)
-
-
-def predicted_assignment(kind: str, params: dict, element: int) -> int:
-    """Closed-form chain index for an adversary element.
-
-    ``kind`` is "kierstead" (params: q) or "stacked" (params: k, w).
-    Raises OutOfRange when the element id is outside the family's universe.
-    """
-    if kind == "kierstead":
-        q = params["q"]
-        n = _row_start(q + 1)
-        if not 0 <= element < n:
-            raise OutOfRange(f"element {element} outside 0..{n - 1}")
-        i, j = _row_of(element)
-        return i - j + 1
-    if kind == "stacked":
-        k, w = params["k"], params["w"]
-        copy_n = _row_start(k)
-        n = (w - 1) * copy_n
-        if not 0 <= element < n:
-            raise OutOfRange(f"element {element} outside 0..{n - 1}")
-        copy, local = divmod(element, copy_n)
-        i, j = _row_of(local)
-        return (k - 1) * copy + (i - j + 1)
-    raise ValueError(f"unknown adversary kind {kind!r}")

@@ -240,11 +240,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="sweep First-Fit against the 8(2k-3)w bound")
     bench.add_argument("--k", type=int, required=True)
-    bench.add_argument("--w", type=int, required=True)
+    bench.add_argument("--w", type=int, required=True,
+                       help="instance size, not width: n = 8w for k = 2, "
+                            "min(4w + 2(k-2), 20) otherwise")
     bench.add_argument("--trials", type=int, required=True)
     bench.add_argument("--orders", type=int, required=True)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--csv", required=True)
+    bench.add_argument("--csv", required=True,
+                       help="output CSV; its width column is each instance's measured width")
     bench.add_argument("--out-witness", default=None)
     bench.set_defaults(func=cmd_bench)
     return parser

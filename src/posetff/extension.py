@@ -45,7 +45,6 @@ __all__ = [
     "find_good_element",
     "block_sequence",
     "interval_order_of",
-    "path_decomposition_of",
     "validate_path_decomposition",
 ]
 
@@ -313,14 +312,18 @@ class _SinkDigraph:
 
 @dataclass(frozen=True)
 class BlockSequence:
-    """The full slide: every block, every move, over one chain partition."""
+    """The full slide over one chain partition: the first block, then one move per step.
+
+    Block t+1 is block t with chain ``moves[t].chain``'s segment shifted up
+    by one position, so the first block and the moves determine every block.
+    """
 
     partition: ChainPartition
-    blocks: tuple[Block, ...]
+    first: Block
     moves: tuple[BlockMove, ...]
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.moves) + 1
 
 
 @dataclass(frozen=True)
@@ -368,16 +371,15 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
     if k < 2:
         raise ValueError("k must be at least 2")
     cp = dilworth_partition(p)
-    state = _SinkDigraph(p, cp, initial_block(cp, k).segments, k)
-    blocks = [Block(tuple(state.segments))]
+    first = initial_block(cp, k)
+    state = _SinkDigraph(p, cp, first.segments, k)
     moves: list[BlockMove] = []
     while state.ups:
         got = state.pick()
         if isinstance(got, KkWitness):
             return got
         moves.append(state.advance(got))
-        blocks.append(Block(tuple(state.segments)))
-    return BlockSequence(partition=cp, blocks=tuple(blocks), moves=tuple(moves))
+    return BlockSequence(partition=cp, first=first, moves=tuple(moves))
 
 
 def interval_order_of(p: Poset, k: int) -> IntervalExtension | KkWitness:
@@ -388,8 +390,8 @@ def interval_order_of(p: Poset, k: int) -> IntervalExtension | KkWitness:
     # an element enters in block 1 or when admitted, and leaves when removed
     # or after the last block, so its span is read straight off the moves
     first = [0] * p.n
-    last = [len(seq.blocks)] * p.n
-    for (lo, hi), chain in zip(seq.blocks[0].segments, seq.partition.chains):
+    last = [len(seq)] * p.n
+    for (lo, hi), chain in zip(seq.first.segments, seq.partition.chains):
         for e in chain.elements[lo:hi]:
             first[e] = 1
     for t, mv in enumerate(seq.moves, start=1):
@@ -403,14 +405,6 @@ def interval_order_of(p: Poset, k: int) -> IntervalExtension | KkWitness:
     return IntervalExtension(order=q, representation=rep, sequence=seq)
 
 
-def path_decomposition_of(p: Poset, k: int) -> PathDecomposition | KkWitness:
-    """The block sequence read as bags over the incomparability graph."""
-    seq = block_sequence(p, k)
-    if isinstance(seq, KkWitness):
-        return seq
-    return decomposition_from_blocks(seq)
-
-
 def decomposition_from_blocks(seq: BlockSequence) -> PathDecomposition:
     """One bag per block, in increasing id order.
 
@@ -419,7 +413,7 @@ def decomposition_from_blocks(seq: BlockSequence) -> PathDecomposition:
     """
     bag = sorted(
         e
-        for (lo, hi), chain in zip(seq.blocks[0].segments, seq.partition.chains)
+        for (lo, hi), chain in zip(seq.first.segments, seq.partition.chains)
         for e in chain.elements[lo:hi]
     )
     bags = [tuple(bag)]
@@ -430,25 +424,32 @@ def decomposition_from_blocks(seq: BlockSequence) -> PathDecomposition:
     return PathDecomposition(tuple(bags))
 
 
-def validate_path_decomposition(g: Graph, pd: PathDecomposition) -> bool:
-    """Consecutive occurrence of every vertex and coverage of every edge.
+def _valid_spans(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int], ...] | None:
+    """Each vertex's closed 1-based span of bags, or None when pd does not decompose g.
 
     Once every vertex's bags are known to be consecutive, an edge is covered
-    exactly when the spans of bag indices of its two ends intersect.
+    exactly when the spans of its two ends intersect.
     """
-    first = [-1] * g.n
-    last = [-1] * g.n
-    for t, bag in enumerate(pd.bags):
+    first = [0] * g.n
+    last = [0] * g.n
+    for t, bag in enumerate(pd.bags, start=1):
         for v in bag:
             if not 0 <= v < g.n:
-                return False
+                return None
             if last[v] == t:
                 continue  # repeated within this bag
-            if first[v] < 0:
+            if not first[v]:
                 first[v] = t
             elif last[v] != t - 1:
-                return False
+                return None
             last[v] = t
-    if -1 in first:
-        return False
-    return all(first[u] <= last[v] and first[v] <= last[u] for u, v in g.edges)
+    if 0 in first:
+        return None
+    if not all(first[u] <= last[v] and first[v] <= last[u] for u, v in g.edges()):
+        return None
+    return tuple(zip(first, last))
+
+
+def validate_path_decomposition(g: Graph, pd: PathDecomposition) -> bool:
+    """Consecutive occurrence of every vertex and coverage of every edge."""
+    return _valid_spans(g, pd) is not None

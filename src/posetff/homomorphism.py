@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalError, InvalidColoring, InvalidDecomposition, TooLarge
-from .extension import PathDecomposition, validate_path_decomposition
+from .extension import PathDecomposition, _valid_spans, validate_path_decomposition
 from .firstfit import FFColoring, validate_ff_coloring
 from .order import Graph, iter_bits
 
@@ -44,14 +44,7 @@ class IntervalCompletion:
 
     def graph(self) -> Graph:
         """The implied interval graph: adjacency is interval intersection."""
-        edges = []
-        for u in range(self.n):
-            au, bu = self.intervals[u]
-            for v in range(u + 1, self.n):
-                av, bv = self.intervals[v]
-                if au <= bv and av <= bu:
-                    edges.append((u, v))
-        return Graph(self.n, edges)
+        return _interval_graph(self.intervals)
 
     def clique_number(self) -> int:
         return interval_clique_number(self.intervals)
@@ -76,18 +69,25 @@ class FFImage:
         return FFColoring(tuple(frozenset(z) for z in self.classes))
 
 
+def _interval_graph(intervals: Sequence[tuple[int, int]]) -> Graph:
+    """Join every two closed intervals that intersect."""
+    n = len(intervals)
+    edges = []
+    for u in range(n):
+        au, bu = intervals[u]
+        for v in range(u + 1, n):
+            av, bv = intervals[v]
+            if au <= bv and av <= bu:
+                edges.append((u, v))
+    return Graph(n, edges)
+
+
 def interval_completion(g: Graph, pd: PathDecomposition) -> IntervalCompletion:
     """Read off each vertex's first and last bag as its interval."""
-    if not validate_path_decomposition(g, pd):
+    spans = _valid_spans(g, pd)
+    if spans is None:
         raise InvalidDecomposition("path decomposition invalid for this graph")
-    first = [0] * g.n
-    last = [0] * g.n
-    for t, bag in enumerate(pd.bags, start=1):
-        for v in bag:
-            if first[v] == 0:
-                first[v] = t
-            last[v] = t
-    return IntervalCompletion(n=g.n, intervals=tuple(zip(first, last)))
+    return IntervalCompletion(n=g.n, intervals=spans)
 
 
 def interval_clique_number(intervals: Sequence[tuple[int, int]]) -> int:
@@ -157,14 +157,7 @@ def build_ff_image(
                 mapping[v] = hid
             ids.append(hid)
         classes.append(tuple(ids))
-    edges = []
-    for x in range(len(h_intervals)):
-        ax, bx = h_intervals[x]
-        for y in range(x + 1, len(h_intervals)):
-            ay, by = h_intervals[y]
-            if ax <= by and ay <= bx:
-                edges.append((x, y))
-    h = Graph(len(h_intervals), edges)
+    h = _interval_graph(h_intervals)
     image = FFImage(h=h, intervals=tuple(h_intervals), classes=tuple(classes))
     hom = Homomorphism(tuple(mapping))
     if not validate_homomorphism(g, h, hom):
@@ -185,7 +178,7 @@ def validate_homomorphism(g: Graph, h: Graph, f: Homomorphism) -> bool:
         return False
     if any(not 0 <= x < h.n for x in m):
         return False
-    for u, v in g.edges:
+    for u, v in g.edges():
         fu, fv = m[u], m[v]
         if fu == fv or not h.adjacent(fu, fv):
             return False

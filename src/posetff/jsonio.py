@@ -112,7 +112,7 @@ def poset_from_dict(d: dict) -> Poset:
 
 
 def graph_to_dict(g: Graph, meta: dict | None = None) -> dict:
-    d: dict[str, Any] = {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+    d: dict[str, Any] = {"n": g.n, "edges": [list(e) for e in g.edges()]}
     if meta is not None:
         d["meta"] = meta
     return d

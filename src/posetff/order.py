@@ -238,25 +238,27 @@ class KkWitness:
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency."""
 
-    __slots__ = ("n", "edges", "_nbr")
+    __slots__ = ("n", "_nbr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise IdOutOfRange("negative vertex count")
         self.n = n
-        norm = set()
         nbr = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise IdOutOfRange(f"edge ({u},{v}) outside [0,{n})")
             if u == v:
                 raise ValueError(f"loop at {u}")
-            a, b = (u, v) if u < v else (v, u)
-            norm.add((a, b))
-            nbr[a] |= 1 << b
-            nbr[b] |= 1 << a
-        self.edges = frozenset(norm)
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
         self._nbr = tuple(nbr)
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge once as (u, v) with u < v, in increasing order."""
+        for u, mask in enumerate(self._nbr):
+            for off in iter_bits(mask >> (u + 1)):
+                yield u, u + 1 + off
 
     def nbr_mask(self, v: int) -> int:
         return self._nbr[v]
@@ -270,13 +272,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self._nbr == other._nbr
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self._nbr)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={sum(m.bit_count() for m in self._nbr) // 2})"
 
 
 # -- construction -----------------------------------------------------------

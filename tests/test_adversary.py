@@ -7,7 +7,6 @@ from posetff import (
     find_k_plus_k,
     first_fit_chains,
     kierstead,
-    predicted_assignment,
     stacked,
     stacked_degenerate,
     width_with_witness,
@@ -130,20 +129,17 @@ class TestStacked:
 class TestPredictedAssignment:
     def test_ladder_corners(self):
         kp = kierstead(5)
-        assert predicted_assignment("kierstead", {"q": 5}, kp.element_id(5, 5)) == 1
-        assert predicted_assignment("kierstead", {"q": 5}, kp.element_id(5, 1)) == 5
+        assert kp.predicted_chain(kp.element_id(5, 5)) == 1
+        assert kp.predicted_chain(kp.element_id(5, 1)) == 5
 
     def test_stacked_formula(self):
         sp = stacked(5, 4)
-        e = sp.element_id(3, 4, 1)
-        assert predicted_assignment("stacked", {"k": 5, "w": 4}, e) == 12
+        assert sp.predicted_chain(sp.element_id(3, 4, 1)) == 12
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            predicted_assignment("kierstead", {"q": 2}, 3)
+            kierstead(2).predicted_chain(3)
         with pytest.raises(OutOfRange):
-            predicted_assignment("stacked", {"k": 3, "w": 2}, 99)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            predicted_assignment("ladder", {"q": 2}, 0)
+            kierstead(2).predicted_chain(-1)
+        with pytest.raises(OutOfRange):
+            stacked(3, 2).predicted_chain(99)

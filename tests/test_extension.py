@@ -32,7 +32,6 @@ from posetff import (
     is_extension,
     is_interval_order,
     kierstead,
-    path_decomposition_of,
     path_graph,
     stacked,
     up_set,
@@ -75,6 +74,24 @@ def slide_from_scratch(p, k):
     return moves, blocks, None
 
 
+def replay_blocks(seq):
+    """Every block of a slide, replayed from its first block and its moves.
+
+    Each move must remove its chain's segment minimum and admit the element
+    just above the segment.
+    """
+    segments = list(seq.first.segments)
+    blocks = [seq.first]
+    for mv in seq.moves:
+        lo, hi = segments[mv.chain]
+        chain = seq.partition.chains[mv.chain].elements
+        assert (mv.removed, mv.added) == (chain[lo], chain[hi])
+        segments[mv.chain] = (lo + 1, hi + 1)
+        blocks.append(Block(tuple(segments)))
+    assert len(blocks) == len(seq)
+    return blocks
+
+
 def assert_slide_matches_scratch(p, k):
     moves, blocks, witness = slide_from_scratch(p, k)
     got = block_sequence(p, k)
@@ -82,7 +99,7 @@ def assert_slide_matches_scratch(p, k):
         assert got == witness
     else:
         assert got.moves == tuple(moves)
-        assert got.blocks == tuple(blocks)
+        assert replay_blocks(got) == blocks
 
 
 class TestUpSet:
@@ -192,22 +209,23 @@ class TestBlockSequence:
 
     def test_antichain_is_one_block(self):
         seq = block_sequence(antichain_poset(5), 2)
-        assert len(seq.blocks) == 1
+        assert len(seq) == 1 and seq.moves == ()
         assert decomposition_from_blocks(seq).bags == (tuple(range(5)),)
 
     def test_block_count_formula(self):
         for seed in (0, 3, 9):
             p = gen_interval_order(seed, 25)
             seq = block_sequence(p, 2)
-            assert len(seq.blocks) == p.n - seq.blocks[0].size() + 1
+            blocks = replay_blocks(seq)
+            assert len(blocks) == p.n - seq.first.size() + 1
             bags = decomposition_from_blocks(seq).bags
-            assert [b.size() for b in seq.blocks] == [len(bag) for bag in bags]
+            assert [b.size() for b in blocks] == [len(bag) for bag in bags]
 
     def test_segment_sizes_are_conserved(self):
         p = gen_interval_order(5, 30)
         seq = block_sequence(p, 2)
-        sizes0 = [hi - lo for lo, hi in seq.blocks[0].segments]
-        for blk in seq.blocks[1:]:
+        sizes0 = [hi - lo for lo, hi in seq.first.segments]
+        for blk in replay_blocks(seq)[1:]:
             assert [hi - lo for lo, hi in blk.segments] == sizes0
 
     def test_interval_orders_stay_within_width(self):
@@ -216,7 +234,7 @@ class TestBlockSequence:
             w, _ = width_with_witness(p)
             seq = block_sequence(p, 2)
             assert isinstance(seq, BlockSequence)
-            assert all(b.size() <= w for b in seq.blocks)
+            assert all(b.size() <= w for b in replay_blocks(seq))
 
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError):
@@ -254,7 +272,7 @@ class TestBlockSequence:
             assert got.is_valid(p)
             assert got.k == 2
         else:
-            assert len(got.blocks) == p.n - got.blocks[0].size() + 1
+            assert len(replay_blocks(got)) == p.n - got.first.size() + 1
 
 
 class TestIntervalOrderOf:
@@ -300,23 +318,23 @@ class TestIntervalOrderOf:
         ext = interval_order_of(p, 2)
         assert ext.order.n == 0
         assert ext.representation.intervals == ()
-        assert len(ext.sequence.blocks) == 1
+        assert len(ext.sequence) == 1
 
 
 class TestPathDecomposition:
     def test_chain_bags(self):
-        pd = path_decomposition_of(chain_poset(4), 2)
+        pd = decomposition_from_blocks(block_sequence(chain_poset(4), 2))
         assert pd.bags == ((0,), (1,), (2,), (3,))
         assert pd.width == 0
 
     def test_antichain_bag(self):
-        pd = path_decomposition_of(antichain_poset(4), 2)
+        pd = decomposition_from_blocks(block_sequence(antichain_poset(4), 2))
         assert pd.bags == ((0, 1, 2, 3),)
         assert pd.width == 3
 
     def test_ladder_with_larger_k(self):
         kp = kierstead(5)
-        pd = path_decomposition_of(kp.poset, 4)
+        pd = decomposition_from_blocks(block_sequence(kp.poset, 4))
         assert validate_path_decomposition(incomparability_graph(kp.poset), pd)
         assert pd.width <= (2 * 4 - 3) * 2 - 1
 
@@ -348,6 +366,6 @@ class TestPathDecomposition:
         for seed in range(6):
             p = gen_interval_order(seed + 100, 35)
             w, _ = width_with_witness(p)
-            pd = path_decomposition_of(p, 2)
+            pd = decomposition_from_blocks(block_sequence(p, 2))
             assert validate_path_decomposition(incomparability_graph(p), pd)
             assert pd.width <= (2 * 2 - 3) * w - 1

@@ -26,6 +26,10 @@ PINNED_GRAPH_EDGES = [
     (0, 1), (0, 4), (0, 5), (0, 7), (1, 7), (2, 4), (2, 5), (2, 6),
     (3, 6), (4, 5), (4, 6), (5, 8), (7, 8),
 ]
+PINNED_GRAPH_JSON = (
+    '{"edges":[[0,1],[0,4],[0,5],[0,7],[1,7],[2,4],[2,5],[2,6],[3,6],[4,5],[4,6],[5,8],[7,8]],'
+    '"n":9}\n'
+)
 
 
 class TestSplitMix:
@@ -109,7 +113,8 @@ class TestGenGraph:
 
     def test_pinned_fixture(self):
         g = gen_graph(3, 9, 0.4)
-        assert sorted(g.edges) == PINNED_GRAPH_EDGES
+        assert list(g.edges()) == PINNED_GRAPH_EDGES
+        assert canonical_dumps(graph_to_dict(g)) == PINNED_GRAPH_JSON
 
     def test_determinism_bytes(self):
         a = canonical_dumps(graph_to_dict(gen_graph(8, 10, 0.5)))

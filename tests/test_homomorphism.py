@@ -10,9 +10,11 @@ from posetff import (
     PathDecomposition,
     PresentationOrder,
     TooLarge,
+    block_sequence,
     build_ff_image,
     complete_graph,
     complete_multipartite_graph,
+    decomposition_from_blocks,
     empty_graph,
     first_fit_color,
     gen_graph,
@@ -23,7 +25,6 @@ from posetff import (
     interval_clique_number,
     interval_completion,
     path_decomposition_exact,
-    path_decomposition_of,
     path_graph,
     pathwidth_exact,
     validate_ff_coloring,
@@ -64,13 +65,13 @@ class TestIntervalCompletion:
     def test_pipeline_load_stays_within_bound(self):
         p = gen_interval_order(3, 25)
         g = incomparability_graph(p)
-        pd = path_decomposition_of(p, 2)
+        pd = decomposition_from_blocks(block_sequence(p, 2))
         ic = interval_completion(g, pd)
         assert ic.clique_number() == pd.width + 1
 
     def test_ladder_pipeline_completion_load(self):
         kp = kierstead(5)
-        pd = path_decomposition_of(kp.poset, 4)
+        pd = decomposition_from_blocks(block_sequence(kp.poset, 4))
         ic = interval_completion(incomparability_graph(kp.poset), pd)
         assert ic.clique_number() <= (2 * 4 - 3) * 2
 
@@ -129,7 +130,7 @@ class TestBuildFFImage:
         for seed in range(6):
             p = gen_interval_order(seed, 12)
             g = incomparability_graph(p)
-            pd = path_decomposition_of(p, 2)
+            pd = decomposition_from_blocks(block_sequence(p, 2))
             ic = interval_completion(g, pd)
             coloring = first_fit_color(g, PresentationOrder.identity(g.n))
             image, hom = build_ff_image(g, ic, coloring)

@@ -87,7 +87,7 @@ def test_intervals_round_trip():
 def test_block_trace_fields():
     seq = block_sequence(gen_interval_order(4, 12), 2)
     trace = block_trace_to_list(seq)
-    assert len(trace) == len(seq.blocks) - 1
+    assert len(trace) == len(seq) - 1
     assert all(set(step) == {"removed", "added", "chain"} for step in trace)
 
 

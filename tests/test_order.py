@@ -9,6 +9,7 @@ from posetff import (
     BudgetExhausted,
     Chain,
     CycleError,
+    Graph,
     IdOutOfRange,
     MalformedInterval,
     SizeMismatch,
@@ -140,13 +141,41 @@ class TestWidthAndDilworth:
         assert width == brute_width(p)
 
 
+class TestGraph:
+    def test_equality_ignores_edge_order_direction_and_duplicates(self):
+        a = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        b = Graph(4, [(3, 2), (1, 0), (2, 1), (0, 1), (2, 3)])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != Graph(4, [(0, 1), (1, 2)])
+        assert Graph(3, []) != Graph(4, [])
+
+    def test_edges_once_in_increasing_order(self):
+        g = Graph(5, [(4, 0), (2, 1), (0, 4), (3, 0), (1, 2), (0, 1)])
+        assert list(g.edges()) == [(0, 1), (0, 3), (0, 4), (1, 2)]
+        assert list(Graph(0, []).edges()) == []
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_any_edge_list_gives_its_normal_form(self, data):
+        n = data.draw(st.integers(2, 9))
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda t: t[0] != t[1]),
+                                   max_size=30))
+        norm = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+        g = Graph(n, pairs)
+        assert list(g.edges()) == norm
+        assert g == Graph(n, norm)
+        assert hash(g) == hash(Graph(n, norm))
+
+
 class TestIncomparabilityGraph:
     def test_chain_is_edgeless(self):
-        assert incomparability_graph(chain_poset(6)).edges == frozenset()
+        assert list(incomparability_graph(chain_poset(6)).edges()) == []
 
     def test_antichain_is_complete(self):
         g = incomparability_graph(antichain_poset(5))
-        assert len(g.edges) == 10
+        assert len(list(g.edges())) == 10
 
     @pytest.mark.parametrize("w,k", [(2, 3), (3, 4), (4, 3)])
     def test_incomparable_chains_give_multipartite(self, w, k):
