@@ -15,7 +15,7 @@ import sys
 import time
 
 from .adversary import kierstead, stacked
-from .errors import PosetFFError
+from .errors import InternalError, PosetFFError
 from .extension import block_sequence, decomposition_from_blocks, interval_order_of
 from .firstfit import PresentationOrder, first_fit_chains, validate_ff_partition
 from .generators import SplitMix64, gen_interval_order, gen_kk_free
@@ -157,7 +157,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                       f"density={DEFAULT_KKFREE_DENSITY}")
         seq = block_sequence(p, k)
         if isinstance(seq, KkWitness):
-            raise PosetFFError("certified k+k-free instance produced a witness")
+            raise InternalError("certified k+k-free instance produced a witness")
         width = len(seq.partition)
         bound = 8 * (2 * k - 3) * width
         pd = decomposition_from_blocks(seq)

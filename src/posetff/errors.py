@@ -37,14 +37,6 @@ class CoverageError(PosetFFError):
     """A partition or coloring does not cover the ground set exactly once."""
 
 
-class InvalidBlock(PosetFFError):
-    """A block violates its segment invariants for the given chain partition."""
-
-
-class NoUpSet(PosetFFError):
-    """Asked for a good element of a block whose up-set is empty."""
-
-
 class InternalError(PosetFFError):
     """A step that is provably unreachable was reached; signals a bug."""
 

@@ -1,4 +1,4 @@
-"""Block-based extension of a poset without two long incomparable chains.
+"""Extension of a poset without two long incomparable chains, built from sliding blocks.
 
 Starting from a Dilworth chain partition, a window of 2k-3 consecutive
 elements slides up each chain.  At every step one chain owns a "good"
@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Mapping
 
-from .errors import InternalError, InvalidBlock, NoUpSet
+from .errors import InternalError
 from .order import (
     Chain,
     ChainPartition,
@@ -27,66 +26,19 @@ from .order import (
     Poset,
     dilworth_partition,
     interval_order_from_intervals,
-    iter_bits,
 )
 
 __all__ = [
-    "Block",
-    "CertEntry",
-    "GoodElementCertificate",
-    "GoodElement",
     "BlockMove",
     "BlockSequence",
     "IntervalRepresentation",
     "IntervalExtension",
     "PathDecomposition",
-    "initial_block",
-    "up_set",
-    "find_good_element",
     "block_sequence",
     "interval_order_of",
+    "decomposition_from_blocks",
     "validate_path_decomposition",
 ]
-
-
-@dataclass(frozen=True)
-class Block:
-    """One contiguous run of positions per chain; its elements are those runs."""
-
-    segments: tuple[tuple[int, int], ...]  # per chain: [lo, hi) positions
-
-    def size(self) -> int:
-        return sum(hi - lo for lo, hi in self.segments)
-
-
-def _check_block(cp: ChainPartition, block: Block) -> None:
-    """Structural validity: one non-empty in-range segment per chain."""
-    if len(block.segments) != len(cp.chains):
-        raise InvalidBlock("segment count differs from chain count")
-    for (lo, hi), chain in zip(block.segments, cp.chains):
-        if not (0 <= lo < hi <= len(chain.elements)):
-            raise InvalidBlock(f"segment [{lo},{hi}) invalid for chain of size {len(chain.elements)}")
-
-
-def initial_block(cp: ChainPartition, k: int) -> Block:
-    """The min(2k-3, chain length) smallest elements of every chain."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    width = 2 * k - 3
-    return Block(tuple((0, min(len(c.elements), width)) for c in cp.chains))
-
-
-def up_set(p: Poset, cp: ChainPartition, block: Block) -> frozenset[int]:
-    """Elements outside the block sitting above their chain's whole segment.
-
-    Chains are sorted increasing, so per chain this is exactly the suffix
-    beyond the segment's upper end.
-    """
-    _check_block(cp, block)
-    ups = []
-    for (lo, hi), chain in zip(block.segments, cp.chains):
-        ups.extend(chain.elements[hi:])
-    return frozenset(ups)
 
 
 @dataclass(frozen=True)
@@ -104,24 +56,6 @@ class CertEntry:
     d: int
     lower: tuple[int, ...]
     upper: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GoodElementCertificate:
-    """Digraph certificate: entries per participating chain, arcs, chosen sink."""
-
-    entries: Mapping[int, CertEntry]
-    arcs: frozenset[tuple[int, int]]
-    sink: int
-
-
-@dataclass(frozen=True)
-class GoodElement:
-    """A block element below every member of the up-set, with its certificate."""
-
-    chain: int
-    element: int
-    certificate: GoodElementCertificate
 
 
 def _witness_from_cycle(
@@ -161,27 +95,6 @@ def _witness_from_cycle(
         # u > v pins c_first above this vertex's b; swap it into the chain
         left = entries[i].lower[:-1] + (entries[first].c,)
     raise InternalError("cycle replay exhausted without contradiction or witness")
-
-
-def find_good_element(
-    p: Poset, cp: ChainPartition, block: Block, k: int
-) -> GoodElement | KkWitness:
-    """Locate a chain whose segment minimum lies below the whole up-set.
-
-    Builds the certifying digraph over chains with a non-empty up-set
-    (arc i -> j when a_i is not below d_j), takes its smallest sink, and
-    verifies goodness directly against every up-set member.  Without a
-    sink, the cycle replay yields a genuine two-chain witness instead.
-    """
-    _check_block(cp, block)
-    state = _SinkDigraph(p, cp, block.segments, k)
-    if not state.ups:
-        raise NoUpSet("block has an empty up-set; nothing to admit")
-    got = state.pick()
-    if isinstance(got, KkWitness):
-        return got
-    cert = state.certificate(got)
-    return GoodElement(chain=got, element=state.entries[got].a, certificate=cert)
 
 
 @dataclass(frozen=True)
@@ -228,8 +141,10 @@ class _SinkDigraph:
         k = self.k
         window = 2 * k - 3
         lo, hi = self.segments[i]
+        # block_sequence gives every chain min(len, 2k-3) positions and only
+        # chains reaching past their segment get here, so the width is exact
         if hi - lo != window:
-            raise InvalidBlock(
+            raise InternalError(
                 f"chain {i} segment holds {hi - lo} elements; the certificate needs {window}"
             )
         chain = self.cp.chains[i].elements
@@ -274,10 +189,6 @@ class _SinkDigraph:
         m = cycle.index(min(cycle))
         return cycle[m:] + cycle[:m]
 
-    def certificate(self, sink: int) -> GoodElementCertificate:
-        arcs = frozenset((i, j) for i in self.entries for j in iter_bits(self.succ[i]))
-        return GoodElementCertificate(entries=dict(self.entries), arcs=arcs, sink=sink)
-
     def advance(self, s: int) -> BlockMove:
         """Slide chain s past its segment minimum, then relink or drop chain s."""
         lo, hi = self.segments[s]
@@ -314,12 +225,13 @@ class _SinkDigraph:
 class BlockSequence:
     """The full slide over one chain partition: the first block, then one move per step.
 
-    Block t+1 is block t with chain ``moves[t].chain``'s segment shifted up
-    by one position, so the first block and the moves determine every block.
+    ``first`` holds one ``[lo, hi)`` run of positions per chain.  Each next
+    block shifts chain ``moves[t].chain``'s segment up by one position, so
+    the first block and the moves determine every block.
     """
 
     partition: ChainPartition
-    first: Block
+    first: tuple[tuple[int, int], ...]
     moves: tuple[BlockMove, ...]
 
     def __len__(self) -> int:
@@ -371,8 +283,9 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
     if k < 2:
         raise ValueError("k must be at least 2")
     cp = dilworth_partition(p)
-    first = initial_block(cp, k)
-    state = _SinkDigraph(p, cp, first.segments, k)
+    # the first block: the min(2k-3, chain length) smallest elements of every chain
+    first = tuple((0, min(len(c.elements), 2 * k - 3)) for c in cp.chains)
+    state = _SinkDigraph(p, cp, first, k)
     moves: list[BlockMove] = []
     while state.ups:
         got = state.pick()
@@ -391,7 +304,7 @@ def interval_order_of(p: Poset, k: int) -> IntervalExtension | KkWitness:
     # or after the last block, so its span is read straight off the moves
     first = [0] * p.n
     last = [len(seq)] * p.n
-    for (lo, hi), chain in zip(seq.first.segments, seq.partition.chains):
+    for (lo, hi), chain in zip(seq.first, seq.partition.chains):
         for e in chain.elements[lo:hi]:
             first[e] = 1
     for t, mv in enumerate(seq.moves, start=1):
@@ -413,7 +326,7 @@ def decomposition_from_blocks(seq: BlockSequence) -> PathDecomposition:
     """
     bag = sorted(
         e
-        for (lo, hi), chain in zip(seq.first.segments, seq.partition.chains)
+        for (lo, hi), chain in zip(seq.first, seq.partition.chains)
         for e in chain.elements[lo:hi]
     )
     bags = [tuple(bag)]

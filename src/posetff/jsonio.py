@@ -49,7 +49,11 @@ def write_json(obj: Any, path: str | Path) -> None:
 
 
 def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text())
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise FormatError("document nests too deeply to parse") from None
 
 
 def poset_to_dict(p: Poset, meta: dict | None = None) -> dict:

@@ -29,7 +29,6 @@ __all__ = [
     "ChainPartition",
     "KkWitness",
     "Graph",
-    "iter_bits",
     "build_poset",
     "width_with_witness",
     "dilworth_partition",
@@ -254,6 +253,14 @@ class Graph:
             nbr[v] |= 1 << u
         self._nbr = tuple(nbr)
 
+    @classmethod
+    def _from_masks(cls, nbr: Sequence[int]) -> Graph:
+        """Adopt neighbour masks that the caller knows are symmetric and loop-free."""
+        g = cls.__new__(cls)
+        g.n = len(nbr)
+        g._nbr = tuple(nbr)
+        return g
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once as (u, v) with u < v, in increasing order."""
         for u, mask in enumerate(self._nbr):
@@ -476,12 +483,8 @@ def dilworth_partition(p: Poset) -> ChainPartition:
 
 def incomparability_graph(p: Poset) -> Graph:
     """Graph joining every incomparable pair of distinct elements."""
-    edges = []
-    for u in range(p.n):
-        above_u = p.inc_mask(u) >> (u + 1)
-        for off in iter_bits(above_u):
-            edges.append((u, u + 1 + off))
-    return Graph(p.n, edges)
+    # incomparability is symmetric and irreflexive, so the masks are adjacency as is
+    return Graph._from_masks([p.inc_mask(u) for u in range(p.n)])
 
 
 # -- forbidden pattern search -----------------------------------------------

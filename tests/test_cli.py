@@ -8,6 +8,10 @@ from pathlib import Path
 import pytest
 
 from posetff import (
+    InternalError,
+    KkWitness,
+    block_sequence,
+    build_poset,
     gen_interval_order,
     gen_kk_free,
     incomparability_graph,
@@ -18,6 +22,7 @@ from posetff import (
     validate_path_decomposition,
     width_with_witness,
 )
+from posetff import cli
 from posetff.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -173,6 +178,7 @@ def test_extend_report_on_small_inputs(tmp_path, capsys, doc, k):
     check_extend_report(capsys.readouterr().out, poset_file, q_file, pd_file, k)
 
 
+DEEP = "[" * 100000  # nests past the JSON parser's recursion limit
 BAD_POSETS = [
     '{"relations": [[0, 1]]}',
     '[1, 2]',
@@ -183,8 +189,9 @@ BAD_POSETS = [
     '{"n": 2, "relations": [0, 1]}',
     '{"n": 2, "relations": {}}',
     '{"n": 2, "relations": [], "names": 5}',
+    DEEP,
 ]
-BAD_ORDERS = ['[1, 2]', '{}', '{"order": 5}', '{"order": [0.0, 1]}']
+BAD_ORDERS = ['[1, 2]', '{}', '{"order": 5}', '{"order": [0.0, 1]}', DEEP]
 GOOD_POSET, GOOD_ORDER = '{"n": 2, "relations": [[0, 1]]}', '{"order": [1, 0]}'
 
 
@@ -192,7 +199,7 @@ GOOD_POSET, GOOD_ORDER = '{"n": 2, "relations": [[0, 1]]}', '{"order": [1, 0]}'
     *[("ff", doc, GOOD_ORDER) for doc in BAD_POSETS],
     *[("ff", GOOD_POSET, doc) for doc in BAD_ORDERS],
     *[("extend", doc, None) for doc in BAD_POSETS],
-])
+], ids=lambda value: "deep" if value == DEEP else None)
 def test_malformed_input_exits_2(tmp_path, capsys, command, poset_doc, order_doc):
     poset_file = tmp_path / "p.json"
     poset_file.write_text(poset_doc)
@@ -274,6 +281,21 @@ def test_bench_rejects_out_of_range_sizes(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: bench needs {flag} >= ") and "Traceback" not in err
     assert not csv_file.exists()
+
+
+def test_bench_witness_on_generated_instance_exits_2(tmp_path, capsys, monkeypatch):
+    # generated instances are k+k-free, so only a bug can make the slide return a witness
+    witness = block_sequence(build_poset(4, [(0, 1), (2, 3)]), 2)
+    assert isinstance(witness, KkWitness)
+    monkeypatch.setattr(cli, "block_sequence", lambda p, k: witness)
+    argv = ["bench", "--k", 2, "--w", 1, "--trials", 1, "--orders", 1,
+            "--csv", tmp_path / "bench.csv"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    args = cli._build_parser().parse_args([str(a) for a in argv])
+    with pytest.raises(InternalError):
+        args.func(args)
 
 
 def test_budget_env_var_caps_generation(tmp_path, monkeypatch):

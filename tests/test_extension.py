@@ -2,17 +2,13 @@ import pytest
 from hypothesis import given, settings
 
 from posetff import (
-    Block,
     BlockMove,
     BlockSequence,
     Chain,
     ChainPartition,
-    GoodElement,
     InternalError,
-    InvalidBlock,
     KkWitness,
     SplitMix64,
-    NoUpSet,
     PathDecomposition,
     antichain_poset,
     block_sequence,
@@ -21,20 +17,17 @@ from posetff import (
     decomposition_from_blocks,
     dilworth_partition,
     empty_graph,
-    find_good_element,
     find_k_plus_k,
     gen_interval_order,
     gen_kk_free,
     gen_random_poset,
     incomparability_graph,
-    initial_block,
     interval_order_of,
     is_extension,
     is_interval_order,
     kierstead,
     path_graph,
     stacked,
-    up_set,
     validate_path_decomposition,
     width_with_witness,
 )
@@ -44,50 +37,73 @@ from helpers import posets
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
 
 
-def slide_from_scratch(p, k):
-    """Reference slide: a fresh find_good_element on every block.
+def block_size(segments):
+    return sum(hi - lo for lo, hi in segments)
 
-    Also checks each certificate's arcs against the definition (i -> j iff
-    a_i is not below d_j).  Returns (moves, blocks, witness or None).
+
+def elements_above(cp, segments):
+    """The elements above a block: every chain's suffix past its segment."""
+    return {e for (_, hi), chain in zip(segments, cp.chains) for e in chain.elements[hi:]}
+
+
+def mask(elements):
+    return sum(1 << e for e in elements)
+
+
+def fresh_digraph(p, segments, k):
+    """The certifying digraph of one block, built from scratch."""
+    return extension_module._SinkDigraph(p, dilworth_partition(p), tuple(segments), k)
+
+
+def slide_from_scratch(p, k):
+    """Reference slide: a fresh certifying digraph on every block.
+
+    Also checks each digraph's up-set and arcs against the definitions
+    (i -> j iff a_i is not below d_j).  Returns (moves, blocks, witness or
+    None), each block its segments tuple.
     """
     cp = dilworth_partition(p)
-    segments = list(initial_block(cp, k).segments)
-    blocks = [Block(tuple(segments))]
+    segments = [(0, min(len(c.elements), 2 * k - 3)) for c in cp.chains]
+    blocks = [tuple(segments)]
     moves = []
-    while up_set(p, cp, blocks[-1]):
-        got = find_good_element(p, cp, blocks[-1], k)
+    while elements_above(cp, segments):
+        state = extension_module._SinkDigraph(p, cp, tuple(segments), k)
+        assert state.ups == mask(elements_above(cp, segments))
+        entries = state.entries
+        assert state.succ == [
+            sum(
+                1 << j
+                for j in entries
+                if i in entries and j != i and not p.less(entries[i].a, entries[j].d)
+            )
+            for i in range(len(cp.chains))
+        ]
+        got = state.pick()
         if isinstance(got, KkWitness):
             return moves, blocks, got
-        entries = got.certificate.entries
-        assert got.certificate.arcs == {
-            (i, j)
-            for i in entries
-            for j in entries
-            if i != j and not p.less(entries[i].a, entries[j].d)
-        }
-        lo, hi = segments[got.chain]
-        chain = cp.chains[got.chain].elements
-        assert got.element == chain[lo]
-        moves.append(BlockMove(removed=got.element, added=chain[hi], chain=got.chain))
-        segments[got.chain] = (lo + 1, hi + 1)
-        blocks.append(Block(tuple(segments)))
+        lo, hi = segments[got]
+        chain = cp.chains[got].elements
+        assert entries[got].a == chain[lo]
+        moves.append(BlockMove(removed=chain[lo], added=chain[hi], chain=got))
+        segments[got] = (lo + 1, hi + 1)
+        blocks.append(tuple(segments))
     return moves, blocks, None
 
 
 def replay_blocks(seq):
-    """Every block of a slide, replayed from its first block and its moves.
+    """Every block of a slide as its segments, replayed from the first block and the moves.
 
     Each move must remove its chain's segment minimum and admit the element
     just above the segment.
     """
-    segments = list(seq.first.segments)
+    segments = list(seq.first)
     blocks = [seq.first]
     for mv in seq.moves:
         lo, hi = segments[mv.chain]
         chain = seq.partition.chains[mv.chain].elements
         assert (mv.removed, mv.added) == (chain[lo], chain[hi])
         segments[mv.chain] = (lo + 1, hi + 1)
-        blocks.append(Block(tuple(segments)))
+        blocks.append(tuple(segments))
     assert len(blocks) == len(seq)
     return blocks
 
@@ -103,79 +119,64 @@ def assert_slide_matches_scratch(p, k):
 
 
 class TestUpSet:
+    """The elements above a block, as the certifying digraph and the slide see them."""
+
     def test_single_chain_window(self):
-        p = chain_poset(5)
-        cp = dilworth_partition(p)
-        block = Block(((1, 2),))  # X = {c_2}
-        assert up_set(p, cp, block) == {2, 3, 4}
+        state = fresh_digraph(chain_poset(5), ((1, 2),), 2)  # X = {c_2}
+        assert state.ups == mask({2, 3, 4})
 
     def test_full_antichain_block(self):
-        p = antichain_poset(4)
-        cp = dilworth_partition(p)
-        block = initial_block(cp, 2)
-        assert block.segments == ((0, 1),) * 4
-        assert block.size() == 4
-        assert up_set(p, cp, block) == frozenset()
+        seq = block_sequence(antichain_poset(4), 2)
+        assert seq.first == ((0, 1),) * 4
+        assert block_size(seq.first) == 4
+        assert seq.moves == ()
+        assert fresh_digraph(antichain_poset(4), seq.first, 2).ups == 0
 
     def test_two_chains(self):
         # a1 < a2 < a3 plus an isolated b1
         p = build_poset(4, [(0, 1), (1, 2)])
-        cp = dilworth_partition(p)
-        block = Block(((0, 1), (0, 1)))  # X = {a1, b1}
-        assert up_set(p, cp, block) == {1, 2}
+        state = fresh_digraph(p, ((0, 1), (0, 1)), 2)  # X = {a1, b1}
+        assert state.ups == mask({1, 2})
 
-    def test_invalid_segments(self):
-        p = chain_poset(3)
-        cp = dilworth_partition(p)
-        with pytest.raises(InvalidBlock):
-            up_set(p, cp, Block(((2, 5),)))
-        with pytest.raises(InvalidBlock):
-            up_set(p, cp, Block(((1, 1),)))
-        with pytest.raises(InvalidBlock):
-            up_set(p, cp, Block(((0, 1), (1, 2))))
+    def test_up_set_is_what_later_moves_admit(self):
+        for p, k in [(gen_interval_order(3, 30), 2), (stacked(3, 6).poset, 3)]:
+            seq = block_sequence(p, k)
+            for t, segments in enumerate(replay_blocks(seq)):
+                admitted_later = {mv.added for mv in seq.moves[t:]}
+                assert elements_above(seq.partition, segments) == admitted_later
 
 
 class TestFindGoodElement:
+    """The good-element lemma on a fresh certifying digraph and along the slide."""
+
     def test_single_chain_window_is_good(self):
-        p = chain_poset(5)
-        cp = dilworth_partition(p)
-        block = Block(((1, 2),))
-        got = find_good_element(p, cp, block, 2)
-        assert isinstance(got, GoodElement)
-        assert got.element == 1
-        assert got.chain == 0
-        assert got.certificate.sink == 0
-        entry = got.certificate.entries[0]
+        state = fresh_digraph(chain_poset(5), ((1, 2),), 2)
+        assert state.pick() == 0
+        entry = state.entries[0]
         # k=2 degeneracy: a == b and c == d
         assert entry.a == entry.b == 1
         assert entry.c == entry.d == 2
 
-    def test_no_up_set(self):
-        p = antichain_poset(2)
-        cp = dilworth_partition(p)
-        with pytest.raises(NoUpSet):
-            find_good_element(p, cp, initial_block(cp, 2), 2)
-
     def test_two_plus_two_yields_witness(self):
         p = build_poset(4, TWO_PLUS_TWO)
-        cp = dilworth_partition(p)
-        block = initial_block(cp, 2)
-        got = find_good_element(p, cp, block, 2)
+        got = block_sequence(p, 2)
         assert isinstance(got, KkWitness)
         assert got.is_valid(p)
+        assert fresh_digraph(p, ((0, 1), (0, 1)), 2).pick() == got
         assert find_k_plus_k(p, 2) is not None
 
     def test_certificate_shape(self):
         p = gen_interval_order(2, 40)  # two chains reach past their windows here
-        cp = dilworth_partition(p)
         k = 3
-        block = initial_block(cp, k)
-        assert up_set(p, cp, block)
-        got = find_good_element(p, cp, block, k)
-        assert isinstance(got, GoodElement)
-        assert len(got.certificate.entries) >= 2
-        assert got.chain == got.certificate.sink
-        for entry in got.certificate.entries.values():
+        seq = block_sequence(p, k)
+        state = fresh_digraph(p, seq.first, k)
+        assert state.ups
+        assert len(state.entries) >= 2
+        sink = state.pick()
+        assert state.succ[sink] == 0
+        assert seq.moves[0].chain == sink
+        assert seq.moves[0].removed == state.entries[sink].a
+        for entry in state.entries.values():
             assert len(entry.upper) == k
             assert len(entry.lower) == k
             assert entry.lower[0] == entry.a
@@ -185,19 +186,18 @@ class TestFindGoodElement:
             assert c == d or p.less(c, d)
 
     def test_wrong_segment_width_rejected(self):
-        p = chain_poset(6)
-        cp = dilworth_partition(p)
-        with pytest.raises(InvalidBlock):
-            find_good_element(p, cp, Block(((0, 2),)), 2)
+        # block_sequence never builds such a block, so the check is an internal one
+        with pytest.raises(InternalError):
+            fresh_digraph(chain_poset(6), ((0, 2),), 2)
 
     def test_saturated_chain_is_omitted_from_certificate(self):
         # a singleton chain sits wholly inside the block and never participates
         p = build_poset(6, [(i, i + 1) for i in range(4)])  # chain of 5 plus element 5
-        cp = dilworth_partition(p)
-        got = find_good_element(p, cp, initial_block(cp, 2), 2)
-        assert isinstance(got, GoodElement)
-        assert set(got.certificate.entries) == {0}
-        assert got.element == 0
+        seq = block_sequence(p, 2)
+        state = fresh_digraph(p, seq.first, 2)
+        assert set(state.entries) == {0}
+        assert state.pick() == 0
+        assert seq.moves[0] == BlockMove(removed=0, added=1, chain=0)
 
 
 class TestBlockSequence:
@@ -217,16 +217,16 @@ class TestBlockSequence:
             p = gen_interval_order(seed, 25)
             seq = block_sequence(p, 2)
             blocks = replay_blocks(seq)
-            assert len(blocks) == p.n - seq.first.size() + 1
+            assert len(blocks) == p.n - block_size(seq.first) + 1
             bags = decomposition_from_blocks(seq).bags
-            assert [b.size() for b in blocks] == [len(bag) for bag in bags]
+            assert [block_size(b) for b in blocks] == [len(bag) for bag in bags]
 
     def test_segment_sizes_are_conserved(self):
         p = gen_interval_order(5, 30)
         seq = block_sequence(p, 2)
-        sizes0 = [hi - lo for lo, hi in seq.first.segments]
+        sizes0 = [hi - lo for lo, hi in seq.first]
         for blk in replay_blocks(seq)[1:]:
-            assert [hi - lo for lo, hi in blk.segments] == sizes0
+            assert [hi - lo for lo, hi in blk] == sizes0
 
     def test_interval_orders_stay_within_width(self):
         for seed in range(8):
@@ -234,7 +234,7 @@ class TestBlockSequence:
             w, _ = width_with_witness(p)
             seq = block_sequence(p, 2)
             assert isinstance(seq, BlockSequence)
-            assert all(b.size() <= w for b in replay_blocks(seq))
+            assert all(block_size(b) <= w for b in replay_blocks(seq))
 
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError):
@@ -272,7 +272,7 @@ class TestBlockSequence:
             assert got.is_valid(p)
             assert got.k == 2
         else:
-            assert len(replay_blocks(got)) == p.n - got.first.size() + 1
+            assert len(replay_blocks(got)) == p.n - block_size(got.first) + 1
 
 
 class TestIntervalOrderOf:

@@ -188,6 +188,15 @@ class TestIncomparabilityGraph:
         g = incomparability_graph(p)
         assert g == complete_multipartite_graph([k - 1] * w)
 
+    @given(posets(max_n=12))
+    @settings(max_examples=80)
+    def test_matches_definition(self, p):
+        n = p.n
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if p.incomparable(u, v)]
+        g = incomparability_graph(p)
+        assert g == Graph(n, pairs)
+        assert g.n == n and list(g.edges()) == pairs
+
 
 class TestFindKPlusK:
     def test_two_plus_two_witness_is_the_defining_pair(self):
