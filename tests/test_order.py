@@ -12,6 +12,7 @@ from posetff import (
     Graph,
     IdOutOfRange,
     MalformedInterval,
+    Poset,
     SizeMismatch,
     antichain_poset,
     build_poset,
@@ -100,6 +101,43 @@ class TestBuildPoset:
                     for w in range(p.n):
                         if p.less(v, w):
                             assert p.less(u, w)
+
+
+class TestPosetConstructor:
+    """Error class and message of ``Poset(n, succ)`` on fixed malformed masks."""
+
+    @pytest.mark.parametrize("n, succ, names, error, message", [
+        (2, [1, 0], None, CycleError, "element 0 below itself"),
+        (3, [2, 1, 0], None, CycleError, "both 0 < 1 and 1 < 0"),
+        (3, [2, 4, 0], None, CycleError, "relation below 0 is not transitively closed"),
+        # u = 0 is not closed and u = 3, 4 form a 2-cycle: the lower id reports first
+        (5, [2, 4, 0, 16, 8], None, CycleError, "relation below 0 is not transitively closed"),
+        (2, [0, 0], ["a"], SizeMismatch, "names must match element count"),
+        (2, [0], None, SizeMismatch, "expected 2 masks, got 1"),
+        (2, [8, 0], None, IndexError, "list index out of range"),
+        (2, [-1, 0], None, IndexError, "list index out of range"),
+    ])
+    def test_pinned_errors(self, n, succ, names, error, message):
+        with pytest.raises(error) as info:
+            Poset(n, succ, names)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @given(posets(max_n=12))
+    @settings(max_examples=80)
+    def test_pred_mask_mirrors_succ_mask(self, p):
+        for v in range(p.n):
+            assert p.pred_mask(v) == sum(1 << u for u in range(p.n) if p.less(u, v))
+
+    @given(posets(max_n=12))
+    @settings(max_examples=80)
+    def test_cover_pairs_are_the_transitive_reduction(self, p):
+        n = p.n
+        covers = [
+            (u, v) for u in range(n) for v in range(n)
+            if p.less(u, v) and not any(p.less(u, x) and p.less(x, v) for x in range(n))
+        ]
+        assert p.cover_pairs() == covers
 
 
 class TestWidthAndDilworth:
