@@ -114,14 +114,25 @@ class TestPosetConstructor:
         (5, [2, 4, 0, 16, 8], None, CycleError, "relation below 0 is not transitively closed"),
         (2, [0, 0], ["a"], SizeMismatch, "names must match element count"),
         (2, [0], None, SizeMismatch, "expected 2 masks, got 1"),
-        (2, [8, 0], None, IndexError, "list index out of range"),
-        (2, [-1, 0], None, IndexError, "list index out of range"),
+        (2, [8, 0], None, IdOutOfRange, "mask of 0 mentions ids >= 2"),
+        (2, [-1, 0], None, IdOutOfRange, "mask of 0 mentions ids >= 2"),
     ])
     def test_pinned_errors(self, n, succ, names, error, message):
         with pytest.raises(error) as info:
             Poset(n, succ, names)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("succ, error, message", [
+        ([0, 8, 0], IdOutOfRange, "mask of 1 mentions ids >= 3"),
+        ([0, -2, 0], IdOutOfRange, "mask of 1 mentions ids >= 3"),
+        # ids run in order, so an earlier element's closure test reads the later bad row first
+        ([2, 8, 0], CycleError, "relation below 0 is not transitively closed"),
+        ([2, -1, 0], CycleError, "both 0 < 1 and 1 < 0"),
+    ])
+    def test_out_of_range_rows_fail_in_id_order(self, succ, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Poset(3, succ)
 
     @given(posets(max_n=12))
     @settings(max_examples=80)
