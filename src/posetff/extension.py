@@ -341,11 +341,15 @@ def _valid_spans(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int], ...]
     """Each vertex's closed 1-based span of bags, or None when pd does not decompose g.
 
     Once every vertex's bags are known to be consecutive, an edge is covered
-    exactly when the spans of its two ends intersect.
+    exactly when the spans of its two ends intersect, that is when each end
+    begins no later than the other ends.  Every edge is seen from both ends,
+    so it suffices that each vertex's neighbours have all begun by its last bag.
     """
     first = [0] * g.n
     last = [0] * g.n
+    begun = [0]  # begun[t]: vertices whose first bag is at most t
     for t, bag in enumerate(pd.bags, start=1):
+        mask = begun[-1]
         for v in bag:
             if not 0 <= v < g.n:
                 return None
@@ -353,12 +357,14 @@ def _valid_spans(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int], ...]
                 continue  # repeated within this bag
             if not first[v]:
                 first[v] = t
+                mask |= 1 << v
             elif last[v] != t - 1:
                 return None
             last[v] = t
+        begun.append(mask)
     if 0 in first:
         return None
-    if not all(first[u] <= last[v] and first[v] <= last[u] for u, v in g.edges()):
+    if any(g.nbr_mask(u) & ~begun[t] for u, t in enumerate(last)):
         return None
     return tuple(zip(first, last))
 

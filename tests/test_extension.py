@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetff import (
     BlockMove,
     BlockSequence,
     Chain,
     ChainPartition,
+    Graph,
     InternalError,
     KkWitness,
     SplitMix64,
@@ -32,9 +34,51 @@ from posetff import (
     width_with_witness,
 )
 import posetff.extension as extension_module
-from helpers import posets
+from helpers import graphs, posets
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
+
+
+def spans_by_edge_rule(g, pd):
+    """Bag spans checked edge by edge: the rule ``_valid_spans`` had before its masks."""
+    first = [0] * g.n
+    last = [0] * g.n
+    for t, bag in enumerate(pd.bags, start=1):
+        for v in bag:
+            if not 0 <= v < g.n:
+                return None
+            if last[v] == t:
+                continue
+            if not first[v]:
+                first[v] = t
+            elif last[v] != t - 1:
+                return None
+            last[v] = t
+    if 0 in first:
+        return None
+    if not all(first[u] <= last[v] and first[v] <= last[u] for u, v in g.edges()):
+        return None
+    return tuple(zip(first, last))
+
+
+@st.composite
+def graphs_with_bag_lists(draw):
+    """A graph with arbitrary bags, or with bags from consecutive spans whose
+    intersection graph holds the graph half of those times."""
+    g = draw(graphs(max_n=9))
+    n = g.n
+    if n == 0 or draw(st.booleans()):
+        bags = draw(st.lists(st.lists(st.integers(-1, n), max_size=5), max_size=8))
+        return g, PathDecomposition(tuple(map(tuple, bags)))
+    t = draw(st.integers(1, 6))
+    spans = [sorted(draw(st.tuples(st.integers(1, t), st.integers(1, t)))) for _ in range(n)]
+    bags = [tuple(v for v in range(n) if spans[v][0] <= i <= spans[v][1]) for i in range(1, t + 1)]
+    if draw(st.booleans()):
+        meets = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]]
+        keep = draw(st.lists(st.booleans(), min_size=len(meets), max_size=len(meets)))
+        g = Graph(n, [e for e, kept in zip(meets, keep) if kept])
+    return g, PathDecomposition(tuple(bags))
 
 
 def block_size(segments):
@@ -361,6 +405,12 @@ class TestPathDecomposition:
     def test_validator_rejects_missing_vertex(self):
         pd = PathDecomposition(((0,),))
         assert not validate_path_decomposition(empty_graph(2), pd)
+
+    @given(graphs_with_bag_lists())
+    @settings(max_examples=300)
+    def test_spans_match_the_edge_rule(self, case):
+        g, pd = case
+        assert extension_module._valid_spans(g, pd) == spans_by_edge_rule(g, pd)
 
     def test_seeded_pipeline_certificates(self):
         for seed in range(6):
