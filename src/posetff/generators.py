@@ -69,6 +69,8 @@ def gen_interval_order(seed: int, n: int, coordinate_range: int | None = None) -
         raise ValueError("n must be non-negative")
     if coordinate_range is None:
         coordinate_range = max(1, 2 * n)
+    if coordinate_range < 1:
+        raise ValueError(f"coordinate range must be at least 1, got {coordinate_range}")
     rng = SplitMix64(seed)
     intervals = []
     for _ in range(n):

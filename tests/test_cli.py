@@ -95,6 +95,15 @@ def test_gen_interval_range_meta(tmp_path):
     assert d["meta"] == {"seed": 3, "kind": "interval", "n": 4, "range": 10}
 
 
+@pytest.mark.parametrize("value", [0, -2])
+def test_gen_interval_rejects_empty_range(tmp_path, capsys, value):
+    out = tmp_path / "iv.json"
+    assert run(["gen", "interval", "--n", 3, "--range", value, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: coordinate range must be at least 1, got {value}\n"
+    assert not out.exists()
+
+
 def test_gen_stdout(capsys):
     assert run(["gen", "interval", "--n", 3, "--seed", 1]) == 0
     payload = json.loads(capsys.readouterr().out)

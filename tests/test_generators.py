@@ -52,6 +52,11 @@ class TestGenIntervalOrder:
     def test_single(self):
         assert gen_interval_order(0, 1).n == 1
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_empty_range_rejected(self, n):
+        with pytest.raises(ValueError, match="^coordinate range must be at least 1, got 0$"):
+            gen_interval_order(0, n, 0)
+
     def test_seeded_instance_is_interval(self):
         p = gen_interval_order(7, 30)
         assert is_interval_order(p)
