@@ -63,8 +63,9 @@ def spans_by_edge_rule(g, pd):
 
 @st.composite
 def graphs_with_bag_lists(draw):
-    """A graph with arbitrary bags, or with bags from consecutive spans whose
-    intersection graph holds the graph half of those times."""
+    """A random graph with arbitrary bag lists, or with bags cut from consecutive
+    spans; half of the latter swap the graph for a subgraph of the spans'
+    intersection graph, which the bags then decompose."""
     g = draw(graphs(max_n=9))
     n = g.n
     if n == 0 or draw(st.booleans()):
