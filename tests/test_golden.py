@@ -1,10 +1,15 @@
-"""Golden gate for the extension pipeline: block moves and canonical outputs.
+"""Golden gates for the extension pipeline and the First-Fit quotient.
 
-Each case runs ``interval_order_of`` on a fixed input and records either the
-k+k witness it returns or the block moves plus the sha256 of each canonical
-``posetff extend`` output (interval order, intervals, path decomposition).
-The fixture ``data/golden_extend.json`` must stay byte-identical; rewrite it
-only for an intended output change, with
+Each extension case runs ``interval_order_of`` on a fixed input and records
+either the k+k witness it returns or the block moves plus the sha256 of each
+canonical ``posetff extend`` output (interval order, intervals, path
+decomposition).  Each quotient case runs ``build_ff_image`` on a fixed graph,
+path decomposition and First-Fit colouring and records the sha256 of the
+canonical image intervals, transported classes and vertex map.
+
+The fixtures ``data/golden_extend.json`` and ``data/golden_quotient.json``
+must stay byte-identical; rewrite them only for an intended output change,
+with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -18,14 +23,21 @@ import pytest
 
 from posetff import (
     KkWitness,
+    PresentationOrder,
     SplitMix64,
+    block_sequence,
     block_trace_to_list,
+    build_ff_image,
     build_poset,
     canonical_dumps,
     decomposition_from_blocks,
+    first_fit_color,
     gen_interval_order,
     gen_kk_free,
     gen_random_poset,
+    grundy_coloring,
+    incomparability_graph,
+    interval_completion,
     interval_order_from_intervals,
     interval_order_of,
     intervals_to_dict,
@@ -35,8 +47,10 @@ from posetff import (
     stacked,
     witness_to_dict,
 )
+from test_acceptance import _quotient_cases as acceptance_quotient_cases
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "golden_extend.json"
+QUOTIENT_FIXTURE = FIXTURE.with_name("golden_quotient.json")
 
 
 def _narrow_interval_order(seed, n):
@@ -91,12 +105,46 @@ def golden_record(p, k) -> dict:
     }
 
 
+def _quotient_cases():
+    """Name -> (graph, path decomposition, First-Fit colouring), all seeded."""
+    cases = {}
+    for i, (g, pd) in enumerate(acceptance_quotient_cases()):
+        cases[f"acceptance-{i:03d}-grundy"] = (g, pd, grundy_coloring(g))
+    for seed, n in enumerate(range(200, 401, 50)):
+        p = gen_interval_order(seed, n)
+        g = incomparability_graph(p)
+        coloring = first_fit_color(g, PresentationOrder(tuple(SplitMix64(seed).permutation(n))))
+        for k in (2, 3):
+            pd = decomposition_from_blocks(block_sequence(p, k))
+            cases[f"interval-s{seed}-n{n}-k{k}"] = (g, pd, coloring)
+    sp = stacked(5, 6)
+    g = incomparability_graph(sp.poset)
+    pd = decomposition_from_blocks(block_sequence(sp.poset, 5))
+    cases["stacked-k5-w6-natural"] = (g, pd, first_fit_color(g, sp.natural_order))
+    return cases
+
+
+def quotient_record(g, pd, coloring) -> str:
+    image, hom = build_ff_image(g, interval_completion(g, pd), coloring)
+    return _sha({
+        "intervals": [list(iv) for iv in image.intervals],
+        "classes": [list(ids) for ids in image.classes],
+        "map": list(hom.mapping),
+    })
+
+
 CASES = _cases()
+QUOTIENT_CASES = _quotient_cases()
 
 
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_quotient():
+    return json.loads(QUOTIENT_FIXTURE.read_text())
 
 
 def test_fixture_is_canonical_and_complete(golden):
@@ -113,9 +161,21 @@ def test_case_is_byte_identical(golden, name):
     assert canonical_dumps(golden_record(p, k)) == canonical_dumps(golden[name])
 
 
+def test_quotient_fixture_is_canonical_and_complete(golden_quotient):
+    assert QUOTIENT_FIXTURE.read_text() == canonical_dumps(golden_quotient)
+    assert sorted(golden_quotient) == sorted(QUOTIENT_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CASES))
+def test_quotient_case_is_identical(golden_quotient, name):
+    assert quotient_record(*QUOTIENT_CASES[name]) == golden_quotient[name]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     FIXTURE.parent.mkdir(exist_ok=True)
     records = {name: golden_record(p, k) for name, (p, k) in CASES.items()}
     FIXTURE.write_text(canonical_dumps(records))
+    quotients = {name: quotient_record(*case) for name, case in QUOTIENT_CASES.items()}
+    QUOTIENT_FIXTURE.write_text(canonical_dumps(quotients))
