@@ -1,27 +1,39 @@
 """Collapsing greedy color classes inside an interval completion.
 
 A path decomposition turns a graph into a spanning subgraph of an
-interval graph (vertex intervals are bag spans).  Within each greedy
-color class, the components of the completed graph merge into single
-interval vertices; the quotient is an interval graph with no larger
-clique than the completion, the quotient map preserves edges, and the
-transported classes are again a valid greedy coloring.  The module also
-carries the exact oracles used to certify all of this: interval clique
-number by sweep and pathwidth by a vertex-separation subset DP.
+interval graph: ``interval_completion`` returns each vertex's bag span as
+an ``IntervalRepresentation``.  Within each greedy color class, the
+components of the completed graph merge into single interval vertices; the
+quotient is an interval graph with no larger clique than the completion,
+the quotient map preserves edges, and the transported classes are again a
+valid greedy coloring.  The module also carries the exact oracles used to
+certify all of this: interval clique number by an endpoint sweep and
+pathwidth by a vertex-separation subset DP.
+
+Costs, for n vertices: a class's components come from one sort of its
+spans by left end and a merge on the running right end, O(n log n) in all;
+the image H is built from suffix masks by ``interval_order_from_intervals``;
+``interval_clique_number`` bisects sorted endpoints, O(n log n).  The
+post-checks on the result still walk every edge of the input graph.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalError, InvalidColoring, InvalidDecomposition, TooLarge
-from .extension import PathDecomposition, _valid_spans, validate_path_decomposition
+from .extension import (
+    IntervalRepresentation,
+    PathDecomposition,
+    _valid_spans,
+    validate_path_decomposition,
+)
 from .firstfit import FFColoring, validate_ff_coloring
-from .order import Graph, iter_bits
+from .order import Graph, incomparability_graph, interval_order_from_intervals, iter_bits
 
 __all__ = [
-    "IntervalCompletion",
     "Homomorphism",
     "FFImage",
     "interval_completion",
@@ -33,21 +45,6 @@ __all__ = [
 ]
 
 PATHWIDTH_DEFAULT_LIMIT = 14
-
-
-@dataclass(frozen=True)
-class IntervalCompletion:
-    """Vertex intervals (1-based bag spans) implying an interval supergraph."""
-
-    n: int
-    intervals: tuple[tuple[int, int], ...]
-
-    def graph(self) -> Graph:
-        """The implied interval graph: adjacency is interval intersection."""
-        return _interval_graph(self.intervals)
-
-    def clique_number(self) -> int:
-        return interval_clique_number(self.intervals)
 
 
 @dataclass(frozen=True)
@@ -69,38 +66,27 @@ class FFImage:
         return FFColoring(tuple(frozenset(z) for z in self.classes))
 
 
-def _interval_graph(intervals: Sequence[tuple[int, int]]) -> Graph:
-    """Join every two closed intervals that intersect."""
-    n = len(intervals)
-    edges = []
-    for u in range(n):
-        au, bu = intervals[u]
-        for v in range(u + 1, n):
-            av, bv = intervals[v]
-            if au <= bv and av <= bu:
-                edges.append((u, v))
-    return Graph(n, edges)
-
-
-def interval_completion(g: Graph, pd: PathDecomposition) -> IntervalCompletion:
+def interval_completion(g: Graph, pd: PathDecomposition) -> IntervalRepresentation:
     """Read off each vertex's first and last bag as its interval."""
     spans = _valid_spans(g, pd)
     if spans is None:
         raise InvalidDecomposition("path decomposition invalid for this graph")
-    return IntervalCompletion(n=g.n, intervals=spans)
+    return IntervalRepresentation(spans)
 
 
 def interval_clique_number(intervals: Sequence[tuple[int, int]]) -> int:
-    """Maximum point load of closed integer intervals (sweep at left endpoints)."""
-    best = 0
-    for start, _ in intervals:
-        load = sum(1 for a, b in intervals if a <= start <= b)
-        best = max(best, load)
-    return best
+    """Maximum point load of closed intervals, by an endpoint sweep.
+
+    The load peaks at some left end x, where it is the number of spans that
+    begin at or before x less the number that end before x.
+    """
+    lefts = sorted(a for a, _ in intervals)
+    rights = sorted(b for _, b in intervals)
+    return max((bisect_right(lefts, x) - bisect_left(rights, x) for x in lefts), default=0)
 
 
 def build_ff_image(
-    g: Graph, ic: IntervalCompletion, coloring: FFColoring
+    g: Graph, ic: IntervalRepresentation, coloring: FFColoring
 ) -> tuple[FFImage, Homomorphism]:
     """Merge completion components of every color class into interval vertices.
 
@@ -109,7 +95,7 @@ def build_ff_image(
     a valid greedy coloring of the image with the same class count; all
     three facts are checked before returning.
     """
-    if ic.n != g.n:
+    if len(ic) != g.n:
         raise InvalidColoring("completion and graph sizes differ")
     if not validate_ff_coloring(g, coloring):
         raise InvalidColoring("input classes are not a First-Fit coloring")
@@ -118,51 +104,31 @@ def build_ff_image(
     h_intervals: list[tuple[int, int]] = []
     classes: list[tuple[int, ...]] = []
     for cls in coloring.classes:
-        verts = sorted(cls)
-        comp_of: dict[int, int] = {}
-        comps: list[list[int]] = []
-        for v in verts:
-            if v in comp_of:
-                continue
-            comp = [v]
-            comp_of[v] = len(comps)
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                ax, bx = spans[x]
-                for w in verts:
-                    if w in comp_of:
-                        continue
-                    aw, bw = spans[w]
-                    if ax <= bw and aw <= bx:
-                        comp_of[w] = len(comps)
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
+        # by left end, a span meets the component so far exactly when it
+        # begins no later than the component's reach
+        comps: list[list] = []  # [left, reach, members]
+        for v in sorted(cls, key=spans.__getitem__):
+            a, b = spans[v]
+            if comps and a <= comps[-1][1]:
+                comps[-1][1] = max(comps[-1][1], b)
+                comps[-1][2].append(v)
+            else:
+                comps.append([a, b, [v]])
         ids = []
-        for comp in comps:
-            lo = min(spans[v][0] for v in comp)
-            hi = max(spans[v][1] for v in comp)
-            # connectivity means the member spans tile [lo, hi] without a gap
-            reach = lo - 1
-            for a, b in sorted(spans[v] for v in comp):
-                if a > reach + 1:
-                    raise InternalError(f"component spans leave a gap before {a}")
-                reach = max(reach, b)
-            if reach != hi:
-                raise InternalError(f"component spans reach {reach}, not {hi}")
+        for lo, hi, members in sorted(comps, key=lambda c: min(c[2])):
             hid = len(h_intervals)
             h_intervals.append((lo, hi))
-            for v in comp:
+            for v in members:
                 mapping[v] = hid
             ids.append(hid)
         classes.append(tuple(ids))
-    h = _interval_graph(h_intervals)
+    # closed spans meet exactly when neither ends before the other begins
+    h = incomparability_graph(interval_order_from_intervals(h_intervals))
     image = FFImage(h=h, intervals=tuple(h_intervals), classes=tuple(classes))
     hom = Homomorphism(tuple(mapping))
     if not validate_homomorphism(g, h, hom):
         raise InternalError("quotient map is not a surjective homomorphism")
-    if interval_clique_number(image.intervals) > ic.clique_number():
+    if interval_clique_number(image.intervals) > interval_clique_number(spans):
         raise InternalError("quotient clique number exceeds the completion's")
     if not validate_ff_coloring(h, image.coloring()):
         raise InternalError("transported classes are not a First-Fit coloring")

@@ -51,6 +51,16 @@ def graphs(draw, max_n=10):
     return Graph(n, sorted(edges))
 
 
+def span_lists(max_size=10):
+    """Closed integer spans on a short line from 1, so tied ends, single
+    points, duplicates and spans that touch without overlapping are common;
+    the empty list is drawn too."""
+    return st.lists(
+        st.tuples(st.integers(1, 8), st.integers(0, 3)).map(lambda t: (t[0], t[0] + t[1])),
+        max_size=max_size,
+    )
+
+
 @st.composite
 def posets_with_orders(draw, max_n=8):
     p = draw(posets(max_n=max_n))
@@ -104,6 +114,38 @@ def brute_width(p):
                 best = size
                 break
     return best
+
+
+def brute_interval_graph(spans):
+    """Join every two closed integer spans that share an integer point."""
+    points = [set(range(a, b + 1)) for a, b in spans]
+    n = len(spans)
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if points[u] & points[v]])
+
+
+def brute_interval_clique_number(spans):
+    """Most closed integer spans through one integer point."""
+    points = {t for a, b in spans for t in range(a, b + 1)}
+    return max((sum(a <= t <= b for a, b in spans) for t in points), default=0)
+
+
+def brute_components(g):
+    """Vertex sets of g's connected components, each sorted, by least vertex."""
+    seen = set()
+    comps = []
+    for root in range(g.n):
+        if root in seen:
+            continue
+        comp, stack = {root}, [root]
+        while stack:
+            u = stack.pop()
+            for v in range(g.n):
+                if g.adjacent(u, v) and v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
 
 
 def minus_perfect_matching(a):

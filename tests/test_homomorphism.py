@@ -1,12 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from posetff import (
     FFColoring,
+    Graph,
     Homomorphism,
     InternalError,
     InvalidColoring,
     InvalidDecomposition,
+    IntervalRepresentation,
     PathDecomposition,
     PresentationOrder,
     TooLarge,
@@ -27,12 +29,24 @@ from posetff import (
     path_decomposition_exact,
     path_graph,
     pathwidth_exact,
+    stacked,
     validate_ff_coloring,
     validate_homomorphism,
 )
 from posetff import SplitMix64, interval_order_from_intervals, kierstead
 import posetff.homomorphism as homomorphism_module
-from helpers import graphs, graphs_with_orders
+from helpers import (
+    brute_components,
+    brute_interval_clique_number,
+    brute_interval_graph,
+    graphs,
+    graphs_with_orders,
+    span_lists,
+)
+
+# ties on the left end, a single point, a duplicate, and two spans that
+# touch (end 3, begin 4) without sharing a point
+SPAN_EDGE_CASES = [(1, 1), (1, 3), (1, 3), (4, 5), (3, 3)]
 
 
 def clique_path_of_intervals(intervals):
@@ -49,14 +63,14 @@ class TestIntervalCompletion:
         pd = PathDecomposition(((0, 1), (1, 2), (2, 3)))
         ic = interval_completion(g, pd)
         assert ic.intervals == ((1, 1), (1, 2), (2, 3), (3, 3))
-        assert ic.clique_number() == 2
-        assert ic.graph() == g  # a path is its own completion here
+        assert interval_clique_number(ic.intervals) == 2
+        assert brute_interval_graph(ic.intervals) == g  # a path is its own completion here
 
     def test_single_bag_completes_everything(self):
         g = empty_graph(3)
         ic = interval_completion(g, PathDecomposition(((0, 1, 2),)))
-        assert ic.graph() == complete_graph(3)
-        assert ic.clique_number() == 3
+        assert brute_interval_graph(ic.intervals) == complete_graph(3)
+        assert interval_clique_number(ic.intervals) == 3
 
     def test_invalid_decomposition(self):
         with pytest.raises(InvalidDecomposition):
@@ -67,13 +81,13 @@ class TestIntervalCompletion:
         g = incomparability_graph(p)
         pd = decomposition_from_blocks(block_sequence(p, 2))
         ic = interval_completion(g, pd)
-        assert ic.clique_number() == pd.width + 1
+        assert interval_clique_number(ic.intervals) == pd.width + 1
 
     def test_ladder_pipeline_completion_load(self):
         kp = kierstead(5)
         pd = decomposition_from_blocks(block_sequence(kp.poset, 4))
         ic = interval_completion(incomparability_graph(kp.poset), pd)
-        assert ic.clique_number() <= (2 * 4 - 3) * 2
+        assert interval_clique_number(ic.intervals) <= (2 * 4 - 3) * 2
 
 
 class TestIntervalCliqueNumber:
@@ -88,6 +102,13 @@ class TestIntervalCliqueNumber:
 
     def test_empty(self):
         assert interval_clique_number([]) == 0
+
+    @given(span_lists())
+    @example([])
+    @example(SPAN_EDGE_CASES)
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_largest_point_load(self, spans):
+        assert interval_clique_number(spans) == brute_interval_clique_number(spans)
 
 
 class TestBuildFFImage:
@@ -118,6 +139,57 @@ class TestBuildFFImage:
         monkeypatch.setattr(homomorphism_module, "validate_homomorphism", lambda *a: False)
         with pytest.raises(InternalError):
             build_ff_image(g, ic, coloring)
+
+    def test_completion_of_another_size_is_rejected(self):
+        g = path_graph(3)
+        coloring = first_fit_color(g, PresentationOrder.identity(3))
+        with pytest.raises(InvalidColoring, match="completion and graph sizes differ"):
+            build_ff_image(g, IntervalRepresentation(((1, 1),)), coloring)
+
+    @given(span_lists())
+    @example([])
+    @example(SPAN_EDGE_CASES)
+    @settings(max_examples=100, deadline=None)
+    def test_image_of_an_interval_graph_is_its_spans(self, spans):
+        # the classes of an interval graph hold disjoint spans, so none merge
+        # and H is the intersection graph of the completion's spans
+        g = brute_interval_graph(spans)
+        ic = interval_completion(g, clique_path_of_intervals(spans))
+        assert brute_interval_graph(ic.intervals) == g
+        image, hom = build_ff_image(g, ic, first_fit_color(g, PresentationOrder.identity(g.n)))
+        assert tuple(image.intervals[x] for x in hom.mapping) == ic.intervals
+        assert image.h == brute_interval_graph(image.intervals)
+
+    @given(span_lists())
+    @example([])
+    @example(SPAN_EDGE_CASES)
+    @settings(max_examples=100, deadline=None)
+    def test_one_class_merges_into_intersection_components(self, spans):
+        # an edgeless graph is one First-Fit class, so each component of the
+        # completion becomes one vertex, numbered by its least member
+        g = Graph(len(spans), [])
+        ic = interval_completion(g, clique_path_of_intervals(spans))
+        image, hom = build_ff_image(g, ic, first_fit_color(g, PresentationOrder.identity(g.n)))
+        spans = ic.intervals
+        comps = brute_components(brute_interval_graph(spans))
+        assert image.intervals == tuple(
+            (min(spans[v][0] for v in c), max(spans[v][1] for v in c)) for c in comps
+        )
+        assert hom.mapping == tuple(
+            next(i for i, c in enumerate(comps) if v in c) for v in range(g.n)
+        )
+
+    def test_north_star_stacked_quotient(self):
+        # stacked(30, 10) in its natural order: every certificate runs at n = 3915
+        sp = stacked(30, 10)
+        g = incomparability_graph(sp.poset)
+        pd = decomposition_from_blocks(block_sequence(sp.poset, 30))
+        coloring = first_fit_color(g, sp.natural_order)
+        image, _ = build_ff_image(g, interval_completion(g, pd), coloring)
+        assert pd.width == 569
+        assert coloring.color_count == 261
+        assert image.h.n == 270
+        assert interval_clique_number(image.intervals) == 261
 
     def test_rejects_non_ff_coloring(self):
         g = path_graph(3)
@@ -150,7 +222,7 @@ class TestBuildFFImage:
             g = incomparability_graph(p)
             pd = clique_path_of_intervals(intervals)
             ic = interval_completion(g, pd)
-            assert ic.graph() == g
+            assert brute_interval_graph(ic.intervals) == g
             coloring = first_fit_color(g, PresentationOrder.identity(g.n))
             image, hom = build_ff_image(g, ic, coloring)
             assert sorted(hom.mapping) == list(range(g.n))  # injective
@@ -171,6 +243,7 @@ class TestBuildFFImage:
         assert validate_homomorphism(g, image.h, hom)
         assert validate_ff_coloring(image.h, image.coloring())
         assert len(image.classes) == coloring.color_count
+        assert image.h == brute_interval_graph(image.intervals)
         # distinct quotient intervals of one class never meet
         for cls in image.classes:
             for x in cls:
