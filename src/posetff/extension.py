@@ -7,9 +7,12 @@ admitting the next element of that chain keeps the window family a valid
 block.  The membership spans of the elements across the block sequence
 form closed integer intervals whose interval order the input extends,
 and the blocks double as a path decomposition of the incomparability
-graph.  When no good element exists the certifying digraph contains a
-cycle, and replaying the certification along that cycle produces two
-disjoint incomparable k-chains instead.
+graph.  A chain's segment minimum is good exactly when the up-set bitmask
+lies above it, so finding the good element is one mask test per chain.
+When no chain passes, the certifying digraph (an arc from chain i to chain
+j when i's segment minimum is not below j's next element) is built once:
+it has no sink, and replaying the certification along its least cycle
+produces two disjoint incomparable k-chains instead.
 """
 
 from __future__ import annotations
@@ -105,17 +108,18 @@ class BlockMove:
 
 
 class _SinkDigraph:
-    """The certifying digraph of one block, kept current as windows slide.
+    """The certificate state of one block, kept current as windows slide.
 
     ``entries`` holds a CertEntry for every chain still reaching above its
-    segment, in increasing chain order; ``succ[i]`` has bit j set for the
-    arc i -> j (a_i is not below d_j) between two such chains; ``ups`` is
-    the up-set as an element bitmask.  A move changes only the moved
-    chain's entry, so ``advance`` rebuilds one row and one column: O(w)
-    comparisons per step instead of O(w^2).
+    segment, in increasing chain order; ``ups`` is the up-set as an element
+    bitmask.  The certifying digraph has an arc i -> j when a_i is not below
+    d_j.  Since d_j is chain j's least element above its segment, and a_i is
+    below d_i on its own chain, chain i is a sink exactly when a_i lies below
+    the whole up-set: goodness is the one mask test ``pick`` makes, and the
+    arcs are built only when no chain passes it, to find the witness's cycle.
     """
 
-    __slots__ = ("p", "cp", "k", "segments", "entries", "succ", "ups")
+    __slots__ = ("p", "cp", "k", "segments", "entries", "ups")
 
     def __init__(
         self, p: Poset, cp: ChainPartition, segments: tuple[tuple[int, int], ...], k: int
@@ -123,7 +127,6 @@ class _SinkDigraph:
         self.p, self.cp, self.k = p, cp, k
         self.segments = list(segments)
         self.entries: dict[int, CertEntry] = {}
-        self.succ = [0] * len(cp.chains)
         self.ups = 0
         for i, ((_, hi), chain) in enumerate(zip(self.segments, cp.chains)):
             if hi >= len(chain.elements):
@@ -131,11 +134,6 @@ class _SinkDigraph:
             for e in chain.elements[hi:]:
                 self.ups |= 1 << e
             self.entries[i] = self._entry(i)
-        for i, entry in self.entries.items():
-            above_a = p.succ_mask(entry.a)
-            for j, other in self.entries.items():
-                if j != i and not (above_a >> other.d) & 1:
-                    self.succ[i] |= 1 << j
 
     def _entry(self, i: int) -> CertEntry:
         k = self.k
@@ -161,36 +159,23 @@ class _SinkDigraph:
         return CertEntry(a=a, b=b, c=c, d=d, lower=lower, upper=upper)
 
     def pick(self) -> int | KkWitness:
-        """The smallest sink, checked good against the whole up-set, or a witness."""
-        for sink, entry in self.entries.items():
-            if not self.succ[sink]:
-                break
-        else:
-            return _witness_from_cycle(self.p, self.entries, self._least_cycle())
-        bad = self.ups & ~self.p.succ_mask(entry.a)
-        if bad:
-            y = (bad & -bad).bit_length() - 1
-            raise InternalError(f"sink element {entry.a} is not below up-set member {y}")
-        return sink
+        """The smallest chain whose segment minimum is below the whole up-set, or a witness."""
+        ups, succ_mask = self.ups, self.p.succ_mask
+        for i, entry in self.entries.items():
+            if not ups & ~succ_mask(entry.a):
+                return i
+        return _witness_from_cycle(self.p, self.entries, _least_cycle(self.arcs()))
 
-    def _least_cycle(self) -> list[int]:
-        """Deterministic cycle in a sinkless digraph: walk min out-neighbors."""
-        cur = next(iter(self.entries))
-        pos = {cur: 0}
-        path = [cur]
-        while True:
-            out = self.succ[cur]
-            cur = (out & -out).bit_length() - 1
-            if cur in pos:
-                cycle = path[pos[cur] :]
-                break
-            pos[cur] = len(path)
-            path.append(cur)
-        m = cycle.index(min(cycle))
-        return cycle[m:] + cycle[:m]
+    def arcs(self) -> dict[int, int]:
+        """The certifying digraph: bit j of ``arcs()[i]`` is the arc i -> j (a_i not below d_j)."""
+        less, entries = self.p.less, self.entries
+        return {
+            i: sum(1 << j for j in entries if j != i and not less(entries[i].a, entries[j].d))
+            for i in entries
+        }
 
     def advance(self, s: int) -> BlockMove:
-        """Slide chain s past its segment minimum, then relink or drop chain s."""
+        """Slide chain s past its segment minimum, then recertify or drop chain s."""
         lo, hi = self.segments[s]
         chain = self.cp.chains[s].elements
         removed, added = chain[lo], chain[hi]
@@ -198,27 +183,30 @@ class _SinkDigraph:
             raise InternalError(f"removed {removed} is not chain {s}'s certified minimum")
         self.segments[s] = (lo + 1, hi + 1)
         self.ups &= ~(1 << added)
-        bit = 1 << s
         if hi + 1 == len(chain):
             del self.entries[s]
-            self.succ[s] = 0
-            for j in self.entries:
-                self.succ[j] &= ~bit
-            return BlockMove(removed=removed, added=added, chain=s)
-        entry = self.entries[s] = self._entry(s)
-        above_a = self.p.succ_mask(entry.a)
-        below_d = self.p.pred_mask(entry.d)
-        row = 0
-        for j, other in self.entries.items():
-            if j == s:
-                continue
-            if not (above_a >> other.d) & 1:
-                row |= 1 << j
-            # d_s only moves up its chain, so an arc into s can vanish but never appear
-            if (below_d >> other.a) & 1:
-                self.succ[j] &= ~bit
-        self.succ[s] = row
+        else:
+            self.entries[s] = self._entry(s)
         return BlockMove(removed=removed, added=added, chain=s)
+
+
+def _least_cycle(arcs: dict[int, int]) -> list[int]:
+    """Deterministic cycle in a sinkless digraph: walk min out-neighbors from the first vertex.
+
+    A sink here is a chain that failed the up-set test yet has no out-arc,
+    so the two characterisations of a good element disagree.
+    """
+    path: list[int] = []
+    cur = next(iter(arcs))
+    while cur not in path:
+        path.append(cur)
+        out = arcs[cur]
+        if not out:
+            raise InternalError(f"chain {cur} fails the up-set test but has no out-arc")
+        cur = (out & -out).bit_length() - 1
+    cycle = path[path.index(cur) :]
+    m = cycle.index(min(cycle))
+    return cycle[m:] + cycle[:m]
 
 
 @dataclass(frozen=True)
@@ -276,9 +264,10 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
 
     Each step removes the certified good element and admits the smallest
     element above the same chain's segment, so per-chain segment sizes
-    never change.  One certifying digraph is carried across the steps and
-    relinked only at the moved chain.  Propagates a two-chain witness when
-    certification fails.
+    never change.  Each step tries the live chains in increasing order,
+    one up-set mask test each; the certifying digraph is built only when
+    none passes, and its cycle is replayed into the two-chain witness that
+    is then returned.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

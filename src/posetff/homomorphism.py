@@ -14,7 +14,9 @@ Costs, for n vertices: a class's components come from one sort of its
 spans by left end and a merge on the running right end, O(n log n) in all;
 the image H is built from suffix masks by ``interval_order_from_intervals``;
 ``interval_clique_number`` bisects sorted endpoints, O(n log n).  The
-post-checks on the result still walk every edge of the input graph.
+entry check that every edge joins meeting spans is one sort and n mask
+tests; the post-checks on the result still walk every edge of the input
+graph.
 """
 
 from __future__ import annotations
@@ -90,16 +92,26 @@ def build_ff_image(
 ) -> tuple[FFImage, Homomorphism]:
     """Merge completion components of every color class into interval vertices.
 
-    The resulting map is a surjective homomorphism, the image's clique
-    number is at most the completion's, and the transported classes form
-    a valid greedy coloring of the image with the same class count; all
-    three facts are checked before returning.
+    Every edge of g must join two meeting spans of ``ic``.  The resulting
+    map is a surjective homomorphism, the image's clique number is at most
+    the completion's, and the transported classes form a valid greedy
+    coloring of the image with the same class count; all three facts are
+    checked before returning.
     """
     if len(ic) != g.n:
         raise InvalidColoring("completion and graph sizes differ")
+    spans = ic.intervals
+    # spans meet when each begins by the other's right end; by left end, the
+    # vertices begun by a right end are a prefix, so each edge is one mask test
+    by_left = sorted(range(g.n), key=spans.__getitem__)
+    lefts = [spans[v][0] for v in by_left]
+    begun = [0]
+    for v in by_left:
+        begun.append(begun[-1] | 1 << v)
+    if any(g.nbr_mask(u) & ~begun[bisect_right(lefts, b)] for u, (_, b) in enumerate(spans)):
+        raise InvalidDecomposition("an edge of the graph joins two disjoint spans")
     if not validate_ff_coloring(g, coloring):
         raise InvalidColoring("input classes are not a First-Fit coloring")
-    spans = ic.intervals
     mapping = [-1] * g.n
     h_intervals: list[tuple[int, int]] = []
     classes: list[tuple[int, ...]] = []

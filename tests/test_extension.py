@@ -100,12 +100,34 @@ def fresh_digraph(p, segments, k):
     return extension_module._SinkDigraph(p, dilworth_partition(p), tuple(segments), k)
 
 
+def arcs_by_definition(p, entries):
+    """The certifying digraph's arcs: i -> j iff a_i is not below d_j."""
+    return {
+        i: mask(j for j in entries if j != i and not p.less(entries[i].a, entries[j].d))
+        for i in entries
+    }
+
+
+def check_pick(p, state):
+    """``pick()`` is the smallest live chain with no out-arc, or a valid witness
+    when every chain has one; the on-demand arcs match the definition."""
+    arcs = arcs_by_definition(p, state.entries)
+    assert state.arcs() == arcs
+    sinks = [i for i, out in arcs.items() if not out]
+    got = state.pick()
+    if sinks:
+        assert got == sinks[0]
+    else:
+        assert isinstance(got, KkWitness) and got.is_valid(p)
+    return got
+
+
 def slide_from_scratch(p, k):
     """Reference slide: a fresh certifying digraph on every block.
 
     Also checks each digraph's up-set and arcs against the definitions
-    (i -> j iff a_i is not below d_j).  Returns (moves, blocks, witness or
-    None), each block its segments tuple.
+    (i -> j iff a_i is not below d_j), and each pick against the arcs.
+    Returns (moves, blocks, witness or None), each block its segments tuple.
     """
     cp = dilworth_partition(p)
     segments = [(0, min(len(c.elements), 2 * k - 3)) for c in cp.chains]
@@ -115,15 +137,7 @@ def slide_from_scratch(p, k):
         state = extension_module._SinkDigraph(p, cp, tuple(segments), k)
         assert state.ups == mask(elements_above(cp, segments))
         entries = state.entries
-        assert state.succ == [
-            sum(
-                1 << j
-                for j in entries
-                if i in entries and j != i and not p.less(entries[i].a, entries[j].d)
-            )
-            for i in range(len(cp.chains))
-        ]
-        got = state.pick()
+        got = check_pick(p, state)
         if isinstance(got, KkWitness):
             return moves, blocks, got
         lo, hi = segments[got]
@@ -218,7 +232,8 @@ class TestFindGoodElement:
         assert state.ups
         assert len(state.entries) >= 2
         sink = state.pick()
-        assert state.succ[sink] == 0
+        a = state.entries[sink].a
+        assert all(p.less(a, e.d) for j, e in state.entries.items() if j != sink)
         assert seq.moves[0].chain == sink
         assert seq.moves[0].removed == state.entries[sink].a
         for entry in state.entries.values():
@@ -229,6 +244,27 @@ class TestFindGoodElement:
             assert a == b or p.less(a, b)
             assert p.less(b, c)
             assert c == d or p.less(c, d)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_pick_on_arbitrary_blocks(self, data):
+        # the lemma holds on every block, also on those the slide never reaches
+        p = data.draw(posets(max_n=12))
+        k = data.draw(st.integers(2, 4))
+        cp = dilworth_partition(p)
+        segments = []
+        for chain in cp.chains:
+            size = min(len(chain.elements), 2 * k - 3)
+            lo = data.draw(st.integers(0, len(chain.elements) - size))
+            segments.append((lo, lo + size))
+        state = extension_module._SinkDigraph(p, cp, tuple(segments), k)
+        if state.ups:  # the slide picks only while something is above the block
+            check_pick(p, state)
+
+    def test_least_cycle_rejects_a_sink(self):
+        # every chain failed the up-set test, so a sink means the lemma broke
+        with pytest.raises(InternalError):
+            extension_module._least_cycle({0: 0b10, 1: 0})
 
     def test_wrong_segment_width_rejected(self):
         # block_sequence never builds such a block, so the check is an internal one

@@ -146,6 +146,26 @@ class TestBuildFFImage:
         with pytest.raises(InvalidColoring, match="completion and graph sizes differ"):
             build_ff_image(g, IntervalRepresentation(((1, 1),)), coloring)
 
+    def test_completion_missing_an_edge_is_rejected(self):
+        g = path_graph(2)
+        coloring = first_fit_color(g, PresentationOrder.identity(2))
+        with pytest.raises(InvalidDecomposition):
+            build_ff_image(g, IntervalRepresentation(((1, 1), (2, 2))), coloring)
+
+    @given(graphs(max_n=7), span_lists(max_size=7))
+    @settings(max_examples=150, deadline=None)
+    def test_entry_check_is_the_edge_rule(self, g, spans):
+        # any completion: rejected exactly when some edge joins disjoint spans
+        spans = (spans + [(1, 1)] * g.n)[: g.n]
+        coloring = first_fit_color(g, PresentationOrder.identity(g.n))
+        ic = IntervalRepresentation(tuple(spans))
+        if all(spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1] for u, v in g.edges()):
+            image, hom = build_ff_image(g, ic, coloring)
+            assert validate_homomorphism(g, image.h, hom)
+        else:
+            with pytest.raises(InvalidDecomposition):
+                build_ff_image(g, ic, coloring)
+
     @given(span_lists())
     @example([])
     @example(SPAN_EDGE_CASES)
