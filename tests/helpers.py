@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from posetff import (
+    CoverageError,
     Graph,
     PresentationOrder,
     build_poset,
@@ -75,6 +76,43 @@ def graphs_with_orders(draw, max_n=8):
     return g, PresentationOrder(tuple(order))
 
 
+CORRUPTIONS = ("none", "move", "merge", "swap", "empty", "drop", "repeat", "outside")
+
+
+@st.composite
+def corrupted_parts(draw, parts, n):
+    """The parts of a partition of 0..n-1, as lists, either unchanged or with
+    one corruption: an element moved to another part (or a new last one),
+    two parts merged or swapped, an empty part appended, an element dropped,
+    repeated in another part, or replaced by an id outside 0..n-1."""
+    parts = [list(part) for part in parts]
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    if kind == "empty":
+        parts.append([])
+    elif kind == "outside":
+        parts.append([draw(st.sampled_from((-1, n)))])
+    if not parts or kind in ("none", "empty", "outside"):
+        return parts
+    i = draw(st.integers(0, len(parts) - 1))
+    j = draw(st.integers(0, len(parts)))  # len(parts) stands for a new last part
+    if kind in ("merge", "swap"):
+        j %= len(parts)
+        if kind == "swap":
+            parts[i], parts[j] = parts[j], parts[i]
+        elif i != j:
+            parts[min(i, j)] += parts.pop(max(i, j))
+    elif parts[i]:
+        at = draw(st.integers(0, len(parts[i]) - 1))
+        v = parts[i][at]
+        if kind != "repeat":
+            del parts[i][at]
+        if kind != "drop":
+            if j == len(parts):
+                parts.append([])
+            parts[j].append(v)
+    return parts
+
+
 def brute_contains_kk(p, k):
     """Subset-scan oracle for two disjoint incomparable k-chains."""
     n = p.n
@@ -101,6 +139,66 @@ def brute_grundy(g):
         used = first_fit_color(g, PresentationOrder(perm)).color_count
         best = max(best, used)
     return best if g.n else 0
+
+
+def _brute_cover(parts, n, what):
+    """Raise CoverageError unless the parts partition 0..n-1."""
+    flat = [v for part in parts for v in part]
+    if sorted(flat) != list(range(n)):
+        raise CoverageError(f"{what} do not partition 0..{n - 1}")
+
+
+def brute_ff_partition_ok(p, cp):
+    """First-Fit chain law, pair by pair: non-empty parts, each listed in
+    increasing order, and each element of a later part incomparable to some
+    element of every earlier part."""
+    parts = [c.elements for c in cp.chains]
+    _brute_cover(parts, p.n, "chains")
+    for j, part in enumerate(parts):
+        if not part:
+            return False
+        if not all(p.less(part[a], part[b]) for a, b in combinations(range(len(part)), 2)):
+            return False
+        for v in part:
+            if not all(any(p.incomparable(u, v) for u in earlier) for earlier in parts[:j]):
+                return False
+    return True
+
+
+def brute_ff_coloring_ok(g, coloring):
+    """Greedy coloring law, pair by pair: non-empty independent classes, and
+    each vertex of a later class adjacent to some vertex of every earlier
+    class."""
+    classes = [sorted(cls) for cls in coloring.classes]
+    _brute_cover(classes, g.n, "classes")
+    for j, cls in enumerate(classes):
+        if not cls:
+            return False
+        if any(g.adjacent(u, v) for u, v in combinations(cls, 2)):
+            return False
+        for v in cls:
+            if not all(any(g.adjacent(u, v) for u in earlier) for earlier in classes[:j]):
+                return False
+    return True
+
+
+def brute_homomorphism_ok(g, h, f):
+    """A map of g's vertices onto h's that sends every edge to an edge."""
+    m = f.mapping
+    if len(m) != g.n or not all(0 <= x < h.n for x in m):
+        return False
+    if any(g.adjacent(u, v) and not h.adjacent(m[u], m[v])
+           for u, v in combinations(range(g.n), 2)):
+        return False
+    return set(m) == set(range(h.n))
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns, or the class of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
 
 
 def brute_width(p):

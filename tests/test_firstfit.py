@@ -2,6 +2,7 @@ import gc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetff import (
     ChainPartition,
@@ -12,6 +13,7 @@ from posetff import (
     PresentationOrder,
     TooLarge,
     antichain_poset,
+    build_poset,
     chain_poset,
     complete_bipartite_graph,
     complete_graph,
@@ -29,10 +31,14 @@ from posetff import (
     validate_ff_partition,
 )
 from helpers import (
+    brute_ff_coloring_ok,
+    brute_ff_partition_ok,
     brute_grundy,
+    corrupted_parts,
     graphs,
     graphs_with_orders,
     minus_perfect_matching,
+    outcome,
     posets_with_orders,
 )
 
@@ -85,12 +91,44 @@ class TestValidateFFPartition:
         with pytest.raises(CoverageError):
             validate_ff_partition(p, ChainPartition((Chain((0, 1)),)))
 
+    def test_witness_missing_only_two_chains_back(self):
+        # with 0 < 2 and 1 incomparable to both, chain 3 = (2,) has its
+        # witness 1 in chain 2 but none in chain 1 = (0,)
+        cp = ChainPartition((Chain((0,)), Chain((1,)), Chain((2,))))
+        assert validate_ff_partition(antichain_poset(3), cp)
+        assert not validate_ff_partition(build_poset(3, [(0, 2)]), cp)
+
     @given(posets_with_orders())
     @settings(max_examples=60)
     def test_ff_output_always_validates(self, pair):
         p, order = pair
         res = first_fit_chains(p, order)
         assert validate_ff_partition(p, res.partition)
+
+
+class TestValidatorsAgreeWithOracles:
+    """Each validator against its pair-by-pair oracle: the same bool, or the
+    same exception class, on First-Fit outputs and on corrupted copies."""
+
+    @given(posets_with_orders(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_ff_partition(self, pair, data):
+        p, order = pair
+        chains = [c.elements for c in first_fit_chains(p, order).partition.chains]
+        parts = data.draw(corrupted_parts(chains, p.n))
+        if data.draw(st.booleans()) and all(0 <= e < p.n for part in parts for e in part):
+            parts = [p.sort_chain(part) for part in parts]  # list chain parts in order
+        cp = ChainPartition(tuple(Chain(tuple(part)) for part in parts))
+        assert outcome(validate_ff_partition, p, cp) == outcome(brute_ff_partition_ok, p, cp)
+
+    @given(graphs_with_orders(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_ff_coloring(self, pair, data):
+        g, order = pair
+        classes = [sorted(cls) for cls in first_fit_color(g, order).classes]
+        parts = data.draw(corrupted_parts(classes, g.n))
+        coloring = FFColoring(tuple(frozenset(part) for part in parts))
+        assert outcome(validate_ff_coloring, g, coloring) == outcome(brute_ff_coloring_ok, g, coloring)
 
 
 class TestFirstFitColor:
@@ -130,6 +168,12 @@ class TestValidateFFColoring:
     def test_coverage_error(self):
         with pytest.raises(CoverageError):
             validate_ff_coloring(empty_graph(2), FFColoring((frozenset({0}),)))
+
+    def test_neighbor_missing_only_two_classes_back(self):
+        # path 0-1-2: class 3 = {2} has its neighbor 1 in class 2 but none in class 1 = {0}
+        g = path_graph(3)
+        assert validate_ff_coloring(g, FFColoring((frozenset({1}), frozenset({0, 2}))))
+        assert not validate_ff_coloring(g, FFColoring((frozenset({0}), frozenset({1}), frozenset({2}))))
 
     @given(graphs_with_orders())
     @settings(max_examples=60)

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posetff import (
     FFColoring,
@@ -37,10 +38,12 @@ from posetff import SplitMix64, interval_order_from_intervals, kierstead
 import posetff.homomorphism as homomorphism_module
 from helpers import (
     brute_components,
+    brute_homomorphism_ok,
     brute_interval_clique_number,
     brute_interval_graph,
     graphs,
     graphs_with_orders,
+    outcome,
     span_lists,
 )
 
@@ -211,6 +214,19 @@ class TestBuildFFImage:
         assert image.h.n == 270
         assert interval_clique_number(image.intervals) == 261
 
+    def test_north_star_interval_order_quotient(self):
+        # gen_interval_order(1, 2000) with the k = 2 slide decomposition and
+        # identity First-Fit: every certificate runs at n = 2000
+        p = gen_interval_order(1, 2000)
+        g = incomparability_graph(p)
+        pd = decomposition_from_blocks(block_sequence(p, 2))
+        coloring = first_fit_color(g, PresentationOrder.identity(g.n))
+        image, _ = build_ff_image(g, interval_completion(g, pd), coloring)
+        assert pd.width == 1018
+        assert coloring.color_count == 1038
+        assert image.h.n == 1576
+        assert interval_clique_number(image.intervals) == 1019
+
     def test_rejects_non_ff_coloring(self):
         g = path_graph(3)
         pd = path_decomposition_exact(g)
@@ -331,6 +347,10 @@ class TestValidateHomomorphism:
         h = complete_graph(1)
         assert not validate_homomorphism(g, h, Homomorphism((0, 0)))
 
+    def test_edge_onto_a_non_edge_fails(self):
+        # surjective and no edge collapsed, but the edge 0-1 lands on a non-edge
+        assert not validate_homomorphism(path_graph(2), empty_graph(2), Homomorphism((0, 1)))
+
     def test_non_surjective_fails(self):
         g = empty_graph(2)
         h = empty_graph(2)
@@ -346,3 +366,44 @@ class TestValidateHomomorphism:
             image, _ = build_ff_image(g, ic, best)
             assert validate_ff_coloring(image.h, image.coloring())
             assert grundy_number(image.h, limit=image.h.n) >= best.color_count
+
+
+class TestValidateHomomorphismAgreesWithOracle:
+    """validate_homomorphism against the pair-by-pair oracle: the same bool,
+    or the same exception class."""
+
+    @given(graphs(max_n=7), graphs(max_n=5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_maps_onto_a_random_graph(self, g, h, data):
+        # lengths and values a step outside the valid ranges too
+        size = data.draw(st.sampled_from((g.n, g.n, g.n, max(g.n - 1, 0), g.n + 1)))
+        mapping = data.draw(st.lists(st.integers(-1, h.n), min_size=size, max_size=size))
+        f = Homomorphism(tuple(mapping))
+        assert outcome(validate_homomorphism, g, h, f) == outcome(brute_homomorphism_ok, g, h, f)
+
+    @given(graphs(max_n=7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_maps_onto_their_image_and_more(self, g, data):
+        # H holds the image of every uncollapsed edge plus random extra edges,
+        # so the map fails only by collapsing an edge or missing a vertex
+        hn = data.draw(st.integers(0 if g.n == 0 else 1, 6))
+        mapping = data.draw(st.lists(st.integers(0, max(hn - 1, 0)), min_size=g.n, max_size=g.n))
+        image = {tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges()}
+        extra = data.draw(st.frozensets(st.tuples(st.integers(0, hn), st.integers(0, hn))))
+        h = Graph(hn, sorted({(a, b) for a, b in image | extra if a < b < hn}))
+        f = Homomorphism(tuple(mapping))
+        assert outcome(validate_homomorphism, g, h, f) == outcome(brute_homomorphism_ok, g, h, f)
+
+    @given(graphs_with_orders(max_n=7), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_quotient_maps_and_one_changed_image(self, pair, data):
+        g, order = pair
+        if g.n == 0:
+            return
+        ic = interval_completion(g, path_decomposition_exact(g))
+        image, hom = build_ff_image(g, ic, first_fit_color(g, order))
+        mapping = list(hom.mapping)
+        if data.draw(st.booleans()):
+            mapping[data.draw(st.integers(0, g.n - 1))] = data.draw(st.integers(0, image.h.n - 1))
+        f = Homomorphism(tuple(mapping))
+        assert outcome(validate_homomorphism, g, image.h, f) == outcome(brute_homomorphism_ok, g, image.h, f)
