@@ -10,6 +10,10 @@ Gamma(G[S]) = max over maximal independent I in S of 1 + Gamma(G[S - I]).
 It is memoised on the bitmask S, enumerates I by Bron-Kerbosch on the
 complement, and stops a state at the Delta(G[S]) + 1 ceiling; the default
 limit is 16 vertices.
+
+The validators walk the classes from last to first and test each class's
+masks once against the union of the later classes, so each costs O(n + c)
+big-int operations for n elements and c classes.
 """
 
 from __future__ import annotations
@@ -116,20 +120,19 @@ def validate_ff_partition(p: Poset, cp: ChainPartition) -> bool:
             seen.add(e)
     if len(seen) != p.n:
         raise CoverageError("partition does not cover all elements")
-    for c in cp.chains:
+    # from the last chain back: chain i passes when the union of the later
+    # chains lies inside the union of its members' incomparability masks
+    later = 0
+    for c in reversed(cp.chains):
         if not c.elements or not c.is_valid(p):
             return False
-    inc_union = []
-    for c in cp.chains:
-        m = 0
+        mask = inc_union = 0
         for e in c.elements:
-            m |= p.inc_mask(e)
-        inc_union.append(m)
-    for j in range(1, len(cp.chains)):
-        for v in cp.chains[j].elements:
-            for i in range(j):
-                if not (inc_union[i] >> v) & 1:
-                    return False
+            mask |= 1 << e
+            inc_union |= p.inc_mask(e)
+        if later & ~inc_union:
+            return False
+        later |= mask
     return True
 
 
@@ -161,21 +164,21 @@ def validate_ff_coloring(g: Graph, coloring: FFColoring) -> bool:
             seen.add(v)
     if len(seen) != g.n:
         raise CoverageError("coloring does not cover all vertices")
-    masks = []
-    for cls in coloring.classes:
+    # from the last class back: class j passes when its vertices touch no
+    # neighbour among themselves and neighbour every vertex of a later class
+    later = 0
+    for cls in reversed(coloring.classes):
         if not cls:
             return False
-        m = 0
+        mask = touched = 0
         for v in cls:
-            m |= 1 << v
-        masks.append(m)
-    for i, cls in enumerate(coloring.classes):
-        for v in cls:
-            if g.nbr_mask(v) & masks[i]:
-                return False  # not independent
-            for j in range(i):
-                if not g.nbr_mask(v) & masks[j]:
-                    return False  # no neighbor in an earlier class
+            mask |= 1 << v
+            touched |= g.nbr_mask(v)
+        if mask & touched:
+            return False  # not independent
+        if later & ~touched:
+            return False  # a later vertex has no neighbour in this class
+        later |= mask
     return True
 
 

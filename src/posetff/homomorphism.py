@@ -15,8 +15,9 @@ spans by left end and a merge on the running right end, O(n log n) in all;
 the image H is built from suffix masks by ``interval_order_from_intervals``;
 ``interval_clique_number`` bisects sorted endpoints, O(n log n).  The
 entry check that every edge joins meeting spans is one sort and n mask
-tests; the post-checks on the result still walk every edge of the input
-graph.
+tests.  Of the post-checks, ``validate_ff_coloring`` is one mask test per
+class, and ``validate_homomorphism`` is O(n) ORs plus, for each image
+vertex x, min(deg x, |V(H)| - 1 - deg x) more.
 """
 
 from __future__ import annotations
@@ -150,17 +151,38 @@ def build_ff_image(
 
 
 def validate_homomorphism(g: Graph, h: Graph, f: Homomorphism) -> bool:
-    """Edge preservation plus surjectivity onto the image's vertices."""
+    """Edge preservation plus surjectivity onto the image's vertices.
+
+    With pre[x] the vertices sent to x, an edge of g leaves x's preimage
+    only for the preimage of a neighbour of x in h.  So the union of the
+    preimage's neighbourhoods is tested once against the preimages of x's
+    neighbours, ORed from whichever side of x's neighbourhood is smaller.
+    """
     m = f.mapping
     if len(m) != g.n:
         return False
     if any(not 0 <= x < h.n for x in m):
         return False
-    for u, v in g.edges():
-        fu, fv = m[u], m[v]
-        if fu == fv or not h.adjacent(fu, fv):
+    # past the range check, h.n == 0 leaves only the empty map of an empty g
+    pre = [0] * h.n
+    touched = [0] * h.n
+    for u, x in enumerate(m):
+        pre[x] |= 1 << u
+        touched[x] |= g.nbr_mask(u)
+    if not all(pre):
+        return False  # not surjective
+    vertices = (1 << h.n) - 1
+    for x, reach in enumerate(touched):
+        # OR the smaller side: the neighbours, whose preimages reach may meet,
+        # or the non-neighbours, x among them, whose preimages it must avoid
+        nbr = h.nbr_mask(x)
+        allowed = 2 * nbr.bit_count() < h.n
+        union = 0
+        for y in iter_bits(nbr if allowed else vertices & ~nbr):
+            union |= pre[y]
+        if reach & (~union if allowed else union):
             return False
-    return set(m) == set(range(h.n)) if h.n else not g.n
+    return True
 
 
 def _separation_costs(g: Graph) -> list[int]:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -384,13 +386,22 @@ class TestValidateHomomorphismAgreesWithOracle:
     @given(graphs(max_n=7), st.data())
     @settings(max_examples=300, deadline=None)
     def test_random_maps_onto_their_image_and_more(self, g, data):
-        # H holds the image of every uncollapsed edge plus random extra edges,
-        # so the map fails only by collapsing an edge or missing a vertex
-        hn = data.draw(st.integers(0 if g.n == 0 else 1, 6))
-        mapping = data.draw(st.lists(st.integers(0, max(hn - 1, 0)), min_size=g.n, max_size=g.n))
+        # H holds the image of every uncollapsed edge but at most one, plus
+        # extra edges (few, or all), so the map fails only by collapsing an
+        # edge, sending one onto the dropped non-edge, or missing a vertex
+        raw = data.draw(st.lists(st.integers(0, 6), min_size=g.n, max_size=g.n))
+        rank = {x: i for i, x in enumerate(sorted(set(raw)))}
+        mapping = [rank[x] for x in raw]
+        hn = len(rank) + data.draw(st.integers(0, 1))  # one more vertex is never hit
         image = {tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges()}
-        extra = data.draw(st.frozensets(st.tuples(st.integers(0, hn), st.integers(0, hn))))
-        h = Graph(hn, sorted({(a, b) for a, b in image | extra if a < b < hn}))
+        dropped = set()
+        if image and data.draw(st.booleans()):
+            dropped.add(data.draw(st.sampled_from(sorted(image))))
+        if data.draw(st.booleans()):
+            extra = set(combinations(range(hn), 2))
+        else:
+            extra = data.draw(st.frozensets(st.tuples(st.integers(0, hn), st.integers(0, hn))))
+        h = Graph(hn, sorted({(a, b) for a, b in (image | extra) - dropped if a < b < hn}))
         f = Homomorphism(tuple(mapping))
         assert outcome(validate_homomorphism, g, h, f) == outcome(brute_homomorphism_ok, g, h, f)
 
