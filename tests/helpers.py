@@ -11,8 +11,11 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from posetff import (
+    Chain,
     CoverageError,
     Graph,
+    InternalError,
+    KkWitness,
     PresentationOrder,
     build_poset,
     first_fit_color,
@@ -34,6 +37,21 @@ def posets(draw, max_n=10):
         )
     )
     return build_poset(n, sorted(pairs))
+
+
+@st.composite
+def spined_posets(draw, max_n=24):
+    """Random posets in which long chains and k+k patterns are common: each
+    element joins spine 0, spine 1 or neither, each spine is linked in id
+    order, and up to n/2 random forward pairs may relate the spines."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    role = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    ids = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=n // 2))
+    for spine in (0, 1):
+        s = [u for u in range(n) if role[u] == spine]
+        pairs += zip(s, s[1:])
+    return build_poset(n, sorted({(u, v) for u, v in pairs if u < v}))
 
 
 @st.composite
@@ -130,6 +148,62 @@ def brute_contains_kk(p, k):
             if all(p.incomparable(u, v) for u in a_part for v in b_part):
                 return True
     return False
+
+
+def _iter_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def backtrack_kk(p, k):
+    """Exhaustive backtracking for two disjoint incomparable k-chains.
+
+    Candidate assignments extend in increasing id order, each element into
+    chain a or chain b, pruned by candidate counts; the first element placed
+    always goes to chain a.  Returns a KkWitness or None.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    n = p.n
+    if 2 * k > n:
+        return None
+    full = (1 << n) - 1
+    comp = [p.comp_mask(u) for u in range(n)]
+    inc = [p.inc_mask(u) for u in range(n)]
+
+    def rec(last, cand_a, cand_b, need_a, need_b, a, b):
+        if not need_a and not need_b:
+            return a, b
+        gt = full & ~((1 << (last + 1)) - 1)
+        avail_a = cand_a & gt if need_a else 0
+        avail_b = cand_b & gt if need_b else 0
+        if avail_a.bit_count() < need_a or avail_b.bit_count() < need_b:
+            return None
+        if (avail_a | avail_b).bit_count() < need_a + need_b:
+            return None
+        for v in _iter_bits(avail_a | avail_b):
+            bit = 1 << v
+            if avail_a & bit:
+                got = rec(v, cand_a & comp[v], cand_b & inc[v], need_a - 1, need_b, a + (v,), b)
+                if got is not None:
+                    return got
+            # first placed element always goes to chain a (symmetry break)
+            if avail_b & bit and a:
+                got = rec(v, cand_a & inc[v], cand_b & comp[v], need_a, need_b - 1, a, b + (v,))
+                if got is not None:
+                    return got
+        return None
+
+    got = rec(-1, full, full, k, k, (), ())
+    if got is None:
+        return None
+    a, b = got
+    witness = KkWitness(Chain(p.sort_chain(a)), Chain(p.sort_chain(b)))
+    if not witness.is_valid(p):
+        raise InternalError("k+k search returned an invalid witness")
+    return witness
 
 
 def brute_grundy(g):

@@ -28,7 +28,7 @@ from posetff import (
     stacked,
     width_with_witness,
 )
-from helpers import brute_contains_kk, brute_width, posets
+from helpers import backtrack_kk, brute_contains_kk, brute_width, posets, spined_posets
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
 
@@ -284,6 +284,14 @@ class TestFindKPlusK:
             assert (got is not None) == brute_contains_kk(p, k)
             if got is not None:
                 assert got.is_valid(p)
+
+    @given(st.one_of(posets(max_n=24), spined_posets(max_n=24)), st.integers(2, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_backtracking(self, p, k):
+        got = find_k_plus_k(p, k)
+        assert (got is None) == (backtrack_kk(p, k) is None)
+        if got is not None:
+            assert got.is_valid(p) and got.k == k
 
 
 class TestIsExtension:
