@@ -26,7 +26,7 @@ class MalformedInterval(PosetFFError):
 
 
 class BudgetExhausted(PosetFFError):
-    """A budgeted search ran out of nodes before completing; result unknown."""
+    """A budgeted search would exceed its budget; result unknown."""
 
 
 class TooLarge(PosetFFError):

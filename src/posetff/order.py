@@ -11,6 +11,14 @@ bulk transpose of the successor masks' binary strings, O(n²/word) C-level
 work, and the axiom check ORs each element's successors' rows through a
 Four-Russians table (8-row chunks, 256 ORs each), n²/8 table lookups plus
 32n big-int ORs in all.
+
+The k+k search runs on the same two kernels.  For k >= 2, two k-chains are
+disjoint with every cross pair incomparable iff neither bottom lies below
+the other chain's top, so it needs only each element's k-chain tops (a
+boolean power of the successor relation, by binary exponentiation) and one
+more pass that ORs their non-predecessor masks: O(log k) passes of n²/8
+lookups in all.  Its budget caps the mask rows built, n on entry plus n per
+pass.
 """
 
 from __future__ import annotations
@@ -62,23 +70,36 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _reach(succ: Sequence[int], n: int) -> list[int]:
-    """For each u, the OR of succ[v] over every id v < n in succ[u] (Four Russians).
+def _reach(keys: Sequence[int], rows: Sequence[int], n: int) -> list[int]:
+    """For each key mask, the OR of rows[v] over every id v < n set in it (Four Russians).
 
+    This is the boolean product of the relations keys and rows: with
+    ``keys = rows = succ`` it gives each element's successors' successors.
     Rows go in chunks of 8; a chunk's 256 ORs are tabled once and folded into
-    all n accumulators, each indexed by its mask's byte for that chunk, before
-    the next chunk's table is built.  The rows are ORed in as given.
+    all accumulators, each indexed by its key's byte for that chunk, before
+    the next chunk's table is built.  Key bits at or above n are ignored; the
+    rows are ORed in as given.
     """
     full = (1 << n) - 1
     width = (n + 7) // 8
-    keys = b"".join((m & full).to_bytes(width, "little") for m in succ)
-    reach = [0] * n
+    packed = b"".join((m & full).to_bytes(width, "little") for m in keys)
+    reach = [0] * len(keys)
     for c in range(width):
         table = [0]
-        for row in succ[8 * c : 8 * c + 8]:
+        for row in rows[8 * c : 8 * c + 8]:
             table += [t | row for t in table]
-        reach = [r | table[b] for r, b in zip(reach, keys[c::width])]
+        reach = [r | table[b] for r, b in zip(reach, packed[c::width])]
     return reach
+
+
+def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """Columns of the n x n bit matrix whose row u is rows[u], each rows[u] < 2**n.
+
+    Bit v of row u is character v of its reversed binary string, so one
+    ``zip`` over the strings yields the columns.
+    """
+    strings = [format(m, f"0{n}b")[::-1] for m in rows]
+    return tuple(int("".join(col)[::-1], 2) for col in zip(*strings))
 
 
 class Poset:
@@ -102,14 +123,12 @@ class Poset:
         if self.names is not None and len(self.names) != n:
             raise SizeMismatch("names must match element count")
         self._check_axioms()
-        # bulk transpose: bit v of row u is character v of its reversed binary string
-        rows = [format(m, f"0{n}b")[::-1] for m in self._succ]
-        self._pred = tuple(int("".join(col)[::-1], 2) for col in zip(*rows))
+        self._pred = _transpose(self._succ, n)
 
     def _check_axioms(self) -> None:
         """Per element in id order: range, self-loop, 2-cycle, then closure."""
         full = (1 << self.n) - 1
-        for u, (m, reach) in enumerate(zip(self._succ, _reach(self._succ, self.n))):
+        for u, (m, reach) in enumerate(zip(self._succ, _reach(self._succ, self._succ, self.n))):
             if m & ~full:
                 raise IdOutOfRange(f"mask of {u} mentions ids >= {self.n}")
             if (m >> u) & 1:
@@ -151,7 +170,7 @@ class Poset:
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Transitive reduction: pairs u < v with nothing strictly between."""
         out = []
-        for u, (m, via) in enumerate(zip(self._succ, _reach(self._succ, self.n))):
+        for u, (m, via) in enumerate(zip(self._succ, _reach(self._succ, self._succ, self.n))):
             out.extend((u, v) for v in iter_bits(m & ~via))
         return out
 
@@ -506,56 +525,106 @@ def incomparability_graph(p: Poset) -> Graph:
 # -- forbidden pattern search -----------------------------------------------
 
 
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _power(succ: Sequence[int], m: int, n: int) -> Sequence[int]:
+    """The m-th boolean power of succ (m >= 1) by binary exponentiation.
+
+    One ``_reach`` pass per squaring and per factor after the first:
+    m.bit_length() + m.bit_count() - 2 passes.
+    """
+    power: Sequence[int] | None = None
+    base = succ
+    while True:
+        if m & 1:
+            power = base if power is None else _reach(power, base, n)
+        m >>= 1
+        if not m:
+            return power
+        base = _reach(base, base, n)
+
+
+def _chain_between(p: Poset, x: int, y: int, k: int) -> Chain:
+    """A k-chain from x to y, given that some k-chain runs from x to y.
+
+    Peels the k - 2 lowest layers of minimal elements off the open interval
+    (x, y), then walks down from y through them, taking the least element
+    below the current one in each layer.
+    """
+    between = p.succ_mask(x) & p.pred_mask(y)
+    layers = []
+    for _ in range(k - 2):
+        layer = 0
+        for z in iter_bits(between):
+            if not p.pred_mask(z) & between:
+                layer |= 1 << z
+        layers.append(layer)
+        between &= ~layer
+    down = [y]
+    for layer in reversed(layers):
+        down.append(_low(layer & p.pred_mask(down[-1])))
+    down.append(x)
+    return Chain(tuple(reversed(down)))
+
+
 def find_k_plus_k(p: Poset, k: int, budget: int | None = None) -> KkWitness | None:
     """Search for two disjoint k-chains with all cross pairs incomparable.
 
-    Exhaustive backtracking over candidate assignments, extending in
-    increasing id order; ``budget`` caps the number of search tree nodes
-    and exceeding it raises BudgetExhausted (distinct from a completed
-    search returning None).
+    The search is complete and rests on an endpoint lemma: for k >= 2, two
+    k-chains a_1 < ... < a_k and b_1 < ... < b_k are disjoint with every
+    cross pair incomparable iff a_1 is not below b_k and b_1 is not below
+    a_k (if some a_i <= b_j then a_1 <= a_i <= b_j <= b_k, and a shared
+    element makes one bottom below the other chain's top).  So with U(x) the
+    tops of the k-chains that start at x, the (k-1)-th boolean power of the
+    successor relation, and R(x) the OR of the non-predecessor masks over
+    U(x), the poset holds a k+k iff R(x) and its transpose meet for some x.
+    U takes (k-1).bit_length() + (k-1).bit_count() - 2 Four-Russians passes
+    by binary exponentiation and R one more, each n²/8 table lookups, so the
+    cost is O(log k) passes whatever the answer.
+
+    The witness is deterministic: x is the least element whose row of R
+    meets its transposed row, x' the least element of that meet, y the
+    least top over x not above x', y' the least top over x' not above x,
+    and each chain is peeled from its open interval.  For k = 1 it is the
+    least element u with an incomparable element and u's least such v.
+
+    ``budget`` caps the mask rows built: n for the successor rows read on
+    entry plus n per pass.  A search that would exceed it raises
+    BudgetExhausted before it starts (distinct from a completed search
+    returning None); a negative budget raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     n = p.n
     if 2 * k > n:
         return None
-    full = (1 << n) - 1
-    comp = [p.comp_mask(u) for u in range(n)]
-    inc = [p.inc_mask(u) for u in range(n)]
-    nodes = 0
-
-    def rec(last, cand_a, cand_b, need_a, need_b, a, b):
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExhausted(f"k+k search exceeded {budget} nodes")
-        if not need_a and not need_b:
-            return a, b
-        gt = full & ~((1 << (last + 1)) - 1)
-        avail_a = cand_a & gt if need_a else 0
-        avail_b = cand_b & gt if need_b else 0
-        if avail_a.bit_count() < need_a or avail_b.bit_count() < need_b:
+    # the tops' passes plus one for R
+    passes = (k - 1).bit_length() + (k - 1).bit_count() - 1 if k > 1 else 0
+    if budget is not None and n * (1 + passes) > budget:
+        raise BudgetExhausted(
+            f"k+k search needs {n * (1 + passes)} mask rows, budget is {budget}"
+        )
+    if k == 1:
+        u = next((u for u in range(n) if p.inc_mask(u)), None)
+        if u is None:
             return None
-        if (avail_a | avail_b).bit_count() < need_a + need_b:
+        witness = KkWitness(Chain((u,)), Chain((_low(p.inc_mask(u)),)))
+    else:
+        full = (1 << n) - 1
+        tops = _power([p.succ_mask(u) for u in range(n)], k - 1, n)
+        reach = _reach(tops, [full & ~p.pred_mask(y) for y in range(n)], n)
+        both = [r & c for r, c in zip(reach, _transpose(reach, n))]
+        x = next((x for x in range(n) if both[x]), None)
+        if x is None:
             return None
-        for v in iter_bits(avail_a | avail_b):
-            bit = 1 << v
-            if avail_a & bit:
-                got = rec(v, cand_a & comp[v], cand_b & inc[v], need_a - 1, need_b, a + (v,), b)
-                if got is not None:
-                    return got
-            # first placed element always goes to chain a (symmetry break)
-            if avail_b & bit and a:
-                got = rec(v, cand_a & inc[v], cand_b & comp[v], need_a, need_b - 1, a, b + (v,))
-                if got is not None:
-                    return got
-        return None
-
-    got = rec(-1, full, full, k, k, (), ())
-    if got is None:
-        return None
-    a, b = got
-    witness = KkWitness(Chain(p.sort_chain(a)), Chain(p.sort_chain(b)))
+        x2 = _low(both[x])
+        y = _low(tops[x] & ~p.succ_mask(x2))
+        y2 = _low(tops[x2] & ~p.succ_mask(x))
+        witness = KkWitness(_chain_between(p, x, y, k), _chain_between(p, x2, y2, k))
     if not witness.is_valid(p):
         raise InternalError("k+k search returned an invalid witness")
     return witness

@@ -313,6 +313,16 @@ def test_budget_env_var_caps_generation(tmp_path, monkeypatch):
     assert run(["gen", "kkfree", "--n", 14, "--k", 3, "--seed", 2, "--out", out]) == 2
 
 
+@pytest.mark.parametrize("value", ["-3", "abc"])
+def test_bad_budget_env_var_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("POSETFF_BUDGET", value)
+    out = tmp_path / "kk.json"
+    assert run(["gen", "kkfree", "--n", 14, "--k", 3, "--seed", 2, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: POSETFF_BUDGET must be a non-negative integer, got '{value}'\n"
+    )
+
+
 def test_console_entry_point_via_module(tmp_path):
     out = tmp_path / "p.json"
     proc = subprocess.run(

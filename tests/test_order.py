@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from posetff import (
     complete_multipartite_graph,
     dilworth_partition,
     find_k_plus_k,
+    gen_interval_order,
     incomparability_graph,
     interval_order_from_intervals,
     is_extension,
@@ -28,6 +30,7 @@ from posetff import (
     stacked,
     width_with_witness,
 )
+from posetff.order import _reach
 from helpers import backtrack_kk, brute_contains_kk, brute_width, posets, spined_posets
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
@@ -255,6 +258,19 @@ class TestFindKPlusK:
         assert witness.a.elements == (0, 1)
         assert witness.b.elements == (2, 3)
 
+    def test_witness_tops_avoid_the_other_bottom(self):
+        # 0's least top 1 lies above 3, so chain a must end at 2 instead
+        p = build_poset(5, [(0, 1), (0, 2), (3, 1), (3, 4)])
+        witness = find_k_plus_k(p, 2)
+        assert (witness.a.elements, witness.b.elements) == ((0, 2), (3, 4))
+
+    def test_witness_chains_walk_down_from_their_tops(self):
+        # the open interval (0, 9) has layers {1, 2} and {3, 4} with 2 < 3 and
+        # 1 < 4: from 9 the walk takes 3, then 2, the layer's least element below 3
+        relations = [(0, 1), (0, 2), (2, 3), (1, 4), (3, 9), (4, 9), (10, 11), (11, 12), (12, 13)]
+        witness = find_k_plus_k(build_poset(14, relations), 4)
+        assert (witness.a.elements, witness.b.elements) == ((0, 2, 3, 9), (10, 11, 12, 13))
+
     def test_interval_orders_are_two_two_free(self):
         for seed in (1, 7, 23):
             p = interval_order_from_intervals(
@@ -270,6 +286,19 @@ class TestFindKPlusK:
         p = antichain_poset(8)
         with pytest.raises(BudgetExhausted):
             find_k_plus_k(p, 2, budget=1)
+
+    @pytest.mark.parametrize("k, rows", [(2, 16), (3, 24), (4, 32)])
+    def test_budget_counts_mask_rows(self, k, rows):
+        # n = 8 rows read on entry, 8 per pass: k - 1 = 1, 2, 3 take 0, 1, 2
+        # passes for the tops and one more for the non-predecessor OR
+        p = antichain_poset(8)
+        find_k_plus_k(p, k, budget=rows)
+        with pytest.raises(BudgetExhausted):
+            find_k_plus_k(p, k, budget=rows - 1)
+
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            find_k_plus_k(antichain_poset(8), 2, budget=-1)
 
     def test_k_one(self):
         assert find_k_plus_k(chain_poset(4), 1) is None
@@ -292,6 +321,55 @@ class TestFindKPlusK:
         assert (got is None) == (backtrack_kk(p, k) is None)
         if got is not None:
             assert got.is_valid(p) and got.k == k
+
+    @given(spined_posets(max_n=12), st.integers(2, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_endpoint_lemma(self, p, k, data):
+        # ids increase along every chain of these posets, so the id-sorted
+        # k-subsets that are chains are all the k-chains
+        chains = [c for c in combinations(range(p.n), k)
+                  if all(p.less(u, v) for u, v in zip(c, c[1:]))]
+        if not chains:
+            return
+        a = data.draw(st.sampled_from(chains))
+        b = data.draw(st.sampled_from(chains))
+        pairwise = not set(a) & set(b) and all(p.incomparable(u, v) for u in a for v in b)
+        assert pairwise == (not p.less(a[0], b[-1]) and not p.less(b[0], a[-1]))
+
+    def test_north_star_interval_order_is_two_two_free(self):
+        assert find_k_plus_k(gen_interval_order(1, 2000), 2) is None
+
+    def test_north_star_stacked_adversary_is_free_of_its_pattern(self):
+        assert find_k_plus_k(stacked(30, 10).poset, 30) is None
+
+    def test_north_star_planted_pattern_is_found(self):
+        # gen_interval_order(1, 2000) beside two incomparable 30-chains
+        base = gen_interval_order(1, 2000)
+        n = base.n + 60
+        succ = [base.succ_mask(u) for u in range(base.n)]
+        for start in (base.n, base.n + 30):
+            top = 1 << (start + 30)
+            succ += [top - (2 << u) for u in range(start, start + 30)]
+        p = Poset(n, succ)
+        witness = find_k_plus_k(p, 30)
+        assert witness is not None and witness.k == 30 and witness.is_valid(p)
+
+
+class TestReach:
+    @given(st.integers(1, 40).filter(lambda n: n % 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_definition_with_distinct_keys_and_rows(self, n, data):
+        # key bits at or above n are drawn too, and must be ignored
+        keys = data.draw(st.lists(st.integers(0, (1 << (n + 8)) - 1), min_size=n, max_size=n))
+        rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        want = []
+        for key in keys:
+            acc = 0
+            for v in range(n):
+                if (key >> v) & 1:
+                    acc |= rows[v]
+            want.append(acc)
+        assert _reach(keys, rows, n) == want
 
 
 class TestIsExtension:
