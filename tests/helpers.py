@@ -215,6 +215,37 @@ def brute_grundy(g):
     return best if g.n else 0
 
 
+def brute_first_fit_chains(p, order):
+    """First-Fit chain partitioning, pair by pair: each element joins the
+    least chain whose members are all comparable to it.  Returns the 1-based
+    assignment and the chains, each listed in increasing order."""
+    chains = []
+    assignment = [0] * p.n
+    for v in order.order:
+        i = next((i for i, c in enumerate(chains) if all(p.comparable(u, v) for u in c)),
+                 len(chains))
+        if i == len(chains):
+            chains.append([])
+        chains[i].append(v)
+        assignment[v] = i + 1
+    # an element's place in its chain is the number of chain members below it
+    chains = [tuple(sorted(c, key=lambda e: sum(p.less(u, e) for u in c))) for c in chains]
+    return tuple(assignment), chains
+
+
+def brute_first_fit_color(g, order):
+    """Greedy coloring, pair by pair: each vertex joins the least class that
+    holds no neighbour of it.  Returns the classes in color order."""
+    classes = []
+    for v in order.order:
+        i = next((i for i, cls in enumerate(classes) if not any(g.adjacent(u, v) for u in cls)),
+                 len(classes))
+        if i == len(classes):
+            classes.append(set())
+        classes[i].add(v)
+    return tuple(frozenset(cls) for cls in classes)
+
+
 def _brute_cover(parts, n, what):
     """Raise CoverageError unless the parts partition 0..n-1."""
     flat = [v for part in parts for v in part]

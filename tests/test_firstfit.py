@@ -33,6 +33,8 @@ from posetff import (
 from helpers import (
     brute_ff_coloring_ok,
     brute_ff_partition_ok,
+    brute_first_fit_chains,
+    brute_first_fit_color,
     brute_grundy,
     corrupted_parts,
     graphs,
@@ -75,6 +77,25 @@ class TestFirstFitChains:
         assert res.chain_count == 0
 
 
+class TestEnginesAgreeWithOracles:
+    """Each First-Fit run against its pair-by-pair oracle, element by element."""
+
+    @given(posets_with_orders(max_n=12))
+    @settings(max_examples=200, deadline=None)
+    def test_ff_chains(self, pair):
+        p, order = pair
+        res = first_fit_chains(p, order)
+        assignment, chains = brute_first_fit_chains(p, order)
+        assert res.assignment == assignment
+        assert [c.elements for c in res.partition.chains] == chains
+
+    @given(graphs_with_orders(max_n=12))
+    @settings(max_examples=200, deadline=None)
+    def test_ff_color(self, pair):
+        g, order = pair
+        assert first_fit_color(g, order).classes == brute_first_fit_color(g, order)
+
+
 class TestValidateFFPartition:
     def test_singletons_of_antichain(self):
         p = antichain_poset(2)
@@ -90,6 +111,15 @@ class TestValidateFFPartition:
         p = chain_poset(3)
         with pytest.raises(CoverageError):
             validate_ff_partition(p, ChainPartition((Chain((0, 1)),)))
+
+    def test_element_repeated_inside_one_chain(self):
+        # as a set this chain is {0, 1}, a valid cover; as listed it repeats 0
+        with pytest.raises(CoverageError):
+            validate_ff_partition(chain_poset(2), ChainPartition((Chain((0, 0, 1)),)))
+
+    def test_comparable_pair_listed_out_of_order(self):
+        # as a set {0, 1} is a chain of chain_poset(2); a chain lists it increasing
+        assert not validate_ff_partition(chain_poset(2), ChainPartition((Chain((1, 0)),)))
 
     def test_witness_missing_only_two_chains_back(self):
         # with 0 < 2 and 1 incomparable to both, chain 3 = (2,) has its

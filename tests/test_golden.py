@@ -1,15 +1,18 @@
-"""Golden gates for the extension pipeline and the First-Fit quotient.
+"""Golden gates for the extension pipeline, First-Fit and its quotient.
 
 Each extension case runs ``interval_order_of`` on a fixed input and records
 either the k+k witness it returns or the block moves plus the sha256 of each
 canonical ``posetff extend`` output (interval order, intervals, path
-decomposition).  Each quotient case runs ``build_ff_image`` on a fixed graph,
-path decomposition and First-Fit colouring and records the sha256 of the
-canonical image intervals, transported classes and vertex map.
+decomposition).  Each First-Fit case runs ``first_fit_chains`` on a fixed
+poset and presentation order and records the sha256 of the canonical
+``posetff ff`` output (chains and assignment).  Each quotient case runs
+``build_ff_image`` on a fixed graph, path decomposition and First-Fit
+colouring and records the sha256 of the canonical image intervals,
+transported classes and vertex map.
 
-The fixtures ``data/golden_extend.json`` and ``data/golden_quotient.json``
-must stay byte-identical; rewrite them only for an intended output change,
-with
+The fixtures ``data/golden_extend.json``, ``data/golden_ff.json`` and
+``data/golden_quotient.json`` must stay byte-identical; rewrite them only for
+an intended output change, with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -31,6 +34,8 @@ from posetff import (
     build_poset,
     canonical_dumps,
     decomposition_from_blocks,
+    ff_result_to_dict,
+    first_fit_chains,
     first_fit_color,
     gen_interval_order,
     gen_kk_free,
@@ -50,6 +55,7 @@ from posetff import (
 from test_acceptance import _quotient_cases as acceptance_quotient_cases
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "golden_extend.json"
+FF_FIXTURE = FIXTURE.with_name("golden_ff.json")
 QUOTIENT_FIXTURE = FIXTURE.with_name("golden_quotient.json")
 
 
@@ -105,6 +111,28 @@ def golden_record(p, k) -> dict:
     }
 
 
+def _ff_cases():
+    """Name -> (poset, presentation order), all from fixed seeds or constructions."""
+    cases = {}
+    adversaries = [(f"kierstead-q{q}", kierstead(q)) for q in (3, 6, 12)]
+    adversaries += [(f"stacked-k{k}-w{w}", stacked(k, w)) for k, w in ((3, 4), (4, 7), (6, 3))]
+    for name, adv in adversaries:
+        cases[f"{name}-natural"] = (adv.poset, adv.natural_order)
+        for seed in range(3):
+            order = PresentationOrder(tuple(SplitMix64(seed).permutation(adv.poset.n)))
+            cases[f"{name}-shuffle{seed}"] = (adv.poset, order)
+    for seed, n in enumerate(range(200, 401, 50)):
+        p = gen_interval_order(seed, n)
+        cases[f"interval-s{seed}-n{n}-identity"] = (p, PresentationOrder.identity(n))
+        order = PresentationOrder(tuple(SplitMix64(seed).permutation(n)))
+        cases[f"interval-s{seed}-n{n}-shuffle"] = (p, order)
+    return cases
+
+
+def ff_record(p, order) -> str:
+    return _sha(ff_result_to_dict(first_fit_chains(p, order)))
+
+
 def _quotient_cases():
     """Name -> (graph, path decomposition, First-Fit colouring), all seeded."""
     cases = {}
@@ -134,12 +162,18 @@ def quotient_record(g, pd, coloring) -> str:
 
 
 CASES = _cases()
+FF_CASES = _ff_cases()
 QUOTIENT_CASES = _quotient_cases()
 
 
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_ff():
+    return json.loads(FF_FIXTURE.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +195,16 @@ def test_case_is_byte_identical(golden, name):
     assert canonical_dumps(golden_record(p, k)) == canonical_dumps(golden[name])
 
 
+def test_ff_fixture_is_canonical_and_complete(golden_ff):
+    assert FF_FIXTURE.read_text() == canonical_dumps(golden_ff)
+    assert sorted(golden_ff) == sorted(FF_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(FF_CASES))
+def test_ff_case_is_identical(golden_ff, name):
+    assert ff_record(*FF_CASES[name]) == golden_ff[name]
+
+
 def test_quotient_fixture_is_canonical_and_complete(golden_quotient):
     assert QUOTIENT_FIXTURE.read_text() == canonical_dumps(golden_quotient)
     assert sorted(golden_quotient) == sorted(QUOTIENT_CASES)
@@ -177,5 +221,7 @@ if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     records = {name: golden_record(p, k) for name, (p, k) in CASES.items()}
     FIXTURE.write_text(canonical_dumps(records))
+    ffs = {name: ff_record(p, order) for name, (p, order) in FF_CASES.items()}
+    FF_FIXTURE.write_text(canonical_dumps(ffs))
     quotients = {name: quotient_record(*case) for name, case in QUOTIENT_CASES.items()}
     QUOTIENT_FIXTURE.write_text(canonical_dumps(quotients))
