@@ -1,27 +1,32 @@
 """The online First-Fit engine, its validators, and the exact FF oracle.
 
-First-Fit on a poset places each arriving element into the least-index
-chain whose members are all comparable to it; on a graph it greedily
-assigns the least color absent from the neighborhood.  Both views agree
-through the incomparability graph.  ``grundy_number`` computes the worst
-case over all presentation orders exactly, by the first-class recursion:
-the first class of any greedy coloring is a maximal independent set, so
+First-Fit on a graph greedily assigns each arriving vertex the least color
+absent from its neighborhood.  First-Fit on a poset places each arriving
+element into the least-index chain whose members are all comparable to it;
+a chain is an independent set of the incomparability graph, so the poset
+run is the graph run on that graph, each class then listed in increasing
+order.  ``grundy_number`` computes the worst case over all presentation
+orders exactly, by the first-class recursion: the first class of any greedy
+coloring is a maximal independent set, so
 Gamma(G[S]) = max over maximal independent I in S of 1 + Gamma(G[S - I]).
 It is memoised on the bitmask S, enumerates I by Bron-Kerbosch on the
 complement, and stops a state at the Delta(G[S]) + 1 ceiling; the default
 limit is 16 vertices.
 
-The validators walk the classes from last to first and test each class's
-masks once against the union of the later classes, so each costs O(n + c)
-big-int operations for n elements and c classes.
+Both validators apply one greedy law, the chain partition's on the
+incomparability graph, plus the check that each chain is listed in
+increasing order.  The law walks the classes from last to first and tests
+each class's masks once against the union of the later classes, so it costs
+O(n + c) big-int operations for n elements and c classes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from .errors import CoverageError, TooLarge
-from .order import Chain, ChainPartition, Graph, Poset, iter_bits
+from .order import Chain, ChainPartition, Graph, Poset, incomparability_graph, iter_bits
 
 __all__ = [
     "PresentationOrder",
@@ -81,66 +86,38 @@ class FFColoring:
 
 
 def first_fit_chains(p: Poset, order: PresentationOrder) -> FFChainResult:
-    """Run First-Fit chain partitioning online in the given order."""
+    """Run First-Fit chain partitioning online in the given order.
+
+    A chain is an independent set of the incomparability graph, so this is
+    ``first_fit_color`` on that graph, with each class listed as a chain.
+    """
     if len(order) != p.n:
         raise ValueError(f"order covers {len(order)} elements, poset has {p.n}")
-    members: list[list[int]] = []
-    blocked: list[int] = []  # per chain: union of inc masks of its members
+    classes = first_fit_color(incomparability_graph(p), order).classes
     assignment = [0] * p.n
-    for v in order.order:
-        chosen = -1
-        for i, bm in enumerate(blocked):
-            if not (bm >> v) & 1:
-                chosen = i
-                break
-        if chosen == -1:
-            members.append([v])
-            blocked.append(p.inc_mask(v))
-            chosen = len(members) - 1
-        else:
-            members[chosen].append(v)
-            blocked[chosen] |= p.inc_mask(v)
-        assignment[v] = chosen + 1
-    partition = ChainPartition(tuple(Chain(p.sort_chain(c)) for c in members))
+    for i, cls in enumerate(classes, start=1):
+        for v in cls:
+            assignment[v] = i
+    partition = ChainPartition(tuple(Chain(p.sort_chain(cls)) for cls in classes))
     return FFChainResult(partition, tuple(assignment))
 
 
 def validate_ff_partition(p: Poset, cp: ChainPartition) -> bool:
     """Check the First-Fit chain partition law.
 
-    Every part must be a chain, and every element of a later chain must
-    have an incomparable witness in each earlier chain.  Raises
-    CoverageError when the parts are not a partition of the elements.
+    The greedy law on the incomparability graph, and every part a chain
+    listed in increasing order.  Raises CoverageError when the parts are not
+    a partition of the elements.
     """
-    seen: set[int] = set()
-    for c in cp.chains:
-        for e in c.elements:
-            if not 0 <= e < p.n or e in seen:
-                raise CoverageError(f"element {e} missing, duplicated, or out of range")
-            seen.add(e)
-    if len(seen) != p.n:
-        raise CoverageError("partition does not cover all elements")
-    # from the last chain back: chain i passes when the union of the later
-    # chains lies inside the union of its members' incomparability masks
-    later = 0
-    for c in reversed(cp.chains):
-        if not c.elements or not c.is_valid(p):
-            return False
-        mask = inc_union = 0
-        for e in c.elements:
-            mask |= 1 << e
-            inc_union |= p.inc_mask(e)
-        if later & ~inc_union:
-            return False
-        later |= mask
-    return True
+    return (_greedy_law(incomparability_graph(p), tuple(c.elements for c in cp.chains))
+            and all(c.is_valid(p) for c in cp.chains))
 
 
 def first_fit_color(g: Graph, order: PresentationOrder) -> FFColoring:
     """Greedy proper coloring in the given order; classes come out 1-based."""
     if len(order) != g.n:
         raise ValueError(f"order covers {len(order)} vertices, graph has {g.n}")
-    class_masks: list[int] = []
+    class_masks: list[int] = []  # per class: union of its members' neighbour masks
     classes: list[set[int]] = []
     for v in order.order:
         for i, cm in enumerate(class_masks):
@@ -156,18 +133,28 @@ def first_fit_color(g: Graph, order: PresentationOrder) -> FFColoring:
 
 def validate_ff_coloring(g: Graph, coloring: FFColoring) -> bool:
     """Check properness and the lower-neighbor law of a greedy coloring."""
+    return _greedy_law(g, coloring.classes)
+
+
+def _greedy_law(g: Graph, classes: Sequence[Collection[int]]) -> bool:
+    """The greedy coloring law on classes given as collections of vertices.
+
+    Raises CoverageError unless the classes list each vertex exactly once; a
+    vertex listed twice in one class counts as a duplicate.  Then, from the
+    last class back, class j passes when it is non-empty, its vertices touch
+    no neighbour among themselves, and it neighbours every vertex of a later
+    class.
+    """
     seen: set[int] = set()
-    for cls in coloring.classes:
+    for cls in classes:
         for v in cls:
             if not 0 <= v < g.n or v in seen:
                 raise CoverageError(f"vertex {v} missing, duplicated, or out of range")
             seen.add(v)
     if len(seen) != g.n:
-        raise CoverageError("coloring does not cover all vertices")
-    # from the last class back: class j passes when its vertices touch no
-    # neighbour among themselves and neighbour every vertex of a later class
+        raise CoverageError("classes do not cover all vertices")
     later = 0
-    for cls in reversed(coloring.classes):
+    for cls in reversed(classes):
         if not cls:
             return False
         mask = touched = 0

@@ -221,7 +221,7 @@ if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     records = {name: golden_record(p, k) for name, (p, k) in CASES.items()}
     FIXTURE.write_text(canonical_dumps(records))
-    ffs = {name: ff_record(p, order) for name, (p, order) in FF_CASES.items()}
+    ffs = {name: ff_record(*case) for name, case in FF_CASES.items()}
     FF_FIXTURE.write_text(canonical_dumps(ffs))
     quotients = {name: quotient_record(*case) for name, case in QUOTIENT_CASES.items()}
     QUOTIENT_FIXTURE.write_text(canonical_dumps(quotients))
