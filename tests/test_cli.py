@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import subprocess
@@ -79,12 +80,23 @@ def test_gen_interval_empty(tmp_path):
                               "n": 0, "relations": []}
 
 
+# sha256 of each written file, so the sampler and the k+k search cannot drift
+KKFREE_FILE_DIGESTS = {
+    (2, 14, 3): "4d281ca05a0534d9edb1c653ced9d54f7de4f251ded489036b4caa679608db88",
+    (0, 20, 4): "0452e6a74e062a973f586767d899219ccb255864fb7700ddcfb0cf5745ac03a5",
+    (7, 12, 2): "5ab55075980f5c8d569be9b9017d9845d410141dec2de374827f1a2335a6b2ed",
+    (11, 18, 5): "e0487a737a239dc16ed5ce60f219ae0f1b6322793d21bb1710109b78a92deea7",
+}
+
+
 def test_gen_kkfree_file(tmp_path):
-    out = tmp_path / "kk.json"
-    assert run(["gen", "kkfree", "--n", 14, "--k", 3, "--seed", 2, "--out", out]) == 0
-    d = read_json(out)
-    assert d["n"] == 14
-    assert d["meta"] == {"seed": 2, "kind": "kkfree", "n": 14, "k": 3, "density": 0.5}
+    for (seed, n, k), digest in KKFREE_FILE_DIGESTS.items():
+        out = tmp_path / f"kk-{seed}-{n}-{k}.json"
+        assert run(["gen", "kkfree", "--n", n, "--k", k, "--seed", seed, "--out", out]) == 0
+        d = read_json(out)
+        assert d["n"] == n
+        assert d["meta"] == {"seed": seed, "kind": "kkfree", "n": n, "k": k, "density": 0.5}
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_gen_interval_range_meta(tmp_path):

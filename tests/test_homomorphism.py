@@ -319,8 +319,13 @@ class TestPathwidthExact:
         assert pathwidth_exact(Graph(9, grid)) == 3
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
-            pathwidth_exact(empty_graph(15))
+        for oracle in (pathwidth_exact, path_decomposition_exact):
+            with pytest.raises(TooLarge, match="subset DP limited to 14 vertices, got 15"):
+                oracle(empty_graph(15))
+
+    def test_largest_accepted_size(self):
+        assert pathwidth_exact(empty_graph(14)) == 0
+        assert path_decomposition_exact(empty_graph(14)).width == 0
 
     def test_exact_decomposition_matches(self):
         for seed in range(8):
