@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
@@ -34,18 +33,8 @@ from .jsonio import (
 )
 from .order import KkWitness
 
-BUDGET_ENV = "POSETFF_BUDGET"
 CSV_COLUMNS = ["kind", "params", "n", "width", "k", "ff_chains", "bound", "pd_width", "seconds"]
 DEFAULT_KKFREE_DENSITY = 0.5
-
-
-def _budget() -> int | None:
-    raw = os.environ.get(BUDGET_ENV)
-    if not raw:
-        return None
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"{BUDGET_ENV} must be a non-negative integer, got {raw!r}")
-    return int(raw)
 
 
 def _emit(obj: dict, path: str | None) -> None:
@@ -78,7 +67,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
                 "density": args.density}
         p = gen_kk_free(args.seed, args.n, args.k, max_tries=args.max_tries,
-                        density=args.density, budget=_budget())
+                        density=args.density)
         _emit(poset_to_dict(p, meta=meta), args.out)
     return 0
 
@@ -157,8 +146,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             params = f"w={w};orders={args.orders};instance_seed={inst_seed}"
         else:
             kind = "kkfree"
-            p = gen_kk_free(inst_seed, n, k, density=DEFAULT_KKFREE_DENSITY,
-                            budget=_budget())
+            p = gen_kk_free(inst_seed, n, k, density=DEFAULT_KKFREE_DENSITY)
             params = (f"w={w};orders={args.orders};instance_seed={inst_seed};"
                       f"density={DEFAULT_KKFREE_DENSITY}")
         seq = block_sequence(p, k)

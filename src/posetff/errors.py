@@ -25,10 +25,6 @@ class MalformedInterval(PosetFFError):
     """An interval whose left endpoint exceeds its right endpoint."""
 
 
-class BudgetExhausted(PosetFFError):
-    """A budgeted search would exceed its budget; result unknown."""
-
-
 class TooLarge(PosetFFError):
     """Instance exceeds the size limit of an exact (exponential) oracle."""
 

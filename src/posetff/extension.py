@@ -27,6 +27,7 @@ from .order import (
     Graph,
     KkWitness,
     Poset,
+    _after,
     dilworth_partition,
     interval_order_from_intervals,
 )
@@ -330,15 +331,13 @@ def _valid_spans(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int], ...]
     """Each vertex's closed 1-based span of bags, or None when pd does not decompose g.
 
     Once every vertex's bags are known to be consecutive, an edge is covered
-    exactly when the spans of its two ends intersect, that is when each end
-    begins no later than the other ends.  Every edge is seen from both ends,
-    so it suffices that each vertex's neighbours have all begun by its last bag.
+    exactly when the spans of its two ends intersect, that is when neither
+    begins after the other ends.  Every edge is seen from both ends, so it
+    suffices that no vertex's neighbour begins after its last bag.
     """
     first = [0] * g.n
     last = [0] * g.n
-    begun = [0]  # begun[t]: vertices whose first bag is at most t
     for t, bag in enumerate(pd.bags, start=1):
-        mask = begun[-1]
         for v in bag:
             if not 0 <= v < g.n:
                 return None
@@ -346,16 +345,15 @@ def _valid_spans(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int], ...]
                 continue  # repeated within this bag
             if not first[v]:
                 first[v] = t
-                mask |= 1 << v
             elif last[v] != t - 1:
                 return None
             last[v] = t
-        begun.append(mask)
     if 0 in first:
         return None
-    if any(g.nbr_mask(u) & ~begun[t] for u, t in enumerate(last)):
+    spans = tuple(zip(first, last))
+    if any(g.nbr_mask(u) & a for u, a in enumerate(_after(spans))):
         return None
-    return tuple(zip(first, last))
+    return spans
 
 
 def validate_path_decomposition(g: Graph, pd: PathDecomposition) -> bool:

@@ -10,8 +10,8 @@ orders exactly, by the first-class recursion: the first class of any greedy
 coloring is a maximal independent set, so
 Gamma(G[S]) = max over maximal independent I in S of 1 + Gamma(G[S - I]).
 It is memoised on the bitmask S, enumerates I by Bron-Kerbosch on the
-complement, and stops a state at the Delta(G[S]) + 1 ceiling; the default
-limit is 16 vertices.
+complement, and stops a state at the Delta(G[S]) + 1 ceiling; it takes graphs
+of up to 16 vertices.
 
 Both validators apply one greedy law, the chain partition's on the
 incomparability graph, plus the check that each chain is listed in
@@ -40,7 +40,7 @@ __all__ = [
     "grundy_coloring",
 ]
 
-GRUNDY_DEFAULT_LIMIT = 16
+GRUNDY_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def _fill_grundy(nbr: list[int], closed: list[int], s: int,
     table[s] = (best, first)
 
 
-def grundy_coloring(g: Graph, limit: int = GRUNDY_DEFAULT_LIMIT) -> FFColoring:
+def grundy_coloring(g: Graph) -> FFColoring:
     """A greedy coloring attaining the maximum color count over all orders.
 
     Gamma(G[S]) = max over maximal independent I in S of 1 + Gamma(G[S - I]),
@@ -231,8 +231,8 @@ def grundy_coloring(g: Graph, limit: int = GRUNDY_DEFAULT_LIMIT) -> FFColoring:
     the first I that attains each maximum.
     """
     n = g.n
-    if n > limit:
-        raise TooLarge(f"exact Grundy recursion limited to {limit} vertices, got {n}")
+    if n > GRUNDY_LIMIT:
+        raise TooLarge(f"exact Grundy recursion limited to {GRUNDY_LIMIT} vertices, got {n}")
     nbr = [g.nbr_mask(v) for v in range(n)]
     closed = [m | 1 << v for v, m in enumerate(nbr)]
     s = (1 << n) - 1
@@ -247,6 +247,6 @@ def grundy_coloring(g: Graph, limit: int = GRUNDY_DEFAULT_LIMIT) -> FFColoring:
     return FFColoring(tuple(classes))
 
 
-def grundy_number(g: Graph, limit: int = GRUNDY_DEFAULT_LIMIT) -> int:
+def grundy_number(g: Graph) -> int:
     """Exact worst-case First-Fit color count over all presentation orders."""
-    return grundy_coloring(g, limit).color_count
+    return grundy_coloring(g).color_count

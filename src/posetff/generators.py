@@ -92,14 +92,7 @@ def gen_random_poset(rng: SplitMix64, n: int, density: float = 0.5) -> Poset:
     return build_poset(n, pairs)
 
 
-def gen_kk_free(
-    seed: int,
-    n: int,
-    k: int,
-    max_tries: int = 100,
-    density: float = 0.5,
-    budget: int | None = None,
-) -> Poset:
+def gen_kk_free(seed: int, n: int, k: int, max_tries: int = 100, density: float = 0.5) -> Poset:
     """Rejection-sample random posets until the complete k+k search returns none.
 
     Raises GaveUp after max_tries rejected candidates.
@@ -109,7 +102,7 @@ def gen_kk_free(
     rng = SplitMix64(seed)
     for _ in range(max_tries):
         p = gen_random_poset(rng, n, density)
-        if find_k_plus_k(p, k, budget=budget) is None:
+        if find_k_plus_k(p, k) is None:
             return p
     raise GaveUp(f"no {k}+{k}-free instance within {max_tries} tries")
 

@@ -34,7 +34,7 @@ from .extension import (
     validate_path_decomposition,
 )
 from .firstfit import FFColoring, validate_ff_coloring
-from .order import Graph, incomparability_graph, interval_order_from_intervals, iter_bits
+from .order import Graph, _after, incomparability_graph, interval_order_from_intervals, iter_bits
 
 __all__ = [
     "Homomorphism",
@@ -47,7 +47,7 @@ __all__ = [
     "validate_homomorphism",
 ]
 
-PATHWIDTH_DEFAULT_LIMIT = 14
+PATHWIDTH_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -100,16 +100,9 @@ def build_ff_image(
     checked before returning.
     """
     if len(ic) != g.n:
-        raise InvalidColoring("completion and graph sizes differ")
+        raise InvalidDecomposition("completion and graph sizes differ")
     spans = ic.intervals
-    # spans meet when each begins by the other's right end; by left end, the
-    # vertices begun by a right end are a prefix, so each edge is one mask test
-    by_left = sorted(range(g.n), key=spans.__getitem__)
-    lefts = [spans[v][0] for v in by_left]
-    begun = [0]
-    for v in by_left:
-        begun.append(begun[-1] | 1 << v)
-    if any(g.nbr_mask(u) & ~begun[bisect_right(lefts, b)] for u, (_, b) in enumerate(spans)):
+    if any(g.nbr_mask(u) & a for u, a in enumerate(_after(spans))):
         raise InvalidDecomposition("an edge of the graph joins two disjoint spans")
     if not validate_ff_coloring(g, coloring):
         raise InvalidColoring("input classes are not a First-Fit coloring")
@@ -186,7 +179,10 @@ def validate_homomorphism(g: Graph, h: Graph, f: Homomorphism) -> bool:
 
 
 def _separation_costs(g: Graph) -> list[int]:
+    """cost[S]: the least, over orderings of S, of the largest boundary of a prefix."""
     n = g.n
+    if n > PATHWIDTH_LIMIT:
+        raise TooLarge(f"subset DP limited to {PATHWIDTH_LIMIT} vertices, got {n}")
     nbr = [g.nbr_mask(v) for v in range(n)]
     size = 1 << n
     cost = [0] * size
@@ -208,25 +204,17 @@ def _separation_costs(g: Graph) -> list[int]:
     return cost
 
 
-def pathwidth_exact(g: Graph, limit: int = PATHWIDTH_DEFAULT_LIMIT) -> int:
+def pathwidth_exact(g: Graph) -> int:
     """Exact pathwidth via the vertex-separation dynamic program over subsets."""
-    if g.n > limit:
-        raise TooLarge(f"subset DP limited to {limit} vertices, got {g.n}")
-    if g.n == 0:
-        return 0
-    return _separation_costs(g)[(1 << g.n) - 1]
+    return _separation_costs(g)[-1]
 
 
-def path_decomposition_exact(
-    g: Graph, limit: int = PATHWIDTH_DEFAULT_LIMIT
-) -> PathDecomposition:
+def path_decomposition_exact(g: Graph) -> PathDecomposition:
     """An optimal path decomposition recovered from the separation DP."""
-    if g.n > limit:
-        raise TooLarge(f"subset DP limited to {limit} vertices, got {g.n}")
+    cost = _separation_costs(g)
     n = g.n
     if n == 0:
         return PathDecomposition(())
-    cost = _separation_costs(g)
     nbr = [g.nbr_mask(v) for v in range(n)]
     layout: list[int] = []
     mask = (1 << n) - 1

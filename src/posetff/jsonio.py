@@ -115,11 +115,8 @@ def poset_from_dict(d: dict) -> Poset:
     return build_poset(n, relations, names)
 
 
-def graph_to_dict(g: Graph, meta: dict | None = None) -> dict:
-    d: dict[str, Any] = {"n": g.n, "edges": [list(e) for e in g.edges()]}
-    if meta is not None:
-        d["meta"] = meta
-    return d
+def graph_to_dict(g: Graph) -> dict:
+    return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
 def graph_from_dict(d: dict) -> Graph:

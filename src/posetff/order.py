@@ -17,8 +17,7 @@ disjoint with every cross pair incomparable iff neither bottom lies below
 the other chain's top, so it needs only each element's k-chain tops (a
 boolean power of the successor relation, by binary exponentiation) and one
 more pass that ORs their non-predecessor masks: O(log k) passes of n²/8
-lookups in all.  Its budget caps the mask rows built, n on entry plus n per
-pass.
+lookups in all, a cost fixed by n and k before the search starts.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    BudgetExhausted,
     CycleError,
     IdOutOfRange,
     InternalError,
@@ -383,27 +381,34 @@ def interval_order_from_intervals(
         if left > right:
             raise MalformedInterval(f"interval {t!r} has left > right")
         spans.append((left, right))
-    # u < v iff right_u < left_v: with ids sorted by left end, the successors
-    # of u are the suffix that starts after bisect_right(lefts, right_u)
+    return Poset(len(spans), _after(spans), names)
+
+
+def _after(spans: Sequence[tuple[float, float]]) -> list[int]:
+    """For each span, the mask of the spans that begin after it ends.
+
+    With ids sorted by left end, the spans that begin after a right end are
+    the suffix that starts at bisect_right(lefts, right).  Closed spans meet
+    exactly when neither begins after the other ends.
+    """
     n = len(spans)
     by_left = sorted(range(n), key=lambda v: spans[v][0])
     lefts = [spans[v][0] for v in by_left]
     suffix = [0] * (n + 1)
     for pos in range(n - 1, -1, -1):
         suffix[pos] = suffix[pos + 1] | (1 << by_left[pos])
-    succ = [suffix[bisect_right(lefts, right)] for _, right in spans]
-    return Poset(n, succ, names)
+    return [suffix[bisect_right(lefts, right)] for _, right in spans]
 
 
-def chain_poset(n: int, names: Sequence[str] | None = None) -> Poset:
+def chain_poset(n: int) -> Poset:
     """Total order 0 < 1 < ... < n-1."""
     full = (1 << n) - 1
-    return Poset(n, [full & ~((1 << (u + 1)) - 1) for u in range(n)], names)
+    return Poset(n, [full & ~((1 << (u + 1)) - 1) for u in range(n)])
 
 
-def antichain_poset(n: int, names: Sequence[str] | None = None) -> Poset:
+def antichain_poset(n: int) -> Poset:
     """n pairwise incomparable elements."""
-    return Poset(n, [0] * n, names)
+    return Poset(n, [0] * n)
 
 
 # -- width, Dilworth --------------------------------------------------------
@@ -569,7 +574,7 @@ def _chain_between(p: Poset, x: int, y: int, k: int) -> Chain:
     return Chain(tuple(reversed(down)))
 
 
-def find_k_plus_k(p: Poset, k: int, budget: int | None = None) -> KkWitness | None:
+def find_k_plus_k(p: Poset, k: int) -> KkWitness | None:
     """Search for two disjoint k-chains with all cross pairs incomparable.
 
     The search is complete and rests on an endpoint lemma: for k >= 2, two
@@ -589,25 +594,12 @@ def find_k_plus_k(p: Poset, k: int, budget: int | None = None) -> KkWitness | No
     least top over x not above x', y' the least top over x' not above x,
     and each chain is peeled from its open interval.  For k = 1 it is the
     least element u with an incomparable element and u's least such v.
-
-    ``budget`` caps the mask rows built: n for the successor rows read on
-    entry plus n per pass.  A search that would exceed it raises
-    BudgetExhausted before it starts (distinct from a completed search
-    returning None); a negative budget raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
     n = p.n
     if 2 * k > n:
         return None
-    # the tops' passes plus one for R
-    passes = (k - 1).bit_length() + (k - 1).bit_count() - 1 if k > 1 else 0
-    if budget is not None and n * (1 + passes) > budget:
-        raise BudgetExhausted(
-            f"k+k search needs {n * (1 + passes)} mask rows, budget is {budget}"
-        )
     if k == 1:
         u = next((u for u in range(n) if p.inc_mask(u)), None)
         if u is None:

@@ -148,7 +148,7 @@ class TestBuildFFImage:
     def test_completion_of_another_size_is_rejected(self):
         g = path_graph(3)
         coloring = first_fit_color(g, PresentationOrder.identity(3))
-        with pytest.raises(InvalidColoring, match="completion and graph sizes differ"):
+        with pytest.raises(InvalidDecomposition, match="completion and graph sizes differ"):
             build_ff_image(g, IntervalRepresentation(((1, 1),)), coloring)
 
     def test_completion_missing_an_edge_is_rejected(self):
@@ -372,7 +372,7 @@ class TestValidateHomomorphism:
             best = grundy_coloring(g)
             image, _ = build_ff_image(g, ic, best)
             assert validate_ff_coloring(image.h, image.coloring())
-            assert grundy_number(image.h, limit=image.h.n) >= best.color_count
+            assert grundy_number(image.h) >= best.color_count
 
 
 class TestValidateHomomorphismAgreesWithOracle:

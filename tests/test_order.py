@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from posetff import (
     Antichain,
-    BudgetExhausted,
     Chain,
     CycleError,
     Graph,
@@ -281,24 +280,6 @@ class TestFindKPlusK:
     def test_kierstead_has_no_long_pattern(self):
         for q in (2, 3, 4):
             assert find_k_plus_k(kierstead(q).poset, q + 1) is None
-
-    def test_budget_exhaustion_is_distinct(self):
-        p = antichain_poset(8)
-        with pytest.raises(BudgetExhausted):
-            find_k_plus_k(p, 2, budget=1)
-
-    @pytest.mark.parametrize("k, rows", [(2, 16), (3, 24), (4, 32)])
-    def test_budget_counts_mask_rows(self, k, rows):
-        # n = 8 rows read on entry, 8 per pass: k - 1 = 1, 2, 3 take 0, 1, 2
-        # passes for the tops and one more for the non-predecessor OR
-        p = antichain_poset(8)
-        find_k_plus_k(p, k, budget=rows)
-        with pytest.raises(BudgetExhausted):
-            find_k_plus_k(p, k, budget=rows - 1)
-
-    def test_negative_budget_is_rejected(self):
-        with pytest.raises(ValueError, match="budget must be non-negative"):
-            find_k_plus_k(antichain_poset(8), 2, budget=-1)
 
     def test_k_one(self):
         assert find_k_plus_k(chain_poset(4), 1) is None
