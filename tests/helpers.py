@@ -6,6 +6,7 @@ the fast implementations are checked against something they do not share
 code with.
 """
 
+import random
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
@@ -92,6 +93,18 @@ def graphs_with_orders(draw, max_n=8):
     g = draw(graphs(max_n=max_n))
     order = draw(st.permutations(range(g.n)))
     return g, PresentationOrder(tuple(order))
+
+
+@st.composite
+def dense_graphs_with_orders(draw, max_n=80):
+    """Graphs in which each pair is an edge with probability at least 1/2,
+    up to the complete graph, so greedy colorings use many classes; with a
+    random order.  Edges and order come from one drawn seed."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    density = draw(st.sampled_from((0.5, 0.8, 0.9, 0.97, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
+    return Graph(n, edges), PresentationOrder(tuple(rng.sample(range(n), n)))
 
 
 CORRUPTIONS = ("none", "move", "merge", "swap", "empty", "drop", "repeat", "outside")

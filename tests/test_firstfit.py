@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from helpers import (
     brute_first_fit_color,
     brute_grundy,
     corrupted_parts,
+    dense_graphs_with_orders,
     graphs,
     graphs_with_orders,
     minus_perfect_matching,
@@ -92,6 +94,39 @@ class TestEnginesAgreeWithOracles:
     @given(graphs_with_orders(max_n=12))
     @settings(max_examples=200, deadline=None)
     def test_ff_color(self, pair):
+        g, order = pair
+        assert first_fit_color(g, order).classes == brute_first_fit_color(g, order)
+
+    # the runs below use up to 80 classes, so the class count crosses every
+    # power of two from 1 to 64
+
+    def test_complete_graphs_in_shuffled_orders(self):
+        rng = random.Random(0)
+        for n in range(71):
+            g = complete_graph(n)
+            for _ in range(3):
+                order = PresentationOrder(tuple(rng.sample(range(n), n)))
+                assert first_fit_color(g, order).classes == brute_first_fit_color(g, order), n
+
+    @pytest.mark.parametrize("sizes", [
+        (1,), (2, 2), (17, 3, 16), (33, 32, 1), (8,) * 9, (65, 5, 64), (3,) * 20,
+    ])
+    def test_disjoint_cliques_in_shuffled_orders(self, sizes):
+        edges, start = [], 0
+        for size in sizes:
+            edges += [(start + a, start + b) for a in range(size) for b in range(a + 1, size)]
+            start += size
+        g = Graph(start, edges)
+        rng = random.Random(start)
+        for _ in range(3):
+            order = PresentationOrder(tuple(rng.sample(range(start), start)))
+            classes = first_fit_color(g, order).classes
+            assert classes == brute_first_fit_color(g, order)
+            assert len(classes) == max(sizes)
+
+    @given(dense_graphs_with_orders(max_n=80))
+    @settings(max_examples=100, deadline=None)
+    def test_ff_color_on_dense_graphs(self, pair):
         g, order = pair
         assert first_fit_color(g, order).classes == brute_first_fit_color(g, order)
 
