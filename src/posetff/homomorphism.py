@@ -17,13 +17,15 @@ the image H is built from suffix masks by ``interval_order_from_intervals``;
 entry check that every edge joins meeting spans is one sort and n mask
 tests.  Of the post-checks, ``validate_ff_coloring`` is one mask test per
 class, and ``validate_homomorphism`` is O(n) ORs plus, for each image
-vertex x, min(deg x, |V(H)| - 1 - deg x) more.
+vertex x, min(deg x, |V(H)| - 1 - deg x) more, whose operands
+``itertools.compress`` selects in C.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .errors import InternalError, InvalidColoring, InvalidDecomposition, TooLarge
@@ -48,6 +50,7 @@ __all__ = [
 ]
 
 PATHWIDTH_LIMIT = 14
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # a bit string's digits as 0/1 bytes
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,8 @@ def validate_homomorphism(g: Graph, h: Graph, f: Homomorphism) -> bool:
     With pre[x] the vertices sent to x, an edge of g leaves x's preimage
     only for the preimage of a neighbour of x in h.  So the union of the
     preimage's neighbourhoods is tested once against the preimages of x's
-    neighbours, ORed from whichever side of x's neighbourhood is smaller.
+    neighbours, ORed from whichever side of x's neighbourhood is smaller;
+    ``itertools.compress`` picks that side's preimages out of the list.
     """
     m = f.mapping
     if len(m) != g.n:
@@ -167,12 +171,15 @@ def validate_homomorphism(g: Graph, h: Graph, f: Homomorphism) -> bool:
     vertices = (1 << h.n) - 1
     for x, reach in enumerate(touched):
         # OR the smaller side: the neighbours, whose preimages reach may meet,
-        # or the non-neighbours, x among them, whose preimages it must avoid
+        # or the non-neighbours, x among them, whose preimages it must avoid.
+        # The side's bit string, lowest bit first, as one 0/1 byte per vertex
+        # selects their preimages in C, and ends at the side's top bit
         nbr = h.nbr_mask(x)
         allowed = 2 * nbr.bit_count() < h.n
+        side = bin(nbr if allowed else vertices & ~nbr)[:1:-1].encode().translate(_BIT_BYTES)
         union = 0
-        for y in iter_bits(nbr if allowed else vertices & ~nbr):
-            union |= pre[y]
+        for y in compress(pre, side):
+            union |= y
         if reach & (~union if allowed else union):
             return False
     return True

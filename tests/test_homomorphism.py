@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -409,6 +410,39 @@ class TestValidateHomomorphismAgreesWithOracle:
         h = Graph(hn, sorted({(a, b) for a, b in (image | extra) - dropped if a < b < hn}))
         f = Homomorphism(tuple(mapping))
         assert outcome(validate_homomorphism, g, h, f) == outcome(brute_homomorphism_ok, g, h, f)
+
+    # Each image vertex x ORs the preimages of the smaller side of its
+    # neighbourhood, picked by that side's bit string.  An edgeless h gives
+    # every x the empty neighbour side, bin(0).  A complete h gives x the
+    # non-neighbour side {x}, a string shorter than the preimage list for
+    # x < h.n - 1.  A star's centre takes the non-neighbour side {0} and its
+    # leaves the neighbour side {0}.  Random h mix both sides at every length.
+    @pytest.mark.parametrize("hn", [1, 7, 8, 9, 17])
+    @pytest.mark.parametrize("shape", ["edgeless", "complete", "star", "sparse", "dense"])
+    def test_both_sides_of_each_neighbourhood(self, hn, shape):
+        rng = random.Random(hn)
+        pairs = list(combinations(range(hn), 2))
+        h = Graph(hn, {
+            "edgeless": [],
+            "complete": pairs,
+            "star": [(0, x) for x in range(1, hn)],
+            "sparse": [e for e in pairs if rng.random() < 0.25],
+            "dense": [e for e in pairs if rng.random() < 0.75],
+        }[shape])
+        for trial in range(60):
+            # a surjective map that hits some vertex twice, and g holds each
+            # pair over an edge of h with probability 1/2; every other trial
+            # adds one pair that collapses onto one vertex or lands on a non-edge
+            mapping = list(range(hn)) + [rng.randrange(hn) for _ in range(rng.randrange(1, 8))]
+            rng.shuffle(mapping)
+            over_edge = {(u, v): h.adjacent(mapping[u], mapping[v])
+                         for u, v in combinations(range(len(mapping)), 2)}
+            edges = {e for e, ok in over_edge.items() if ok and rng.random() < 0.5}
+            if trial % 2:
+                edges.add(rng.choice([e for e, ok in over_edge.items() if not ok]))
+            g = Graph(len(mapping), sorted(edges))
+            f = Homomorphism(tuple(mapping))
+            assert validate_homomorphism(g, h, f) == brute_homomorphism_ok(g, h, f) == (trial % 2 == 0)
 
     @given(graphs_with_orders(max_n=7), st.data())
     @settings(max_examples=150, deadline=None)
