@@ -124,14 +124,14 @@ def first_fit_color(g: Graph, order: PresentationOrder) -> FFColoring:
     """Greedy proper coloring in the given order; classes come out 1-based.
 
     ``tree`` is an implicit binary tree over class slots: node 1 is the
-    root, node i has children 2i and 2i + 1, and the ``leaves`` leaves are
-    nodes leaves..2 leaves - 1.  Leaf j holds the union of class j's
-    neighbour masks, 0 while class j is unused; an inner node holds the AND
-    of its children, so a node lacks bit v iff some class below it has no
+    root, node i has children 2i and 2i + 1, and leaf j is node
+    ``leaves + j``.  Leaf j holds the union of class j's neighbour masks,
+    0 while class j is unused; an inner node holds the AND of its
+    children, so a node lacks bit v iff some class below it has no
     neighbour of v.  At least one slot stays unused, so the root is 0 and
-    one descent, going left whenever the left child lacks bit v, ends at the
-    least class v may join.  Masks only grow, so the ascent stops at the
-    first ancestor that keeps its value.
+    one descent, going left whenever the left child lacks bit v, ends at
+    the least class v may join.  Masks only grow, so the ascent stops at
+    the first ancestor that keeps its value.
     """
     if len(order) != g.n:
         raise ValueError(f"order covers {len(order)} vertices, graph has {g.n}")

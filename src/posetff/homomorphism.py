@@ -171,9 +171,8 @@ def validate_homomorphism(g: Graph, h: Graph, f: Homomorphism) -> bool:
     vertices = (1 << h.n) - 1
     for x, reach in enumerate(touched):
         # OR the smaller side: the neighbours, whose preimages reach may meet,
-        # or the non-neighbours, x among them, whose preimages it must avoid.
-        # The side's bit string, lowest bit first, as one 0/1 byte per vertex
-        # selects their preimages in C, and ends at the side's top bit
+        # or the non-neighbours, x among them, whose preimages it must avoid;
+        # the side's bit string, lowest bit first, ends at its top bit
         nbr = h.nbr_mask(x)
         allowed = 2 * nbr.bit_count() < h.n
         side = bin(nbr if allowed else vertices & ~nbr)[:1:-1].encode().translate(_BIT_BYTES)
