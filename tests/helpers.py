@@ -228,6 +228,25 @@ def brute_grundy(g):
     return best if g.n else 0
 
 
+def brute_pathwidth(g):
+    """Vertex separation by a full permutation sweep; usable to n ~ 7.
+
+    The boundary of a prefix of an order is its vertices with a neighbour
+    after it; the pathwidth is the least, over all orders, of the largest
+    prefix boundary (Kinnersley's vertex separation number).
+    """
+    nbrs = [[v for v in range(g.n) if g.adjacent(u, v)] for u in range(g.n)]
+    best = g.n
+    for perm in permutations(range(g.n)):
+        pos = {v: i for i, v in enumerate(perm)}
+        # u is on the boundary of the first i vertices when pos[u] < i <= last[u]
+        last = [max((pos[v] for v in nbrs[u]), default=-1) for u in range(g.n)]
+        worst = max((sum(pos[u] < i <= last[u] for u in range(g.n)) for i in range(1, g.n + 1)),
+                    default=0)
+        best = min(best, worst)
+    return best
+
+
 def brute_first_fit_chains(p, order):
     """First-Fit chain partitioning, pair by pair: each element joins the
     least chain whose members are all comparable to it.  Returns the 1-based

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import random
 from itertools import combinations
 
@@ -18,8 +20,11 @@ from posetff import (
     TooLarge,
     block_sequence,
     build_ff_image,
+    canonical_dumps,
+    complete_bipartite_graph,
     complete_graph,
     complete_multipartite_graph,
+    cycle_graph,
     decomposition_from_blocks,
     empty_graph,
     first_fit_color,
@@ -44,6 +49,7 @@ from helpers import (
     brute_homomorphism_ok,
     brute_interval_clique_number,
     brute_interval_graph,
+    brute_pathwidth,
     graphs,
     graphs_with_orders,
     outcome,
@@ -293,6 +299,25 @@ class TestBuildFFImage:
                         assert bx < ay or by < ax
 
 
+def grid_graph(rows, cols):
+    """The rows x cols grid, vertex c * rows + r at row r and column c."""
+    edges = [(v, v + 1) for v in range(rows * cols) if v % rows < rows - 1]
+    return Graph(rows * cols, edges + [(v, v + rows) for v in range(rows * (cols - 1))])
+
+
+def pinned_pathwidth_graphs():
+    """Past the golden quotient cases' n <= 10: seeded graphs at n = 11-14 with
+    densities 0.1-0.95, then C14, the 2 x 7 grid and K7,7."""
+    seeded = [gen_graph(i, 11 + i % 4, 0.1 + 0.85 * i / 20) for i in range(21)]
+    return seeded + [cycle_graph(14), grid_graph(2, 7), complete_bipartite_graph(7, 7)]
+
+
+# sha256 of the canonical JSON list of path_decomposition_exact's bags over
+# pinned_pathwidth_graphs(); the recovery takes the lowest vertex that keeps
+# the optimum, so any exact-cost table gives these bytes
+PINNED_BAGS_SHA256 = "fa9dd4412deb11426277d345f5dbbe10334e9c601af4da89a2e9d40fc2859192"
+
+
 class TestPathwidthExact:
     def test_path(self):
         assert pathwidth_exact(path_graph(6)) == 1
@@ -333,6 +358,37 @@ class TestPathwidthExact:
             g = gen_graph(seed, 8, 0.35)
             pd = path_decomposition_exact(g)
             assert pd.width == pathwidth_exact(g)
+
+    def test_spot_values_at_the_limit(self):
+        for g, width in ((cycle_graph(14), 2), (path_graph(14), 1), (grid_graph(2, 7), 2),
+                         (complete_bipartite_graph(7, 7), 7), (complete_graph(14), 13)):
+            assert pathwidth_exact(g) == width
+            assert path_decomposition_exact(g).width == width
+
+    def test_pinned_bags_up_to_the_limit(self):
+        bags = []
+        for g in pinned_pathwidth_graphs():
+            pd = path_decomposition_exact(g)
+            assert pd.width == pathwidth_exact(g)
+            bags.append([list(b) for b in pd.bags])
+        assert hashlib.sha256(canonical_dumps(bags).encode()).hexdigest() == PINNED_BAGS_SHA256
+
+    @given(graphs(max_n=7))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_permutation_sweep(self, g):
+        assert pathwidth_exact(g) == brute_pathwidth(g)
+
+    @pytest.mark.parametrize("oracle", [pathwidth_exact, path_decomposition_exact, grundy_coloring])
+    def test_leaves_no_reference_cycle(self, oracle):
+        # each memo table must be freed with the call, not left to the collector
+        g = gen_graph(3, 12, 0.4)
+        gc.collect()
+        gc.disable()
+        try:
+            oracle(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_failed_certificate_raises_internal_error(self, monkeypatch):
         monkeypatch.setattr(homomorphism_module, "validate_path_decomposition", lambda *a: False)
