@@ -184,44 +184,64 @@ def validate_homomorphism(g: Graph, h: Graph, f: Homomorphism) -> bool:
     return True
 
 
-def _separation_costs(g: Graph) -> list[int]:
-    """cost[S]: the least, over orderings of S, of the largest boundary of a prefix."""
+def _fill_separation(nbr: list[int], s: int, reach: int, table: dict[int, int]) -> int:
+    """Set and return table[s] = cost(S), filling what it needs below S.
+
+    cost(S) = max(|dS|, min over v in S of cost(S - v)): the least, over
+    orderings of S, of the largest boundary of a prefix.  The boundary dS is
+    S ANDed with ``reach``, the union of the neighbour masks outside S,
+    which each child extends by the neighbours of the vertex it drops.  No
+    child brings the cost below |dS|, so the min stops, lowest v first, at
+    the first child that costs no more.  A module-level function rather
+    than a closure, so the table is freed as soon as the caller drops it.
+    """
+    boundary = (s & reach).bit_count()
+    best = s.bit_length()  # above every child's cost, at most |S| - 1
+    m = s
+    while m:
+        low = m & -m
+        m ^= low
+        cost = table.get(s ^ low)
+        if cost is None:
+            cost = _fill_separation(nbr, s ^ low, reach | nbr[low.bit_length() - 1], table)
+        if cost <= boundary:
+            best = boundary
+            break
+        if cost < best:
+            best = cost
+    table[s] = best
+    return best
+
+
+def _separation_costs(g: Graph) -> tuple[list[int], dict[int, int]]:
+    """The neighbour masks and a cost table filled top-down from the full set."""
     n = g.n
     if n > PATHWIDTH_LIMIT:
         raise TooLarge(f"subset DP limited to {PATHWIDTH_LIMIT} vertices, got {n}")
     nbr = [g.nbr_mask(v) for v in range(n)]
-    size = 1 << n
-    cost = [0] * size
-    for mask in range(1, size):
-        boundary = 0
-        rest = ~mask
-        best = None
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if nbr[v] & rest:
-                boundary += 1
-            prev = cost[mask ^ low]
-            if best is None or prev < best:
-                best = prev
-        cost[mask] = boundary if boundary > best else best
-    return cost
+    table = {0: 0}
+    if n:
+        _fill_separation(nbr, (1 << n) - 1, 0, table)
+    return nbr, table
 
 
 def pathwidth_exact(g: Graph) -> int:
-    """Exact pathwidth via the vertex-separation dynamic program over subsets."""
-    return _separation_costs(g)[-1]
+    """Exact pathwidth as the vertex separation number, by the memoised
+    top-down recursion over vertex subsets that stops at the boundary."""
+    return _separation_costs(g)[1][(1 << g.n) - 1]
 
 
 def path_decomposition_exact(g: Graph) -> PathDecomposition:
-    """An optimal path decomposition recovered from the separation DP."""
-    cost = _separation_costs(g)
+    """An optimal path decomposition recovered from the separation costs.
+
+    From the full set down, each step drops the lowest v whose removal
+    keeps the cost.  The recursion tried S's children lowest first and
+    stopped only at such a v, so every entry read here is filled.
+    """
+    nbr, cost = _separation_costs(g)
     n = g.n
     if n == 0:
         return PathDecomposition(())
-    nbr = [g.nbr_mask(v) for v in range(n)]
     layout: list[int] = []
     mask = (1 << n) - 1
     while mask:
