@@ -378,9 +378,9 @@ class TestPathwidthExact:
     def test_matches_full_permutation_sweep(self, g):
         assert pathwidth_exact(g) == brute_pathwidth(g)
 
-    @pytest.mark.parametrize("oracle", [pathwidth_exact, path_decomposition_exact, grundy_coloring])
+    @pytest.mark.parametrize("oracle", [pathwidth_exact, path_decomposition_exact])
     def test_leaves_no_reference_cycle(self, oracle):
-        # each memo table must be freed with the call, not left to the collector
+        # the memo table must be freed with the call, not left to the collector
         g = gen_graph(3, 12, 0.4)
         gc.collect()
         gc.disable()
