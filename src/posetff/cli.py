@@ -15,7 +15,7 @@ import time
 
 from .adversary import kierstead, stacked
 from .errors import InternalError, PosetFFError
-from .extension import block_sequence, decomposition_from_blocks, interval_order_of
+from .extension import block_sequence, decomposition_from_blocks, spans_from_blocks
 from .firstfit import PresentationOrder, first_fit_chains, validate_ff_partition
 from .generators import SplitMix64, gen_interval_order, gen_kk_free
 from .jsonio import (
@@ -31,7 +31,7 @@ from .jsonio import (
     witness_to_dict,
     write_json,
 )
-from .order import KkWitness
+from .order import KkWitness, interval_order_from_intervals
 
 CSV_COLUMNS = ["kind", "params", "n", "width", "k", "ff_chains", "bound", "pd_width", "seconds"]
 DEFAULT_KKFREE_DENSITY = 0.5
@@ -65,9 +65,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _emit(poset_to_dict(p, meta=meta), args.out)
     elif args.family == "kkfree":
         meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
-                "density": args.density}
-        p = gen_kk_free(args.seed, args.n, args.k, max_tries=args.max_tries,
-                        density=args.density)
+                "density": DEFAULT_KKFREE_DENSITY}
+        p = gen_kk_free(args.seed, args.n, args.k, density=DEFAULT_KKFREE_DENSITY)
         _emit(poset_to_dict(p, meta=meta), args.out)
     return 0
 
@@ -77,10 +76,7 @@ def cmd_ff(args: argparse.Namespace) -> int:
     order = order_from_dict(read_json(args.order))
     res = first_fit_chains(p, order)
     print(f"ff chains={res.chain_count} n={p.n}")
-    if args.out:
-        write_json(ff_result_to_dict(res), args.out)
-    else:
-        sys.stdout.write(canonical_dumps(ff_result_to_dict(res)))
+    _emit(ff_result_to_dict(res), args.out)
     if args.validate and not validate_ff_partition(p, res.partition):
         print("validation failed: output is not a First-Fit chain partition", file=sys.stderr)
         return 1
@@ -92,9 +88,9 @@ def cmd_ff(args: argparse.Namespace) -> int:
 
 def cmd_extend(args: argparse.Namespace) -> int:
     p = poset_from_dict(read_json(args.poset))
-    got = interval_order_of(p, args.k)
-    if isinstance(got, KkWitness):
-        payload = witness_to_dict(got)
+    seq = block_sequence(p, args.k)
+    if isinstance(seq, KkWitness):
+        payload = witness_to_dict(seq)
         sys.stdout.write(canonical_dumps(payload))
         if args.out_witness:
             write_json(payload, args.out_witness)
@@ -102,13 +98,14 @@ def cmd_extend(args: argparse.Namespace) -> int:
     # the slide's Dilworth partition has width(p) chains, and an antichain of
     # q is a set of pairwise-intersecting spans, all inside one block, so
     # width(q) is the largest bag's size
-    w = len(got.sequence.partition)
-    pd = decomposition_from_blocks(got.sequence)
+    w = len(seq.partition)
+    pd = decomposition_from_blocks(seq)
+    spans = spans_from_blocks(seq)
     print(f"width_q={pd.width + 1} bound={(2 * args.k - 3) * w} pd_width={pd.width}")
     if args.out_order:
-        write_json(poset_to_dict(got.order), args.out_order)
+        write_json(poset_to_dict(interval_order_from_intervals(spans, p.names)), args.out_order)
     if args.out_intervals:
-        write_json(intervals_to_dict(got.representation), args.out_intervals)
+        write_json(intervals_to_dict(spans), args.out_intervals)
     if args.out_pd:
         write_json(pd_to_dict(pd), args.out_pd)
     return 0
@@ -210,8 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g_f.add_argument("--n", type=int, required=True)
     g_f.add_argument("--k", type=int, required=True)
     g_f.add_argument("--seed", type=int, default=0)
-    g_f.add_argument("--max-tries", type=int, default=100)
-    g_f.add_argument("--density", type=float, default=DEFAULT_KKFREE_DENSITY)
     g_f.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_gen)
 

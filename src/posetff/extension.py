@@ -29,17 +29,14 @@ from .order import (
     Poset,
     _after,
     dilworth_partition,
-    interval_order_from_intervals,
 )
 
 __all__ = [
     "BlockMove",
     "BlockSequence",
-    "IntervalRepresentation",
-    "IntervalExtension",
     "PathDecomposition",
     "block_sequence",
-    "interval_order_of",
+    "spans_from_blocks",
     "decomposition_from_blocks",
     "validate_path_decomposition",
 ]
@@ -228,25 +225,6 @@ class BlockSequence:
 
 
 @dataclass(frozen=True)
-class IntervalRepresentation:
-    """Per element, the closed 1-based range of block indices containing it."""
-
-    intervals: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-
-@dataclass(frozen=True)
-class IntervalExtension:
-    """An interval order the input extends, with its representation and blocks."""
-
-    order: Poset
-    representation: IntervalRepresentation
-    sequence: BlockSequence
-
-
-@dataclass(frozen=True)
 class PathDecomposition:
     """An ordered bag sequence; width is max bag size minus one."""
 
@@ -285,15 +263,16 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
     return BlockSequence(partition=cp, first=first, moves=tuple(moves))
 
 
-def interval_order_of(p: Poset, k: int) -> IntervalExtension | KkWitness:
-    """The interval order of block membership spans, which the input extends."""
-    seq = block_sequence(p, k)
-    if isinstance(seq, KkWitness):
-        return seq
-    # an element enters in block 1 or when admitted, and leaves when removed
-    # or after the last block, so its span is read straight off the moves
-    first = [0] * p.n
-    last = [len(seq)] * p.n
+def spans_from_blocks(seq: BlockSequence) -> tuple[tuple[int, int], ...]:
+    """Per element, the closed 1-based range of blocks containing it.
+
+    The interval order of these spans is the extension of the input.  An
+    element enters in block 1 or when admitted, and leaves when removed or
+    after the last block, so its span is read straight off the moves.
+    """
+    n = sum(len(c.elements) for c in seq.partition.chains)
+    first = [0] * n
+    last = [len(seq)] * n
     for (lo, hi), chain in zip(seq.first, seq.partition.chains):
         for e in chain.elements[lo:hi]:
             first[e] = 1
@@ -302,10 +281,7 @@ def interval_order_of(p: Poset, k: int) -> IntervalExtension | KkWitness:
         first[mv.added] = t + 1
     if 0 in first:
         raise InternalError(f"element {first.index(0)} never entered any block")
-    intervals = tuple(zip(first, last))
-    rep = IntervalRepresentation(intervals)
-    q = interval_order_from_intervals(intervals, names=p.names)
-    return IntervalExtension(order=q, representation=rep, sequence=seq)
+    return tuple(zip(first, last))
 
 
 def decomposition_from_blocks(seq: BlockSequence) -> PathDecomposition:

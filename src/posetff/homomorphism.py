@@ -1,8 +1,8 @@
 """Collapsing greedy color classes inside an interval completion.
 
 A path decomposition turns a graph into a spanning subgraph of an
-interval graph: ``interval_completion`` returns each vertex's bag span as
-an ``IntervalRepresentation``.  Within each greedy color class, the
+interval graph: ``interval_completion`` returns each vertex's closed bag
+span as a tuple of pairs.  Within each greedy color class, the
 components of the completed graph merge into single interval vertices; the
 quotient is an interval graph with no larger clique than the completion,
 the quotient map preserves edges, and the transported classes are again a
@@ -35,12 +35,7 @@ from itertools import compress
 from typing import Sequence
 
 from .errors import InternalError, InvalidColoring, InvalidDecomposition, TooLarge
-from .extension import (
-    IntervalRepresentation,
-    PathDecomposition,
-    _valid_spans,
-    validate_path_decomposition,
-)
+from .extension import PathDecomposition, _valid_spans, validate_path_decomposition
 from .firstfit import FFColoring, validate_ff_coloring
 from .order import Graph, _after, incomparability_graph, interval_order_from_intervals, iter_bits
 
@@ -78,12 +73,12 @@ class FFImage:
         return FFColoring(tuple(frozenset(z) for z in self.classes))
 
 
-def interval_completion(g: Graph, pd: PathDecomposition) -> IntervalRepresentation:
+def interval_completion(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int], ...]:
     """Read off each vertex's first and last bag as its interval."""
     spans = _valid_spans(g, pd)
     if spans is None:
         raise InvalidDecomposition("path decomposition invalid for this graph")
-    return IntervalRepresentation(spans)
+    return spans
 
 
 def interval_clique_number(intervals: Sequence[tuple[int, int]]) -> int:
@@ -98,19 +93,18 @@ def interval_clique_number(intervals: Sequence[tuple[int, int]]) -> int:
 
 
 def build_ff_image(
-    g: Graph, ic: IntervalRepresentation, coloring: FFColoring
+    g: Graph, spans: Sequence[tuple[int, int]], coloring: FFColoring
 ) -> tuple[FFImage, Homomorphism]:
     """Merge completion components of every color class into interval vertices.
 
-    Every edge of g must join two meeting spans of ``ic``.  The resulting
+    Every edge of g must join two meeting ``spans``.  The resulting
     map is a surjective homomorphism, the image's clique number is at most
     the completion's, and the transported classes form a valid greedy
     coloring of the image with the same class count; all three facts are
     checked before returning.
     """
-    if len(ic) != g.n:
+    if len(spans) != g.n:
         raise InvalidDecomposition("completion and graph sizes differ")
-    spans = ic.intervals
     if any(g.nbr_mask(u) & a for u, a in enumerate(_after(spans))):
         raise InvalidDecomposition("an edge of the graph joins two disjoint spans")
     if not validate_ff_coloring(g, coloring):

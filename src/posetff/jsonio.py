@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .errors import FormatError
-from .extension import BlockSequence, IntervalRepresentation, PathDecomposition
+from .extension import BlockSequence, PathDecomposition
 from .firstfit import FFChainResult, PresentationOrder
 from .homomorphism import Homomorphism
 from .order import Graph, KkWitness, Poset, build_poset
@@ -138,12 +138,12 @@ def ff_result_to_dict(res: FFChainResult) -> dict:
     }
 
 
-def intervals_to_dict(rep: IntervalRepresentation) -> dict:
-    return {"intervals": [list(iv) for iv in rep.intervals]}
+def intervals_to_dict(spans: Sequence[tuple[int, int]]) -> dict:
+    return {"intervals": [list(iv) for iv in spans]}
 
 
-def intervals_from_dict(d: dict) -> IntervalRepresentation:
-    return IntervalRepresentation(tuple(_int_pairs_field(d, "intervals")))
+def intervals_from_dict(d: dict) -> tuple[tuple[int, int], ...]:
+    return tuple(_int_pairs_field(d, "intervals"))
 
 
 def block_trace_to_list(seq: BlockSequence) -> list[dict]:

@@ -20,6 +20,8 @@ from posetff import (
     PresentationOrder,
     build_poset,
     first_fit_color,
+    interval_order_from_intervals,
+    spans_from_blocks,
 )
 
 
@@ -349,6 +351,11 @@ def brute_width(p):
                 best = size
                 break
     return best
+
+
+def slide_order(p, seq):
+    """The interval order q of the slide's block spans, which p extends."""
+    return interval_order_from_intervals(spans_from_blocks(seq), p.names)
 
 
 def brute_interval_graph(spans):

@@ -26,7 +26,6 @@ from posetff import (
     incomparability_graph,
     interval_clique_number,
     interval_completion,
-    interval_order_of,
     is_extension,
     is_interval_order,
     kierstead,
@@ -40,7 +39,7 @@ from posetff import (
     width_with_witness,
 )
 from posetff.cli import main as cli_main
-from helpers import minus_perfect_matching
+from helpers import minus_perfect_matching, slide_order
 
 
 @contextmanager
@@ -104,13 +103,14 @@ def _extension_runs():
 def test_criterion_04_extension_certificates():
     with criterion("4 extension-certificates", 120.0):
         for p, k in _extension_runs():
-            ext = interval_order_of(p, k)
-            assert not isinstance(ext, KkWitness)
+            seq = block_sequence(p, k)
+            assert not isinstance(seq, KkWitness)
+            q = slide_order(p, seq)
             w, _ = width_with_witness(p)
-            wq, _ = width_with_witness(ext.order)
-            assert is_extension(p, ext.order)
+            wq, _ = width_with_witness(q)
+            assert is_extension(p, q)
             assert wq <= (2 * k - 3) * w
-            assert is_interval_order(ext.order)
+            assert is_interval_order(q)
 
 
 def test_criterion_05_path_decomposition_certificates():

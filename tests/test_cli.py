@@ -16,7 +16,6 @@ from posetff import (
     gen_interval_order,
     gen_kk_free,
     incomparability_graph,
-    interval_order_of,
     pd_from_dict,
     poset_from_dict,
     read_json,
@@ -25,6 +24,7 @@ from posetff import (
 )
 from posetff import cli
 from posetff.cli import main
+from helpers import slide_order
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -52,7 +52,7 @@ def check_extend_report(report, poset_file, q_file, pd_file, k):
 def check_bench_row(row, p, k):
     """width is width(p); pd_width + 1 is the width of the slide's interval order."""
     assert int(row["width"]) == width_with_witness(p)[0]
-    wq, _ = width_with_witness(interval_order_of(p, k).order)
+    wq, _ = width_with_witness(slide_order(p, block_sequence(p, k)))
     assert int(row["pd_width"]) + 1 == wq
 
 
@@ -97,6 +97,13 @@ def test_gen_kkfree_file(tmp_path):
         assert d["n"] == n
         assert d["meta"] == {"seed": seed, "kind": "kkfree", "n": n, "k": k, "density": 0.5}
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flag", ["--max-tries", "--density"])
+def test_gen_kkfree_has_no_tuning_flags(tmp_path, flag):
+    out = tmp_path / "kk.json"
+    assert run(["gen", "kkfree", "--n", 6, "--k", 3, flag, 1, "--out", out]) == 2
+    assert not out.exists()
 
 
 def test_gen_interval_range_meta(tmp_path):
@@ -161,6 +168,19 @@ def test_ff_writes_assignment(tmp_path):
     assert read_json(out) == {"chains": [[0, 1]], "assignment": [1, 1]}
 
 
+def test_ff_out_dash_writes_stdout(tmp_path, capsys, monkeypatch):
+    poset_file = tmp_path / "chain.json"
+    order_file = tmp_path / "ord.json"
+    poset_file.write_text('{"n": 2, "relations": [[0,1]]}')
+    order_file.write_text('{"order": [1,0]}')
+    monkeypatch.chdir(tmp_path)
+    assert run(["ff", "--poset", poset_file, "--order", order_file, "--out", "-"]) == 0
+    assert capsys.readouterr().out == (
+        'ff chains=1 n=2\n{"assignment":[1,1],"chains":[[0,1]]}\n'
+    )
+    assert not (tmp_path / "-").exists()
+
+
 def test_ff_missing_file_exit_2(tmp_path):
     assert run(["ff", "--poset", tmp_path / "nope.json",
                 "--order", tmp_path / "nope2.json"]) == 2
@@ -182,6 +202,36 @@ def test_extend_success(tmp_path, capsys):
     w, _ = width_with_witness(p)
     assert wq <= w
     assert len(read_json(iv_file)["intervals"]) == p.n
+
+
+def test_extend_builds_q_only_for_out_order(tmp_path, capsys, monkeypatch):
+    poset_file = tmp_path / "stacked.json"
+    run(["gen", "stacked", "--k", 4, "--w", 3, "--out", poset_file])
+    full, lean = tmp_path / "full", tmp_path / "lean"
+    full.mkdir()
+    lean.mkdir()
+    assert run(["extend", "--poset", poset_file, "--k", 4, "--out-order", full / "q.json",
+                "--out-intervals", full / "iv.json", "--out-pd", full / "pd.json"]) == 0
+    full_report = capsys.readouterr().out
+
+    def no_q(*args, **kwargs):
+        raise AssertionError("q built without --out-order")
+
+    monkeypatch.setattr(cli, "interval_order_from_intervals", no_q)
+    assert run(["extend", "--poset", poset_file, "--k", 4,
+                "--out-intervals", lean / "iv.json", "--out-pd", lean / "pd.json"]) == 0
+    assert capsys.readouterr().out == full_report
+    assert sorted(f.name for f in lean.iterdir()) == ["iv.json", "pd.json"]
+    for name in ("iv.json", "pd.json"):
+        assert (lean / name).read_bytes() == (full / name).read_bytes()
+
+
+def test_extend_order_keeps_names(tmp_path, capsys):
+    poset_file = tmp_path / "named.json"
+    poset_file.write_text('{"n": 3, "relations": [[0, 1]], "names": ["a", "b", "c"]}')
+    q_file = tmp_path / "q.json"
+    assert run(["extend", "--poset", poset_file, "--k", 2, "--out-order", q_file]) == 0
+    assert read_json(q_file)["names"] == ["a", "b", "c"]
 
 
 @pytest.mark.parametrize("doc, k", [

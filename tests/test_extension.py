@@ -24,17 +24,18 @@ from posetff import (
     gen_kk_free,
     gen_random_poset,
     incomparability_graph,
-    interval_order_of,
+    interval_completion,
     is_extension,
     is_interval_order,
     kierstead,
     path_graph,
+    spans_from_blocks,
     stacked,
     validate_path_decomposition,
     width_with_witness,
 )
 import posetff.extension as extension_module
-from helpers import graphs, posets
+from helpers import graphs, posets, slide_order, spined_posets
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
 
@@ -359,47 +360,66 @@ class TestBlockSequence:
 class TestIntervalOrderOf:
     def test_chain_maps_to_itself(self):
         p = chain_poset(6)
-        ext = interval_order_of(p, 2)
-        assert ext.order == p
+        assert slide_order(p, block_sequence(p, 2)) == p
 
     def test_antichain_maps_to_itself(self):
         p = antichain_poset(5)
-        ext = interval_order_of(p, 2)
-        assert ext.order == p
-        wq, _ = width_with_witness(ext.order)
+        q = slide_order(p, block_sequence(p, 2))
+        assert q == p
+        wq, _ = width_with_witness(q)
         assert wq == 5 == (2 * 2 - 3) * 5
 
     def test_postconditions_on_seeded_two_two_free(self):
         for seed in range(10):
             p = gen_interval_order(seed, 20 + 2 * seed)
-            ext = interval_order_of(p, 2)
+            seq = block_sequence(p, 2)
+            q = slide_order(p, seq)
             w, _ = width_with_witness(p)
-            wq, _ = width_with_witness(ext.order)
-            assert is_extension(p, ext.order)
-            assert is_interval_order(ext.order)
-            assert wq == decomposition_from_blocks(ext.sequence).width + 1 <= (2 * 2 - 3) * w
+            wq, _ = width_with_witness(q)
+            assert is_extension(p, q)
+            assert is_interval_order(q)
+            assert wq == decomposition_from_blocks(seq).width + 1 <= (2 * 2 - 3) * w
 
     def test_postconditions_on_seeded_three_free(self):
         for seed in range(5):
             p = gen_kk_free(seed, 16, 3)
-            ext = interval_order_of(p, 3)
-            assert not isinstance(ext, KkWitness)
+            seq = block_sequence(p, 3)
+            assert not isinstance(seq, KkWitness)
+            q = slide_order(p, seq)
             w, _ = width_with_witness(p)
-            wq, _ = width_with_witness(ext.order)
-            assert is_extension(p, ext.order)
-            assert is_interval_order(ext.order)
-            assert wq == decomposition_from_blocks(ext.sequence).width + 1 <= (2 * 3 - 3) * w
-
-    def test_witness_propagates(self):
-        got = interval_order_of(build_poset(4, TWO_PLUS_TWO), 2)
-        assert isinstance(got, KkWitness)
+            wq, _ = width_with_witness(q)
+            assert is_extension(p, q)
+            assert is_interval_order(q)
+            assert wq == decomposition_from_blocks(seq).width + 1 <= (2 * 3 - 3) * w
 
     def test_empty_poset(self):
-        p = build_poset(0, [])
-        ext = interval_order_of(p, 2)
-        assert ext.order.n == 0
-        assert ext.representation.intervals == ()
-        assert len(ext.sequence) == 1
+        seq = block_sequence(build_poset(0, []), 2)
+        assert spans_from_blocks(seq) == ()
+        assert len(seq) == 1
+
+    @given(spined_posets(max_n=24), st.integers(2, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_spans_are_the_completion_of_the_blocks(self, p, k):
+        # the two span readers: one off the moves, one off the validated bags
+        seq = block_sequence(p, k)
+        if isinstance(seq, KkWitness):
+            return
+        pd = decomposition_from_blocks(seq)
+        assert spans_from_blocks(seq) == interval_completion(incomparability_graph(p), pd)
+
+    def test_spans_are_the_completion_on_seeded_kk_free(self):
+        for seed in range(10):
+            for k in (2, 3, 4):
+                p = gen_kk_free(seed, 20, k)
+                seq = block_sequence(p, k)
+                pd = decomposition_from_blocks(seq)
+                assert spans_from_blocks(seq) == interval_completion(incomparability_graph(p), pd)
+
+    def test_element_outside_every_block_raises(self):
+        seq = block_sequence(chain_poset(3), 2)
+        lost = BlockSequence(seq.partition, ((0, 0),) + seq.first[1:], seq.moves[1:])
+        with pytest.raises(InternalError, match="^element 0 never entered any block$"):
+            spans_from_blocks(lost)
 
 
 class TestPathDecomposition:

@@ -1,14 +1,14 @@
 """Golden gates for the extension pipeline, First-Fit and its quotient.
 
-Each extension case runs ``interval_order_of`` on a fixed input and records
+Each extension case runs ``block_sequence`` on a fixed input and records
 either the k+k witness it returns or the block moves plus the sha256 of each
-canonical ``posetff extend`` output (interval order, intervals, path
-decomposition).  Each First-Fit case runs ``first_fit_chains`` on a fixed
-poset and presentation order and records the sha256 of the canonical
-``posetff ff`` output (chains and assignment).  Each quotient case runs
-``build_ff_image`` on a fixed graph, path decomposition and First-Fit
-colouring and records the sha256 of the canonical image intervals,
-transported classes and vertex map.
+canonical ``posetff extend`` output (the interval order of the block spans,
+the spans, the path decomposition).  Each First-Fit case runs
+``first_fit_chains`` on a fixed poset and presentation order and records the
+sha256 of the canonical ``posetff ff`` output (chains and assignment).  Each
+quotient case runs ``build_ff_image`` on a fixed graph, path decomposition
+and First-Fit colouring and records the sha256 of the canonical image
+intervals, transported classes and vertex map.
 
 The fixtures ``data/golden_extend.json``, ``data/golden_ff.json`` and
 ``data/golden_quotient.json`` must stay byte-identical; rewrite them only for
@@ -44,11 +44,11 @@ from posetff import (
     incomparability_graph,
     interval_completion,
     interval_order_from_intervals,
-    interval_order_of,
     intervals_to_dict,
     kierstead,
     pd_to_dict,
     poset_to_dict,
+    spans_from_blocks,
     stacked,
     witness_to_dict,
 )
@@ -97,16 +97,16 @@ def _sha(obj) -> str:
 
 
 def golden_record(p, k) -> dict:
-    got = interval_order_of(p, k)
-    if isinstance(got, KkWitness):
-        return {"witness": witness_to_dict(got)}
-    pd = decomposition_from_blocks(got.sequence)
+    seq = block_sequence(p, k)
+    if isinstance(seq, KkWitness):
+        return {"witness": witness_to_dict(seq)}
+    spans = spans_from_blocks(seq)
     return {
-        "moves": block_trace_to_list(got.sequence),
+        "moves": block_trace_to_list(seq),
         "sha256": {
-            "order": _sha(poset_to_dict(got.order)),
-            "intervals": _sha(intervals_to_dict(got.representation)),
-            "pd": _sha(pd_to_dict(pd)),
+            "order": _sha(poset_to_dict(interval_order_from_intervals(spans, p.names))),
+            "intervals": _sha(intervals_to_dict(spans)),
+            "pd": _sha(pd_to_dict(decomposition_from_blocks(seq))),
         },
     }
 

@@ -14,7 +14,6 @@ from posetff import (
     InternalError,
     InvalidColoring,
     InvalidDecomposition,
-    IntervalRepresentation,
     PathDecomposition,
     PresentationOrder,
     TooLarge,
@@ -74,15 +73,15 @@ class TestIntervalCompletion:
         g = path_graph(4)
         pd = PathDecomposition(((0, 1), (1, 2), (2, 3)))
         ic = interval_completion(g, pd)
-        assert ic.intervals == ((1, 1), (1, 2), (2, 3), (3, 3))
-        assert interval_clique_number(ic.intervals) == 2
-        assert brute_interval_graph(ic.intervals) == g  # a path is its own completion here
+        assert ic == ((1, 1), (1, 2), (2, 3), (3, 3))
+        assert interval_clique_number(ic) == 2
+        assert brute_interval_graph(ic) == g  # a path is its own completion here
 
     def test_single_bag_completes_everything(self):
         g = empty_graph(3)
         ic = interval_completion(g, PathDecomposition(((0, 1, 2),)))
-        assert brute_interval_graph(ic.intervals) == complete_graph(3)
-        assert interval_clique_number(ic.intervals) == 3
+        assert brute_interval_graph(ic) == complete_graph(3)
+        assert interval_clique_number(ic) == 3
 
     def test_invalid_decomposition(self):
         with pytest.raises(InvalidDecomposition):
@@ -93,13 +92,13 @@ class TestIntervalCompletion:
         g = incomparability_graph(p)
         pd = decomposition_from_blocks(block_sequence(p, 2))
         ic = interval_completion(g, pd)
-        assert interval_clique_number(ic.intervals) == pd.width + 1
+        assert interval_clique_number(ic) == pd.width + 1
 
     def test_ladder_pipeline_completion_load(self):
         kp = kierstead(5)
         pd = decomposition_from_blocks(block_sequence(kp.poset, 4))
         ic = interval_completion(incomparability_graph(kp.poset), pd)
-        assert interval_clique_number(ic.intervals) <= (2 * 4 - 3) * 2
+        assert interval_clique_number(ic) <= (2 * 4 - 3) * 2
 
 
 class TestIntervalCliqueNumber:
@@ -156,13 +155,13 @@ class TestBuildFFImage:
         g = path_graph(3)
         coloring = first_fit_color(g, PresentationOrder.identity(3))
         with pytest.raises(InvalidDecomposition, match="completion and graph sizes differ"):
-            build_ff_image(g, IntervalRepresentation(((1, 1),)), coloring)
+            build_ff_image(g, ((1, 1),), coloring)
 
     def test_completion_missing_an_edge_is_rejected(self):
         g = path_graph(2)
         coloring = first_fit_color(g, PresentationOrder.identity(2))
         with pytest.raises(InvalidDecomposition):
-            build_ff_image(g, IntervalRepresentation(((1, 1), (2, 2))), coloring)
+            build_ff_image(g, ((1, 1), (2, 2)), coloring)
 
     @given(graphs(max_n=7), span_lists(max_size=7))
     @settings(max_examples=150, deadline=None)
@@ -170,7 +169,7 @@ class TestBuildFFImage:
         # any completion: rejected exactly when some edge joins disjoint spans
         spans = (spans + [(1, 1)] * g.n)[: g.n]
         coloring = first_fit_color(g, PresentationOrder.identity(g.n))
-        ic = IntervalRepresentation(tuple(spans))
+        ic = tuple(spans)
         if all(spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1] for u, v in g.edges()):
             image, hom = build_ff_image(g, ic, coloring)
             assert validate_homomorphism(g, image.h, hom)
@@ -187,9 +186,9 @@ class TestBuildFFImage:
         # and H is the intersection graph of the completion's spans
         g = brute_interval_graph(spans)
         ic = interval_completion(g, clique_path_of_intervals(spans))
-        assert brute_interval_graph(ic.intervals) == g
+        assert brute_interval_graph(ic) == g
         image, hom = build_ff_image(g, ic, first_fit_color(g, PresentationOrder.identity(g.n)))
-        assert tuple(image.intervals[x] for x in hom.mapping) == ic.intervals
+        assert tuple(image.intervals[x] for x in hom.mapping) == ic
         assert image.h == brute_interval_graph(image.intervals)
 
     @given(span_lists())
@@ -202,7 +201,7 @@ class TestBuildFFImage:
         g = Graph(len(spans), [])
         ic = interval_completion(g, clique_path_of_intervals(spans))
         image, hom = build_ff_image(g, ic, first_fit_color(g, PresentationOrder.identity(g.n)))
-        spans = ic.intervals
+        spans = ic
         comps = brute_components(brute_interval_graph(spans))
         assert image.intervals == tuple(
             (min(spans[v][0] for v in c), max(spans[v][1] for v in c)) for c in comps
@@ -267,7 +266,7 @@ class TestBuildFFImage:
             g = incomparability_graph(p)
             pd = clique_path_of_intervals(intervals)
             ic = interval_completion(g, pd)
-            assert brute_interval_graph(ic.intervals) == g
+            assert brute_interval_graph(ic) == g
             coloring = first_fit_color(g, PresentationOrder.identity(g.n))
             image, hom = build_ff_image(g, ic, coloring)
             assert sorted(hom.mapping) == list(range(g.n))  # injective

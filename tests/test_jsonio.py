@@ -23,7 +23,6 @@ from posetff import (
     homomorphism_to_dict,
     intervals_from_dict,
     intervals_to_dict,
-    interval_order_of,
     kierstead,
     order_from_dict,
     order_to_dict,
@@ -32,6 +31,7 @@ from posetff import (
     poset_from_dict,
     poset_to_dict,
     read_json,
+    spans_from_blocks,
     witness_to_dict,
     write_json,
 )
@@ -78,10 +78,10 @@ def test_ff_result_shape():
 
 
 def test_intervals_round_trip():
-    ext = interval_order_of(gen_interval_order(1, 15), 2)
-    d = intervals_to_dict(ext.representation)
+    spans = spans_from_blocks(block_sequence(gen_interval_order(1, 15), 2))
+    d = intervals_to_dict(spans)
     assert min(lo for lo, _ in d["intervals"]) == 1  # block indices are 1-based
-    assert intervals_from_dict(d) == ext.representation
+    assert intervals_from_dict(d) == spans
 
 
 def test_block_trace_fields():
