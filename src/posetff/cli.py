@@ -17,10 +17,11 @@ from .adversary import kierstead, stacked
 from .errors import InternalError, PosetFFError
 from .extension import block_sequence, decomposition_from_blocks, spans_from_blocks
 from .firstfit import PresentationOrder, first_fit_chains, validate_ff_partition
-from .generators import SplitMix64, gen_interval_order, gen_kk_free
+from .generators import SplitMix64, gen_interval_order, gen_kk_free, random_intervals
 from .jsonio import (
     canonical_dumps,
     ff_result_to_dict,
+    interval_order_to_dict,
     intervals_to_dict,
     order_from_dict,
     order_to_dict,
@@ -31,7 +32,7 @@ from .jsonio import (
     witness_to_dict,
     write_json,
 )
-from .order import KkWitness, interval_order_from_intervals
+from .order import KkWitness
 
 CSV_COLUMNS = ["kind", "params", "n", "width", "k", "ff_chains", "bound", "pd_width", "seconds"]
 DEFAULT_KKFREE_DENSITY = 0.5
@@ -61,8 +62,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         meta = {"seed": args.seed, "kind": "interval", "n": args.n}
         if args.range:
             meta["range"] = args.range
-        p = gen_interval_order(args.seed, args.n, args.range)
-        _emit(poset_to_dict(p, meta=meta), args.out)
+        intervals = random_intervals(args.seed, args.n, args.range)
+        _emit(interval_order_to_dict(intervals, meta=meta), args.out)
     elif args.family == "kkfree":
         meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
                 "density": DEFAULT_KKFREE_DENSITY}
@@ -75,7 +76,9 @@ def cmd_ff(args: argparse.Namespace) -> int:
     p = poset_from_dict(read_json(args.poset))
     order = order_from_dict(read_json(args.order))
     res = first_fit_chains(p, order)
-    print(f"ff chains={res.chain_count} n={p.n}")
+    # with the JSON on stdout the report goes to stderr, so stdout is one document
+    report = sys.stderr if args.out in (None, "-") else sys.stdout
+    print(f"ff chains={res.chain_count} n={p.n}", file=report)
     _emit(ff_result_to_dict(res), args.out)
     if args.validate and not validate_ff_partition(p, res.partition):
         print("validation failed: output is not a First-Fit chain partition", file=sys.stderr)
@@ -103,7 +106,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     spans = spans_from_blocks(seq)
     print(f"width_q={pd.width + 1} bound={(2 * args.k - 3) * w} pd_width={pd.width}")
     if args.out_order:
-        write_json(poset_to_dict(interval_order_from_intervals(spans, p.names)), args.out_order)
+        write_json(interval_order_to_dict(spans, p.names), args.out_order)
     if args.out_intervals:
         write_json(intervals_to_dict(spans), args.out_intervals)
     if args.out_pd:

@@ -15,6 +15,7 @@ from .order import Graph, Poset, build_poset, find_k_plus_k, interval_order_from
 __all__ = [
     "SplitMix64",
     "gen_interval_order",
+    "random_intervals",
     "gen_kk_free",
     "gen_random_poset",
     "gen_graph",
@@ -63,8 +64,10 @@ def _threshold(density: float) -> int:
     return min(_MASK64 + 1, int(density * (_MASK64 + 1)))
 
 
-def gen_interval_order(seed: int, n: int, coordinate_range: int | None = None) -> Poset:
-    """n random closed integer intervals, read as a poset (2+2-free by construction)."""
+def random_intervals(
+    seed: int, n: int, coordinate_range: int | None = None
+) -> list[tuple[int, int]]:
+    """n random closed integer intervals with ends in [0, coordinate_range)."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if coordinate_range is None:
@@ -77,7 +80,12 @@ def gen_interval_order(seed: int, n: int, coordinate_range: int | None = None) -
         a = rng.below(coordinate_range)
         b = rng.below(coordinate_range)
         intervals.append((min(a, b), max(a, b)))
-    return interval_order_from_intervals(intervals)
+    return intervals
+
+
+def gen_interval_order(seed: int, n: int, coordinate_range: int | None = None) -> Poset:
+    """n random closed integer intervals, read as a poset (2+2-free by construction)."""
+    return interval_order_from_intervals(random_intervals(seed, n, coordinate_range))
 
 
 def gen_random_poset(rng: SplitMix64, n: int, density: float = 0.5) -> Poset:

@@ -1,9 +1,11 @@
 """Canonical JSON formats for every artifact the tools exchange.
 
 Poset files carry generator pairs (the transitive reduction on save) and
-are closed again on load.  Dumps are canonical (sorted keys, tight
-separators, trailing newline) so identical inputs give byte-identical
-files.
+are closed again on load.  ``interval_order_to_dict`` writes the same
+layout for the interval order of a list of spans straight from the spans'
+cover pairs, so no ``Poset`` of that order is built.  Dumps are canonical
+(sorted keys, tight separators, trailing newline) so identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ import json
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import FormatError
+from .errors import FormatError, SizeMismatch
 from .extension import BlockSequence, PathDecomposition
 from .firstfit import FFChainResult, PresentationOrder
 from .homomorphism import Homomorphism
-from .order import Graph, KkWitness, Poset, build_poset
+from .order import Graph, KkWitness, Poset, build_poset, interval_cover_pairs
 
 __all__ = [
     "canonical_dumps",
@@ -24,6 +26,7 @@ __all__ = [
     "read_json",
     "poset_to_dict",
     "poset_from_dict",
+    "interval_order_to_dict",
     "graph_to_dict",
     "graph_from_dict",
     "order_to_dict",
@@ -56,16 +59,32 @@ def read_json(path: str | Path) -> Any:
         raise FormatError("document nests too deeply to parse") from None
 
 
-def poset_to_dict(p: Poset, meta: dict | None = None) -> dict:
-    d: dict[str, Any] = {
-        "n": p.n,
-        "relations": [list(pair) for pair in sorted(p.cover_pairs())],
-    }
-    if p.names is not None:
-        d["names"] = list(p.names)
+def _poset_dict(
+    n: int, covers: list[tuple[int, int]], names: Sequence[str] | None, meta: dict | None
+) -> dict:
+    d: dict[str, Any] = {"n": n, "relations": [list(pair) for pair in covers]}
+    if names is not None:
+        d["names"] = list(names)
     if meta is not None:
         d["meta"] = meta
     return d
+
+
+def poset_to_dict(p: Poset, meta: dict | None = None) -> dict:
+    return _poset_dict(p.n, sorted(p.cover_pairs()), p.names, meta)
+
+
+def interval_order_to_dict(
+    spans: Sequence[tuple[float, float]], names: Sequence[str] | None = None,
+    meta: dict | None = None,
+) -> dict:
+    """The poset file of the spans' interval order, written without building it.
+
+    Equal to ``poset_to_dict(interval_order_from_intervals(spans, names), meta)``.
+    """
+    if names is not None and len(names) != len(spans):
+        raise SizeMismatch("names must match element count")
+    return _poset_dict(len(spans), interval_cover_pairs(spans), names, meta)
 
 
 def _field(d: Any, key: str) -> Any:

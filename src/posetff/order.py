@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -48,6 +49,7 @@ __all__ = [
     "find_k_plus_k",
     "is_extension",
     "interval_order_from_intervals",
+    "interval_cover_pairs",
     "is_interval_order",
     "chain_poset",
     "antichain_poset",
@@ -375,13 +377,46 @@ def interval_order_from_intervals(
     Endpoints may be any comparable numbers (ints, Fractions, floats).
     The resulting relation is automatically a valid strict order.
     """
+    spans = _checked_spans(intervals)
+    return Poset(len(spans), _after(spans), names)
+
+
+def interval_cover_pairs(intervals: Sequence[tuple[float, float]]) -> list[tuple[int, int]]:
+    """The cover pairs (u, v) of the interval order of closed spans, in sorted order.
+
+    v covers u iff hi(u) < lo(v) <= m, where m is the least right end among
+    the spans that begin after hi(u): a span strictly between u and v would
+    end before v begins.  With ids sorted by left end, u's covers are the
+    slice between bisect_right(lefts, hi(u)) and bisect_right(lefts, m), and
+    a suffix minimum of the right ends gives m; no ``Poset`` is built.
+    Equal to ``sorted(interval_order_from_intervals(intervals).cover_pairs())``.
+    """
+    spans = _checked_spans(intervals)
+    by_left, lefts = _by_left(spans)
+    n = len(spans)
+    least = list(accumulate((spans[v][1] for v in reversed(by_left)), min))[::-1]
+    out: list[tuple[int, int]] = []
+    for u, (_, right) in enumerate(spans):
+        lo = bisect_right(lefts, right)
+        if lo < n:
+            out.extend(zip(repeat(u), sorted(by_left[lo:bisect_right(lefts, least[lo], lo)])))
+    return out
+
+
+def _checked_spans(intervals: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
     spans = []
     for t in intervals:
         left, right = t
         if left > right:
             raise MalformedInterval(f"interval {t!r} has left > right")
         spans.append((left, right))
-    return Poset(len(spans), _after(spans), names)
+    return spans
+
+
+def _by_left(spans: Sequence[tuple[float, float]]) -> tuple[list[int], list[float]]:
+    """Ids sorted by left end (stably), and the left ends in that order."""
+    by_left = sorted(range(len(spans)), key=lambda v: spans[v][0])
+    return by_left, [spans[v][0] for v in by_left]
 
 
 def _after(spans: Sequence[tuple[float, float]]) -> list[int]:
@@ -392,8 +427,7 @@ def _after(spans: Sequence[tuple[float, float]]) -> list[int]:
     exactly when neither begins after the other ends.
     """
     n = len(spans)
-    by_left = sorted(range(n), key=lambda v: spans[v][0])
-    lefts = [spans[v][0] for v in by_left]
+    by_left, lefts = _by_left(spans)
     suffix = [0] * (n + 1)
     for pos in range(n - 1, -1, -1):
         suffix[pos] = suffix[pos + 1] | (1 << by_left[pos])

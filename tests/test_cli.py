@@ -11,13 +11,16 @@ import pytest
 from posetff import (
     InternalError,
     KkWitness,
+    Poset,
     block_sequence,
     build_poset,
+    canonical_dumps,
     gen_interval_order,
     gen_kk_free,
     incomparability_graph,
     pd_from_dict,
     poset_from_dict,
+    poset_to_dict,
     read_json,
     validate_path_decomposition,
     width_with_witness,
@@ -114,6 +117,30 @@ def test_gen_interval_range_meta(tmp_path):
     assert d["meta"] == {"seed": 3, "kind": "interval", "n": 4, "range": 10}
 
 
+# sha256 of `gen interval` files as written through a built Poset, so the span
+# writer cannot drift from it
+INTERVAL_FILE_DIGESTS = {
+    (1, 300, None): "75e496aacedd42331a531bd739376831cb2d3d218093491276cc9910e35ac449",
+    (3, 40, 10): "fe9fab667723ff4f6c22cbb096730de5d8313e9b69cb40ffb9d1517b1e18ba66",
+    (11, 25, 1): "94606a5fe1f5d1c842d9a1db3cd77fbba4f1e5ec5ebfc0f3f0a471c5777463bb",
+}
+
+
+@pytest.mark.parametrize("seed, n, coordinate_range", sorted(INTERVAL_FILE_DIGESTS, key=str))
+def test_gen_interval_file_matches_the_poset_writer(tmp_path, seed, n, coordinate_range):
+    out = tmp_path / "iv.json"
+    argv = ["gen", "interval", "--n", n, "--seed", seed, "--out", out]
+    meta = {"seed": seed, "kind": "interval", "n": n}
+    if coordinate_range is not None:
+        argv += ["--range", coordinate_range]
+        meta["range"] = coordinate_range
+    assert run(argv) == 0
+    p = gen_interval_order(seed, n, coordinate_range)
+    assert out.read_text() == canonical_dumps(poset_to_dict(p, meta=meta))
+    digest = INTERVAL_FILE_DIGESTS[seed, n, coordinate_range]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("value", [0, -2])
 def test_gen_interval_rejects_empty_range(tmp_path, capsys, value):
     out = tmp_path / "iv.json"
@@ -168,17 +195,31 @@ def test_ff_writes_assignment(tmp_path):
     assert read_json(out) == {"chains": [[0, 1]], "assignment": [1, 1]}
 
 
-def test_ff_out_dash_writes_stdout(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("out", [None, "-"])
+def test_ff_json_on_stdout_sends_the_report_to_stderr(tmp_path, capsys, monkeypatch, out):
     poset_file = tmp_path / "chain.json"
     order_file = tmp_path / "ord.json"
     poset_file.write_text('{"n": 2, "relations": [[0,1]]}')
     order_file.write_text('{"order": [1,0]}')
     monkeypatch.chdir(tmp_path)
-    assert run(["ff", "--poset", poset_file, "--order", order_file, "--out", "-"]) == 0
-    assert capsys.readouterr().out == (
-        'ff chains=1 n=2\n{"assignment":[1,1],"chains":[[0,1]]}\n'
-    )
+    argv = ["ff", "--poset", poset_file, "--order", order_file]
+    assert run(argv if out is None else argv + ["--out", out]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == '{"assignment":[1,1],"chains":[[0,1]]}\n'
+    assert json.loads(captured.out) == {"assignment": [1, 1], "chains": [[0, 1]]}
+    assert captured.err == "ff chains=1 n=2\n"
     assert not (tmp_path / "-").exists()
+
+
+def test_ff_out_file_keeps_the_report_on_stdout(tmp_path, capsys):
+    poset_file = tmp_path / "chain.json"
+    order_file = tmp_path / "ord.json"
+    poset_file.write_text('{"n": 2, "relations": [[0,1]]}')
+    order_file.write_text('{"order": [1,0]}')
+    assert run(["ff", "--poset", poset_file, "--order", order_file,
+                "--out", tmp_path / "ff.json"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("ff chains=1 n=2\n", "")
 
 
 def test_ff_missing_file_exit_2(tmp_path):
@@ -204,26 +245,35 @@ def test_extend_success(tmp_path, capsys):
     assert len(read_json(iv_file)["intervals"]) == p.n
 
 
-def test_extend_builds_q_only_for_out_order(tmp_path, capsys, monkeypatch):
+def test_extend_builds_one_poset(tmp_path, capsys, monkeypatch):
+    """With or without --out-order, extend constructs only the input's Poset,
+    and its report and shared files are the same."""
     poset_file = tmp_path / "stacked.json"
     run(["gen", "stacked", "--k", 4, "--w", 3, "--out", poset_file])
-    full, lean = tmp_path / "full", tmp_path / "lean"
-    full.mkdir()
-    lean.mkdir()
-    assert run(["extend", "--poset", poset_file, "--k", 4, "--out-order", full / "q.json",
-                "--out-intervals", full / "iv.json", "--out-pd", full / "pd.json"]) == 0
-    full_report = capsys.readouterr().out
+    p = poset_from_dict(read_json(poset_file))
+    q_reference = canonical_dumps(poset_to_dict(slide_order(p, block_sequence(p, 4))))
+    built = []
+    init = Poset.__init__
 
-    def no_q(*args, **kwargs):
-        raise AssertionError("q built without --out-order")
+    def counting_init(self, n, *args, **kwargs):
+        built.append(n)
+        init(self, n, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "interval_order_from_intervals", no_q)
-    assert run(["extend", "--poset", poset_file, "--k", 4,
-                "--out-intervals", lean / "iv.json", "--out-pd", lean / "pd.json"]) == 0
-    assert capsys.readouterr().out == full_report
-    assert sorted(f.name for f in lean.iterdir()) == ["iv.json", "pd.json"]
+    monkeypatch.setattr(Poset, "__init__", counting_init)
+    reports = []
+    for name, extra in (("full", ["--out-order", tmp_path / "full" / "q.json"]), ("lean", [])):
+        (tmp_path / name).mkdir()
+        built.clear()
+        assert run(["extend", "--poset", poset_file, "--k", 4, *extra,
+                    "--out-intervals", tmp_path / name / "iv.json",
+                    "--out-pd", tmp_path / name / "pd.json"]) == 0
+        assert built == [p.n]
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert sorted(f.name for f in (tmp_path / "lean").iterdir()) == ["iv.json", "pd.json"]
     for name in ("iv.json", "pd.json"):
-        assert (lean / name).read_bytes() == (full / name).read_bytes()
+        assert (tmp_path / "lean" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+    assert (tmp_path / "full" / "q.json").read_text() == q_reference
 
 
 def test_extend_order_keeps_names(tmp_path, capsys):

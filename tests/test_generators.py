@@ -15,6 +15,7 @@ from posetff import (
     graph_to_dict,
     is_interval_order,
     poset_to_dict,
+    random_intervals,
     width_with_witness,
 )
 from helpers import slide_order
@@ -57,6 +58,15 @@ class TestGenIntervalOrder:
     def test_empty_range_rejected(self, n):
         with pytest.raises(ValueError, match="^coordinate range must be at least 1, got 0$"):
             gen_interval_order(0, n, 0)
+        with pytest.raises(ValueError, match="^coordinate range must be at least 1, got 0$"):
+            random_intervals(0, n, 0)
+
+    def test_draw_pinned(self):
+        # regression pin: the draw behind gen_interval_order, generated once
+        assert random_intervals(5, 6) == [(2, 4), (5, 11), (1, 4), (3, 9), (4, 11), (3, 4)]
+        assert random_intervals(2, 4, 3) == [(1, 2), (0, 0), (0, 1), (2, 2)]
+        assert random_intervals(0, 0) == []
+        assert all(0 <= lo <= hi < 60 for lo, hi in random_intervals(4, 30))
 
     def test_seeded_instance_is_interval(self):
         p = gen_interval_order(7, 30)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetff import (
     FormatError,
@@ -8,6 +10,7 @@ from posetff import (
     Homomorphism,
     PathDecomposition,
     PresentationOrder,
+    SizeMismatch,
     block_sequence,
     block_trace_to_list,
     build_poset,
@@ -21,6 +24,8 @@ from posetff import (
     graph_to_dict,
     homomorphism_from_dict,
     homomorphism_to_dict,
+    interval_order_from_intervals,
+    interval_order_to_dict,
     intervals_from_dict,
     intervals_to_dict,
     kierstead,
@@ -35,6 +40,7 @@ from posetff import (
     witness_to_dict,
     write_json,
 )
+from helpers import span_lists
 
 
 def test_poset_round_trip():
@@ -48,6 +54,19 @@ def test_poset_relations_are_generators_not_closure():
     # the file stores the transitive reduction; closure happens on load
     assert d["relations"] == [[0, 1], [1, 2]]
     assert poset_from_dict(d) == p
+
+
+@given(span_lists(max_size=16), st.booleans(), st.sampled_from([None, {"kind": "extend"}]))
+@settings(max_examples=100)
+def test_interval_order_dict_equals_the_built_orders(spans, named, meta):
+    names = [f"e{v}" for v in range(len(spans))] if named else None
+    expected = poset_to_dict(interval_order_from_intervals(spans, names), meta=meta)
+    assert interval_order_to_dict(spans, names, meta) == expected
+
+
+def test_interval_order_dict_rejects_a_names_mismatch():
+    with pytest.raises(SizeMismatch, match="names must match element count"):
+        interval_order_to_dict([(1, 2), (3, 3)], ["a"])
 
 
 def test_poset_names_carried():

@@ -22,6 +22,7 @@ from posetff import (
     find_k_plus_k,
     gen_interval_order,
     incomparability_graph,
+    interval_cover_pairs,
     interval_order_from_intervals,
     is_extension,
     is_interval_order,
@@ -30,7 +31,7 @@ from posetff import (
     width_with_witness,
 )
 from posetff.order import _reach
-from helpers import backtrack_kk, brute_contains_kk, brute_width, posets, spined_posets
+from helpers import backtrack_kk, brute_contains_kk, brute_width, posets, span_lists, spined_posets
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
 
@@ -398,6 +399,24 @@ class TestIntervalOrders:
     def test_malformed(self):
         with pytest.raises(MalformedInterval):
             interval_order_from_intervals([(2, 1)])
+
+    @given(st.one_of(interval_lists(), span_lists(max_size=24)))
+    @settings(max_examples=300)
+    def test_cover_pairs_match_the_built_order(self, intervals):
+        expected = sorted(interval_order_from_intervals(intervals).cover_pairs())
+        assert interval_cover_pairs(intervals) == expected
+
+    def test_cover_pairs_pinned(self):
+        assert interval_cover_pairs([]) == []
+        assert interval_cover_pairs([(1, 1), (1, 1), (2, 2), (3, 3)]) == [(0, 2), (1, 2), (2, 3)]
+        mixed = [(0, 1), (1, 2), (Fraction(3, 2), 2.5), (1, 1)]
+        assert interval_cover_pairs(mixed) == [(0, 2), (3, 2)]
+        # (2, 5) begins after (0, 0) ends, but (1, 1) lies between them
+        assert interval_cover_pairs([(2, 5), (0, 0), (1, 1)]) == [(1, 2), (2, 0)]
+
+    def test_cover_pairs_malformed(self):
+        with pytest.raises(MalformedInterval, match=r"interval \(2, 1\) has left > right"):
+            interval_cover_pairs([(0, 1), (2, 1)])
 
     def test_two_plus_two_is_not_interval(self):
         assert not is_interval_order(build_poset(4, TWO_PLUS_TWO))
