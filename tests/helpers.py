@@ -58,6 +58,20 @@ def spined_posets(draw, max_n=24):
 
 
 @st.composite
+def shuffled_posets(draw, max_n=60):
+    """Random DAGs whose ids do not follow the order: each pair of a random
+    permutation is related, earlier below later, with one drawn density in
+    0.02-0.5, so sparse forests and near-chains both come up."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    density = draw(st.floats(0.02, 0.5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rank = list(range(n))
+    rng.shuffle(rank)
+    pairs = [(rank[i], rank[j]) for i, j in combinations(range(n), 2) if rng.random() < density]
+    return build_poset(n, pairs)
+
+
+@st.composite
 def graphs(draw, max_n=10):
     n = draw(st.integers(min_value=0, max_value=max_n))
     if n < 2:
@@ -219,6 +233,64 @@ def backtrack_kk(p, k):
     if not witness.is_valid(p):
         raise InternalError("k+k search returned an invalid witness")
     return witness
+
+
+def reference_matching(p):
+    """The Dilworth matching before failed searches kept their visited sets:
+    every free root starts its BFS afresh.  Kept as the oracle that the
+    faster ``order._maximum_matching`` must equal, (match_l, match_r) and all.
+
+    Maximum bipartite matching on the split-vertex graph of the closed relation.
+
+    Left copy of u connects to right copies of all v with u < v.  A greedy
+    pass seeds the matching, then BFS augmentation finishes it.  Returns
+    (match_l, match_r) with -1 for unmatched.
+    """
+    n = p.n
+    match_l = [-1] * n
+    match_r = [-1] * n
+    taken = 0
+    for u in range(n):
+        free = p.succ_mask(u) & ~taken
+        if free:
+            v = (free & -free).bit_length() - 1
+            match_l[u] = v
+            match_r[v] = u
+            taken |= 1 << v
+    for root in range(n):
+        if match_l[root] != -1:
+            continue
+        prev: dict[int, int] = {}
+        visited_r = 0
+        frontier = [root]
+        goal = -1
+        while frontier and goal == -1:
+            nxt = []
+            for u in frontier:
+                fresh = p.succ_mask(u) & ~visited_r
+                visited_r |= fresh
+                for v in _iter_bits(fresh):
+                    prev[v] = u
+                    w = match_r[v]
+                    if w == -1:
+                        goal = v
+                        break
+                    nxt.append(w)
+                if goal != -1:
+                    break
+            frontier = nxt
+        if goal == -1:
+            continue
+        v = goal
+        while True:
+            u = prev[v]
+            nxt_v = match_l[u]
+            match_l[u] = v
+            match_r[v] = u
+            if nxt_v == -1:
+                break
+            v = nxt_v
+    return match_l, match_r
 
 
 def brute_grundy(g):

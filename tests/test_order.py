@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,8 +32,17 @@ from posetff import (
     stacked,
     width_with_witness,
 )
-from posetff.order import _reach
-from helpers import backtrack_kk, brute_contains_kk, brute_width, posets, span_lists, spined_posets
+from posetff.order import _maximum_matching, _reach
+from helpers import (
+    backtrack_kk,
+    brute_contains_kk,
+    brute_width,
+    posets,
+    reference_matching,
+    shuffled_posets,
+    span_lists,
+    spined_posets,
+)
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
 
@@ -191,6 +202,100 @@ class TestWidthAndDilworth:
         assert witness.is_valid(p)
         assert cp.is_valid(p)
         assert width == brute_width(p)
+
+
+# The matching pinned by sha256, width and all, as it stood before failed
+# searches kept their visited sets: (poset, width, dilworth_partition chains
+# as a JSON list of lists, width_with_witness antichain as a JSON list).
+PINNED_PARTITIONS = [
+    ("gen_interval_order(1, 2000)", lambda: gen_interval_order(1, 2000), 1019,
+     "ac08f82710c2fbafbcfbe10c34ff5fc34d49df4bd0be92b2b2ba52049889fcc6",
+     "2f21cebb535e7433fee961b73fa50c5cb61c07cdb824faeb3b6f754bf2bd32c7"),
+    ("stacked(30, 10)", lambda: stacked(30, 10).poset, 10,
+     "df4eaccb776b757c2d568f8770b7f4204244ed7b487d554ef0a052bbb44b8e00",
+     "ab7255a6b2148ed60330f8d371e3926858b796a6adde14302b5bc303da701b28"),
+    ("gen_interval_order(0, 300)", lambda: gen_interval_order(0, 300), 159,
+     "24ee63b5531cf9c1cfc338169a231e9a18d6cd11c3cdc82a2137d947468bbe47",
+     "bbf2c2ee4d02e9ab2614978f258d225f77b95ecd50bd83588329a5ee6d1e96f2"),
+    ("gen_interval_order(1, 300)", lambda: gen_interval_order(1, 300), 164,
+     "d295e8406fe46c834d2fde822c3075ac8e17f218e36597b89a7926cdcae60808",
+     "9fc2f4366f589c9eacd161a42a51591cbcaeebd659464f90ff33bdb988f556b0"),
+    ("gen_interval_order(2, 300)", lambda: gen_interval_order(2, 300), 162,
+     "6bb98608594e91cb8a1bd0af4a9993c95547b5850bd15b85e9e1305e154d593e",
+     "2ca760e0dcf0bc2204c20b6f94f0db54dde97ebfb7833a6fb1515291df66da3b"),
+]
+
+
+def _json_sha256(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _greedy_roots(p):
+    """The elements the greedy seed leaves unmatched on the left, in id order."""
+    taken = 0
+    roots = []
+    for u in range(p.n):
+        free = p.succ_mask(u) & ~taken
+        taken |= free & -free
+        if not free:
+            roots.append(u)
+    return roots
+
+
+class TestMaximumMatching:
+    """``_maximum_matching`` against the copy of its earlier search: the same
+    (match_l, match_r), so the same chains, block moves and files."""
+
+    @given(shuffled_posets())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_on_shuffled_posets(self, p):
+        assert _maximum_matching(p) == reference_matching(p)
+
+    @given(span_lists(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference_on_interval_orders(self, spans):
+        p = interval_order_from_intervals(spans)
+        assert _maximum_matching(p) == reference_matching(p)
+
+    @pytest.mark.parametrize("k, w", [(3, 2), (3, 5), (4, 3), (5, 4), (6, 6), (8, 3)])
+    def test_equals_reference_on_stacked(self, k, w):
+        p = stacked(k, w).poset
+        assert _maximum_matching(p) == reference_matching(p)
+
+    @pytest.mark.parametrize("q", range(1, 10))
+    def test_equals_reference_on_kierstead(self, q):
+        p = kierstead(q).poset
+        assert _maximum_matching(p) == reference_matching(p)
+
+    def test_searches_after_a_run_of_failures(self):
+        # the greedy seed leaves roots 4, 5, 6, 7, 9, 10; roots 5, 6 and 7 fail
+        # in a row with successors to visit, then 9 and 10 augment: a visited
+        # set carried past an augmentation, a free-vertex mask left stale or a
+        # goal taken from the wrong end changes the result
+        p = build_poset(11, [(0, 7), (1, 8), (1, 10), (2, 0), (2, 6), (3, 7), (5, 4),
+                             (6, 4), (7, 4), (8, 5), (8, 9), (9, 2), (10, 2)])
+        match_l, match_r = _maximum_matching(p)
+        assert (match_l, match_r) == reference_matching(p)
+        assert match_l == [4, 5, 6, 7, -1, -1, -1, -1, 9, 0, 2]
+        assert match_r == [9, -1, 10, -1, 0, 1, 2, 3, -1, 8, -1]
+        # a root that fails stays unmatched and one that augments stays matched
+        roots = _greedy_roots(p)
+        assert roots == [4, 5, 6, 7, 9, 10]
+        assert [match_l[r] == -1 for r in roots] == [True, True, True, True, False, False]
+        assert all(p.succ_mask(r) for r in (5, 6, 7))
+
+    @pytest.mark.parametrize(
+        "name, build, width, chains_sha256, antichain_sha256",
+        PINNED_PARTITIONS,
+        ids=[case[0] for case in PINNED_PARTITIONS],
+    )
+    def test_pinned_partitions(self, name, build, width, chains_sha256, antichain_sha256):
+        p = build()
+        cp = dilworth_partition(p)
+        got_width, witness = width_with_witness(p)
+        assert len(cp) == got_width == width
+        assert _json_sha256([list(c.elements) for c in cp.chains]) == chains_sha256
+        assert _json_sha256(list(witness.elements)) == antichain_sha256
 
 
 class TestGraph:
