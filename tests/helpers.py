@@ -61,13 +61,16 @@ def spined_posets(draw, max_n=24):
 def shuffled_posets(draw, max_n=60):
     """Random DAGs whose ids do not follow the order: each pair of a random
     permutation is related, earlier below later, with one drawn density in
-    0.02-0.5, so sparse forests and near-chains both come up."""
+    0.02-0.5, so sparse forests and near-chains both come up.  About a third
+    of the generator pairs are given twice, and all in shuffled order."""
     n = draw(st.integers(min_value=0, max_value=max_n))
     density = draw(st.floats(0.02, 0.5))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     rank = list(range(n))
     rng.shuffle(rank)
     pairs = [(rank[i], rank[j]) for i, j in combinations(range(n), 2) if rng.random() < density]
+    pairs += rng.sample(pairs, len(pairs) // 3)
+    rng.shuffle(pairs)
     return build_poset(n, pairs)
 
 

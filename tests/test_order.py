@@ -29,9 +29,11 @@ from posetff import (
     is_extension,
     is_interval_order,
     kierstead,
+    poset_from_dict,
     stacked,
     width_with_witness,
 )
+from posetff import order
 from posetff.order import _maximum_matching, _reach
 from helpers import (
     backtrack_kk,
@@ -115,6 +117,57 @@ class TestBuildPoset:
                     for w in range(p.n):
                         if p.less(v, w):
                             assert p.less(u, w)
+
+
+def assert_checked_copy_agrees(p):
+    """The checked constructor accepts p's masks, and p's predecessor masks
+    are the transpose of its successor masks."""
+    succ = [p.succ_mask(u) for u in range(p.n)]
+    assert Poset(p.n, succ) == p
+    assert [p.pred_mask(u) for u in range(p.n)] == list(order._transpose(succ, p.n))
+
+
+class TestConstructorsAgreeWithTheCheckedPoset:
+    """Every constructor's masks pass ``Poset(n, succ)`` and mirror each other."""
+
+    @given(st.one_of(posets(), spined_posets(), shuffled_posets()))
+    @settings(max_examples=200, deadline=None)
+    def test_build_poset(self, p):
+        assert_checked_copy_agrees(p)
+
+    @given(st.one_of(interval_lists(), span_lists(max_size=24)))
+    @settings(max_examples=200)
+    def test_interval_order_from_intervals(self, intervals):
+        assert_checked_copy_agrees(interval_order_from_intervals(intervals))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 70])
+    def test_chain_and_antichain(self, n):
+        assert_checked_copy_agrees(chain_poset(n))
+        assert_checked_copy_agrees(antichain_poset(n))
+
+    @pytest.mark.parametrize("n, pairs, error, message", [
+        (3, [(0, 1), (0, 5)], IdOutOfRange, "pair (0,5) outside [0,3)"),
+        (3, [(-1, 2)], IdOutOfRange, "pair (-1,2) outside [0,3)"),
+        (-1, [], IdOutOfRange, "negative element count"),
+        (2, [(0, 1), (1, 1)], CycleError, "element 1 related to itself"),
+        (4, [(0, 1), (1, 2), (2, 3), (3, 1)], CycleError, "generator pairs contain a directed cycle"),
+        (2, [(0, 1), (0, 1), (1, 0)], CycleError, "generator pairs contain a directed cycle"),
+    ])
+    def test_build_poset_pinned_errors(self, n, pairs, error, message):
+        with pytest.raises(error) as info:
+            build_poset(n, pairs)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_loader_names_mismatch(self):
+        with pytest.raises(SizeMismatch) as info:
+            poset_from_dict({"n": 2, "relations": [[0, 1]], "names": ["a"]})
+        assert type(info.value) is SizeMismatch
+        assert str(info.value) == "names must match element count"
+
+    def test_interval_names_mismatch(self):
+        with pytest.raises(SizeMismatch, match="^names must match element count$"):
+            interval_order_from_intervals([(0, 1), (2, 3)], ["a"])
 
 
 class TestPosetConstructor:
