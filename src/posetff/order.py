@@ -6,9 +6,16 @@ test is a single shift-and-test and the heavy algorithms downstream
 (Dilworth matching, two-chain pattern search, incomparability graphs)
 reduce to integer set algebra.
 
-Building a ``Poset`` is word-parallel: the predecessor masks come from one
-bulk transpose of the successor masks' binary strings, O(n²/word) C-level
-work, and the axiom check ORs each element's successors' rows through a
+Posets come into being on two paths.  The library's own constructors
+build both masks in one pass whose structure proves the order, and hand them
+to ``Poset._closed``, which checks nothing but the names' length:
+``build_poset`` (and so every file the loader reads) closes the generator
+pairs in Kahn's topological order, and ``interval_order_from_intervals``,
+``chain_poset`` and ``antichain_poset`` read the masks off the endpoints.
+The public ``Poset(n, succ)`` is for masks from outside (the adversaries,
+callers, tests) and checks them: the predecessor masks come from one bulk
+transpose of the successor masks' binary strings, O(n²/word) C-level work,
+and the axiom check ORs each element's successors' rows through a
 Four-Russians table (8-row chunks, 256 ORs each), n²/8 table lookups plus
 32n big-int ORs in all.
 
@@ -22,9 +29,10 @@ lookups in all, a cost fixed by n and k before the search starts.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -107,8 +115,9 @@ class Poset:
 
     ``succ_mask(u)`` has bit v set iff u < v; ``pred_mask`` is the mirror.
     The constructor checks the three order axioms (irreflexive,
-    antisymmetric, transitive) on the masks it is given, so every live
-    instance is a genuine closed order.
+    antisymmetric, transitive) on the masks it is given and transposes them;
+    ``_closed`` adopts both masks from constructors whose construction
+    proves them.  Either way every live instance is a genuine closed order.
     """
 
     __slots__ = ("n", "names", "_succ", "_pred", "_inc")
@@ -124,6 +133,21 @@ class Poset:
             raise SizeMismatch("names must match element count")
         self._check_axioms()
         self._pred = _transpose(self._succ, n)
+
+    @classmethod
+    def _closed(
+        cls, n: int, succ: Sequence[int], pred: Sequence[int], names: Sequence[str] | None = None
+    ) -> Poset:
+        """Adopt n successor masks of a closed strict order and their transpose, unchecked."""
+        p = cls.__new__(cls)
+        p.n = n
+        p._succ = tuple(succ)
+        p._pred = tuple(pred)
+        p._inc = None
+        p.names = tuple(names) if names is not None else None
+        if p.names is not None and len(p.names) != n:
+            raise SizeMismatch("names must match element count")
+        return p
 
     def _check_axioms(self) -> None:
         """Per element in id order: range, self-loop, 2-cycle, then closure."""
@@ -329,32 +353,37 @@ class Graph:
 def build_poset(
     n: int, relations: Iterable[tuple[int, int]], names: Sequence[str] | None = None
 ) -> Poset:
-    """Transitively close generator pairs (u < v) and validate the order axioms.
+    """Transitively close generator pairs (u < v) into a Poset.
 
     Raises CycleError when the generators admit a directed cycle (including
     a self pair), IdOutOfRange on ids outside [0, n).
+
+    Kahn's order lists all n elements only if the generators are acyclic,
+    each element's predecessor mask is complete when it is popped (so one
+    forward pass ORs it into its generator successors), and the reverse pass
+    ORs each element's successors' closed masks: the masks are the closure
+    of an acyclic relation and its transpose, and are adopted unchecked.
+    A repeated pair needs no dropping: each copy adds one to ``indeg`` and
+    takes it off again when its lower end is popped, and a second OR of the
+    same mask changes nothing.
     """
     if n < 0:
         raise IdOutOfRange("negative element count")
     adj: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
-    seen = set()
     for u, v in relations:
         if not (0 <= u < n and 0 <= v < n):
             raise IdOutOfRange(f"pair ({u},{v}) outside [0,{n})")
         if u == v:
             raise CycleError(f"element {u} related to itself")
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
         adj[u].append(v)
         indeg[v] += 1
     order = [u for u in range(n) if indeg[u] == 0]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
+    pred = [0] * n
+    for u in order:  # grows while it is read: Kahn's queue
+        below = pred[u] | (1 << u)
         for v in adj[u]:
+            pred[v] |= below
             indeg[v] -= 1
             if indeg[v] == 0:
                 order.append(v)
@@ -366,7 +395,7 @@ def build_poset(
         for v in adj[u]:
             m |= succ[v] | (1 << v)
         succ[u] = m
-    return Poset(n, succ, names)
+    return Poset._closed(n, succ, pred, names)
 
 
 def interval_order_from_intervals(
@@ -374,11 +403,12 @@ def interval_order_from_intervals(
 ) -> Poset:
     """Poset of closed intervals: u < v iff u's interval ends before v's begins.
 
-    Endpoints may be any comparable numbers (ints, Fractions, floats).
-    The resulting relation is automatically a valid strict order.
+    Endpoints may be any totally ordered numbers (ints, Fractions, floats;
+    NaN is refused).  Such a relation is always a strict order, so the masks
+    of ``_after`` and ``_before`` are adopted unchecked.
     """
     spans = _checked_spans(intervals)
-    return Poset(len(spans), _after(spans), names)
+    return Poset._closed(len(spans), _after(spans), _before(spans), names)
 
 
 def interval_cover_pairs(intervals: Sequence[tuple[float, float]]) -> list[tuple[int, int]]:
@@ -407,8 +437,9 @@ def _checked_spans(intervals: Iterable[tuple[float, float]]) -> list[tuple[float
     spans = []
     for t in intervals:
         left, right = t
-        if left > right:
-            raise MalformedInterval(f"interval {t!r} has left > right")
+        if not left <= right:
+            why = "left > right" if left > right else "ends that are not ordered"
+            raise MalformedInterval(f"interval {t!r} has {why}")
         spans.append((left, right))
     return spans
 
@@ -434,15 +465,33 @@ def _after(spans: Sequence[tuple[float, float]]) -> list[int]:
     return [suffix[bisect_right(lefts, right)] for _, right in spans]
 
 
+def _before(spans: Sequence[tuple[float, float]]) -> list[int]:
+    """For each span, the mask of the spans that end before it begins: ``_after``'s transpose.
+
+    With ids sorted by right end, they are the prefix that stops at
+    bisect_left(rights, left).
+    """
+    by_right = sorted(range(len(spans)), key=lambda v: spans[v][1])
+    rights = [spans[v][1] for v in by_right]
+    prefix = list(accumulate((1 << v for v in by_right), or_, initial=0))
+    return [prefix[bisect_left(rights, left)] for left, _ in spans]
+
+
 def chain_poset(n: int) -> Poset:
     """Total order 0 < 1 < ... < n-1."""
+    if n < 0:
+        raise IdOutOfRange("negative element count")
     full = (1 << n) - 1
-    return Poset(n, [full & ~((1 << (u + 1)) - 1) for u in range(n)])
+    return Poset._closed(
+        n, [full & ~((1 << (u + 1)) - 1) for u in range(n)], [(1 << u) - 1 for u in range(n)]
+    )
 
 
 def antichain_poset(n: int) -> Poset:
     """n pairwise incomparable elements."""
-    return Poset(n, [0] * n)
+    if n < 0:
+        raise IdOutOfRange("negative element count")
+    return Poset._closed(n, [0] * n, [0] * n)
 
 
 # -- width, Dilworth --------------------------------------------------------

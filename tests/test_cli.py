@@ -247,19 +247,26 @@ def test_extend_success(tmp_path, capsys):
 
 def test_extend_builds_one_poset(tmp_path, capsys, monkeypatch):
     """With or without --out-order, extend constructs only the input's Poset,
-    and its report and shared files are the same."""
+    and its report and shared files are the same.  Posets are counted on
+    both paths: the checked constructor and the adopting ``_closed``."""
     poset_file = tmp_path / "stacked.json"
     run(["gen", "stacked", "--k", 4, "--w", 3, "--out", poset_file])
     p = poset_from_dict(read_json(poset_file))
     q_reference = canonical_dumps(poset_to_dict(slide_order(p, block_sequence(p, 4))))
     built = []
     init = Poset.__init__
+    closed = Poset._closed
 
     def counting_init(self, n, *args, **kwargs):
         built.append(n)
         init(self, n, *args, **kwargs)
 
+    def counting_closed(n, *args, **kwargs):
+        built.append(n)
+        return closed(n, *args, **kwargs)
+
     monkeypatch.setattr(Poset, "__init__", counting_init)
+    monkeypatch.setattr(Poset, "_closed", staticmethod(counting_closed))
     reports = []
     for name, extra in (("full", ["--out-order", tmp_path / "full" / "q.json"]), ("lean", [])):
         (tmp_path / name).mkdir()

@@ -30,6 +30,7 @@ from posetff import (
     is_interval_order,
     kierstead,
     poset_from_dict,
+    poset_to_dict,
     stacked,
     width_with_witness,
 )
@@ -47,6 +48,7 @@ from helpers import (
 )
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
+NAN = float("nan")
 
 
 def naive_interval_succ(intervals):
@@ -164,6 +166,32 @@ class TestConstructorsAgreeWithTheCheckedPoset:
             poset_from_dict({"n": 2, "relations": [[0, 1]], "names": ["a"]})
         assert type(info.value) is SizeMismatch
         assert str(info.value) == "names must match element count"
+
+    def test_negative_counts(self):
+        for build in (chain_poset, antichain_poset):
+            with pytest.raises(IdOutOfRange, match="^negative element count$"):
+                build(-1)
+
+    def test_loading_runs_neither_checked_kernel(self, monkeypatch):
+        """Loading a file and building an interval order adopt their masks:
+        with ``_reach`` and ``_transpose`` broken they still give the posets
+        that the checked constructor accepts."""
+        doc = poset_to_dict(stacked(4, 3).poset)
+        spans = [(v % 7, v % 7 + v % 3) for v in range(40)]
+        want_spans = Poset(40, naive_interval_succ(spans))
+
+        def broken(*args):
+            raise AssertionError("a checked kernel ran")
+
+        monkeypatch.setattr(order, "_reach", broken)
+        monkeypatch.setattr(order, "_transpose", broken)
+        p = poset_from_dict(doc)
+        q = interval_order_from_intervals(spans)
+        monkeypatch.undo()
+        assert p == stacked(4, 3).poset
+        assert q == want_spans
+        assert_checked_copy_agrees(p)
+        assert_checked_copy_agrees(q)
 
     def test_interval_names_mismatch(self):
         with pytest.raises(SizeMismatch, match="^names must match element count$"):
@@ -575,6 +603,16 @@ class TestIntervalOrders:
     def test_cover_pairs_malformed(self):
         with pytest.raises(MalformedInterval, match=r"interval \(2, 1\) has left > right"):
             interval_cover_pairs([(0, 1), (2, 1)])
+
+    @pytest.mark.parametrize("bad", [(NAN, NAN), (NAN, 1), (0, NAN), (NAN, 0.5), (0.5, NAN)])
+    @pytest.mark.parametrize("build", [interval_order_from_intervals, interval_cover_pairs])
+    def test_nan_ends_rejected(self, bad, build):
+        for at in range(3):
+            spans = [(0, 1), (2, 3)]
+            spans.insert(at, bad)
+            with pytest.raises(MalformedInterval) as info:
+                build(spans)
+            assert str(info.value) == f"interval {bad!r} has ends that are not ordered"
 
     def test_two_plus_two_is_not_interval(self):
         assert not is_interval_order(build_poset(4, TWO_PLUS_TWO))
