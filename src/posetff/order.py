@@ -138,7 +138,10 @@ class Poset:
     def _closed(
         cls, n: int, succ: Sequence[int], pred: Sequence[int], names: Sequence[str] | None = None
     ) -> Poset:
-        """Adopt n successor masks of a closed strict order and their transpose, unchecked."""
+        """Adopt the successor masks of a closed strict order and their transpose.
+
+        Only the names' length is checked; the caller's construction proves the rest.
+        """
         p = cls.__new__(cls)
         p.n = n
         p._succ = tuple(succ)
