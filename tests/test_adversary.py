@@ -27,6 +27,19 @@ def ladder_rule_pairs(q):
     return len(ids), pairs
 
 
+def ladder_names(q, prefix="v"):
+    return [f"{prefix}[{i},{j}]" for i in range(1, q + 1) for j in range(1, i + 1)]
+
+
+def assert_same_order(got, want, names):
+    """Equal successor and predecessor masks, and the given names.
+
+    ``Poset.__eq__`` compares only the successor masks."""
+    assert got == want
+    assert [got.pred_mask(u) for u in range(got.n)] == [want.pred_mask(u) for u in range(want.n)]
+    assert got.names == tuple(names)
+
+
 class TestKierstead:
     def test_single_element(self):
         kp = kierstead(1)
@@ -60,10 +73,10 @@ class TestKierstead:
         p = kierstead(q).poset
         assert max(p.inc_mask(u).bit_count() for u in range(p.n)) <= q
 
-    @pytest.mark.parametrize("q", range(1, 9))
+    @pytest.mark.parametrize("q", range(1, 17))
     def test_masks_match_the_rule_closure(self, q):
         n, pairs = ladder_rule_pairs(q)
-        assert build_poset(n, pairs) == kierstead(q).poset
+        assert_same_order(kierstead(q).poset, build_poset(n, pairs), ladder_names(q))
 
     def test_names(self):
         kp = kierstead(3)
@@ -101,9 +114,10 @@ class TestStacked:
     def test_no_forbidden_pattern(self, k, w):
         assert find_k_plus_k(stacked(k, w).poset, k) is None
 
-    def test_closure_matches_pairwise_rule(self):
-        # glue the pairwise ladder rule across copies and re-close
-        k, w = 4, 3
+    @pytest.mark.parametrize("k,w", [(3, 2), (3, 3), (3, 6), (4, 2), (4, 3), (5, 4), (7, 3)])
+    def test_closure_matches_pairwise_rule(self, k, w):
+        # glue the pairwise ladder rule across copies and re-close; at k = 3
+        # the ladder has two rows, so only row 1 lies below the later copies
         sp = stacked(k, w)
         q = k - 1
         m, base_pairs = ladder_rule_pairs(q)
@@ -117,7 +131,8 @@ class TestStacked:
                     continue
                 for later in range(copy + 1, w - 1):
                     pairs.extend((u + off, later * m + v) for v in range(m))
-        assert build_poset(sp.poset.n, pairs) == sp.poset
+        names = [name for c in range(1, w) for name in ladder_names(q, f"v{c}")]
+        assert_same_order(sp.poset, build_poset(sp.poset.n, pairs), names)
 
     def test_degenerate_k2(self):
         p, order = stacked_degenerate(4)
