@@ -6,16 +6,23 @@ i elements) whose natural presentation order forces exactly q chains.
 other, keeping the top rows incomparable across copies; the concatenated
 natural order then forces (k-1)(w-1) chains while the result has width w
 and no two disjoint incomparable k-chains.
+
+Both are built from their cover pairs by ``build_poset``, whose closure
+proves the order, so neither runs the checked constructor's kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import OutOfRange, ParamError
 from .firstfit import PresentationOrder
-from .order import Poset, antichain_poset
+from .order import antichain_poset, build_poset
+
+if TYPE_CHECKING:
+    from .order import Poset
 
 __all__ = [
     "KiersteadPoset",
@@ -41,29 +48,38 @@ def _row_of(element: int) -> tuple[int, int]:
     return i, element - _row_start(i) + 1
 
 
-def _range_mask(a: int, b: int) -> int:
-    return ((1 << (b - a)) - 1) << a if b > a else 0
+def _ladder_covers(q: int, copies: int) -> Iterator[tuple[int, int]]:
+    """Cover pairs of ``copies`` ladders on rows 1..q, each copy's ids after the last's.
 
-
-def _ladder_succ(q: int) -> list[int]:
-    """Successor masks for the ladder rule.
-
-    v(i,j) < v(i',j') iff i' >= i+2, or i' in {i, i+1} with j' >= j+1.
-    The rule is already transitively closed; the Poset constructor
-    re-checks that.
+    The ladder's order is v(i,j) < v(i',j') iff i' >= i+2, or i' in {i, i+1}
+    with j' >= j+1.  With v(i,j) the j-th element of row i, its covers are
+    v(i,j+1) for j < i, v(i+1,j+1) for i < q, and v(i+2,1) for j = i (for
+    j < i, v(i,j+1) lies between).  Every non-top-row element of a copy lies
+    below the next copy, so the one cross cover runs from v(q-1,q-1), the
+    greatest of them, to the next copy's two minimal elements v(1,1) and
+    v(2,1).  Pairs come in sorted order.
     """
-    n = _row_start(q + 1)
-    succ = [0] * n
+    n = copies * _row_start(q + 1)
+    u = 0
+    for _ in range(copies):
+        for i in range(1, q + 1):
+            for j in range(1, i + 1):
+                if j < i:
+                    yield u, u + 1
+                if i < q:
+                    yield u, u + i + 1
+                if j == i and i + 2 <= q:
+                    yield u, u + i + 2
+                if j == i == q - 1 and u + q + 1 < n:
+                    yield u, u + q + 1
+                    yield u, u + q + 2
+                u += 1
+
+
+def _ladder_names(q: int, prefix: str) -> Iterator[str]:
     for i in range(1, q + 1):
-        rs = _row_start(i)
-        far_above = _range_mask(_row_start(i + 2), n) if i + 2 <= q else 0
         for j in range(1, i + 1):
-            m = far_above
-            m |= _range_mask(rs + j, rs + i)  # rest of row i, from j+1 up
-            if i + 1 <= q:
-                m |= _range_mask(_row_start(i + 1) + j, _row_start(i + 1) + i + 1)
-            succ[rs + j - 1] = m
-    return succ
+            yield f"{prefix}[{i},{j}]"
 
 
 @dataclass(frozen=True)
@@ -92,10 +108,7 @@ def kierstead(q: int) -> KiersteadPoset:
     if q < 1:
         raise ParamError("q must be at least 1")
     n = _row_start(q + 1)
-    names = []
-    for i in range(1, q + 1):
-        names.extend(f"v[{i},{j}]" for j in range(1, i + 1))
-    poset = Poset(n, _ladder_succ(q), names)
+    poset = build_poset(n, _ladder_covers(q, 1), list(_ladder_names(q, "v")))
     return KiersteadPoset(q=q, poset=poset, natural_order=PresentationOrder.identity(n))
 
 
@@ -139,23 +152,9 @@ def stacked(k: int, w: int) -> StackedPoset:
     if w < 2:
         raise ParamError("w must be at least 2")
     q = k - 1
-    copy_n = _row_start(q + 1)
-    n = (w - 1) * copy_n
-    base = _ladder_succ(q)
-    top_start = _row_start(q)  # local ids >= this sit in the top row
-    succ = [0] * n
-    names = []
-    for copy in range(1, w):
-        off = (copy - 1) * copy_n
-        later = _range_mask(copy * copy_n, n)
-        for local in range(copy_n):
-            m = base[local] << off
-            if local < top_start:
-                m |= later
-            succ[off + local] = m
-        for i in range(1, q + 1):
-            names.extend(f"v{copy}[{i},{j}]" for j in range(1, i + 1))
-    poset = Poset(n, succ, names)
+    n = (w - 1) * _row_start(q + 1)
+    names = [name for copy in range(1, w) for name in _ladder_names(q, f"v{copy}")]
+    poset = build_poset(n, _ladder_covers(q, w - 1), names)
     return StackedPoset(k=k, w=w, poset=poset, natural_order=PresentationOrder.identity(n))
 
 

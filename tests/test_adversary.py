@@ -3,6 +3,7 @@ import pytest
 from posetff import (
     OutOfRange,
     ParamError,
+    Poset,
     build_poset,
     find_k_plus_k,
     first_fit_chains,
@@ -11,6 +12,8 @@ from posetff import (
     stacked_degenerate,
     width_with_witness,
 )
+from posetff import order
+from posetff.adversary import _ladder_covers
 
 
 def ladder_rule_pairs(q):
@@ -139,6 +142,32 @@ class TestStacked:
         assert width_with_witness(p)[0] == 4
         assert find_k_plus_k(p, 2) is None
         assert first_fit_chains(p, order).chain_count == 4
+
+
+class TestCoverConstruction:
+    """Both families are closed from their cover pairs, never by the checked kernels."""
+
+    def test_built_without_the_checked_kernels(self, monkeypatch):
+        def broken(*args):
+            raise AssertionError("a checked kernel ran")
+
+        monkeypatch.setattr(order, "_reach", broken)
+        monkeypatch.setattr(order, "_transpose", broken)
+        kp = kierstead(9)
+        sp = stacked(5, 4)
+        monkeypatch.undo()
+        for p in (kp.poset, sp.poset):
+            succ = [p.succ_mask(u) for u in range(p.n)]
+            assert Poset(p.n, succ) == p
+            assert [p.pred_mask(u) for u in range(p.n)] == list(order._transpose(succ, p.n))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 12])
+    def test_ladder_covers_are_the_cover_pairs(self, q):
+        assert list(_ladder_covers(q, 1)) == sorted(kierstead(q).poset.cover_pairs())
+
+    @pytest.mark.parametrize("k,w", [(3, 2), (3, 5), (4, 3), (6, 4), (9, 2)])
+    def test_stacked_covers_are_the_cover_pairs(self, k, w):
+        assert list(_ladder_covers(k - 1, w - 1)) == sorted(stacked(k, w).poset.cover_pairs())
 
 
 class TestPredictedAssignment:
