@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -187,7 +188,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; ``main`` runs ``cmd_<command>`` from this module."""
     parser = argparse.ArgumentParser(prog="posetff")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -211,7 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g_f.add_argument("--k", type=int, required=True)
     g_f.add_argument("--seed", type=int, default=0)
     g_f.add_argument("--out", default=None)
-    gen.set_defaults(func=cmd_gen)
 
     ff = sub.add_parser("ff", help="run First-Fit on a poset file")
     ff.add_argument("--poset", required=True)
@@ -219,7 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ff.add_argument("--expect", type=int, default=None)
     ff.add_argument("--validate", action="store_true")
     ff.add_argument("--out", default=None, help="assignment JSON path (default stdout)")
-    ff.set_defaults(func=cmd_ff)
 
     ext = sub.add_parser("extend", help="build the interval extension and decomposition")
     ext.add_argument("--poset", required=True)
@@ -228,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--out-intervals", default=None)
     ext.add_argument("--out-pd", default=None)
     ext.add_argument("--out-witness", default=None)
-    ext.set_defaults(func=cmd_extend)
 
     bench = sub.add_parser("bench", help="sweep First-Fit against the 8(2k-3)w bound")
     bench.add_argument("--k", type=int, required=True)
@@ -241,18 +241,17 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--csv", required=True,
                        help="output CSV; its width column is each instance's measured width")
     bench.add_argument("--out-witness", default=None)
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_* attribute is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, json.JSONDecodeError, ValueError, PosetFFError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

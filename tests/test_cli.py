@@ -423,7 +423,23 @@ def test_bench_witness_on_generated_instance_exits_2(tmp_path, capsys, monkeypat
     assert err.startswith("error: ") and "Traceback" not in err
     args = cli._build_parser().parse_args([str(a) for a in argv])
     with pytest.raises(InternalError):
-        args.func(args)
+        cli.cmd_bench(args)
+
+
+def test_main_runs_the_cmd_attribute_of_the_module(tmp_path, monkeypatch):
+    # the parser is built once, so dispatch must not bind the handlers into it
+    poset_file = tmp_path / "p.json"
+    assert run(["gen", "kierstead", "--q", 3, "--out", poset_file]) == 0
+    seen = []
+
+    def fake_extend(args):
+        seen.append((args.poset, args.k))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_extend", fake_extend)
+    assert run(["extend", "--poset", poset_file, "--k", 2]) == 7
+    assert seen == [(str(poset_file), 2)]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_console_entry_point_via_module(tmp_path):
