@@ -139,7 +139,11 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(d: dict) -> Graph:
-    return Graph(_int_field(d, "n"), _int_pairs_field(d, "edges"))
+    n, edges = _int_field(d, "n"), _int_pairs_field(d, "edges")
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:
+        raise FormatError(f"'edges': {exc}") from None
 
 
 def order_to_dict(order: PresentationOrder) -> dict:
@@ -147,7 +151,11 @@ def order_to_dict(order: PresentationOrder) -> dict:
 
 
 def order_from_dict(d: dict) -> PresentationOrder:
-    return PresentationOrder(_int_list_field(d, "order"))
+    order = _int_list_field(d, "order")
+    try:
+        return PresentationOrder(order)
+    except ValueError as exc:
+        raise FormatError(f"'order': {exc}") from None
 
 
 def ff_result_to_dict(res: FFChainResult) -> dict:

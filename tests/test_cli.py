@@ -319,7 +319,7 @@ BAD_POSETS = [
     '{"n": 2, "relations": [], "names": 5}',
     DEEP,
 ]
-BAD_ORDERS = ['[1, 2]', '{}', '{"order": 5}', '{"order": [0.0, 1]}', DEEP]
+BAD_ORDERS = ['[1, 2]', '{}', '{"order": 5}', '{"order": [0.0, 1]}', '{"order": [0, 0]}', DEEP]
 GOOD_POSET, GOOD_ORDER = '{"n": 2, "relations": [[0, 1]]}', '{"order": [1, 0]}'
 
 

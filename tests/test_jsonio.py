@@ -178,6 +178,18 @@ def test_malformed_document_raises_format_error(loader, doc):
         loader(doc)
 
 
+@pytest.mark.parametrize("loader, doc, message", [
+    (graph_from_dict, {"n": 2, "edges": [[0, 0]]}, "'edges': loop at 0"),
+    (order_from_dict, {"order": [0, 0]},
+     "'order': presentation order must be a permutation of 0..n-1"),
+])
+def test_invalid_document_raises_a_pinned_format_error(loader, doc, message):
+    with pytest.raises(FormatError) as info:
+        loader(doc)
+    assert type(info.value) is FormatError
+    assert str(info.value) == message
+
+
 def test_graph_negative_size_is_a_library_error():
     with pytest.raises(PosetFFError):
         graph_from_dict({"n": -1, "edges": []})
