@@ -59,9 +59,8 @@ def _ladder_covers(q: int, copies: int) -> Iterator[tuple[int, int]]:
     greatest of them, to the next copy's two minimal elements v(1,1) and
     v(2,1).  Pairs come in sorted order.
     """
-    n = copies * _row_start(q + 1)
     u = 0
-    for _ in range(copies):
+    for copy in range(1, copies + 1):
         for i in range(1, q + 1):
             for j in range(1, i + 1):
                 if j < i:
@@ -70,16 +69,10 @@ def _ladder_covers(q: int, copies: int) -> Iterator[tuple[int, int]]:
                     yield u, u + i + 1
                 if j == i and i + 2 <= q:
                     yield u, u + i + 2
-                if j == i == q - 1 and u + q + 1 < n:
+                if j == i == q - 1 and copy < copies:
                     yield u, u + q + 1
                     yield u, u + q + 2
                 u += 1
-
-
-def _ladder_names(q: int, prefix: str) -> Iterator[str]:
-    for i in range(1, q + 1):
-        for j in range(1, i + 1):
-            yield f"{prefix}[{i},{j}]"
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,8 @@ def kierstead(q: int) -> KiersteadPoset:
     if q < 1:
         raise ParamError("q must be at least 1")
     n = _row_start(q + 1)
-    poset = build_poset(n, _ladder_covers(q, 1), list(_ladder_names(q, "v")))
+    names = [f"v[{i},{j}]" for i in range(1, q + 1) for j in range(1, i + 1)]
+    poset = build_poset(n, _ladder_covers(q, 1), names)
     return KiersteadPoset(q=q, poset=poset, natural_order=PresentationOrder.identity(n))
 
 
@@ -153,7 +147,8 @@ def stacked(k: int, w: int) -> StackedPoset:
         raise ParamError("w must be at least 2")
     q = k - 1
     n = (w - 1) * _row_start(q + 1)
-    names = [name for copy in range(1, w) for name in _ladder_names(q, f"v{copy}")]
+    ladder = [(i, j) for i in range(1, q + 1) for j in range(1, i + 1)]
+    names = [f"v{c}[{i},{j}]" for c in range(1, w) for i, j in ladder]
     poset = build_poset(n, _ladder_covers(q, w - 1), names)
     return StackedPoset(k=k, w=w, poset=poset, natural_order=PresentationOrder.identity(n))
 

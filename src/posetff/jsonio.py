@@ -139,9 +139,8 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(d: dict) -> Graph:
-    n, edges = _int_field(d, "n"), _int_pairs_field(d, "edges")
     try:
-        return Graph(n, edges)
+        return Graph(_int_field(d, "n"), _int_pairs_field(d, "edges"))
     except ValueError as exc:
         raise FormatError(f"'edges': {exc}") from None
 
@@ -151,9 +150,8 @@ def order_to_dict(order: PresentationOrder) -> dict:
 
 
 def order_from_dict(d: dict) -> PresentationOrder:
-    order = _int_list_field(d, "order")
     try:
-        return PresentationOrder(order)
+        return PresentationOrder(_int_list_field(d, "order"))
     except ValueError as exc:
         raise FormatError(f"'order': {exc}") from None
 

@@ -9,15 +9,15 @@ reduce to integer set algebra.
 Posets come into being on two paths.  The library's own constructors
 build both masks in one pass whose structure proves the order, and hand them
 to ``Poset._closed``, which checks nothing but the names' length:
-``build_poset`` (and so every file the loader reads) closes the generator
-pairs in Kahn's topological order, and ``interval_order_from_intervals``,
-``chain_poset`` and ``antichain_poset`` read the masks off the endpoints.
-The public ``Poset(n, succ)`` is for masks from outside (the adversaries,
-callers, tests) and checks them: the predecessor masks come from one bulk
-transpose of the successor masks' binary strings, O(n²/word) C-level work,
-and the axiom check ORs each element's successors' rows through a
-Four-Russians table (8-row chunks, 256 ORs each), n²/8 table lookups plus
-32n big-int ORs in all.
+``build_poset`` (so every file the loader reads, and the adversaries' cover
+pairs) closes the generator pairs in Kahn's topological order, and
+``interval_order_from_intervals``, ``chain_poset`` and ``antichain_poset``
+read the masks off the endpoints.  The public ``Poset(n, succ)`` is for
+masks from outside the library (callers, tests) and checks them: the
+predecessor masks come from one bulk transpose of the successor masks'
+binary strings, O(n²/word) C-level work, and the axiom check ORs each
+element's successors' rows through a Four-Russians table (8-row chunks,
+256 ORs each), n²/8 table lookups plus 32n big-int ORs in all.
 
 The k+k search runs on the same two kernels.  For k >= 2, two k-chains are
 disjoint with every cross pair incomparable iff neither bottom lies below
@@ -114,10 +114,10 @@ class Poset:
     """A finite strict partial order, immutable after construction.
 
     ``succ_mask(u)`` has bit v set iff u < v; ``pred_mask`` is the mirror.
-    The constructor checks the three order axioms (irreflexive,
-    antisymmetric, transitive) on the masks it is given and transposes them;
-    ``_closed`` adopts both masks from constructors whose construction
-    proves them.  Either way every live instance is a genuine closed order.
+    The constructor, for masks from outside the library, checks the three
+    order axioms (irreflexive, antisymmetric, transitive) and transposes the
+    masks; the library's own constructors go through ``_closed``, which adopts
+    both masks their construction proves.  Either way it is a closed order.
     """
 
     __slots__ = ("n", "names", "_succ", "_pred", "_inc")
