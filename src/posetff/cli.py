@@ -190,7 +190,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once; ``main`` runs ``cmd_<command>`` from this module."""
     parser = argparse.ArgumentParser(prog="posetff")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -250,7 +249,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # looked up at call time, so a replaced cmd_* attribute is the one that runs
+        # the parser is cached, so the handler is looked up by name: a replaced
+        # cmd_* attribute (a test's patch, a tracer's wrapper) is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except (OSError, json.JSONDecodeError, ValueError, PosetFFError) as exc:
         print(f"error: {exc}", file=sys.stderr)
