@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import sys
 import time
 
@@ -18,7 +17,13 @@ from .adversary import kierstead, stacked
 from .errors import InternalError, PosetFFError
 from .extension import block_sequence, decomposition_from_blocks, spans_from_blocks
 from .firstfit import PresentationOrder, first_fit_chains, validate_ff_partition
-from .generators import SplitMix64, gen_interval_order, gen_kk_free, random_intervals
+from .generators import (
+    KKFREE_DENSITY,
+    SplitMix64,
+    gen_interval_order,
+    gen_kk_free,
+    random_intervals,
+)
 from .jsonio import (
     canonical_dumps,
     ff_result_to_dict,
@@ -36,7 +41,6 @@ from .jsonio import (
 from .order import KkWitness
 
 CSV_COLUMNS = ["kind", "params", "n", "width", "k", "ff_chains", "bound", "pd_width", "seconds"]
-DEFAULT_KKFREE_DENSITY = 0.5
 
 
 def _emit(obj: dict, path: str | None) -> None:
@@ -67,8 +71,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _emit(interval_order_to_dict(intervals, meta=meta), args.out)
     elif args.family == "kkfree":
         meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
-                "density": DEFAULT_KKFREE_DENSITY}
-        p = gen_kk_free(args.seed, args.n, args.k, density=DEFAULT_KKFREE_DENSITY)
+                "density": KKFREE_DENSITY}
+        p = gen_kk_free(args.seed, args.n, args.k)
         _emit(poset_to_dict(p, meta=meta), args.out)
     return 0
 
@@ -99,19 +103,16 @@ def cmd_extend(args: argparse.Namespace) -> int:
         if args.out_witness:
             write_json(payload, args.out_witness)
         return 1
-    # the slide's Dilworth partition has width(p) chains, and an antichain of
-    # q is a set of pairwise-intersecting spans, all inside one block, so
-    # width(q) is the largest bag's size
+    # pairwise-intersecting spans share a block, so width(q) is a block's size
     w = len(seq.partition)
-    pd = decomposition_from_blocks(seq)
     spans = spans_from_blocks(seq)
-    print(f"width_q={pd.width + 1} bound={(2 * args.k - 3) * w} pd_width={pd.width}")
+    print(f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}")
     if args.out_order:
         write_json(interval_order_to_dict(spans, p.names), args.out_order)
     if args.out_intervals:
         write_json(intervals_to_dict(spans), args.out_intervals)
     if args.out_pd:
-        write_json(pd_to_dict(pd), args.out_pd)
+        write_json(pd_to_dict(decomposition_from_blocks(seq)), args.out_pd)
     return 0
 
 
@@ -147,15 +148,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             params = f"w={w};orders={args.orders};instance_seed={inst_seed}"
         else:
             kind = "kkfree"
-            p = gen_kk_free(inst_seed, n, k, density=DEFAULT_KKFREE_DENSITY)
+            p = gen_kk_free(inst_seed, n, k)
             params = (f"w={w};orders={args.orders};instance_seed={inst_seed};"
-                      f"density={DEFAULT_KKFREE_DENSITY}")
+                      f"density={KKFREE_DENSITY}")
         seq = block_sequence(p, k)
         if isinstance(seq, KkWitness):
             raise InternalError("certified k+k-free instance produced a witness")
         width = len(seq.partition)
         bound = 8 * (2 * k - 3) * width
-        pd = decomposition_from_blocks(seq)
         orders_rng = SplitMix64(inst_seed + 1)
         worst = 0
         worst_order = None
@@ -168,7 +168,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seconds = time.perf_counter() - t0
         rows.append({
             "kind": kind, "params": params, "n": p.n, "width": width, "k": k,
-            "ff_chains": worst, "bound": bound, "pd_width": pd.width,
+            "ff_chains": worst, "bound": bound, "pd_width": seq.width,
             "seconds": f"{seconds:.6f}",
         })
         if worst > bound and violation is None:
@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         # the parser is cached, so the handler is looked up by name: a replaced
         # cmd_* attribute (a test's patch, a tracer's wrapper) is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except (OSError, json.JSONDecodeError, ValueError, PosetFFError) as exc:
+    except (OSError, PosetFFError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,7 +46,7 @@ class InvalidColoring(PosetFFError):
 
 
 class ParamError(PosetFFError):
-    """Generator parameters outside the supported domain."""
+    """An argument outside the supported domain."""
 
 
 class OutOfRange(PosetFFError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .errors import InternalError
+from .errors import InternalError, ParamError
 from .order import (
     Chain,
     ChainPartition,
@@ -223,6 +223,11 @@ class BlockSequence:
     def __len__(self) -> int:
         return len(self.moves) + 1
 
+    @property
+    def width(self) -> int:
+        """Every bag's size minus one: each move swaps one element out and one in."""
+        return sum(hi - lo for lo, hi in self.first) - 1
+
 
 @dataclass(frozen=True)
 class PathDecomposition:
@@ -249,7 +254,7 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
     is then returned.
     """
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise ParamError("k must be at least 2")
     cp = dilworth_partition(p)
     # the first block: the min(2k-3, chain length) smallest elements of every chain
     first = tuple((0, min(len(c.elements), 2 * k - 3)) for c in cp.chains)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
-from .errors import CoverageError, TooLarge
+from .errors import CoverageError, SizeMismatch, TooLarge
 from .order import Chain, ChainPartition, Graph, Poset, incomparability_graph, iter_bits
 
 __all__ = [
@@ -59,7 +59,7 @@ class PresentationOrder:
     def __post_init__(self):
         n = len(self.order)
         if sorted(self.order) != list(range(n)):
-            raise ValueError("presentation order must be a permutation of 0..n-1")
+            raise CoverageError("presentation order must be a permutation of 0..n-1")
 
     @classmethod
     def identity(cls, n: int) -> "PresentationOrder":
@@ -99,7 +99,7 @@ def first_fit_chains(p: Poset, order: PresentationOrder) -> FFChainResult:
     ``first_fit_color`` on that graph, with each class listed as a chain.
     """
     if len(order) != p.n:
-        raise ValueError(f"order covers {len(order)} elements, poset has {p.n}")
+        raise SizeMismatch(f"order covers {len(order)} elements, poset has {p.n}")
     classes = first_fit_color(incomparability_graph(p), order).classes
     assignment = [0] * p.n
     for i, cls in enumerate(classes, start=1):
@@ -134,7 +134,7 @@ def first_fit_color(g: Graph, order: PresentationOrder) -> FFColoring:
     the first ancestor that keeps its value.
     """
     if len(order) != g.n:
-        raise ValueError(f"order covers {len(order)} vertices, graph has {g.n}")
+        raise SizeMismatch(f"order covers {len(order)} vertices, graph has {g.n}")
     leaves = 1
     tree = [0, 0]
     classes: list[list[int]] = []

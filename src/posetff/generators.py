@@ -9,7 +9,7 @@ the complete pattern search.
 
 from __future__ import annotations
 
-from .errors import GaveUp
+from .errors import GaveUp, ParamError
 from .order import Graph, Poset, build_poset, find_k_plus_k, interval_order_from_intervals
 
 __all__ = [
@@ -22,6 +22,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+KKFREE_DENSITY = 0.5
+KKFREE_TRIES = 100
 
 
 class SplitMix64:
@@ -41,7 +43,7 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         if n <= 0:
-            raise ValueError("below() needs a positive bound")
+            raise ParamError("below() needs a positive bound")
         return self.next_u64() % n
 
     def chance(self, threshold: int) -> bool:
@@ -60,7 +62,7 @@ class SplitMix64:
 
 def _threshold(density: float) -> int:
     if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
+        raise ParamError("density must lie in [0, 1]")
     return min(_MASK64 + 1, int(density * (_MASK64 + 1)))
 
 
@@ -69,11 +71,11 @@ def random_intervals(
 ) -> list[tuple[int, int]]:
     """n random closed integer intervals with ends in [0, coordinate_range)."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise ParamError("n must be non-negative")
     if coordinate_range is None:
         coordinate_range = max(1, 2 * n)
     if coordinate_range < 1:
-        raise ValueError(f"coordinate range must be at least 1, got {coordinate_range}")
+        raise ParamError(f"coordinate range must be at least 1, got {coordinate_range}")
     rng = SplitMix64(seed)
     intervals = []
     for _ in range(n):
@@ -100,25 +102,26 @@ def gen_random_poset(rng: SplitMix64, n: int, density: float = 0.5) -> Poset:
     return build_poset(n, pairs)
 
 
-def gen_kk_free(seed: int, n: int, k: int, max_tries: int = 100, density: float = 0.5) -> Poset:
+def gen_kk_free(seed: int, n: int, k: int) -> Poset:
     """Rejection-sample random posets until the complete k+k search returns none.
 
-    Raises GaveUp after max_tries rejected candidates.
+    Candidates keep forward pairs at rate KKFREE_DENSITY; raises GaveUp after
+    KKFREE_TRIES rejected candidates.
     """
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise ParamError("k must be at least 2")
     rng = SplitMix64(seed)
-    for _ in range(max_tries):
-        p = gen_random_poset(rng, n, density)
+    for _ in range(KKFREE_TRIES):
+        p = gen_random_poset(rng, n, KKFREE_DENSITY)
         if find_k_plus_k(p, k) is None:
             return p
-    raise GaveUp(f"no {k}+{k}-free instance within {max_tries} tries")
+    raise GaveUp(f"no {k}+{k}-free instance within {KKFREE_TRIES} tries")
 
 
 def gen_graph(seed: int, n: int, density: float) -> Graph:
     """Erdos-Renyi style simple graph, deterministic per seed."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise ParamError("n must be non-negative")
     thr = _threshold(density)
     rng = SplitMix64(seed)
     edges = []

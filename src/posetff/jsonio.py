@@ -14,11 +14,11 @@ import json
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import FormatError, SizeMismatch
+from .errors import CoverageError, FormatError, SizeMismatch
 from .extension import BlockSequence, PathDecomposition
 from .firstfit import FFChainResult, PresentationOrder
 from .homomorphism import Homomorphism
-from .order import Graph, KkWitness, Poset, build_poset, interval_cover_pairs
+from .order import KkWitness, Poset, build_poset, interval_cover_pairs
 
 __all__ = [
     "canonical_dumps",
@@ -27,8 +27,6 @@ __all__ = [
     "poset_to_dict",
     "poset_from_dict",
     "interval_order_to_dict",
-    "graph_to_dict",
-    "graph_from_dict",
     "order_to_dict",
     "order_from_dict",
     "ff_result_to_dict",
@@ -52,11 +50,13 @@ def write_json(obj: Any, path: str | Path) -> None:
 
 
 def read_json(path: str | Path) -> Any:
-    text = Path(path).read_text()
+    """The parsed document; a file that is not UTF-8 JSON raises FormatError."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text())
     except RecursionError:
         raise FormatError("document nests too deeply to parse") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, the int digit limit
+        raise FormatError(str(exc)) from None
 
 
 def _poset_dict(
@@ -134,17 +134,6 @@ def poset_from_dict(d: dict) -> Poset:
     return build_poset(n, relations, names)
 
 
-def graph_to_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edges()]}
-
-
-def graph_from_dict(d: dict) -> Graph:
-    try:
-        return Graph(_int_field(d, "n"), _int_pairs_field(d, "edges"))
-    except ValueError as exc:
-        raise FormatError(f"'edges': {exc}") from None
-
-
 def order_to_dict(order: PresentationOrder) -> dict:
     return {"order": list(order.order)}
 
@@ -152,7 +141,7 @@ def order_to_dict(order: PresentationOrder) -> dict:
 def order_from_dict(d: dict) -> PresentationOrder:
     try:
         return PresentationOrder(_int_list_field(d, "order"))
-    except ValueError as exc:
+    except CoverageError as exc:
         raise FormatError(f"'order': {exc}") from None
 
 

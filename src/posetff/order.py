@@ -40,6 +40,7 @@ from .errors import (
     IdOutOfRange,
     InternalError,
     MalformedInterval,
+    ParamError,
     SizeMismatch,
 )
 
@@ -310,7 +311,7 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise IdOutOfRange(f"edge ({u},{v}) outside [0,{n})")
             if u == v:
-                raise ValueError(f"loop at {u}")
+                raise ParamError(f"loop at {u}")
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
         self._nbr = tuple(nbr)
@@ -699,7 +700,7 @@ def find_k_plus_k(p: Poset, k: int) -> KkWitness | None:
     least element u with an incomparable element and u's least such v.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ParamError("k must be at least 1")
     n = p.n
     if 2 * k > n:
         return None
@@ -759,7 +760,7 @@ def path_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
+        raise ParamError("cycle needs at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 

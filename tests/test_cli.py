@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -12,6 +13,7 @@ from posetff import (
     InternalError,
     KkWitness,
     Poset,
+    PosetFFError,
     block_sequence,
     build_poset,
     canonical_dumps,
@@ -25,7 +27,7 @@ from posetff import (
     validate_path_decomposition,
     width_with_witness,
 )
-from posetff import cli
+from posetff import cli, errors
 from posetff.cli import main
 from helpers import slide_order
 
@@ -307,6 +309,8 @@ def test_extend_report_on_small_inputs(tmp_path, capsys, doc, k):
 
 
 DEEP = "[" * 100000  # nests past the JSON parser's recursion limit
+LONG_INT = '{"n": ' + "1" * 5000 + ', "relations": []}'  # past the int digit limit
+NOT_UTF8 = b'{"n": 2, "relations": []}\xff'
 BAD_POSETS = [
     '{"relations": [[0, 1]]}',
     '[1, 2]',
@@ -318,28 +322,54 @@ BAD_POSETS = [
     '{"n": 2, "relations": {}}',
     '{"n": 2, "relations": [], "names": 5}',
     DEEP,
+    LONG_INT,
+    NOT_UTF8,
 ]
-BAD_ORDERS = ['[1, 2]', '{}', '{"order": 5}', '{"order": [0.0, 1]}', '{"order": [0, 0]}', DEEP]
+BAD_ORDERS = ['[1, 2]', '{}', '{"order": 5}', '{"order": [0.0, 1]}', '{"order": [0, 0]}', DEEP,
+              '{"order": [0]}']
 GOOD_POSET, GOOD_ORDER = '{"n": 2, "relations": [[0, 1]]}', '{"order": [1, 0]}'
+IDS = {DEEP: "deep", LONG_INT: "long-int", NOT_UTF8: "not-utf8"}
 
 
-@pytest.mark.parametrize("command, poset_doc, order_doc", [
+def write_doc(path, doc):
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc)
+
+
+@pytest.mark.parametrize("command, poset_doc, arg", [
     *[("ff", doc, GOOD_ORDER) for doc in BAD_POSETS],
     *[("ff", GOOD_POSET, doc) for doc in BAD_ORDERS],
-    *[("extend", doc, None) for doc in BAD_POSETS],
-], ids=lambda value: "deep" if value == DEEP else None)
-def test_malformed_input_exits_2(tmp_path, capsys, command, poset_doc, order_doc):
+    *[("extend", doc, 2) for doc in BAD_POSETS],
+    ("extend", GOOD_POSET, 1),
+], ids=IDS.get)
+def test_malformed_input_exits_2(tmp_path, capsys, command, poset_doc, arg):
+    # arg is the order document for ff and --k for extend
     poset_file = tmp_path / "p.json"
-    poset_file.write_text(poset_doc)
-    if order_doc is None:
-        argv = [command, "--poset", poset_file, "--k", 2]
+    write_doc(poset_file, poset_doc)
+    if command == "extend":
+        argv = [command, "--poset", poset_file, "--k", arg]
     else:
         order_file = tmp_path / "o.json"
-        order_file.write_text(order_doc)
+        write_doc(order_file, arg)
         argv = [command, "--poset", poset_file, "--order", order_file]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_library_raises_only_its_own_errors():
+    # cli.main turns exactly OSError and PosetFFError into exit 2, so any other
+    # raise in the package would reach the user as a traceback
+    for path in sorted((SRC / "posetff").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue  # a bare re-raise
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(errors, exc.id, None) if isinstance(exc, ast.Name) else None
+            assert isinstance(cls, type) and issubclass(cls, PosetFFError), (
+                f"{path.name}:{node.lineno} raises {ast.unparse(node.exc)}")
 
 
 def test_extend_witness_exit_1(tmp_path, capsys):
@@ -372,7 +402,7 @@ def test_bench_rows_respect_bound(tmp_path):
     for row in rows:
         assert int(row["ff_chains"]) <= int(row["bound"])
         assert int(row["bound"]) == 8 * 3 * int(row["width"])
-        p = gen_kk_free(instance_seed(row), int(row["n"]), 3, density=0.5)
+        p = gen_kk_free(instance_seed(row), int(row["n"]), 3)
         check_bench_row(row, p, 3)
     seeds = [instance_seed(row) for row in rows]
     assert seeds == sorted(seeds)

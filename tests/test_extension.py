@@ -10,6 +10,7 @@ from posetff import (
     Graph,
     InternalError,
     KkWitness,
+    ParamError,
     SplitMix64,
     PathDecomposition,
     antichain_poset,
@@ -319,7 +320,7 @@ class TestBlockSequence:
             assert all(block_size(b) <= w for b in replay_blocks(seq))
 
     def test_rejects_k_below_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match="^k must be at least 2$"):
             block_sequence(chain_poset(3), 1)
 
     @given(posets(max_n=12))
@@ -406,6 +407,7 @@ class TestIntervalOrderOf:
             return
         pd = decomposition_from_blocks(seq)
         assert spans_from_blocks(seq) == interval_completion(incomparability_graph(p), pd)
+        assert seq.width == pd.width
 
     def test_spans_are_the_completion_on_seeded_kk_free(self):
         for seed in range(10):

@@ -12,6 +12,7 @@ from posetff import (
     FFColoring,
     Graph,
     PresentationOrder,
+    SizeMismatch,
     TooLarge,
     antichain_poset,
     build_poset,
@@ -52,7 +53,8 @@ class TestPresentationOrder:
         assert PresentationOrder.identity(3).order == (0, 1, 2)
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CoverageError,
+                           match=r"^presentation order must be a permutation of 0\.\.n-1$"):
             PresentationOrder((0, 0, 1))
 
 
@@ -77,6 +79,10 @@ class TestFirstFitChains:
     def test_empty(self):
         res = first_fit_chains(chain_poset(0), PresentationOrder(()))
         assert res.chain_count == 0
+
+    def test_order_of_another_length_is_rejected(self):
+        with pytest.raises(SizeMismatch, match="^order covers 2 elements, poset has 3$"):
+            first_fit_chains(chain_poset(3), PresentationOrder.identity(2))
 
 
 class TestEnginesAgreeWithOracles:
@@ -204,6 +210,10 @@ class TestFirstFitColor:
     def test_complete(self):
         c = first_fit_color(complete_graph(4), PresentationOrder.identity(4))
         assert c.color_count == 4
+
+    def test_order_of_another_length_is_rejected(self):
+        with pytest.raises(SizeMismatch, match="^order covers 4 vertices, graph has 3$"):
+            first_fit_color(empty_graph(3), PresentationOrder.identity(4))
 
     @given(posets_with_orders())
     @settings(max_examples=60)

@@ -2,6 +2,7 @@ import pytest
 
 from posetff import (
     GaveUp,
+    ParamError,
     SplitMix64,
     block_sequence,
     canonical_dumps,
@@ -12,7 +13,6 @@ from posetff import (
     gen_interval_order,
     gen_kk_free,
     gen_random_poset,
-    graph_to_dict,
     is_interval_order,
     poset_to_dict,
     random_intervals,
@@ -43,7 +43,7 @@ class TestSplitMix:
         assert SplitMix64(9).permutation(6) == SplitMix64(9).permutation(6)
 
     def test_below_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match=r"^below\(\) needs a positive bound$"):
             SplitMix64(1).below(0)
 
 
@@ -56,9 +56,9 @@ class TestGenIntervalOrder:
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_empty_range_rejected(self, n):
-        with pytest.raises(ValueError, match="^coordinate range must be at least 1, got 0$"):
+        with pytest.raises(ParamError, match="^coordinate range must be at least 1, got 0$"):
             gen_interval_order(0, n, 0)
-        with pytest.raises(ValueError, match="^coordinate range must be at least 1, got 0$"):
+        with pytest.raises(ParamError, match="^coordinate range must be at least 1, got 0$"):
             random_intervals(0, n, 0)
 
     def test_draw_pinned(self):
@@ -101,8 +101,9 @@ class TestGenKkFree:
         assert gen_kk_free(0, 1, 4).n == 1
 
     def test_gave_up(self):
-        with pytest.raises(GaveUp):
-            gen_kk_free(0, 12, 2, max_tries=0)
+        # every one of the 100 tries at n = 40 holds a 2+2
+        with pytest.raises(GaveUp, match=r"^no 2\+2-free instance within 100 tries$"):
+            gen_kk_free(0, 40, 2)
 
     def test_determinism(self):
         assert gen_kk_free(9, 14, 3) == gen_kk_free(9, 14, 3)
@@ -115,8 +116,12 @@ class TestGenRandomPoset:
         assert width_with_witness(full)[0] == 1  # every forward pair kept: a chain
 
     def test_density_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError, match=r"^density must lie in \[0, 1\]$"):
             gen_random_poset(SplitMix64(0), 4, 1.5)
+
+
+def graph_json(g):
+    return canonical_dumps({"n": g.n, "edges": [list(e) for e in g.edges()]})
 
 
 class TestGenGraph:
@@ -129,9 +134,21 @@ class TestGenGraph:
     def test_pinned_fixture(self):
         g = gen_graph(3, 9, 0.4)
         assert list(g.edges()) == PINNED_GRAPH_EDGES
-        assert canonical_dumps(graph_to_dict(g)) == PINNED_GRAPH_JSON
+        assert graph_json(g) == PINNED_GRAPH_JSON
 
     def test_determinism_bytes(self):
-        a = canonical_dumps(graph_to_dict(gen_graph(8, 10, 0.5)))
-        b = canonical_dumps(graph_to_dict(gen_graph(8, 10, 0.5)))
+        a = graph_json(gen_graph(8, 10, 0.5))
+        b = graph_json(gen_graph(8, 10, 0.5))
         assert a == b
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen_kk_free(0, 5, 1), "k must be at least 2"),
+    (lambda: random_intervals(0, -1), "n must be non-negative"),
+    (lambda: gen_graph(0, -1, 0.5), "n must be non-negative"),
+], ids=["kk-free-k1", "intervals-negative-n", "graph-negative-n"])
+def test_pinned_param_errors(make, message):
+    with pytest.raises(ParamError) as info:
+        make()
+    assert type(info.value) is ParamError
+    assert str(info.value) == message

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from posetff import (
     FormatError,
-    PosetFFError,
     Homomorphism,
     PathDecomposition,
     PresentationOrder,
@@ -18,10 +17,7 @@ from posetff import (
     ff_result_to_dict,
     find_k_plus_k,
     first_fit_chains,
-    gen_graph,
     gen_interval_order,
-    graph_from_dict,
-    graph_to_dict,
     homomorphism_from_dict,
     homomorphism_to_dict,
     interval_order_from_intervals,
@@ -75,11 +71,6 @@ def test_poset_names_carried():
     again = poset_from_dict(d)
     assert again.names == kp.poset.names
     assert d["meta"]["q"] == 3
-
-
-def test_graph_round_trip():
-    g = gen_graph(2, 8, 0.5)
-    assert graph_from_dict(graph_to_dict(g)) == g
 
 
 def test_order_round_trip():
@@ -145,13 +136,6 @@ def test_write_and_read(tmp_path):
 
 
 MALFORMED = [
-    (graph_from_dict, [1, 2]),
-    (graph_from_dict, {"n": 2}),
-    (graph_from_dict, {"edges": [[0, 1]]}),
-    (graph_from_dict, {"n": "2", "edges": [[0, 1]]}),
-    (graph_from_dict, {"n": 2, "edges": [[0, 1, 1]]}),
-    (graph_from_dict, {"n": 2, "edges": [[0, 1.0]]}),
-    (graph_from_dict, {"n": 2, "edges": {"0": 1}}),
     (pd_from_dict, {}),
     (pd_from_dict, "bags"),
     (pd_from_dict, {"bags": 3}),
@@ -179,7 +163,6 @@ def test_malformed_document_raises_format_error(loader, doc):
 
 
 @pytest.mark.parametrize("loader, doc, message", [
-    (graph_from_dict, {"n": 2, "edges": [[0, 0]]}, "'edges': loop at 0"),
     (order_from_dict, {"order": [0, 0]},
      "'order': presentation order must be a permutation of 0..n-1"),
 ])
@@ -190,6 +173,14 @@ def test_invalid_document_raises_a_pinned_format_error(loader, doc, message):
     assert str(info.value) == message
 
 
-def test_graph_negative_size_is_a_library_error():
-    with pytest.raises(PosetFFError):
-        graph_from_dict({"n": -1, "edges": []})
+@pytest.mark.parametrize("data, message", [
+    (b'{"n": ' + b"1" * 5000 + b', "relations": []}', "limit (4300 digits)"),
+    (b'{"n": 2, "relations": []}\xff', "can't decode byte 0xff"),
+    (b'{"n": 2,', "Expecting property name"),
+], ids=["long-int", "not-utf8", "truncated"])
+def test_unparsable_file_raises_format_error(tmp_path, data, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as info:
+        read_json(path)
+    assert message in str(info.value)

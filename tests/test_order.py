@@ -14,12 +14,14 @@ from posetff import (
     Graph,
     IdOutOfRange,
     MalformedInterval,
+    ParamError,
     Poset,
     SizeMismatch,
     antichain_poset,
     build_poset,
     chain_poset,
     complete_multipartite_graph,
+    cycle_graph,
     dilworth_partition,
     find_k_plus_k,
     gen_interval_order,
@@ -393,6 +395,17 @@ class TestGraph:
         assert list(g.edges()) == [(0, 1), (0, 3), (0, 4), (1, 2)]
         assert list(Graph(0, []).edges()) == []
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Graph(3, [(0, 1), (1, 1)]), ParamError, "loop at 1"),
+        (lambda: Graph(-1, []), IdOutOfRange, "negative vertex count"),
+        (lambda: cycle_graph(2), ParamError, "cycle needs at least 3 vertices"),
+    ], ids=["loop", "negative-size", "short-cycle"])
+    def test_pinned_errors(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     @given(st.data())
     @settings(max_examples=60)
     def test_any_edge_list_gives_its_normal_form(self, data):
@@ -437,6 +450,10 @@ class TestIncomparabilityGraph:
 
 
 class TestFindKPlusK:
+    def test_rejects_k_below_one(self):
+        with pytest.raises(ParamError, match="^k must be at least 1$"):
+            find_k_plus_k(chain_poset(2), 0)
+
     def test_two_plus_two_witness_is_the_defining_pair(self):
         p = build_poset(4, TWO_PLUS_TWO)
         witness = find_k_plus_k(p, 2)
