@@ -102,53 +102,59 @@ def fresh_digraph(p, segments, k):
     return extension_module._SinkDigraph(p, dilworth_partition(p), tuple(segments), k)
 
 
-def arcs_by_definition(p, entries):
-    """The certifying digraph's arcs: i -> j iff a_i is not below d_j."""
-    return {
-        i: mask(j for j in entries if j != i and not p.less(entries[i].a, entries[j].d))
-        for i in entries
-    }
+def live_chains(cp, segments):
+    """The chains reaching past their segments, in increasing order."""
+    return [i for i, ((_, hi), chain) in enumerate(zip(segments, cp.chains))
+            if hi < len(chain.elements)]
 
 
-def check_pick(p, state):
-    """``pick()`` is the smallest live chain with no out-arc, or a valid witness
-    when every chain has one; the on-demand arcs match the definition."""
-    arcs = arcs_by_definition(p, state.entries)
-    assert state.arcs() == arcs
-    sinks = [i for i, out in arcs.items() if not out]
-    got = state.pick()
-    if sinks:
-        assert got == sinks[0]
+def arcs_by_definition(p, cp, segments):
+    """The certifying digraph of one block: i -> j iff a_i is not below d_j,
+    where a_i is live chain i's segment minimum and d_j is live chain j's
+    least element above its segment."""
+    live = live_chains(cp, segments)
+    a = {i: cp.chains[i].elements[segments[i][0]] for i in live}
+    d = {i: cp.chains[i].elements[segments[i][1]] for i in live}
+    return {i: mask(j for j in live if j != i and not p.less(a[i], d[j])) for i in live}
+
+
+def least_sink(p, cp, segments):
+    """The smallest sink of the block's certifying digraph, or None when it has none."""
+    return next((i for i, out in arcs_by_definition(p, cp, segments).items() if not out), None)
+
+
+def check_pick(p, cp, segments, k, got):
+    """``got`` is the smallest sink of the block's certifying digraph, or a
+    valid k+k witness when the digraph has no sink."""
+    sink = least_sink(p, cp, segments)
+    if sink is None:
+        assert isinstance(got, KkWitness) and got.is_valid(p) and got.k == k
     else:
-        assert isinstance(got, KkWitness) and got.is_valid(p)
+        assert got == sink
     return got
 
 
 def slide_from_scratch(p, k):
-    """Reference slide: a fresh certifying digraph on every block.
+    """Reference slide, from the definitions alone: on every block, move the
+    smallest sink of the certifying digraph.
 
-    Also checks each digraph's up-set and arcs against the definitions
-    (i -> j iff a_i is not below d_j), and each pick against the arcs.
-    Returns (moves, blocks, witness or None), each block its segments tuple.
+    Returns (moves, blocks, stuck), each block its segments tuple; ``stuck``
+    says the last block's digraph has no sink, so the slide must end in a witness.
     """
     cp = dilworth_partition(p)
     segments = [(0, min(len(c.elements), 2 * k - 3)) for c in cp.chains]
     blocks = [tuple(segments)]
     moves = []
     while elements_above(cp, segments):
-        state = extension_module._SinkDigraph(p, cp, tuple(segments), k)
-        assert state.ups == mask(elements_above(cp, segments))
-        entries = state.entries
-        got = check_pick(p, state)
-        if isinstance(got, KkWitness):
-            return moves, blocks, got
-        lo, hi = segments[got]
-        chain = cp.chains[got].elements
-        assert entries[got].a == chain[lo]
-        moves.append(BlockMove(removed=chain[lo], added=chain[hi], chain=got))
-        segments[got] = (lo + 1, hi + 1)
+        sink = least_sink(p, cp, segments)
+        if sink is None:
+            return moves, blocks, True
+        lo, hi = segments[sink]
+        chain = cp.chains[sink].elements
+        moves.append(BlockMove(removed=chain[lo], added=chain[hi], chain=sink))
+        segments[sink] = (lo + 1, hi + 1)
         blocks.append(tuple(segments))
-    return moves, blocks, None
+    return moves, blocks, False
 
 
 def replay_blocks(seq):
@@ -170,10 +176,10 @@ def replay_blocks(seq):
 
 
 def assert_slide_matches_scratch(p, k):
-    moves, blocks, witness = slide_from_scratch(p, k)
+    moves, blocks, stuck = slide_from_scratch(p, k)
     got = block_sequence(p, k)
-    if witness is not None:
-        assert got == witness
+    if stuck:
+        assert isinstance(got, KkWitness) and got.is_valid(p) and got.k == k
     else:
         assert got.moves == tuple(moves)
         assert replay_blocks(got) == blocks
@@ -261,7 +267,7 @@ class TestFindGoodElement:
             segments.append((lo, lo + size))
         state = extension_module._SinkDigraph(p, cp, tuple(segments), k)
         if state.ups:  # the slide picks only while something is above the block
-            check_pick(p, state)
+            check_pick(p, cp, segments, k, state.pick())
 
     def test_least_cycle_rejects_a_sink(self):
         # every chain failed the up-set test, so a sink means the lemma broke
