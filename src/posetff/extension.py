@@ -7,12 +7,14 @@ admitting the next element of that chain keeps the window family a valid
 block.  The membership spans of the elements across the block sequence
 form closed integer intervals whose interval order the input extends,
 and the blocks double as a path decomposition of the incomparability
-graph.  A chain's segment minimum is good exactly when the up-set bitmask
-lies above it, so finding the good element is one mask test per chain.
-When no chain passes, the certifying digraph (an arc from chain i to chain
-j when i's segment minimum is not below j's next element) is built once:
-it has no sink, and replaying the certification along its least cycle
-produces two disjoint incomparable k-chains instead.
+graph.  The slide keeps only each chain's segment start, the live chains
+(those reaching past their segments) and the up-set bitmask.  A chain's
+segment minimum is good exactly when the up-set lies above it, so the
+per-step certificate is one mask test per live chain.  Only when no chain
+passes are the CertEntry records and the certifying digraph (an arc from
+chain i to chain j when i's segment minimum is not below j's next element)
+built: it has no sink, and replaying the certification along its least
+cycle produces two disjoint incomparable k-chains instead.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError, ParamError
 from .order import (
-    Chain,
-    ChainPartition,
-    Graph,
-    KkWitness,
-    Poset,
-    _after,
-    dilworth_partition,
+    Chain, ChainPartition, Graph, KkWitness, Poset, _spans_cover_edges, dilworth_partition
 )
 
 __all__ = [
@@ -74,17 +70,9 @@ def _witness_from_cycle(
     """
     first = cycle[0]
     left = entries[first].lower
-    for idx in range(1, len(cycle)):
-        i = cycle[idx]
+    for i in cycle[1:]:
         right = entries[i].upper
-        found = None
-        for u in left:
-            for v in right:
-                if p.comparable(u, v):
-                    found = (u, v)
-                    break
-            if found:
-                break
+        found = next(((u, v) for u in left for v in right if p.comparable(u, v)), None)
         if found is None:
             witness = KkWitness(Chain(left), Chain(right))
             if not witness.is_valid(p):
@@ -105,87 +93,46 @@ class BlockMove:
     chain: int
 
 
-class _SinkDigraph:
-    """The certificate state of one block, kept current as windows slide.
-
-    ``entries`` holds a CertEntry for every chain still reaching above its
-    segment, in increasing chain order; ``ups`` is the up-set as an element
-    bitmask.  The certifying digraph has an arc i -> j when a_i is not below
-    d_j.  Since d_j is chain j's least element above its segment, and a_i is
-    below d_i on its own chain, chain i is a sink exactly when a_i lies below
-    the whole up-set: goodness is the one mask test ``pick`` makes, and the
-    arcs are built only when no chain passes it, to find the witness's cycle.
-    """
-
-    __slots__ = ("p", "cp", "k", "segments", "entries", "ups")
-
-    def __init__(
-        self, p: Poset, cp: ChainPartition, segments: tuple[tuple[int, int], ...], k: int
-    ):
-        self.p, self.cp, self.k = p, cp, k
-        self.segments = list(segments)
-        self.entries: dict[int, CertEntry] = {}
-        self.ups = 0
-        for i, ((_, hi), chain) in enumerate(zip(self.segments, cp.chains)):
-            if hi >= len(chain.elements):
-                continue  # chain contributes nothing above its segment
-            for e in chain.elements[hi:]:
-                self.ups |= 1 << e
-            self.entries[i] = self._entry(i)
-
-    def _entry(self, i: int) -> CertEntry:
-        k = self.k
-        window = 2 * k - 3
-        lo, hi = self.segments[i]
-        # block_sequence gives every chain min(len, 2k-3) positions and only
-        # chains reaching past their segment get here, so the width is exact
-        if hi - lo != window:
-            raise InternalError(
-                f"chain {i} segment holds {hi - lo} elements; the certificate needs {window}"
-            )
-        chain = self.cp.chains[i].elements
-        seg = chain[lo:hi]
-        d = chain[hi]
-        lower = (seg + (d,))[:k]  # k smallest of segment + {d}
-        a, b, c = lower[0], lower[-2], lower[-1]
-        upper = seg[k - 2 :] + (d,)
-        if len(upper) != k:
-            raise InternalError(f"chain {i} upper chain has {len(upper)} elements, not {k}")
-        less = self.p.less
+def _entries(
+    p: Poset, chains: list[tuple[int, ...]], lo: list[int], live: list[int], k: int
+) -> dict[int, CertEntry]:
+    """The CertEntry of every live chain i, read off its segment (from ``lo[i]``) and d."""
+    less = p.less
+    entries = {}
+    for i in live:
+        run = chains[i][lo[i] : lo[i] + 2 * k - 2]  # the 2k-3 segment elements, then d
+        lower = run[:k]
+        a, b, c, d = lower[0], lower[-2], lower[-1], run[-1]
         if not ((a == b or less(a, b)) and less(b, c) and (c == d or less(c, d))):
             raise InternalError(f"chain {i} certificate breaks a <= b < c <= d")
-        return CertEntry(a=a, b=b, c=c, d=d, lower=lower, upper=upper)
+        entries[i] = CertEntry(a=a, b=b, c=c, d=d, lower=lower, upper=run[k - 2 :])
+    return entries
 
-    def pick(self) -> int | KkWitness:
-        """The smallest chain whose segment minimum is below the whole up-set, or a witness."""
-        ups, succ_mask = self.ups, self.p.succ_mask
-        for i, entry in self.entries.items():
-            if not ups & ~succ_mask(entry.a):
-                return i
-        return _witness_from_cycle(self.p, self.entries, _least_cycle(self.arcs()))
 
-    def arcs(self) -> dict[int, int]:
-        """The certifying digraph: bit j of ``arcs()[i]`` is the arc i -> j (a_i not below d_j)."""
-        less, entries = self.p.less, self.entries
-        return {
-            i: sum(1 << j for j in entries if j != i and not less(entries[i].a, entries[j].d))
-            for i in entries
-        }
+def _pick(
+    p: Poset, chains: list[tuple[int, ...]], lo: list[int], live: list[int], ups: int, k: int
+) -> int | KkWitness:
+    """The least live chain whose segment minimum lies below the whole up-set, or a witness.
 
-    def advance(self, s: int) -> BlockMove:
-        """Slide chain s past its segment minimum, then recertify or drop chain s."""
-        lo, hi = self.segments[s]
-        chain = self.cp.chains[s].elements
-        removed, added = chain[lo], chain[hi]
-        if removed != self.entries[s].a:
-            raise InternalError(f"removed {removed} is not chain {s}'s certified minimum")
-        self.segments[s] = (lo + 1, hi + 1)
-        self.ups &= ~(1 << added)
-        if hi + 1 == len(chain):
-            del self.entries[s]
-        else:
-            self.entries[s] = self._entry(s)
-        return BlockMove(removed=removed, added=added, chain=s)
+    Chain i's segment is the 2k-3 elements from position ``lo[i]``; ``live``
+    lists, in increasing order, the chains reaching past their segments, and
+    ``ups`` masks the elements above the block.  The certifying digraph has
+    an arc i -> j when a_i is not below d_j, chain j's least element above
+    its segment; a_i is below d_i, so chain i is a sink exactly when a_i lies
+    below the whole up-set.  The entries and arcs are built only when no
+    chain passes that test, to find the witness's cycle.
+    """
+    succ_mask = p.succ_mask
+    for i in live:
+        if not ups & ~succ_mask(chains[i][lo[i]]):
+            return i
+    entries = _entries(p, chains, lo, live, k)
+    less = p.less
+    arcs = {
+        i: sum(1 << j for j in entries if j != i and not less(entries[i].a, entries[j].d))
+        for i in entries
+    }
+    return _witness_from_cycle(p, entries, _least_cycle(arcs))
 
 
 def _least_cycle(arcs: dict[int, int]) -> list[int]:
@@ -248,23 +195,32 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
 
     Each step removes the certified good element and admits the smallest
     element above the same chain's segment, so per-chain segment sizes
-    never change.  Each step tries the live chains in increasing order,
-    one up-set mask test each; the certifying digraph is built only when
-    none passes, and its cycle is replayed into the two-chain witness that
-    is then returned.
+    never change.  The slide keeps each chain's segment start, the live
+    chains (those reaching past their segments) and the up-set mask; each
+    step is one ``_pick``, whose witness, when no chain is good, is returned.
     """
     if k < 2:
         raise ParamError("k must be at least 2")
     cp = dilworth_partition(p)
+    chains = [c.elements for c in cp.chains]
+    window = 2 * k - 3
     # the first block: the min(2k-3, chain length) smallest elements of every chain
-    first = tuple((0, min(len(c.elements), 2 * k - 3)) for c in cp.chains)
-    state = _SinkDigraph(p, cp, first, k)
+    first = tuple((0, min(len(chain), window)) for chain in chains)
+    lo = [0] * len(chains)
+    live = [i for i, chain in enumerate(chains) if len(chain) > window]
+    ups = sum(1 << e for i in live for e in chains[i][window:])
     moves: list[BlockMove] = []
-    while state.ups:
-        got = state.pick()
+    while live:
+        got = _pick(p, chains, lo, live, ups, k)
         if isinstance(got, KkWitness):
             return got
-        moves.append(state.advance(got))
+        chain, start = chains[got], lo[got]
+        added = chain[start + window]
+        moves.append(BlockMove(removed=chain[start], added=added, chain=got))
+        ups &= ~(1 << added)
+        lo[got] = start + 1
+        if start + 1 + window == len(chain):
+            live.remove(got)
     return BlockSequence(partition=cp, first=first, moves=tuple(moves))
 
 
@@ -312,9 +268,7 @@ def _valid_spans(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int], ...]
     """Each vertex's closed 1-based span of bags, or None when pd does not decompose g.
 
     Once every vertex's bags are known to be consecutive, an edge is covered
-    exactly when the spans of its two ends intersect, that is when neither
-    begins after the other ends.  Every edge is seen from both ends, so it
-    suffices that no vertex's neighbour begins after its last bag.
+    exactly when the spans of its two ends meet.
     """
     first = [0] * g.n
     last = [0] * g.n
@@ -332,9 +286,7 @@ def _valid_spans(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int], ...]
     if 0 in first:
         return None
     spans = tuple(zip(first, last))
-    if any(g.nbr_mask(u) & a for u, a in enumerate(_after(spans))):
-        return None
-    return spans
+    return spans if _spans_cover_edges(g, spans) else None
 
 
 def validate_path_decomposition(g: Graph, pd: PathDecomposition) -> bool:

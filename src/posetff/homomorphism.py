@@ -37,7 +37,9 @@ from typing import Sequence
 from .errors import InternalError, InvalidColoring, InvalidDecomposition, TooLarge
 from .extension import PathDecomposition, _valid_spans, validate_path_decomposition
 from .firstfit import FFColoring, validate_ff_coloring
-from .order import Graph, _after, incomparability_graph, interval_order_from_intervals, iter_bits
+from .order import (
+    Graph, _spans_cover_edges, incomparability_graph, interval_order_from_intervals, iter_bits
+)
 
 __all__ = [
     "Homomorphism",
@@ -105,7 +107,7 @@ def build_ff_image(
     """
     if len(spans) != g.n:
         raise InvalidDecomposition("completion and graph sizes differ")
-    if any(g.nbr_mask(u) & a for u, a in enumerate(_after(spans))):
+    if not _spans_cover_edges(g, spans):
         raise InvalidDecomposition("an edge of the graph joins two disjoint spans")
     if not validate_ff_coloring(g, coloring):
         raise InvalidColoring("input classes are not a First-Fit coloring")

@@ -40,6 +40,9 @@ __all__ = [
     "witness_to_dict",
 ]
 
+# the largest poset file loaded: at this size the two mask tables take about 1 GiB
+MAX_ELEMENTS = 1 << 16
+
 
 def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -103,7 +106,7 @@ def _int_field(d: Any, key: str) -> int:
 
 
 def _is_int_list(value: Any) -> bool:
-    return type(value) is list and all(type(v) is int for v in value)
+    return type(value) is list and {int}.issuperset(map(type, value))
 
 
 def _int_list_field(d: Any, key: str) -> tuple[int, ...]:
@@ -125,6 +128,8 @@ def _int_pairs_field(d: Any, key: str) -> list[tuple[int, int]]:
 
 def poset_from_dict(d: dict) -> Poset:
     n = _int_field(d, "n")
+    if n > MAX_ELEMENTS:
+        raise FormatError(f"'n' is {n}, above the limit of {MAX_ELEMENTS} elements")
     relations = _int_pairs_field(d, "relations")
     names = d.get("names")
     if names is not None and not (

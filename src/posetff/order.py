@@ -469,6 +469,15 @@ def _after(spans: Sequence[tuple[float, float]]) -> list[int]:
     return [suffix[bisect_right(lefts, right)] for _, right in spans]
 
 
+def _spans_cover_edges(g: Graph, spans: Sequence[tuple[float, float]]) -> bool:
+    """Whether every edge of g joins two meeting spans.
+
+    Every edge is seen from both ends, so it suffices that no vertex's
+    neighbour begins after the vertex's span ends.
+    """
+    return not any(g.nbr_mask(u) & a for u, a in enumerate(_after(spans)))
+
+
 def _before(spans: Sequence[tuple[float, float]]) -> list[int]:
     """For each span, the mask of the spans that end before it begins: ``_after``'s transpose.
 

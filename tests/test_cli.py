@@ -311,6 +311,7 @@ def test_extend_report_on_small_inputs(tmp_path, capsys, doc, k):
 DEEP = "[" * 100000  # nests past the JSON parser's recursion limit
 LONG_INT = '{"n": ' + "1" * 5000 + ', "relations": []}'  # past the int digit limit
 NOT_UTF8 = b'{"n": 2, "relations": []}\xff'
+HUGE_N = '{"n": 1000000000, "relations": []}'  # past jsonio.MAX_ELEMENTS
 BAD_POSETS = [
     '{"relations": [[0, 1]]}',
     '[1, 2]',
@@ -324,11 +325,12 @@ BAD_POSETS = [
     DEEP,
     LONG_INT,
     NOT_UTF8,
+    HUGE_N,
 ]
 BAD_ORDERS = ['[1, 2]', '{}', '{"order": 5}', '{"order": [0.0, 1]}', '{"order": [0, 0]}', DEEP,
               '{"order": [0]}']
 GOOD_POSET, GOOD_ORDER = '{"n": 2, "relations": [[0, 1]]}', '{"order": [1, 0]}'
-IDS = {DEEP: "deep", LONG_INT: "long-int", NOT_UTF8: "not-utf8"}
+IDS = {DEEP: "deep", LONG_INT: "long-int", NOT_UTF8: "not-utf8", HUGE_N: "huge-n"}
 
 
 def write_doc(path, doc):

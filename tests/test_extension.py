@@ -97,15 +97,42 @@ def mask(elements):
     return sum(1 << e for e in elements)
 
 
-def fresh_digraph(p, segments, k):
-    """The certifying digraph of one block, built from scratch."""
-    return extension_module._SinkDigraph(p, dilworth_partition(p), tuple(segments), k)
-
-
 def live_chains(cp, segments):
     """The chains reaching past their segments, in increasing order."""
     return [i for i, ((_, hi), chain) in enumerate(zip(segments, cp.chains))
             if hi < len(chain.elements)]
+
+
+def slide_state(cp, segments):
+    """One block as the slide keeps it: (chains, segment starts, live chains, up-set mask)."""
+    chains = [c.elements for c in cp.chains]
+    lo = [lo for lo, _ in segments]
+    return chains, lo, live_chains(cp, segments), mask(elements_above(cp, segments))
+
+
+def pick(p, segments, k):
+    """The slide's per-step choice on one block of p's Dilworth partition."""
+    return extension_module._pick(p, *slide_state(dilworth_partition(p), segments), k)
+
+
+def cert_entries(p, segments, k):
+    """The certificate entries of one block's live chains."""
+    chains, lo, live, _ = slide_state(dilworth_partition(p), segments)
+    return extension_module._entries(p, chains, lo, live, k)
+
+
+def traced_slide(p, k):
+    """The slide's result and its (segment starts, live chains, up-set) at every pick."""
+    states = []
+    real = extension_module._pick
+
+    def spy(p, chains, lo, live, ups, k):
+        states.append((list(lo), list(live), ups))
+        return real(p, chains, lo, live, ups, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extension_module, "_pick", spy)
+        return block_sequence(p, k), states
 
 
 def arcs_by_definition(p, cp, segments):
@@ -177,7 +204,10 @@ def replay_blocks(seq):
 
 def assert_slide_matches_scratch(p, k):
     moves, blocks, stuck = slide_from_scratch(p, k)
-    got = block_sequence(p, k)
+    got, states = traced_slide(p, k)
+    cp = dilworth_partition(p)
+    # the slide picks on every block with something above it, keeping that block's state
+    assert states == [slide_state(cp, b)[1:] for b in blocks if elements_above(cp, b)]
     if stuck:
         assert isinstance(got, KkWitness) and got.is_valid(p) and got.k == k
     else:
@@ -186,24 +216,25 @@ def assert_slide_matches_scratch(p, k):
 
 
 class TestUpSet:
-    """The elements above a block, as the certifying digraph and the slide see them."""
+    """The elements above a block, as the slide keeps them."""
 
     def test_single_chain_window(self):
-        state = fresh_digraph(chain_poset(5), ((1, 2),), 2)  # X = {c_2}
-        assert state.ups == mask({2, 3, 4})
+        _, states = traced_slide(chain_poset(5), 2)
+        assert states[1] == ([1], [0], mask({2, 3, 4}))  # X = {c_2}
 
     def test_full_antichain_block(self):
-        seq = block_sequence(antichain_poset(4), 2)
+        seq, states = traced_slide(antichain_poset(4), 2)
         assert seq.first == ((0, 1),) * 4
         assert block_size(seq.first) == 4
         assert seq.moves == ()
-        assert fresh_digraph(antichain_poset(4), seq.first, 2).ups == 0
+        assert states == []  # nothing above the block, so no pick
 
     def test_two_chains(self):
         # a1 < a2 < a3 plus an isolated b1
         p = build_poset(4, [(0, 1), (1, 2)])
-        state = fresh_digraph(p, ((0, 1), (0, 1)), 2)  # X = {a1, b1}
-        assert state.ups == mask({1, 2})
+        seq, states = traced_slide(p, 2)
+        assert seq.first == ((0, 1), (0, 1))  # X = {a1, b1}
+        assert states[0][2] == mask({1, 2})
 
     def test_up_set_is_what_later_moves_admit(self):
         for p, k in [(gen_interval_order(3, 30), 2), (stacked(3, 6).poset, 3)]:
@@ -217,9 +248,9 @@ class TestFindGoodElement:
     """The good-element lemma on a fresh certifying digraph and along the slide."""
 
     def test_single_chain_window_is_good(self):
-        state = fresh_digraph(chain_poset(5), ((1, 2),), 2)
-        assert state.pick() == 0
-        entry = state.entries[0]
+        p = chain_poset(5)
+        assert pick(p, ((1, 2),), 2) == 0
+        entry = cert_entries(p, ((1, 2),), 2)[0]
         # k=2 degeneracy: a == b and c == d
         assert entry.a == entry.b == 1
         assert entry.c == entry.d == 2
@@ -229,22 +260,35 @@ class TestFindGoodElement:
         got = block_sequence(p, 2)
         assert isinstance(got, KkWitness)
         assert got.is_valid(p)
-        assert fresh_digraph(p, ((0, 1), (0, 1)), 2).pick() == got
+        assert pick(p, ((0, 1), (0, 1)), 2) == got
         assert find_k_plus_k(p, 2) is not None
+
+    def test_witnesses_above_k2_are_pinned(self):
+        # the golden files pin k = 2 witnesses only; these pin the replay's
+        # choice of lower and upper chains when they differ
+        two_sevens = [(i, i + 1) for i in range(6)] + [(i, i + 1) for i in range(7, 13)]
+        cases = [
+            (build_poset(14, two_sevens + [(0, 13), (7, 6)]), 4,
+             ((0, 1, 2, 3), (9, 10, 11, 12))),
+            (gen_random_poset(SplitMix64(50), 20, 0.2), 3, ((9, 4, 15), (12, 8, 3))),
+        ]
+        for p, k, chains in cases:
+            got = block_sequence(p, k)
+            assert isinstance(got, KkWitness) and got.is_valid(p)
+            assert (got.a.elements, got.b.elements) == chains
 
     def test_certificate_shape(self):
         p = gen_interval_order(2, 40)  # two chains reach past their windows here
         k = 3
         seq = block_sequence(p, k)
-        state = fresh_digraph(p, seq.first, k)
-        assert state.ups
-        assert len(state.entries) >= 2
-        sink = state.pick()
-        a = state.entries[sink].a
-        assert all(p.less(a, e.d) for j, e in state.entries.items() if j != sink)
+        entries = cert_entries(p, seq.first, k)
+        assert len(entries) >= 2
+        sink = pick(p, seq.first, k)
+        a = entries[sink].a
+        assert all(p.less(a, e.d) for j, e in entries.items() if j != sink)
         assert seq.moves[0].chain == sink
-        assert seq.moves[0].removed == state.entries[sink].a
-        for entry in state.entries.values():
+        assert seq.moves[0].removed == a
+        for entry in entries.values():
             assert len(entry.upper) == k
             assert len(entry.lower) == k
             assert entry.lower[0] == entry.a
@@ -265,27 +309,21 @@ class TestFindGoodElement:
             size = min(len(chain.elements), 2 * k - 3)
             lo = data.draw(st.integers(0, len(chain.elements) - size))
             segments.append((lo, lo + size))
-        state = extension_module._SinkDigraph(p, cp, tuple(segments), k)
-        if state.ups:  # the slide picks only while something is above the block
-            check_pick(p, cp, segments, k, state.pick())
+        state = slide_state(cp, segments)
+        if state[2]:  # the slide picks only while some chain reaches past its segment
+            check_pick(p, cp, segments, k, extension_module._pick(p, *state, k))
 
     def test_least_cycle_rejects_a_sink(self):
         # every chain failed the up-set test, so a sink means the lemma broke
         with pytest.raises(InternalError):
             extension_module._least_cycle({0: 0b10, 1: 0})
 
-    def test_wrong_segment_width_rejected(self):
-        # block_sequence never builds such a block, so the check is an internal one
-        with pytest.raises(InternalError):
-            fresh_digraph(chain_poset(6), ((0, 2),), 2)
-
     def test_saturated_chain_is_omitted_from_certificate(self):
         # a singleton chain sits wholly inside the block and never participates
         p = build_poset(6, [(i, i + 1) for i in range(4)])  # chain of 5 plus element 5
-        seq = block_sequence(p, 2)
-        state = fresh_digraph(p, seq.first, 2)
-        assert set(state.entries) == {0}
-        assert state.pick() == 0
+        seq, states = traced_slide(p, 2)
+        assert [live for _, live, _ in states] == [[0]] * 4
+        assert pick(p, seq.first, 2) == 0
         assert seq.moves[0] == BlockMove(removed=0, added=1, chain=0)
 
 
@@ -349,8 +387,21 @@ class TestBlockSequence:
             return ChainPartition((Chain(tuple(reversed(range(p.n)))),))
 
         monkeypatch.setattr(extension_module, "dilworth_partition", sabotaged)
-        with pytest.raises(InternalError):
+        # the up-set test fails at once, and the certificate check catches the order
+        with pytest.raises(InternalError, match="certificate breaks"):
             block_sequence(chain_poset(4), 2)
+
+    @given(posets(max_n=12), st.integers(2, 4))
+    @settings(max_examples=150)
+    def test_k_plus_k_free_posets_slide_to_the_end(self, p, k):
+        # the theorem: without a k+k the slide never gets stuck; a witness it
+        # returns is a genuine k+k
+        got = block_sequence(p, k)
+        if find_k_plus_k(p, k) is None:
+            assert isinstance(got, BlockSequence)
+        if isinstance(got, KkWitness):
+            assert got.is_valid(p) and got.k == k
+            assert find_k_plus_k(p, k) is not None
 
     @given(posets(max_n=10))
     @settings(max_examples=60)

@@ -152,6 +152,7 @@ MALFORMED = [
     (homomorphism_from_dict, {"map": [True, 0]}),
     (poset_from_dict, {"n": 2}),
     (order_from_dict, {"order": [0, 1.5]}),
+    (pd_from_dict, {"bags": [[0, True]]}),
 ]
 
 
