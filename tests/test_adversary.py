@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from posetff import (
@@ -141,7 +143,10 @@ class TestStacked:
         p, order = stacked_degenerate(4)
         assert width_with_witness(p)[0] == 4
         assert find_k_plus_k(p, 2) is None
-        assert first_fit_chains(p, order).chain_count == 4
+        res = first_fit_chains(p, order)
+        assert res.chain_count == 4
+        for e in range(p.n):
+            assert res.assignment[e] == e + 1
 
 
 class TestCoverConstruction:
@@ -180,10 +185,20 @@ class TestPredictedAssignment:
         sp = stacked(5, 4)
         assert sp.predicted_chain(sp.element_id(3, 4, 1)) == 12
 
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            kierstead(2).predicted_chain(3)
-        with pytest.raises(OutOfRange):
-            kierstead(2).predicted_chain(-1)
-        with pytest.raises(OutOfRange):
-            stacked(3, 2).predicted_chain(99)
+    @pytest.mark.parametrize("adv", [kierstead(6), stacked(5, 4)], ids=["kierstead6", "stacked54"])
+    def test_indices_round_trip(self, adv):
+        for e in range(adv.poset.n):
+            assert adv.element_id(*adv.indices(e)) == e
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: kierstead(2).predicted_chain(3), "element 3 outside 0..2"),
+        (lambda: kierstead(2).predicted_chain(-1), "element -1 outside 0..2"),
+        (lambda: stacked(3, 2).predicted_chain(99), "element 99 outside 0..2"),
+        (lambda: kierstead(2).element_id(3, 1), "no element v(3,1) for q=2"),
+        (lambda: kierstead(2).element_id(1, 2), "no element v(1,2) for q=2"),
+        (lambda: stacked(3, 2).element_id(2, 1, 1), "no element v2(1,1) for k=3, w=2"),
+        (lambda: stacked(3, 2).element_id(1, 3, 1), "no element v1(3,1) for k=3, w=2"),
+    ])
+    def test_out_of_range(self, call, message):
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            call()
