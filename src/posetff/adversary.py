@@ -5,32 +5,25 @@ i elements) whose natural presentation order forces exactly q chains.
 ``stacked(k, w)`` glues w-1 such ladders (parameter k-1) on top of each
 other, keeping the top rows incomparable across copies; the concatenated
 natural order then forces (k-1)(w-1) chains while the result has width w
-and no two disjoint incomparable k-chains.
+and no two disjoint incomparable k-chains.  ``stacked_degenerate(w)``, the
+k = 2 stand-in, is w one-row ladders: an antichain forcing w chains.
 
-Both are built from their cover pairs by ``build_poset``, whose closure
-proves the order, so neither runs the checked constructor's kernels.
+All three return one record, ``LadderPoset(q, copies, poset)``, closed from
+its cover pairs by ``build_poset``, whose closure proves the order, so none
+runs the checked constructor's kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from .errors import OutOfRange, ParamError
+from .errors import IdOutOfRange, ParamError
 from .firstfit import PresentationOrder
-from .order import antichain_poset, build_poset
+from .order import Poset, build_poset
 
-if TYPE_CHECKING:
-    from .order import Poset
-
-__all__ = [
-    "KiersteadPoset",
-    "StackedPoset",
-    "kierstead",
-    "stacked",
-    "stacked_degenerate",
-]
+__all__ = ["LadderPoset", "kierstead", "stacked", "stacked_degenerate"]
 
 
 def _row_start(i: int) -> int:
@@ -76,65 +69,56 @@ def _ladder_covers(q: int, copies: int) -> Iterator[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class KiersteadPoset:
+class LadderPoset:
+    """``copies`` ladders on rows 1..q, presented in id order.
+
+    Element v(i,j) of copy c (all 1-based) has id (c-1)·q(q+1)/2 +
+    i(i-1)/2 + j-1, and First-Fit in the natural order puts it in chain
+    q(c-1) + i - j + 1.
+    """
+
     q: int
+    copies: int
     poset: Poset
-    natural_order: PresentationOrder
-
-    def element_id(self, i: int, j: int) -> int:
-        if not (1 <= j <= i <= self.q):
-            raise OutOfRange(f"no element v({i},{j}) for q={self.q}")
-        return _row_start(i) + j - 1
-
-    def indices(self, element: int) -> tuple[int, int]:
-        if not 0 <= element < self.poset.n:
-            raise OutOfRange(f"element {element} outside 0..{self.poset.n - 1}")
-        return _row_of(element)
-
-    def predicted_chain(self, element: int) -> int:
-        i, j = self.indices(element)
-        return i - j + 1
-
-
-def kierstead(q: int) -> KiersteadPoset:
-    """The ladder P on q rows: q(q+1)/2 elements, width 2 for q >= 2."""
-    if q < 1:
-        raise ParamError("q must be at least 1")
-    n = _row_start(q + 1)
-    names = [f"v[{i},{j}]" for i in range(1, q + 1) for j in range(1, i + 1)]
-    poset = build_poset(n, _ladder_covers(q, 1), names)
-    return KiersteadPoset(q=q, poset=poset, natural_order=PresentationOrder.identity(n))
-
-
-@dataclass(frozen=True)
-class StackedPoset:
-    k: int
-    w: int
-    poset: Poset
-    natural_order: PresentationOrder
 
     @property
-    def copy_size(self) -> int:
-        return _row_start(self.k)
+    def natural_order(self) -> PresentationOrder:
+        return PresentationOrder.identity(self.poset.n)
 
-    def element_id(self, copy: int, i: int, j: int) -> int:
-        if not (1 <= copy <= self.w - 1 and 1 <= j <= i <= self.k - 1):
-            raise OutOfRange(f"no element v{copy}({i},{j}) for k={self.k}, w={self.w}")
-        return (copy - 1) * self.copy_size + _row_start(i) + j - 1
+    def element_id(self, i: int, j: int, copy: int = 1) -> int:
+        if not (1 <= copy <= self.copies and 1 <= j <= i <= self.q):
+            raise IdOutOfRange(
+                f"no element v({i},{j}) of copy {copy} for q={self.q}, copies={self.copies}"
+            )
+        return (copy - 1) * _row_start(self.q + 1) + _row_start(i) + j - 1
 
     def indices(self, element: int) -> tuple[int, int, int]:
+        """(copy, i, j) of an element id."""
         if not 0 <= element < self.poset.n:
-            raise OutOfRange(f"element {element} outside 0..{self.poset.n - 1}")
-        copy, local = divmod(element, self.copy_size)
-        i, j = _row_of(local)
-        return copy + 1, i, j
+            raise IdOutOfRange(f"element {element} outside 0..{self.poset.n - 1}")
+        copy, local = divmod(element, _row_start(self.q + 1))
+        return (copy + 1, *_row_of(local))
 
     def predicted_chain(self, element: int) -> int:
         copy, i, j = self.indices(element)
-        return (self.k - 1) * (copy - 1) + (i - j + 1)
+        return self.q * (copy - 1) + i - j + 1
 
 
-def stacked(k: int, w: int) -> StackedPoset:
+def _ladders(q: int, copies: int, name: str) -> LadderPoset:
+    """Close the cover pairs of ``copies`` ladders; ``name`` formats element v(i,j) of copy c."""
+    names = [name.format(c=c, i=i, j=j)
+             for c in range(1, copies + 1) for i in range(1, q + 1) for j in range(1, i + 1)]
+    return LadderPoset(q, copies, build_poset(len(names), _ladder_covers(q, copies), names))
+
+
+def kierstead(q: int) -> LadderPoset:
+    """The ladder P on q rows: q(q+1)/2 elements, width 2 for q >= 2."""
+    if q < 1:
+        raise ParamError("q must be at least 1")
+    return _ladders(q, 1, "v[{i},{j}]")
+
+
+def stacked(k: int, w: int) -> LadderPoset:
     """w-1 ladders with parameter k-1, every non-top-row element below later copies.
 
     Width is exactly w and no two disjoint incomparable k-chains exist.
@@ -145,22 +129,17 @@ def stacked(k: int, w: int) -> StackedPoset:
         raise ParamError("k must be at least 3; use stacked_degenerate for k=2")
     if w < 2:
         raise ParamError("w must be at least 2")
-    q = k - 1
-    n = (w - 1) * _row_start(q + 1)
-    ladder = [(i, j) for i in range(1, q + 1) for j in range(1, i + 1)]
-    names = [f"v{c}[{i},{j}]" for c in range(1, w) for i, j in ladder]
-    poset = build_poset(n, _ladder_covers(q, w - 1), names)
-    return StackedPoset(k=k, w=w, poset=poset, natural_order=PresentationOrder.identity(n))
+    return _ladders(k - 1, w - 1, "v{c}[{i},{j}]")
 
 
-def stacked_degenerate(w: int) -> tuple[Poset, PresentationOrder]:
-    """The documented k=2 stand-in: an antichain of w elements.
+def stacked_degenerate(w: int) -> LadderPoset:
+    """The documented k=2 stand-in: w one-row ladders, an antichain of w elements.
 
     With k=2 the stacking recipe collapses (single-row ladders are their
     own top row, so no cross relations survive) and yields width w-1, not
-    w.  An antichain of w elements has width w, no incomparable pair of
-    2-chains, and forces First-Fit to w chains in any order.
+    w.  w one-row ladders have width w, no incomparable pair of 2-chains,
+    and force First-Fit to w chains in any order.
     """
     if w < 1:
         raise ParamError("w must be at least 1")
-    return antichain_poset(w), PresentationOrder.identity(w)
+    return _ladders(1, w, "v{c}[{i},{j}]")

@@ -14,7 +14,7 @@ import sys
 import time
 
 from .adversary import kierstead, stacked
-from .errors import InternalError, PosetFFError
+from .errors import InternalError, ParamError, PosetFFError
 from .extension import block_sequence, decomposition_from_blocks, spans_from_blocks
 from .firstfit import PresentationOrder, first_fit_chains, validate_ff_partition
 from .generators import (
@@ -25,6 +25,7 @@ from .generators import (
     random_intervals,
 )
 from .jsonio import (
+    MAX_ELEMENTS,
     canonical_dumps,
     ff_result_to_dict,
     interval_order_to_dict,
@@ -50,26 +51,33 @@ def _emit(obj: dict, path: str | None) -> None:
         write_json(obj, path)
 
 
+def _check_size(n: int) -> None:
+    # refuse before building what the loader would refuse to read back
+    if n > MAX_ELEMENTS:
+        raise ParamError(f"n would be {n}, above the limit of {MAX_ELEMENTS} elements")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "kierstead":
-        kp = kierstead(args.q)
-        meta = {"kind": "kierstead", "q": args.q}
-        _emit(poset_to_dict(kp.poset, meta=meta), args.out)
+    if args.family in ("kierstead", "stacked"):
+        if args.family == "kierstead":
+            build, params, q, copies = kierstead, {"q": args.q}, args.q, 1
+        else:
+            build, params, q, copies = stacked, {"k": args.k, "w": args.w}, args.k - 1, args.w - 1
+        # copies ladders of q rows; a q below 1 is left to the builder's own check
+        _check_size(copies * max(q, 0) * (q + 1) // 2)
+        adv = build(**params)
+        _emit(poset_to_dict(adv.poset, meta={"kind": args.family, **params}), args.out)
         if args.out_order:
-            write_json(order_to_dict(kp.natural_order), args.out_order)
-    elif args.family == "stacked":
-        sp = stacked(args.k, args.w)
-        meta = {"kind": "stacked", "k": args.k, "w": args.w}
-        _emit(poset_to_dict(sp.poset, meta=meta), args.out)
-        if args.out_order:
-            write_json(order_to_dict(sp.natural_order), args.out_order)
+            write_json(order_to_dict(adv.natural_order), args.out_order)
     elif args.family == "interval":
+        _check_size(args.n)
         meta = {"seed": args.seed, "kind": "interval", "n": args.n}
         if args.range:
             meta["range"] = args.range
         intervals = random_intervals(args.seed, args.n, args.range)
         _emit(interval_order_to_dict(intervals, meta=meta), args.out)
     elif args.family == "kkfree":
+        _check_size(args.n)
         meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
                 "density": KKFREE_DENSITY}
         p = gen_kk_free(args.seed, args.n, args.k)
@@ -85,7 +93,7 @@ def cmd_ff(args: argparse.Namespace) -> int:
     report = sys.stderr if args.out in (None, "-") else sys.stdout
     print(f"ff chains={res.chain_count} n={p.n}", file=report)
     _emit(ff_result_to_dict(res), args.out)
-    if args.validate and not validate_ff_partition(p, res.partition):
+    if not validate_ff_partition(p, res.partition):
         print("validation failed: output is not a First-Fit chain partition", file=sys.stderr)
         return 1
     if args.expect is not None and res.chain_count != args.expect:
@@ -140,6 +148,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     violation = None
     n = _bench_size(k, w)
+    _check_size(n)
     for inst_seed in seeds:
         t0 = time.perf_counter()
         if k == 2:
@@ -218,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ff.add_argument("--poset", required=True)
     ff.add_argument("--order", required=True)
     ff.add_argument("--expect", type=int, default=None)
-    ff.add_argument("--validate", action="store_true")
     ff.add_argument("--out", default=None, help="assignment JSON path (default stdout)")
 
     ext = sub.add_parser("extend", help="build the interval extension and decomposition")

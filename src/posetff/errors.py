@@ -49,9 +49,5 @@ class ParamError(PosetFFError):
     """An argument outside the supported domain."""
 
 
-class OutOfRange(PosetFFError):
-    """Element index outside a generated family's universe."""
-
-
 class GaveUp(PosetFFError):
     """Rejection sampling exceeded its retry allowance."""

@@ -3,7 +3,8 @@ import re
 import pytest
 
 from posetff import (
-    OutOfRange,
+    IdOutOfRange,
+    LadderPoset,
     ParamError,
     Poset,
     build_poset,
@@ -140,13 +141,26 @@ class TestStacked:
         assert_same_order(sp.poset, build_poset(sp.poset.n, pairs), names)
 
     def test_degenerate_k2(self):
-        p, order = stacked_degenerate(4)
+        sd = stacked_degenerate(4)
+        p = sd.poset
+        assert (sd.q, sd.copies) == (1, 4)
+        assert p.names == ("v1[1,1]", "v2[1,1]", "v3[1,1]", "v4[1,1]")
         assert width_with_witness(p)[0] == 4
         assert find_k_plus_k(p, 2) is None
-        res = first_fit_chains(p, order)
+        res = first_fit_chains(p, sd.natural_order)
         assert res.chain_count == 4
         for e in range(p.n):
-            assert res.assignment[e] == e + 1
+            assert res.assignment[e] == e + 1 == sd.predicted_chain(e)
+
+    def test_degenerate_rejects_zero(self):
+        with pytest.raises(ParamError):
+            stacked_degenerate(0)
+
+
+def test_one_record_for_every_family():
+    records = [kierstead(4), stacked(4, 3), stacked_degenerate(3)]
+    assert [type(r) for r in records] == [LadderPoset] * 3
+    assert [(r.q, r.copies) for r in records] == [(4, 1), (3, 2), (1, 3)]
 
 
 class TestCoverConstruction:
@@ -183,22 +197,30 @@ class TestPredictedAssignment:
 
     def test_stacked_formula(self):
         sp = stacked(5, 4)
-        assert sp.predicted_chain(sp.element_id(3, 4, 1)) == 12
+        assert sp.predicted_chain(sp.element_id(4, 1, copy=3)) == 12
 
-    @pytest.mark.parametrize("adv", [kierstead(6), stacked(5, 4)], ids=["kierstead6", "stacked54"])
+    @pytest.mark.parametrize("adv", [kierstead(6), stacked(5, 4), stacked_degenerate(5)],
+                             ids=["kierstead6", "stacked54", "degenerate5"])
     def test_indices_round_trip(self, adv):
         for e in range(adv.poset.n):
-            assert adv.element_id(*adv.indices(e)) == e
+            copy, i, j = adv.indices(e)
+            assert adv.element_id(i, j, copy) == e
 
     @pytest.mark.parametrize("call,message", [
         (lambda: kierstead(2).predicted_chain(3), "element 3 outside 0..2"),
         (lambda: kierstead(2).predicted_chain(-1), "element -1 outside 0..2"),
         (lambda: stacked(3, 2).predicted_chain(99), "element 99 outside 0..2"),
-        (lambda: kierstead(2).element_id(3, 1), "no element v(3,1) for q=2"),
-        (lambda: kierstead(2).element_id(1, 2), "no element v(1,2) for q=2"),
-        (lambda: stacked(3, 2).element_id(2, 1, 1), "no element v2(1,1) for k=3, w=2"),
-        (lambda: stacked(3, 2).element_id(1, 3, 1), "no element v1(3,1) for k=3, w=2"),
+        (lambda: stacked_degenerate(2).predicted_chain(2), "element 2 outside 0..1"),
+        (lambda: kierstead(2).element_id(3, 1), "no element v(3,1) of copy 1 for q=2, copies=1"),
+        (lambda: kierstead(2).element_id(1, 2), "no element v(1,2) of copy 1 for q=2, copies=1"),
+        (lambda: kierstead(2).element_id(1, 1, copy=2),
+         "no element v(1,1) of copy 2 for q=2, copies=1"),
+        (lambda: stacked(3, 2).element_id(1, 1, copy=2),
+         "no element v(1,1) of copy 2 for q=2, copies=1"),
+        (lambda: stacked(3, 2).element_id(3, 1), "no element v(3,1) of copy 1 for q=2, copies=1"),
+        (lambda: stacked_degenerate(2).element_id(1, 1, copy=0),
+         "no element v(1,1) of copy 0 for q=1, copies=2"),
     ])
     def test_out_of_range(self, call, message):
-        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+        with pytest.raises(IdOutOfRange, match=f"^{re.escape(message)}$"):
             call()

@@ -12,6 +12,7 @@ import pytest
 from posetff import (
     InternalError,
     KkWitness,
+    ParamError,
     Poset,
     PosetFFError,
     block_sequence,
@@ -28,6 +29,7 @@ from posetff import (
     width_with_witness,
 )
 from posetff import cli, errors
+from posetff.jsonio import MAX_ELEMENTS
 from posetff.cli import main
 from helpers import slide_order
 
@@ -168,7 +170,26 @@ def test_ff_expected_count(tmp_path):
     order_file = tmp_path / "ord.json"
     run(["gen", "kierstead", "--q", 5, "--out", poset_file, "--out-order", order_file])
     assert run(["ff", "--poset", poset_file, "--order", order_file,
-                "--expect", 5, "--validate"]) == 0
+                "--expect", 5]) == 0
+
+
+def test_ff_has_no_validate_flag(tmp_path):
+    poset_file = tmp_path / "p5.json"
+    order_file = tmp_path / "ord.json"
+    run(["gen", "kierstead", "--q", 5, "--out", poset_file, "--out-order", order_file])
+    assert run(["ff", "--poset", poset_file, "--order", order_file, "--validate"]) == 2
+
+
+def test_ff_validation_failure_exits_1(tmp_path, capsys, monkeypatch):
+    poset_file = tmp_path / "p5.json"
+    order_file = tmp_path / "ord.json"
+    run(["gen", "kierstead", "--q", 5, "--out", poset_file, "--out-order", order_file])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "validate_ff_partition", lambda p, partition: False)
+    assert run(["ff", "--poset", poset_file, "--order", order_file,
+                "--out", tmp_path / "ff.json"]) == 1
+    assert capsys.readouterr().err == (
+        "validation failed: output is not a First-Fit chain partition\n")
 
 
 def test_ff_stacked_expectation(tmp_path):
@@ -441,6 +462,47 @@ def test_bench_rejects_out_of_range_sizes(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: bench needs {flag} >= ") and "Traceback" not in err
     assert not csv_file.exists()
+
+
+OVERSIZED = [
+    (["gen", "interval", "--n", 65537, "--seed", 1], "n would be 65537"),
+    (["gen", "kkfree", "--n", 65537, "--k", 3], "n would be 65537"),
+    (["gen", "kierstead", "--q", 362], "n would be 65703"),
+    (["gen", "stacked", "--k", 30, "--w", 152], "n would be 65685"),
+    (["bench", "--k", 2, "--w", 8193, "--trials", 1, "--orders", 1], "n would be 65544"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OVERSIZED,
+                         ids=[" ".join(map(str, argv[:2])) for argv, _ in OVERSIZED])
+def test_oversized_requests_exit_2_before_building(tmp_path, capsys, monkeypatch, argv, message):
+    def never(*args):
+        raise AssertionError("an oversized instance was built")
+
+    for builder in ("kierstead", "stacked", "random_intervals", "gen_kk_free",
+                    "gen_interval_order"):
+        monkeypatch.setattr(cli, builder, never)
+    out = tmp_path / "out"
+    files = ["--csv", out] if argv[0] == "bench" else ["--out", out]
+    if argv[1] in ("kierstead", "stacked"):
+        files += ["--out-order", tmp_path / "order"]
+    assert run(argv + files) == 2
+    assert capsys.readouterr().err == f"error: {message}, above the limit of 65536 elements\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_size_check_leaves_parameter_errors_to_the_builders(capsys):
+    assert run(["gen", "kierstead", "--q", -400]) == 2
+    assert capsys.readouterr().err == "error: q must be at least 1\n"
+    assert run(["gen", "stacked", "--k", -400, "--w", 3]) == 2
+    assert capsys.readouterr().err == (
+        "error: k must be at least 3; use stacked_degenerate for k=2\n")
+
+
+def test_size_limit_is_the_loaders():
+    cli._check_size(MAX_ELEMENTS)
+    with pytest.raises(ParamError):
+        cli._check_size(MAX_ELEMENTS + 1)
 
 
 def test_bench_witness_on_generated_instance_exits_2(tmp_path, capsys, monkeypatch):
