@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from posetff import (
     antichain_poset,
     block_sequence,
     build_poset,
+    canonical_dumps,
     chain_poset,
     decomposition_from_blocks,
     dilworth_partition,
@@ -34,11 +37,14 @@ from posetff import (
     stacked,
     validate_path_decomposition,
     width_with_witness,
+    witness_to_dict,
 )
 import posetff.extension as extension_module
 from helpers import graphs, posets, slide_order, spined_posets
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
+WITNESS_COUNT = 234
+WITNESS_DIGEST = "0bdc5f14d8885c8fed10e26aa7dab2f25431932609d60a69a0a2026ab0daeaa9"
 
 
 def spans_by_edge_rule(g, pd):
@@ -276,6 +282,27 @@ class TestFindGoodElement:
             got = block_sequence(p, k)
             assert isinstance(got, KkWitness) and got.is_valid(p)
             assert (got.a.elements, got.b.elements) == chains
+
+    def test_stuck_slide_witnesses_are_pinned(self):
+        # every witness of the failure path on seeded random posets and on the
+        # stacked adversaries below their k, pinned as one digest
+        docs = []
+        for seed in range(200):
+            p = gen_random_poset(SplitMix64(seed), 12 + seed % 25, 0.15 + 0.05 * (seed % 6))
+            for k in range(2, 6):
+                got = block_sequence(p, k)
+                if isinstance(got, KkWitness):
+                    docs.append([seed, k, witness_to_dict(got)])
+        for kk in range(3, 8):
+            for w in range(2, 6):
+                p = stacked(kk, w).poset
+                for k in range(2, kk):
+                    got = block_sequence(p, k)
+                    if isinstance(got, KkWitness):
+                        docs.append(["stacked", kk, w, k, witness_to_dict(got)])
+        digest = hashlib.sha256(canonical_dumps(docs).encode()).hexdigest()
+        assert len(docs) == WITNESS_COUNT
+        assert digest == WITNESS_DIGEST
 
     def test_certificate_shape(self):
         p = gen_interval_order(2, 40)  # two chains reach past their windows here
