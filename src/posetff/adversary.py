@@ -126,7 +126,7 @@ def stacked(k: int, w: int) -> LadderPoset:
     stand-in) or w < 2.
     """
     if k < 3:
-        raise ParamError("k must be at least 3; use stacked_degenerate for k=2")
+        raise ParamError("k must be at least 3")
     if w < 2:
         raise ParamError("w must be at least 2")
     return _ladders(k - 1, w - 1, "v{c}[{i},{j}]")

@@ -141,8 +141,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for flag, value, least in (("--k", k, 2), ("--w", w, 1), ("--trials", args.trials, 0),
                                ("--orders", args.orders, 1)):
         if value < least:
-            print(f"error: bench needs {flag} >= {least}, got {value}", file=sys.stderr)
-            return 2
+            raise ParamError(f"bench needs {flag} >= {least}, got {value}")
     master = SplitMix64(args.seed)
     seeds = sorted(master.next_u64() for _ in range(args.trials))
     rows = []

@@ -11,10 +11,11 @@ graph.  The slide keeps only each chain's segment start, the live chains
 (those reaching past their segments) and the up-set bitmask.  A chain's
 segment minimum is good exactly when the up-set lies above it, so the
 per-step certificate is one mask test per live chain.  Only when no chain
-passes are the CertEntry records and the certifying digraph (an arc from
-chain i to chain j when i's segment minimum is not below j's next element)
-built: it has no sink, and replaying the certification along its least
-cycle produces two disjoint incomparable k-chains instead.
+passes is each live chain's run cut: its 2k-3 segment elements, then d,
+its next element.  The certifying digraph (an arc from chain i to chain j
+when i's run start is not below j's run end) then has no sink, and
+replaying the certification along its least cycle, on slices of the runs,
+produces two disjoint incomparable k-chains instead.
 """
 
 from __future__ import annotations
@@ -38,40 +39,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CertEntry:
-    """Per-chain data certifying the good-element argument.
-
-    ``lower`` is the k smallest elements of segment + {d} (so a <= b < c <= d,
-    with a == b and c == d exactly when k == 2), ``upper`` the k-element
-    chain used for the cross-chain comparability probes.
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-
-
 def _witness_from_cycle(
-    p: Poset, entries: dict[int, CertEntry], cycle: list[int]
+    p: Poset, runs: dict[int, tuple[int, ...]], k: int, cycle: list[int]
 ) -> KkWitness:
     """Replay the acyclicity argument along a cycle until it snaps.
 
     Walking the cycle maintains a k-chain tied to the first vertex; at
     each hop it must meet a comparable element of the next vertex's upper
-    chain, and the arc directions force that comparability downward.  On
-    an input that genuinely contains two incomparable k-chains some hop
-    finds no comparable pair, and that pair of chains is the witness.
-    On a valid k+k-free run every hop succeeds, which contradicts the
-    closing arc; reaching the end therefore signals a bug.
+    chain (the last k elements of its run), and the arc directions force
+    that comparability downward.  On an input that genuinely contains two
+    incomparable k-chains some hop finds no comparable pair, and that pair
+    of chains is the witness.  On a valid k+k-free run every hop succeeds,
+    which contradicts the closing arc; reaching the end therefore signals
+    a bug.
     """
-    first = cycle[0]
-    left = entries[first].lower
+    first = runs[cycle[0]]
+    left = first[:k]
     for i in cycle[1:]:
-        right = entries[i].upper
+        right = runs[i][-k:]
         found = next(((u, v) for u in left for v in right if p.comparable(u, v)), None)
         if found is None:
             witness = KkWitness(Chain(left), Chain(right))
@@ -81,8 +66,8 @@ def _witness_from_cycle(
         u, v = found
         if p.less(u, v):
             raise InternalError("comparable pair points upward across an arc")
-        # u > v pins c_first above this vertex's b; swap it into the chain
-        left = entries[i].lower[:-1] + (entries[first].c,)
+        # u > v pins the first run's c above this run's b; swap it into the chain
+        left = runs[i][: k - 1] + (first[k - 1],)
     raise InternalError("cycle replay exhausted without contradiction or witness")
 
 
@@ -93,22 +78,6 @@ class BlockMove:
     chain: int
 
 
-def _entries(
-    p: Poset, chains: list[tuple[int, ...]], lo: list[int], live: list[int], k: int
-) -> dict[int, CertEntry]:
-    """The CertEntry of every live chain i, read off its segment (from ``lo[i]``) and d."""
-    less = p.less
-    entries = {}
-    for i in live:
-        run = chains[i][lo[i] : lo[i] + 2 * k - 2]  # the 2k-3 segment elements, then d
-        lower = run[:k]
-        a, b, c, d = lower[0], lower[-2], lower[-1], run[-1]
-        if not ((a == b or less(a, b)) and less(b, c) and (c == d or less(c, d))):
-            raise InternalError(f"chain {i} certificate breaks a <= b < c <= d")
-        entries[i] = CertEntry(a=a, b=b, c=c, d=d, lower=lower, upper=run[k - 2 :])
-    return entries
-
-
 def _pick(
     p: Poset, chains: list[tuple[int, ...]], lo: list[int], live: list[int], ups: int, k: int
 ) -> int | KkWitness:
@@ -117,38 +86,38 @@ def _pick(
     Chain i's segment is the 2k-3 elements from position ``lo[i]``; ``live``
     lists, in increasing order, the chains reaching past their segments, and
     ``ups`` masks the elements above the block.  The certifying digraph has
-    an arc i -> j when a_i is not below d_j, chain j's least element above
-    its segment; a_i is below d_i, so chain i is a sink exactly when a_i lies
-    below the whole up-set.  The entries and arcs are built only when no
-    chain passes that test, to find the witness's cycle.
+    an arc i -> j when a_i, chain i's segment minimum, is not below d_j,
+    chain j's least element above its segment; a_i is below d_i, so chain i
+    is a sink exactly when a_i lies below the whole up-set.  Only when no
+    chain passes that test are the live chains' runs (segment, then d) cut,
+    to find the witness's cycle.
     """
     succ_mask = p.succ_mask
     for i in live:
         if not ups & ~succ_mask(chains[i][lo[i]]):
             return i
-    entries = _entries(p, chains, lo, live, k)
-    less = p.less
-    arcs = {
-        i: sum(1 << j for j in entries if j != i and not less(entries[i].a, entries[j].d))
-        for i in entries
-    }
-    return _witness_from_cycle(p, entries, _least_cycle(arcs))
+    runs = {i: chains[i][lo[i] : lo[i] + 2 * k - 2] for i in live}
+    return _witness_from_cycle(p, runs, k, _least_cycle(p, runs))
 
 
-def _least_cycle(arcs: dict[int, int]) -> list[int]:
+def _least_cycle(p: Poset, runs: dict[int, tuple[int, ...]]) -> list[int]:
     """Deterministic cycle in a sinkless digraph: walk min out-neighbors from the first vertex.
 
-    A sink here is a chain that failed the up-set test yet has no out-arc,
-    so the two characterisations of a good element disagree.
+    Chain i's out-neighbors are the chains j != i whose run's last element
+    d_j is not above i's first element a_i; ``runs`` is keyed in increasing
+    order, so the first one found is the least.  A sink here is a chain that
+    failed the up-set test yet has no out-arc, so the two characterisations
+    of a good element disagree.
     """
+    less = p.less
     path: list[int] = []
-    cur = next(iter(arcs))
+    cur = next(iter(runs))
     while cur not in path:
         path.append(cur)
-        out = arcs[cur]
-        if not out:
-            raise InternalError(f"chain {cur} fails the up-set test but has no out-arc")
-        cur = (out & -out).bit_length() - 1
+        a = runs[cur][0]
+        cur = next((j for j in runs if j != cur and not less(a, runs[j][-1])), None)
+        if cur is None:
+            raise InternalError(f"chain {path[-1]} fails the up-set test but has no out-arc")
     cycle = path[path.index(cur) :]
     m = cycle.index(min(cycle))
     return cycle[m:] + cycle[:m]

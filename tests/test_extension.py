@@ -121,10 +121,11 @@ def pick(p, segments, k):
     return extension_module._pick(p, *slide_state(dilworth_partition(p), segments), k)
 
 
-def cert_entries(p, segments, k):
-    """The certificate entries of one block's live chains."""
-    chains, lo, live, _ = slide_state(dilworth_partition(p), segments)
-    return extension_module._entries(p, chains, lo, live, k)
+def runs_of(p, segments):
+    """Each live chain's run on one block: its segment, then the element just above it."""
+    cp = dilworth_partition(p)
+    return {i: cp.chains[i].elements[segments[i][0] : segments[i][1] + 1]
+            for i in live_chains(cp, segments)}
 
 
 def traced_slide(p, k):
@@ -256,10 +257,8 @@ class TestFindGoodElement:
     def test_single_chain_window_is_good(self):
         p = chain_poset(5)
         assert pick(p, ((1, 2),), 2) == 0
-        entry = cert_entries(p, ((1, 2),), 2)[0]
-        # k=2 degeneracy: a == b and c == d
-        assert entry.a == entry.b == 1
-        assert entry.c == entry.d == 2
+        # k=2 degeneracy: the run is a == b, then c == d
+        assert runs_of(p, ((1, 2),)) == {0: (1, 2)}
 
     def test_two_plus_two_yields_witness(self):
         p = build_poset(4, TWO_PLUS_TWO)
@@ -308,21 +307,17 @@ class TestFindGoodElement:
         p = gen_interval_order(2, 40)  # two chains reach past their windows here
         k = 3
         seq = block_sequence(p, k)
-        entries = cert_entries(p, seq.first, k)
-        assert len(entries) >= 2
+        runs = runs_of(p, seq.first)
+        assert len(runs) >= 2
         sink = pick(p, seq.first, k)
-        a = entries[sink].a
-        assert all(p.less(a, e.d) for j, e in entries.items() if j != sink)
+        a = runs[sink][0]
+        # the sink's a lies below every other run's d
+        assert all(p.less(a, run[-1]) for j, run in runs.items() if j != sink)
         assert seq.moves[0].chain == sink
         assert seq.moves[0].removed == a
-        for entry in entries.values():
-            assert len(entry.upper) == k
-            assert len(entry.lower) == k
-            assert entry.lower[0] == entry.a
-            a, b, c, d = entry.a, entry.b, entry.c, entry.d
-            assert a == b or p.less(a, b)
-            assert p.less(b, c)
-            assert c == d or p.less(c, d)
+        for run in runs.values():
+            assert len(run) == 2 * k - 2
+            assert Chain(run).is_valid(p)
 
     @given(st.data())
     @settings(max_examples=150)
@@ -341,9 +336,11 @@ class TestFindGoodElement:
             check_pick(p, cp, segments, k, extension_module._pick(p, *state, k))
 
     def test_least_cycle_rejects_a_sink(self):
-        # every chain failed the up-set test, so a sink means the lemma broke
-        with pytest.raises(InternalError):
-            extension_module._least_cycle({0: 0b10, 1: 0})
+        # every chain failed the up-set test, so a sink means the lemma broke:
+        # here chain 0's a = 0 lies below chain 1's d = 3
+        sink = "^chain 0 fails the up-set test but has no out-arc$"
+        with pytest.raises(InternalError, match=sink):
+            extension_module._least_cycle(chain_poset(4), {0: (0, 1), 1: (2, 3)})
 
     def test_saturated_chain_is_omitted_from_certificate(self):
         # a singleton chain sits wholly inside the block and never participates
@@ -414,8 +411,8 @@ class TestBlockSequence:
             return ChainPartition((Chain(tuple(reversed(range(p.n)))),))
 
         monkeypatch.setattr(extension_module, "dilworth_partition", sabotaged)
-        # the up-set test fails at once, and the certificate check catches the order
-        with pytest.raises(InternalError, match="certificate breaks"):
+        # the up-set test fails at once, and the lone live chain has no out-arc
+        with pytest.raises(InternalError, match="has no out-arc"):
             block_sequence(chain_poset(4), 2)
 
     @given(posets(max_n=12), st.integers(2, 4))
