@@ -33,11 +33,8 @@ def _row_start(i: int) -> int:
 
 def _row_of(element: int) -> tuple[int, int]:
     """Invert the row-major layout: id -> (i, j), both 1-based."""
+    # 8e + 1 lies in [(2i-1)^2, (2i+1)^2) for e in row i, so this is i exactly
     i = (isqrt(8 * element + 1) + 1) // 2
-    while _row_start(i) > element:
-        i -= 1
-    while _row_start(i + 1) <= element:
-        i += 1
     return i, element - _row_start(i) + 1
 
 

@@ -182,7 +182,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if worst > bound and violation is None:
             violation = {
                 "instance_seed": inst_seed, "ff_chains": worst, "bound": bound,
-                "order": list(worst_order.order) if worst_order else [],
+                "order": list(worst_order.order),
             }
     with open(args.csv, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)

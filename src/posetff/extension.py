@@ -24,9 +24,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import InternalError, ParamError
-from .order import (
-    Chain, ChainPartition, Graph, KkWitness, Poset, _spans_cover_edges, dilworth_partition
-)
+from .order import Graph, KkWitness, Poset, _spans_cover_edges, dilworth_partition
 
 __all__ = [
     "BlockMove",
@@ -59,7 +57,7 @@ def _witness_from_cycle(
         right = runs[i][-k:]
         found = next(((u, v) for u in left for v in right if p.comparable(u, v)), None)
         if found is None:
-            witness = KkWitness(Chain(left), Chain(right))
+            witness = KkWitness(left, right)
             if not witness.is_valid(p):
                 raise InternalError("replay produced an invalid witness")
             return witness
@@ -79,7 +77,8 @@ class BlockMove:
 
 
 def _pick(
-    p: Poset, chains: list[tuple[int, ...]], lo: list[int], live: list[int], ups: int, k: int
+    p: Poset, chains: tuple[tuple[int, ...], ...], lo: list[int], live: list[int], ups: int,
+    k: int,
 ) -> int | KkWitness:
     """The least live chain whose segment minimum lies below the whole up-set, or a witness.
 
@@ -127,12 +126,13 @@ def _least_cycle(p: Poset, runs: dict[int, tuple[int, ...]]) -> list[int]:
 class BlockSequence:
     """The full slide over one chain partition: the first block, then one move per step.
 
-    ``first`` holds one ``[lo, hi)`` run of positions per chain.  Each next
+    ``partition`` holds the Dilworth chains, each a tuple in increasing order,
+    and ``first`` one ``[lo, hi)`` run of positions per chain.  Each next
     block shifts chain ``moves[t].chain``'s segment up by one position, so
     the first block and the moves determine every block.
     """
 
-    partition: ChainPartition
+    partition: tuple[tuple[int, ...], ...]
     first: tuple[tuple[int, int], ...]
     moves: tuple[BlockMove, ...]
 
@@ -155,9 +155,6 @@ class PathDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
 
-    def __len__(self) -> int:
-        return len(self.bags)
-
 
 def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
     """Slide windows up the Dilworth chains until nothing remains above them.
@@ -170,8 +167,7 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
     """
     if k < 2:
         raise ParamError("k must be at least 2")
-    cp = dilworth_partition(p)
-    chains = [c.elements for c in cp.chains]
+    chains = dilworth_partition(p)
     window = 2 * k - 3
     # the first block: the min(2k-3, chain length) smallest elements of every chain
     first = tuple((0, min(len(chain), window)) for chain in chains)
@@ -190,7 +186,7 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
         lo[got] = start + 1
         if start + 1 + window == len(chain):
             live.remove(got)
-    return BlockSequence(partition=cp, first=first, moves=tuple(moves))
+    return BlockSequence(partition=chains, first=first, moves=tuple(moves))
 
 
 def spans_from_blocks(seq: BlockSequence) -> tuple[tuple[int, int], ...]:
@@ -200,11 +196,11 @@ def spans_from_blocks(seq: BlockSequence) -> tuple[tuple[int, int], ...]:
     element enters in block 1 or when admitted, and leaves when removed or
     after the last block, so its span is read straight off the moves.
     """
-    n = sum(len(c.elements) for c in seq.partition.chains)
+    n = sum(map(len, seq.partition))
     first = [0] * n
     last = [len(seq)] * n
-    for (lo, hi), chain in zip(seq.first, seq.partition.chains):
-        for e in chain.elements[lo:hi]:
+    for (lo, hi), chain in zip(seq.first, seq.partition):
+        for e in chain[lo:hi]:
             first[e] = 1
     for t, mv in enumerate(seq.moves, start=1):
         last[mv.removed] = t
@@ -220,11 +216,7 @@ def decomposition_from_blocks(seq: BlockSequence) -> PathDecomposition:
     The first bag is read off the first block's segments; each move then
     swaps one element out and one in.
     """
-    bag = sorted(
-        e
-        for (lo, hi), chain in zip(seq.first, seq.partition.chains)
-        for e in chain.elements[lo:hi]
-    )
+    bag = sorted(e for (lo, hi), chain in zip(seq.first, seq.partition) for e in chain[lo:hi])
     bags = [tuple(bag)]
     for mv in seq.moves:
         del bag[bisect_left(bag, mv.removed)]

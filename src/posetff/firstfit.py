@@ -33,7 +33,7 @@ from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from .errors import CoverageError, SizeMismatch, TooLarge
-from .order import Chain, ChainPartition, Graph, Poset, incomparability_graph, iter_bits
+from .order import Graph, Poset, incomparability_graph, iter_bits
 
 __all__ = [
     "PresentationOrder",
@@ -71,14 +71,14 @@ class PresentationOrder:
 
 @dataclass(frozen=True)
 class FFChainResult:
-    """Chains produced by an online run, with the 1-based assignment."""
+    """Chains produced by an online run, each in increasing order, with the 1-based assignment."""
 
-    partition: ChainPartition
+    partition: tuple[tuple[int, ...], ...]
     assignment: tuple[int, ...]
 
     @property
     def chain_count(self) -> int:
-        return len(self.partition.chains)
+        return len(self.partition)
 
 
 @dataclass(frozen=True)
@@ -105,19 +105,17 @@ def first_fit_chains(p: Poset, order: PresentationOrder) -> FFChainResult:
     for i, cls in enumerate(classes, start=1):
         for v in cls:
             assignment[v] = i
-    partition = ChainPartition(tuple(Chain(p.sort_chain(cls)) for cls in classes))
-    return FFChainResult(partition, tuple(assignment))
+    return FFChainResult(tuple(map(p.sort_chain, classes)), tuple(assignment))
 
 
-def validate_ff_partition(p: Poset, cp: ChainPartition) -> bool:
+def validate_ff_partition(p: Poset, chains: Sequence[Sequence[int]]) -> bool:
     """Check the First-Fit chain partition law.
 
     The greedy law on the incomparability graph, and every part a chain
     listed in increasing order.  Raises CoverageError when the parts are not
     a partition of the elements.
     """
-    return (_greedy_law(incomparability_graph(p), tuple(c.elements for c in cp.chains))
-            and all(c.is_valid(p) for c in cp.chains))
+    return _greedy_law(incomparability_graph(p), chains) and all(map(p.is_chain, chains))
 
 
 def first_fit_color(g: Graph, order: PresentationOrder) -> FFColoring:

@@ -152,7 +152,7 @@ def order_from_dict(d: dict) -> PresentationOrder:
 
 def ff_result_to_dict(res: FFChainResult) -> dict:
     return {
-        "chains": [list(c.elements) for c in res.partition.chains],
+        "chains": [list(c) for c in res.partition],
         "assignment": list(res.assignment),
     }
 
@@ -191,4 +191,4 @@ def homomorphism_from_dict(d: dict) -> Homomorphism:
 
 
 def witness_to_dict(w: KkWitness) -> dict:
-    return {"k": w.k, "a": list(w.a.elements), "b": list(w.b.elements)}
+    return {"k": w.k, "a": list(w.a), "b": list(w.b)}

@@ -46,9 +46,6 @@ from .errors import (
 
 __all__ = [
     "Poset",
-    "Chain",
-    "Antichain",
-    "ChainPartition",
     "KkWitness",
     "Graph",
     "build_poset",
@@ -210,6 +207,14 @@ class Poset:
             mask |= 1 << e
         return tuple(sorted(elems, key=lambda e: (self._pred[e] & mask).bit_count()))
 
+    def is_chain(self, elems: Sequence[int]) -> bool:
+        """Whether elems are listed in increasing order (so pairwise comparable)."""
+        return all(map(self.less, elems, elems[1:]))
+
+    def is_antichain(self, elems: Sequence[int]) -> bool:
+        """Whether elems are pairwise incomparable (so also distinct)."""
+        return all(self.incomparable(u, v) for i, u in enumerate(elems) for v in elems[i + 1 :])
+
     def name_of(self, u: int) -> str:
         return self.names[u] if self.names is not None else str(u)
 
@@ -228,73 +233,22 @@ class Poset:
 
 
 @dataclass(frozen=True)
-class Chain:
-    """Pairwise comparable elements, listed in increasing order."""
-
-    elements: tuple[int, ...]
-
-    def is_valid(self, p: Poset) -> bool:
-        e = self.elements
-        return all(p.less(e[i], e[i + 1]) for i in range(len(e) - 1))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
-class Antichain:
-    """Pairwise incomparable elements."""
-
-    elements: tuple[int, ...]
-
-    def is_valid(self, p: Poset) -> bool:
-        e = self.elements
-        return all(p.incomparable(e[i], e[j]) for i in range(len(e)) for j in range(i + 1, len(e)))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
-class ChainPartition:
-    """Disjoint non-empty chains covering every element."""
-
-    chains: tuple[Chain, ...]
-
-    def is_valid(self, p: Poset) -> bool:
-        seen: set[int] = set()
-        for c in self.chains:
-            if not c.elements or not c.is_valid(p):
-                return False
-            for e in c.elements:
-                if e in seen or not 0 <= e < p.n:
-                    return False
-                seen.add(e)
-        return len(seen) == p.n
-
-    def __len__(self) -> int:
-        return len(self.chains)
-
-
-@dataclass(frozen=True)
 class KkWitness:
-    """Two disjoint k-chains with every cross pair incomparable."""
+    """Two disjoint k-chains with every cross pair incomparable, each in increasing order."""
 
-    a: Chain
-    b: Chain
+    a: tuple[int, ...]
+    b: tuple[int, ...]
 
     @property
     def k(self) -> int:
         return len(self.a)
 
     def is_valid(self, p: Poset) -> bool:
-        if len(self.a) != len(self.b) or not self.a.elements:
+        if len(self.a) != len(self.b) or not self.a or set(self.a) & set(self.b):
             return False
-        if set(self.a.elements) & set(self.b.elements):
+        if not (p.is_chain(self.a) and p.is_chain(self.b)):
             return False
-        if not (self.a.is_valid(p) and self.b.is_valid(p)):
-            return False
-        return all(p.incomparable(u, v) for u in self.a.elements for v in self.b.elements)
+        return all(p.incomparable(u, v) for u in self.a for v in self.b)
 
 
 class Graph:
@@ -581,11 +535,11 @@ def _maximum_matching(p: Poset) -> tuple[list[int], list[int]]:
     return match_l, match_r
 
 
-def width_with_witness(p: Poset) -> tuple[int, Antichain]:
+def width_with_witness(p: Poset) -> tuple[int, tuple[int, ...]]:
     """Maximum antichain size plus a witness, via matching and Koenig duality."""
     n = p.n
     if n == 0:
-        return 0, Antichain(())
+        return 0, ()
     match_l, match_r = _maximum_matching(p)
     zl = 0
     frontier = [u for u in range(n) if match_l[u] == -1]
@@ -613,11 +567,11 @@ def width_with_witness(p: Poset) -> tuple[int, Antichain]:
     witness = tuple(x for x in range(n) if (zl >> x) & 1 and not (zr >> x) & 1)
     if len(witness) != width:
         raise InternalError(f"Koenig witness has {len(witness)} elements, width is {width}")
-    return width, Antichain(witness)
+    return width, witness
 
 
-def dilworth_partition(p: Poset) -> ChainPartition:
-    """Partition into width(p) chains, read off the matching paths."""
+def dilworth_partition(p: Poset) -> tuple[tuple[int, ...], ...]:
+    """Partition into width(p) chains, read off the matching paths, sorted by least element."""
     match_l, match_r = _maximum_matching(p)
     chains = []
     for start in range(p.n):
@@ -626,9 +580,9 @@ def dilworth_partition(p: Poset) -> ChainPartition:
         path = [start]
         while match_l[path[-1]] != -1:
             path.append(match_l[path[-1]])
-        chains.append(Chain(tuple(path)))
-    chains.sort(key=lambda c: c.elements[0])
-    return ChainPartition(tuple(chains))
+        chains.append(tuple(path))
+    chains.sort()  # disjoint chains: the same as sorting by least element
+    return tuple(chains)
 
 
 # -- graphs from posets -----------------------------------------------------
@@ -664,7 +618,7 @@ def _power(succ: Sequence[int], m: int, n: int) -> Sequence[int]:
         base = _reach(base, base, n)
 
 
-def _chain_between(p: Poset, x: int, y: int, k: int) -> Chain:
+def _chain_between(p: Poset, x: int, y: int, k: int) -> tuple[int, ...]:
     """A k-chain from x to y, given that some k-chain runs from x to y.
 
     Peels the k - 2 lowest layers of minimal elements off the open interval
@@ -684,7 +638,7 @@ def _chain_between(p: Poset, x: int, y: int, k: int) -> Chain:
     for layer in reversed(layers):
         down.append(_low(layer & p.pred_mask(down[-1])))
     down.append(x)
-    return Chain(tuple(reversed(down)))
+    return tuple(reversed(down))
 
 
 def find_k_plus_k(p: Poset, k: int) -> KkWitness | None:
@@ -717,7 +671,7 @@ def find_k_plus_k(p: Poset, k: int) -> KkWitness | None:
         u = next((u for u in range(n) if p.inc_mask(u)), None)
         if u is None:
             return None
-        witness = KkWitness(Chain((u,)), Chain((_low(p.inc_mask(u)),)))
+        witness = KkWitness((u,), (_low(p.inc_mask(u)),))
     else:
         full = (1 << n) - 1
         tops = _power([p.succ_mask(u) for u in range(n)], k - 1, n)

@@ -12,7 +12,6 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from posetff import (
-    Chain,
     CoverageError,
     Graph,
     InternalError,
@@ -232,7 +231,7 @@ def backtrack_kk(p, k):
     if got is None:
         return None
     a, b = got
-    witness = KkWitness(Chain(p.sort_chain(a)), Chain(p.sort_chain(b)))
+    witness = KkWitness(p.sort_chain(a), p.sort_chain(b))
     if not witness.is_valid(p):
         raise InternalError("k+k search returned an invalid witness")
     return witness
@@ -362,11 +361,19 @@ def _brute_cover(parts, n, what):
         raise CoverageError(f"{what} do not partition 0..{n - 1}")
 
 
-def brute_ff_partition_ok(p, cp):
+def is_chain_partition(p, chains):
+    """Non-empty chains, each listed in increasing order (checked pair by
+    pair), that cover 0..n-1 exactly once."""
+    flat = [v for chain in chains for v in chain]
+    return (sorted(flat) == list(range(p.n)) and all(chains)
+            and all(p.less(chain[a], chain[b])
+                    for chain in chains for a, b in combinations(range(len(chain)), 2)))
+
+
+def brute_ff_partition_ok(p, parts):
     """First-Fit chain law, pair by pair: non-empty parts, each listed in
     increasing order, and each element of a later part incomparable to some
     element of every earlier part."""
-    parts = [c.elements for c in cp.chains]
     _brute_cover(parts, p.n, "chains")
     for j, part in enumerate(parts):
         if not part:

@@ -199,9 +199,13 @@ class TestPredictedAssignment:
         sp = stacked(5, 4)
         assert sp.predicted_chain(sp.element_id(4, 1, copy=3)) == 12
 
-    @pytest.mark.parametrize("adv", [kierstead(6), stacked(5, 4), stacked_degenerate(5)],
-                             ids=["kierstead6", "stacked54", "degenerate5"])
-    def test_indices_round_trip(self, adv):
+    # built inside the test: kierstead(300), 45150 ids, holds about 0.5 GB of masks
+    @pytest.mark.parametrize("build", [
+        lambda: kierstead(6), lambda: kierstead(300), lambda: stacked(5, 4),
+        lambda: stacked_degenerate(5),
+    ], ids=["kierstead6", "kierstead300", "stacked54", "degenerate5"])
+    def test_indices_round_trip(self, build):
+        adv = build()
         for e in range(adv.poset.n):
             copy, i, j = adv.indices(e)
             assert adv.element_id(i, j, copy) == e

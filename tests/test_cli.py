@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -498,6 +499,30 @@ def test_size_limit_is_the_loaders():
     cli._check_size(MAX_ELEMENTS)
     with pytest.raises(ParamError):
         cli._check_size(MAX_ELEMENTS + 1)
+
+
+def test_bench_violation_exits_1(tmp_path, capsys, monkeypatch):
+    # First-Fit never beats the bound on k+k-free input, so a fake run reports
+    # 1000 chains plus the order's first element: the worst order is the one
+    # that starts highest
+    monkeypatch.setattr(cli, "first_fit_chains",
+                        lambda p, order: SimpleNamespace(chain_count=1000 + order.order[0]))
+    csv_file, witness_file = tmp_path / "bench.csv", tmp_path / "violation.json"
+    assert run(["bench", "--k", 2, "--w", 1, "--trials", 2, "--orders", 5, "--seed", 3,
+                "--csv", csv_file, "--out-witness", witness_file]) == 1
+    out = capsys.readouterr().out
+    assert out == witness_file.read_text()
+    violation = json.loads(out)
+    assert out == canonical_dumps(violation)
+    with open(csv_file, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    first = rows[0]
+    assert sorted(violation) == ["bound", "ff_chains", "instance_seed", "order"]
+    assert (violation["instance_seed"], violation["ff_chains"], violation["bound"]) == (
+        instance_seed(first), int(first["ff_chains"]), int(first["bound"]))
+    assert sorted(violation["order"]) == list(range(int(first["n"])))
+    assert violation["ff_chains"] == 1000 + violation["order"][0] > violation["bound"]
 
 
 def test_bench_witness_on_generated_instance_exits_2(tmp_path, capsys, monkeypatch):

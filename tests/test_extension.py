@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from posetff import (
     BlockMove,
     BlockSequence,
-    Chain,
-    ChainPartition,
     Graph,
     InternalError,
     KkWitness,
@@ -96,7 +94,7 @@ def block_size(segments):
 
 def elements_above(cp, segments):
     """The elements above a block: every chain's suffix past its segment."""
-    return {e for (_, hi), chain in zip(segments, cp.chains) for e in chain.elements[hi:]}
+    return {e for (_, hi), chain in zip(segments, cp) for e in chain[hi:]}
 
 
 def mask(elements):
@@ -105,15 +103,13 @@ def mask(elements):
 
 def live_chains(cp, segments):
     """The chains reaching past their segments, in increasing order."""
-    return [i for i, ((_, hi), chain) in enumerate(zip(segments, cp.chains))
-            if hi < len(chain.elements)]
+    return [i for i, ((_, hi), chain) in enumerate(zip(segments, cp)) if hi < len(chain)]
 
 
 def slide_state(cp, segments):
     """One block as the slide keeps it: (chains, segment starts, live chains, up-set mask)."""
-    chains = [c.elements for c in cp.chains]
     lo = [lo for lo, _ in segments]
-    return chains, lo, live_chains(cp, segments), mask(elements_above(cp, segments))
+    return cp, lo, live_chains(cp, segments), mask(elements_above(cp, segments))
 
 
 def pick(p, segments, k):
@@ -124,8 +120,7 @@ def pick(p, segments, k):
 def runs_of(p, segments):
     """Each live chain's run on one block: its segment, then the element just above it."""
     cp = dilworth_partition(p)
-    return {i: cp.chains[i].elements[segments[i][0] : segments[i][1] + 1]
-            for i in live_chains(cp, segments)}
+    return {i: cp[i][segments[i][0] : segments[i][1] + 1] for i in live_chains(cp, segments)}
 
 
 def traced_slide(p, k):
@@ -147,8 +142,8 @@ def arcs_by_definition(p, cp, segments):
     where a_i is live chain i's segment minimum and d_j is live chain j's
     least element above its segment."""
     live = live_chains(cp, segments)
-    a = {i: cp.chains[i].elements[segments[i][0]] for i in live}
-    d = {i: cp.chains[i].elements[segments[i][1]] for i in live}
+    a = {i: cp[i][segments[i][0]] for i in live}
+    d = {i: cp[i][segments[i][1]] for i in live}
     return {i: mask(j for j in live if j != i and not p.less(a[i], d[j])) for i in live}
 
 
@@ -176,7 +171,7 @@ def slide_from_scratch(p, k):
     says the last block's digraph has no sink, so the slide must end in a witness.
     """
     cp = dilworth_partition(p)
-    segments = [(0, min(len(c.elements), 2 * k - 3)) for c in cp.chains]
+    segments = [(0, min(len(c), 2 * k - 3)) for c in cp]
     blocks = [tuple(segments)]
     moves = []
     while elements_above(cp, segments):
@@ -184,7 +179,7 @@ def slide_from_scratch(p, k):
         if sink is None:
             return moves, blocks, True
         lo, hi = segments[sink]
-        chain = cp.chains[sink].elements
+        chain = cp[sink]
         moves.append(BlockMove(removed=chain[lo], added=chain[hi], chain=sink))
         segments[sink] = (lo + 1, hi + 1)
         blocks.append(tuple(segments))
@@ -201,7 +196,7 @@ def replay_blocks(seq):
     blocks = [seq.first]
     for mv in seq.moves:
         lo, hi = segments[mv.chain]
-        chain = seq.partition.chains[mv.chain].elements
+        chain = seq.partition[mv.chain]
         assert (mv.removed, mv.added) == (chain[lo], chain[hi])
         segments[mv.chain] = (lo + 1, hi + 1)
         blocks.append(tuple(segments))
@@ -280,7 +275,7 @@ class TestFindGoodElement:
         for p, k, chains in cases:
             got = block_sequence(p, k)
             assert isinstance(got, KkWitness) and got.is_valid(p)
-            assert (got.a.elements, got.b.elements) == chains
+            assert (got.a, got.b) == chains
 
     def test_stuck_slide_witnesses_are_pinned(self):
         # every witness of the failure path on seeded random posets and on the
@@ -317,7 +312,7 @@ class TestFindGoodElement:
         assert seq.moves[0].removed == a
         for run in runs.values():
             assert len(run) == 2 * k - 2
-            assert Chain(run).is_valid(p)
+            assert p.is_chain(run)
 
     @given(st.data())
     @settings(max_examples=150)
@@ -327,9 +322,9 @@ class TestFindGoodElement:
         k = data.draw(st.integers(2, 4))
         cp = dilworth_partition(p)
         segments = []
-        for chain in cp.chains:
-            size = min(len(chain.elements), 2 * k - 3)
-            lo = data.draw(st.integers(0, len(chain.elements) - size))
+        for chain in cp:
+            size = min(len(chain), 2 * k - 3)
+            lo = data.draw(st.integers(0, len(chain) - size))
             segments.append((lo, lo + size))
         state = slide_state(cp, segments)
         if state[2]:  # the slide picks only while some chain reaches past its segment
@@ -408,7 +403,7 @@ class TestBlockSequence:
 
     def test_non_increasing_chain_raises_internal_error(self, monkeypatch):
         def sabotaged(p):
-            return ChainPartition((Chain(tuple(reversed(range(p.n)))),))
+            return (tuple(reversed(range(p.n))),)
 
         monkeypatch.setattr(extension_module, "dilworth_partition", sabotaged)
         # the up-set test fails at once, and the lone live chain has no out-arc

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetff import (
-    ChainPartition,
-    Chain,
     CoverageError,
     FFColoring,
     Graph,
@@ -95,7 +93,7 @@ class TestEnginesAgreeWithOracles:
         res = first_fit_chains(p, order)
         assignment, chains = brute_first_fit_chains(p, order)
         assert res.assignment == assignment
-        assert [c.elements for c in res.partition.chains] == chains
+        assert list(res.partition) == chains
 
     @given(graphs_with_orders(max_n=12))
     @settings(max_examples=200, deadline=None)
@@ -140,32 +138,30 @@ class TestEnginesAgreeWithOracles:
 class TestValidateFFPartition:
     def test_singletons_of_antichain(self):
         p = antichain_poset(2)
-        cp = ChainPartition((Chain((0,)), Chain((1,))))
-        assert validate_ff_partition(p, cp)
+        assert validate_ff_partition(p, ((0,), (1,)))
 
     def test_split_chain_rejected(self):
         p = chain_poset(2)
-        cp = ChainPartition((Chain((0,)), Chain((1,))))
-        assert not validate_ff_partition(p, cp)
+        assert not validate_ff_partition(p, ((0,), (1,)))
 
     def test_coverage_error(self):
         p = chain_poset(3)
         with pytest.raises(CoverageError):
-            validate_ff_partition(p, ChainPartition((Chain((0, 1)),)))
+            validate_ff_partition(p, ((0, 1),))
 
     def test_element_repeated_inside_one_chain(self):
         # as a set this chain is {0, 1}, a valid cover; as listed it repeats 0
         with pytest.raises(CoverageError):
-            validate_ff_partition(chain_poset(2), ChainPartition((Chain((0, 0, 1)),)))
+            validate_ff_partition(chain_poset(2), ((0, 0, 1),))
 
     def test_comparable_pair_listed_out_of_order(self):
         # as a set {0, 1} is a chain of chain_poset(2); a chain lists it increasing
-        assert not validate_ff_partition(chain_poset(2), ChainPartition((Chain((1, 0)),)))
+        assert not validate_ff_partition(chain_poset(2), ((1, 0),))
 
     def test_witness_missing_only_two_chains_back(self):
         # with 0 < 2 and 1 incomparable to both, chain 3 = (2,) has its
         # witness 1 in chain 2 but none in chain 1 = (0,)
-        cp = ChainPartition((Chain((0,)), Chain((1,)), Chain((2,))))
+        cp = ((0,), (1,), (2,))
         assert validate_ff_partition(antichain_poset(3), cp)
         assert not validate_ff_partition(build_poset(3, [(0, 2)]), cp)
 
@@ -185,11 +181,11 @@ class TestValidatorsAgreeWithOracles:
     @settings(max_examples=300, deadline=None)
     def test_ff_partition(self, pair, data):
         p, order = pair
-        chains = [c.elements for c in first_fit_chains(p, order).partition.chains]
+        chains = first_fit_chains(p, order).partition
         parts = data.draw(corrupted_parts(chains, p.n))
         if data.draw(st.booleans()) and all(0 <= e < p.n for part in parts for e in part):
             parts = [p.sort_chain(part) for part in parts]  # list chain parts in order
-        cp = ChainPartition(tuple(Chain(tuple(part)) for part in parts))
+        cp = tuple(map(tuple, parts))
         assert outcome(validate_ff_partition, p, cp) == outcome(brute_ff_partition_ok, p, cp)
 
     @given(graphs_with_orders(), st.data())
@@ -221,7 +217,7 @@ class TestFirstFitColor:
         p, order = pair
         chains = first_fit_chains(p, order)
         colors = first_fit_color(incomparability_graph(p), order)
-        chain_sets = tuple(frozenset(c.elements) for c in chains.partition.chains)
+        chain_sets = tuple(map(frozenset, chains.partition))
         assert chain_sets == colors.classes
 
 
