@@ -86,6 +86,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_ff(args: argparse.Namespace) -> int:
+    if args.expect is not None and args.expect < 0:
+        raise ParamError(f"ff needs --expect >= 0, got {args.expect}")
     p = poset_from_dict(read_json(args.poset))
     order = order_from_dict(read_json(args.order))
     res = first_fit_chains(p, order)

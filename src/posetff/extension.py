@@ -126,14 +126,15 @@ def _least_cycle(p: Poset, runs: dict[int, tuple[int, ...]]) -> list[int]:
 class BlockSequence:
     """The full slide over one chain partition: the first block, then one move per step.
 
-    ``partition`` holds the Dilworth chains, each a tuple in increasing order,
-    and ``first`` one ``[lo, hi)`` run of positions per chain.  Each next
-    block shifts chain ``moves[t].chain``'s segment up by one position, so
-    the first block and the moves determine every block.
+    ``partition`` holds the Dilworth chains, each a tuple in increasing order.
+    The first block is every chain's ``2k-3`` least elements (all of a
+    shorter chain).  Each next block shifts chain ``moves[t].chain``'s
+    segment up by one position, so the first block and the moves determine
+    every block.
     """
 
     partition: tuple[tuple[int, ...], ...]
-    first: tuple[tuple[int, int], ...]
+    k: int
     moves: tuple[BlockMove, ...]
 
     def __len__(self) -> int:
@@ -142,7 +143,7 @@ class BlockSequence:
     @property
     def width(self) -> int:
         """Every bag's size minus one: each move swaps one element out and one in."""
-        return sum(hi - lo for lo, hi in self.first) - 1
+        return sum(min(len(chain), 2 * self.k - 3) for chain in self.partition) - 1
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,6 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
         raise ParamError("k must be at least 2")
     chains = dilworth_partition(p)
     window = 2 * k - 3
-    # the first block: the min(2k-3, chain length) smallest elements of every chain
-    first = tuple((0, min(len(chain), window)) for chain in chains)
     lo = [0] * len(chains)
     live = [i for i, chain in enumerate(chains) if len(chain) > window]
     ups = sum(1 << e for i in live for e in chains[i][window:])
@@ -186,7 +185,7 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
         lo[got] = start + 1
         if start + 1 + window == len(chain):
             live.remove(got)
-    return BlockSequence(partition=chains, first=first, moves=tuple(moves))
+    return BlockSequence(partition=chains, k=k, moves=tuple(moves))
 
 
 def spans_from_blocks(seq: BlockSequence) -> tuple[tuple[int, int], ...]:
@@ -199,8 +198,8 @@ def spans_from_blocks(seq: BlockSequence) -> tuple[tuple[int, int], ...]:
     n = sum(map(len, seq.partition))
     first = [0] * n
     last = [len(seq)] * n
-    for (lo, hi), chain in zip(seq.first, seq.partition):
-        for e in chain[lo:hi]:
+    for chain in seq.partition:
+        for e in chain[: 2 * seq.k - 3]:
             first[e] = 1
     for t, mv in enumerate(seq.moves, start=1):
         last[mv.removed] = t
@@ -216,7 +215,7 @@ def decomposition_from_blocks(seq: BlockSequence) -> PathDecomposition:
     The first bag is read off the first block's segments; each move then
     swaps one element out and one in.
     """
-    bag = sorted(e for (lo, hi), chain in zip(seq.first, seq.partition) for e in chain[lo:hi])
+    bag = sorted(e for chain in seq.partition for e in chain[: 2 * seq.k - 3])
     bags = [tuple(bag)]
     for mv in seq.moves:
         del bag[bisect_left(bag, mv.removed)]

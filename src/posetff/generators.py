@@ -1,16 +1,17 @@
-"""Seeded instance generation for the property suites and the bench sweep.
+"""Seeded poset generation for the CLI's ``gen`` and ``bench`` commands.
 
 All randomness flows through splitmix64 so identical configs reproduce
-bit-identical instances on any platform.  Random posets come from a
-permutation skeleton (a linear extension) with forward pairs kept at a
-fixed rate, then closed; k+k-free instances are rejection-sampled against
-the complete pattern search.
+bit-identical instances on any platform.  Interval orders are read off
+random integer intervals.  Random posets come from a permutation skeleton
+(a linear extension) with forward pairs kept at a fixed rate, then closed;
+k+k-free instances are rejection-sampled against the complete pattern
+search.
 """
 
 from __future__ import annotations
 
 from .errors import GaveUp, ParamError
-from .order import Graph, Poset, build_poset, find_k_plus_k, interval_order_from_intervals
+from .order import Poset, build_poset, find_k_plus_k, interval_order_from_intervals
 
 __all__ = [
     "SplitMix64",
@@ -18,7 +19,6 @@ __all__ = [
     "random_intervals",
     "gen_kk_free",
     "gen_random_poset",
-    "gen_graph",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -117,16 +117,3 @@ def gen_kk_free(seed: int, n: int, k: int) -> Poset:
             return p
     raise GaveUp(f"no {k}+{k}-free instance within {KKFREE_TRIES} tries")
 
-
-def gen_graph(seed: int, n: int, density: float) -> Graph:
-    """Erdos-Renyi style simple graph, deterministic per seed."""
-    if n < 0:
-        raise ParamError("n must be non-negative")
-    thr = _threshold(density)
-    rng = SplitMix64(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.chance(thr):
-                edges.append((u, v))
-    return Graph(n, edges)

@@ -15,9 +15,8 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import CoverageError, FormatError, SizeMismatch
-from .extension import BlockSequence, PathDecomposition
+from .extension import PathDecomposition
 from .firstfit import FFChainResult, PresentationOrder
-from .homomorphism import Homomorphism
 from .order import KkWitness, Poset, build_poset, interval_cover_pairs
 
 __all__ = [
@@ -31,12 +30,8 @@ __all__ = [
     "order_from_dict",
     "ff_result_to_dict",
     "intervals_to_dict",
-    "intervals_from_dict",
-    "block_trace_to_list",
     "pd_to_dict",
     "pd_from_dict",
-    "homomorphism_to_dict",
-    "homomorphism_from_dict",
     "witness_to_dict",
 ]
 
@@ -161,16 +156,6 @@ def intervals_to_dict(spans: Sequence[tuple[int, int]]) -> dict:
     return {"intervals": [list(iv) for iv in spans]}
 
 
-def intervals_from_dict(d: dict) -> tuple[tuple[int, int], ...]:
-    return tuple(_int_pairs_field(d, "intervals"))
-
-
-def block_trace_to_list(seq: BlockSequence) -> list[dict]:
-    return [
-        {"removed": mv.removed, "added": mv.added, "chain": mv.chain} for mv in seq.moves
-    ]
-
-
 def pd_to_dict(pd: PathDecomposition) -> dict:
     return {"bags": [list(bag) for bag in pd.bags]}
 
@@ -180,14 +165,6 @@ def pd_from_dict(d: dict) -> PathDecomposition:
     if not isinstance(bags, list) or not all(_is_int_list(bag) for bag in bags):
         raise FormatError("'bags' must be a list of integer lists")
     return PathDecomposition(tuple(tuple(bag) for bag in bags))
-
-
-def homomorphism_to_dict(f: Homomorphism) -> dict:
-    return {"map": list(f.mapping)}
-
-
-def homomorphism_from_dict(d: dict) -> Homomorphism:
-    return Homomorphism(_int_list_field(d, "map"))
 
 
 def witness_to_dict(w: KkWitness) -> dict:

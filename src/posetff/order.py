@@ -6,18 +6,18 @@ test is a single shift-and-test and the heavy algorithms downstream
 (Dilworth matching, two-chain pattern search, incomparability graphs)
 reduce to integer set algebra.
 
-Posets come into being on two paths.  The library's own constructors
+Posets come into being on two paths.  The library's two constructors
 build both masks in one pass whose structure proves the order, and hand them
 to ``Poset._closed``, which checks nothing but the names' length:
 ``build_poset`` (so every file the loader reads, and the adversaries' cover
 pairs) closes the generator pairs in Kahn's topological order, and
-``interval_order_from_intervals``, ``chain_poset`` and ``antichain_poset``
-read the masks off the endpoints.  The public ``Poset(n, succ)`` is for
-masks from outside the library (callers, tests) and checks them: the
-predecessor masks come from one bulk transpose of the successor masks'
-binary strings, O(n²/word) C-level work, and the axiom check ORs each
-element's successors' rows through a Four-Russians table (8-row chunks,
-256 ORs each), n²/8 table lookups plus 32n big-int ORs in all.
+``interval_order_from_intervals`` reads the masks off the endpoints.  The
+public ``Poset(n, succ)`` is for masks from outside the library (callers,
+tests) and checks them: the predecessor masks come from one bulk transpose
+of the successor masks' binary strings, O(n²/word) C-level work, and the
+axiom check ORs each element's successors' rows through a Four-Russians
+table (8-row chunks, 256 ORs each), n²/8 table lookups plus 32n big-int ORs
+in all.
 
 The k+k search runs on the same two kernels.  For k >= 2, two k-chains are
 disjoint with every cross pair incomparable iff neither bottom lies below
@@ -57,14 +57,6 @@ __all__ = [
     "interval_order_from_intervals",
     "interval_cover_pairs",
     "is_interval_order",
-    "chain_poset",
-    "antichain_poset",
-    "empty_graph",
-    "complete_graph",
-    "path_graph",
-    "cycle_graph",
-    "complete_bipartite_graph",
-    "complete_multipartite_graph",
 ]
 
 
@@ -181,9 +173,6 @@ class Poset:
     def pred_mask(self, u: int) -> int:
         return self._pred[u]
 
-    def comp_mask(self, u: int) -> int:
-        return self._succ[u] | self._pred[u]
-
     def inc_mask(self, u: int) -> int:
         if self._inc is None:
             full = (1 << self.n) - 1
@@ -214,9 +203,6 @@ class Poset:
     def is_antichain(self, elems: Sequence[int]) -> bool:
         """Whether elems are pairwise incomparable (so also distinct)."""
         return all(self.incomparable(u, v) for i, u in enumerate(elems) for v in elems[i + 1 :])
-
-    def name_of(self, u: int) -> str:
-        return self.names[u] if self.names is not None else str(u)
 
     def __eq__(self, other: object) -> bool:
         # names are reporting sugar, not identity
@@ -289,9 +275,6 @@ class Graph:
 
     def adjacent(self, u: int, v: int) -> bool:
         return (self._nbr[u] >> v) & 1 == 1
-
-    def degree(self, v: int) -> int:
-        return self._nbr[v].bit_count()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -442,23 +425,6 @@ def _before(spans: Sequence[tuple[float, float]]) -> list[int]:
     rights = [spans[v][1] for v in by_right]
     prefix = list(accumulate((1 << v for v in by_right), or_, initial=0))
     return [prefix[bisect_left(rights, left)] for left, _ in spans]
-
-
-def chain_poset(n: int) -> Poset:
-    """Total order 0 < 1 < ... < n-1."""
-    if n < 0:
-        raise IdOutOfRange("negative element count")
-    full = (1 << n) - 1
-    return Poset._closed(
-        n, [full & ~((1 << (u + 1)) - 1) for u in range(n)], [(1 << u) - 1 for u in range(n)]
-    )
-
-
-def antichain_poset(n: int) -> Poset:
-    """n pairwise incomparable elements."""
-    if n < 0:
-        raise IdOutOfRange("negative element count")
-    return Poset._closed(n, [0] * n, [0] * n)
 
 
 # -- width, Dilworth --------------------------------------------------------
@@ -704,42 +670,3 @@ def is_extension(p: Poset, q: Poset) -> bool:
     if p.n != q.n:
         raise SizeMismatch(f"element counts differ: {p.n} vs {q.n}")
     return all(q.succ_mask(u) & ~p.succ_mask(u) == 0 for u in range(p.n))
-
-
-# -- small graph builders ----------------------------------------------------
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, [])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ParamError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
-
-
-def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    n = bounds[-1]
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            for u in range(bounds[i], bounds[i + 1]):
-                for v in range(bounds[j], bounds[j + 1]):
-                    edges.append((u, v))
-    return Graph(n, edges)

@@ -17,11 +17,58 @@ from posetff import (
     InternalError,
     KkWitness,
     PresentationOrder,
+    SplitMix64,
     build_poset,
     first_fit_color,
     interval_order_from_intervals,
     spans_from_blocks,
 )
+
+
+def chain_poset(n):
+    """The total order 0 < 1 < ... < n-1."""
+    return build_poset(n, [(u, u + 1) for u in range(n - 1)])
+
+
+def antichain_poset(n):
+    """n pairwise incomparable elements."""
+    return build_poset(n, [])
+
+
+def empty_graph(n):
+    return Graph(n, [])
+
+
+def complete_graph(n):
+    return Graph(n, combinations(range(n), 2))
+
+
+def path_graph(n):
+    return Graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def cycle_graph(n):
+    """The n-cycle, for n >= 3."""
+    return Graph(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def complete_bipartite_graph(a, b):
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def complete_multipartite_graph(sizes):
+    """Parts of the given sizes on consecutive ids, every two parts fully joined."""
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return Graph(len(part), [(u, v) for u, v in combinations(range(len(part)), 2)
+                             if part[u] != part[v]])
+
+
+def gen_graph(seed, n, density):
+    """Seeded random graph: each pair u < v, in increasing order, is an edge
+    when the next SplitMix64 draw falls below density * 2^64."""
+    threshold = int(density * (1 << 64))
+    rng = SplitMix64(seed)
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.chance(threshold)])
 
 
 @st.composite
@@ -201,7 +248,7 @@ def backtrack_kk(p, k):
     if 2 * k > n:
         return None
     full = (1 << n) - 1
-    comp = [p.comp_mask(u) for u in range(n)]
+    comp = [p.succ_mask(u) | p.pred_mask(u) for u in range(n)]
     inc = [p.inc_mask(u) for u in range(n)]
 
     def rec(last, cand_a, cand_b, need_a, need_b, a, b):

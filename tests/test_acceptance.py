@@ -12,13 +12,9 @@ from posetff import (
     KkWitness,
     block_sequence,
     build_ff_image,
-    complete_bipartite_graph,
-    complete_multipartite_graph,
-    cycle_graph,
     decomposition_from_blocks,
     find_k_plus_k,
     first_fit_chains,
-    gen_graph,
     gen_interval_order,
     gen_kk_free,
     grundy_coloring,
@@ -30,7 +26,6 @@ from posetff import (
     is_interval_order,
     kierstead,
     path_decomposition_exact,
-    path_graph,
     pathwidth_exact,
     stacked,
     validate_ff_coloring,
@@ -39,7 +34,15 @@ from posetff import (
     width_with_witness,
 )
 from posetff.cli import main as cli_main
-from helpers import minus_perfect_matching, slide_order
+from helpers import (
+    complete_bipartite_graph,
+    complete_multipartite_graph,
+    cycle_graph,
+    gen_graph,
+    minus_perfect_matching,
+    path_graph,
+    slide_order,
+)
 
 
 @contextmanager

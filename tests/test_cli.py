@@ -204,6 +204,19 @@ def test_ff_expectation_miss(tmp_path):
     assert run(["ff", "--poset", poset_file, "--order", order_file, "--expect", 2]) == 1
 
 
+def test_ff_negative_expectation_exits_2(tmp_path, capsys):
+    # a usage error, not a certified miss: First-Fit never runs and nothing is written
+    poset_file = tmp_path / "chain.json"
+    order_file = tmp_path / "ord.json"
+    out = tmp_path / "ff.json"
+    poset_file.write_text('{"n": 3, "relations": [[0,1],[1,2]]}')
+    order_file.write_text('{"order": [0,1,2]}')
+    assert run(["ff", "--poset", poset_file, "--order", order_file, "--expect", -1,
+                "--out", out]) == 2
+    assert capsys.readouterr().err == "error: ff needs --expect >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_ff_writes_assignment(tmp_path):
     poset_file = tmp_path / "chain.json"
     order_file = tmp_path / "ord.json"

@@ -13,14 +13,11 @@ from posetff import (
     ParamError,
     SplitMix64,
     PathDecomposition,
-    antichain_poset,
     block_sequence,
     build_poset,
     canonical_dumps,
-    chain_poset,
     decomposition_from_blocks,
     dilworth_partition,
-    empty_graph,
     find_k_plus_k,
     gen_interval_order,
     gen_kk_free,
@@ -30,7 +27,6 @@ from posetff import (
     is_extension,
     is_interval_order,
     kierstead,
-    path_graph,
     spans_from_blocks,
     stacked,
     validate_path_decomposition,
@@ -38,7 +34,16 @@ from posetff import (
     witness_to_dict,
 )
 import posetff.extension as extension_module
-from helpers import graphs, posets, slide_order, spined_posets
+from helpers import (
+    antichain_poset,
+    chain_poset,
+    empty_graph,
+    graphs,
+    path_graph,
+    posets,
+    slide_order,
+    spined_posets,
+)
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
 WITNESS_COUNT = 234
@@ -86,6 +91,11 @@ def graphs_with_bag_lists(draw):
         keep = draw(st.lists(st.booleans(), min_size=len(meets), max_size=len(meets)))
         g = Graph(n, [e for e, kept in zip(meets, keep) if kept])
     return g, PathDecomposition(tuple(bags))
+
+
+def first_block(seq):
+    """The slide's first block as segments: each chain's 2k-3 least positions, or all of it."""
+    return tuple((0, min(len(chain), 2 * seq.k - 3)) for chain in seq.partition)
 
 
 def block_size(segments):
@@ -192,8 +202,8 @@ def replay_blocks(seq):
     Each move must remove its chain's segment minimum and admit the element
     just above the segment.
     """
-    segments = list(seq.first)
-    blocks = [seq.first]
+    blocks = [first_block(seq)]
+    segments = list(blocks[0])
     for mv in seq.moves:
         lo, hi = segments[mv.chain]
         chain = seq.partition[mv.chain]
@@ -226,8 +236,8 @@ class TestUpSet:
 
     def test_full_antichain_block(self):
         seq, states = traced_slide(antichain_poset(4), 2)
-        assert seq.first == ((0, 1),) * 4
-        assert block_size(seq.first) == 4
+        assert first_block(seq) == ((0, 1),) * 4
+        assert block_size(first_block(seq)) == 4
         assert seq.moves == ()
         assert states == []  # nothing above the block, so no pick
 
@@ -235,7 +245,7 @@ class TestUpSet:
         # a1 < a2 < a3 plus an isolated b1
         p = build_poset(4, [(0, 1), (1, 2)])
         seq, states = traced_slide(p, 2)
-        assert seq.first == ((0, 1), (0, 1))  # X = {a1, b1}
+        assert first_block(seq) == ((0, 1), (0, 1))  # X = {a1, b1}
         assert states[0][2] == mask({1, 2})
 
     def test_up_set_is_what_later_moves_admit(self):
@@ -302,9 +312,9 @@ class TestFindGoodElement:
         p = gen_interval_order(2, 40)  # two chains reach past their windows here
         k = 3
         seq = block_sequence(p, k)
-        runs = runs_of(p, seq.first)
+        runs = runs_of(p, first_block(seq))
         assert len(runs) >= 2
-        sink = pick(p, seq.first, k)
+        sink = pick(p, first_block(seq), k)
         a = runs[sink][0]
         # the sink's a lies below every other run's d
         assert all(p.less(a, run[-1]) for j, run in runs.items() if j != sink)
@@ -342,7 +352,7 @@ class TestFindGoodElement:
         p = build_poset(6, [(i, i + 1) for i in range(4)])  # chain of 5 plus element 5
         seq, states = traced_slide(p, 2)
         assert [live for _, live, _ in states] == [[0]] * 4
-        assert pick(p, seq.first, 2) == 0
+        assert pick(p, first_block(seq), 2) == 0
         assert seq.moves[0] == BlockMove(removed=0, added=1, chain=0)
 
 
@@ -363,14 +373,14 @@ class TestBlockSequence:
             p = gen_interval_order(seed, 25)
             seq = block_sequence(p, 2)
             blocks = replay_blocks(seq)
-            assert len(blocks) == p.n - block_size(seq.first) + 1
+            assert len(blocks) == p.n - block_size(first_block(seq)) + 1
             bags = decomposition_from_blocks(seq).bags
             assert [block_size(b) for b in blocks] == [len(bag) for bag in bags]
 
     def test_segment_sizes_are_conserved(self):
         p = gen_interval_order(5, 30)
         seq = block_sequence(p, 2)
-        sizes0 = [hi - lo for lo, hi in seq.first]
+        sizes0 = [hi - lo for lo, hi in first_block(seq)]
         for blk in replay_blocks(seq)[1:]:
             assert [hi - lo for lo, hi in blk] == sizes0
 
@@ -431,7 +441,7 @@ class TestBlockSequence:
             assert got.is_valid(p)
             assert got.k == 2
         else:
-            assert len(replay_blocks(got)) == p.n - block_size(got.first) + 1
+            assert len(replay_blocks(got)) == p.n - block_size(first_block(got)) + 1
 
 
 class TestIntervalOrderOf:
@@ -495,8 +505,8 @@ class TestIntervalOrderOf:
 
     def test_element_outside_every_block_raises(self):
         seq = block_sequence(chain_poset(3), 2)
-        lost = BlockSequence(seq.partition, ((0, 0),) + seq.first[1:], seq.moves[1:])
-        with pytest.raises(InternalError, match="^element 0 never entered any block$"):
+        lost = BlockSequence(seq.partition, seq.k, seq.moves[1:])
+        with pytest.raises(InternalError, match="^element 1 never entered any block$"):
             spans_from_blocks(lost)
 
 

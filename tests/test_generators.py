@@ -6,10 +6,7 @@ from posetff import (
     SplitMix64,
     block_sequence,
     canonical_dumps,
-    complete_graph,
-    empty_graph,
     find_k_plus_k,
-    gen_graph,
     gen_interval_order,
     gen_kk_free,
     gen_random_poset,
@@ -18,7 +15,7 @@ from posetff import (
     random_intervals,
     width_with_witness,
 )
-from helpers import slide_order
+from helpers import complete_graph, empty_graph, gen_graph, slide_order
 
 # regression pin: published splitmix64 stream for seed 0
 SPLITMIX_SEED0 = (16294208416658607535, 7960286522194355700, 487617019471545679)
@@ -145,8 +142,7 @@ class TestGenGraph:
 @pytest.mark.parametrize("make, message", [
     (lambda: gen_kk_free(0, 5, 1), "k must be at least 2"),
     (lambda: random_intervals(0, -1), "n must be non-negative"),
-    (lambda: gen_graph(0, -1, 0.5), "n must be non-negative"),
-], ids=["kk-free-k1", "intervals-negative-n", "graph-negative-n"])
+], ids=["kk-free-k1", "intervals-negative-n"])
 def test_pinned_param_errors(make, message):
     with pytest.raises(ParamError) as info:
         make()

@@ -17,6 +17,7 @@ an intended output change, with
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -29,7 +30,6 @@ from posetff import (
     PresentationOrder,
     SplitMix64,
     block_sequence,
-    block_trace_to_list,
     build_ff_image,
     build_poset,
     canonical_dumps,
@@ -102,7 +102,7 @@ def golden_record(p, k) -> dict:
         return {"witness": witness_to_dict(seq)}
     spans = spans_from_blocks(seq)
     return {
-        "moves": block_trace_to_list(seq),
+        "moves": [dataclasses.asdict(mv) for mv in seq.moves],
         "sha256": {
             "order": _sha(poset_to_dict(interval_order_from_intervals(spans, p.names))),
             "intervals": _sha(intervals_to_dict(spans)),

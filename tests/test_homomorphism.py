@@ -20,14 +20,8 @@ from posetff import (
     block_sequence,
     build_ff_image,
     canonical_dumps,
-    complete_bipartite_graph,
-    complete_graph,
-    complete_multipartite_graph,
-    cycle_graph,
     decomposition_from_blocks,
-    empty_graph,
     first_fit_color,
-    gen_graph,
     gen_interval_order,
     grundy_coloring,
     grundy_number,
@@ -35,7 +29,6 @@ from posetff import (
     interval_clique_number,
     interval_completion,
     path_decomposition_exact,
-    path_graph,
     pathwidth_exact,
     stacked,
     validate_ff_coloring,
@@ -49,9 +42,16 @@ from helpers import (
     brute_interval_clique_number,
     brute_interval_graph,
     brute_pathwidth,
+    complete_bipartite_graph,
+    complete_graph,
+    complete_multipartite_graph,
+    cycle_graph,
+    empty_graph,
+    gen_graph,
     graphs,
     graphs_with_orders,
     outcome,
+    path_graph,
     span_lists,
 )
 
@@ -328,8 +328,6 @@ class TestPathwidthExact:
         assert pathwidth_exact(complete_multipartite_graph([2, 2, 2])) == 4
 
     def test_known_spot_values(self):
-        from posetff import Graph, complete_bipartite_graph, cycle_graph
-
         assert pathwidth_exact(path_graph(1)) == 0
         assert pathwidth_exact(cycle_graph(6)) == 2
         assert pathwidth_exact(complete_bipartite_graph(2, 5)) == 2
