@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -87,6 +88,14 @@ def test_intervals_round_trip():
     d = json.loads(canonical_dumps(intervals_to_dict(spans)))
     assert min(lo for lo, _ in d["intervals"]) == 1  # block indices are 1-based
     assert tuple(map(tuple, d["intervals"])) == spans
+
+
+def test_block_trace_fields():
+    """The move trace the goldens write: one step per move, three fields each."""
+    seq = block_sequence(gen_interval_order(4, 12), 2)
+    trace = json.loads(canonical_dumps([dataclasses.asdict(mv) for mv in seq.moves]))
+    assert len(trace) == len(seq) - 1
+    assert all(set(step) == {"removed", "added", "chain"} for step in trace)
 
 
 def test_pd_round_trip():
