@@ -487,6 +487,13 @@ def slide_order(p, seq):
     return interval_order_from_intervals(spans_from_blocks(seq), p.names)
 
 
+def bags_by_definition(spans, count):
+    """Bag t, for t = 1..count, holds in increasing order the ids whose span contains t."""
+    return tuple(
+        tuple(v for v, (a, b) in enumerate(spans) if a <= t <= b) for t in range(1, count + 1)
+    )
+
+
 def brute_interval_graph(spans):
     """Join every two closed integer spans that share an integer point."""
     points = [set(range(a, b + 1)) for a, b in spans]

@@ -23,10 +23,12 @@ from posetff import (
     gen_kk_free,
     gen_random_poset,
     incomparability_graph,
+    interval_clique_number,
     interval_completion,
     is_extension,
     is_interval_order,
     kierstead,
+    path_decomposition_exact,
     spans_from_blocks,
     stacked,
     validate_path_decomposition,
@@ -34,13 +36,17 @@ from posetff import (
     witness_to_dict,
 )
 import posetff.extension as extension_module
+from posetff.cli import main
+from posetff.order import _spans_cover_edges
 from helpers import (
     antichain_poset,
+    bags_by_definition,
     chain_poset,
     empty_graph,
     graphs,
     path_graph,
     posets,
+    shuffled_posets,
     slide_order,
     spined_posets,
 )
@@ -564,3 +570,46 @@ class TestPathDecomposition:
             pd = decomposition_from_blocks(block_sequence(p, 2))
             assert validate_path_decomposition(incomparability_graph(p), pd)
             assert pd.width <= (2 * 2 - 3) * w - 1
+
+
+class TestBagsFromSpans:
+    @given(st.integers(2, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bags_are_the_spans_by_definition(self, k, data):
+        # on every slide that completes, the bags, their check and their width
+        # agree with the spans; so do the bags of spans with one end moved
+        p = data.draw(st.one_of(
+            spined_posets(), shuffled_posets(),
+            st.integers(0, 40).map(lambda seed: gen_kk_free(seed, 16, k)),
+        ))
+        seq = block_sequence(p, k)
+        if isinstance(seq, KkWitness):
+            return
+        g = incomparability_graph(p)
+        spans = spans_from_blocks(seq)
+        pd = decomposition_from_blocks(seq)
+        assert pd.bags == bags_by_definition(spans, len(seq))
+        assert validate_path_decomposition(g, pd) and _spans_cover_edges(g, spans)
+        assert pd.width == seq.width == interval_clique_number(spans) - 1
+        moved = [
+            (v, (a + da, b + db))
+            for v, (a, b) in enumerate(spans)
+            for da, db in ((-1, 0), (1, 0), (0, -1), (0, 1))
+            if 1 <= a + da <= b + db <= len(seq)
+        ]
+        if not moved:
+            return
+        v, span = data.draw(st.sampled_from(moved))
+        spans = spans[:v] + (span,) + spans[v + 1 :]
+        pd = PathDecomposition(bags_by_definition(spans, len(seq)))
+        assert validate_path_decomposition(g, pd) == _spans_cover_edges(g, spans)
+        assert pd.width == interval_clique_number(spans) - 1
+
+    def test_empty_poset(self, tmp_path):
+        seq = block_sequence(build_poset(0, []), 2)
+        assert decomposition_from_blocks(seq).bags == ((),)
+        assert path_decomposition_exact(Graph(0, [])).bags == ()
+        poset_file, pd_file = tmp_path / "p.json", tmp_path / "pd.json"
+        poset_file.write_text('{"n": 0, "relations": []}')
+        assert main(["extend", "--poset", str(poset_file), "--k", "2", "--out-pd", str(pd_file)]) == 0
+        assert pd_file.read_text() == '{"bags":[[]]}\n'
