@@ -15,7 +15,7 @@ import time
 
 from .adversary import kierstead, stacked
 from .errors import InternalError, ParamError, PosetFFError
-from .extension import block_sequence, decomposition_from_blocks, spans_from_blocks
+from .extension import PathDecomposition, block_sequence, spans_from_blocks
 from .firstfit import PresentationOrder, first_fit_chains, validate_ff_partition
 from .generators import (
     KKFREE_DENSITY,
@@ -122,7 +122,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     if args.out_intervals:
         write_json(intervals_to_dict(spans), args.out_intervals)
     if args.out_pd:
-        write_json(pd_to_dict(decomposition_from_blocks(seq)), args.out_pd)
+        write_json(pd_to_dict(PathDecomposition.from_spans(spans, len(seq))), args.out_pd)
     return 0
 
 

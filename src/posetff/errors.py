@@ -22,7 +22,7 @@ class SizeMismatch(PosetFFError):
 
 
 class MalformedInterval(PosetFFError):
-    """An interval whose left endpoint exceeds its right endpoint."""
+    """An interval whose left endpoint exceeds its right, or a span outside its blocks."""
 
 
 class TooLarge(PosetFFError):

@@ -5,25 +5,27 @@ elements slides up each chain.  At every step one chain owns a "good"
 element (below everything still above the windows); removing it and
 admitting the next element of that chain keeps the window family a valid
 block.  The membership spans of the elements across the block sequence
-form closed integer intervals whose interval order the input extends,
-and the blocks double as a path decomposition of the incomparability
-graph.  The slide keeps only each chain's segment start, the live chains
-(those reaching past their segments) and the up-set bitmask.  A chain's
-segment minimum is good exactly when the up-set lies above it, so the
-per-step certificate is one mask test per live chain.  Only when no chain
-passes is each live chain's run cut: its 2k-3 segment elements, then d,
-its next element.  The certifying digraph (an arc from chain i to chain j
-when i's run start is not below j's run end) then has no sink, and
-replaying the certification along its least cycle, on slices of the runs,
-produces two disjoint incomparable k-chains instead.
+form closed integer intervals whose interval order the input extends, and
+they are a path decomposition of the incomparability graph: bag t holds
+the elements whose span contains t.  The slide keeps only each chain's
+segment start, the live chains (those reaching past their segments) and
+the up-set bitmask.  A chain's segment minimum is good exactly when the
+up-set lies above it, so the per-step certificate is one mask test per
+live chain.  Only when no chain passes is each live chain's run cut: its
+2k-3 segment elements, then d, its next element.  The certifying digraph
+(an arc from chain i to chain j when i's run start is not below j's run
+end) then has no sink, and replaying the certification along its least
+cycle, on slices of the runs, produces two disjoint incomparable k-chains
+instead.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from typing import Sequence
 
-from .errors import InternalError, ParamError
+from .errors import InternalError, MalformedInterval, ParamError
 from .order import Graph, KkWitness, Poset, _spans_cover_edges, dilworth_partition
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "PathDecomposition",
     "block_sequence",
     "spans_from_blocks",
-    "decomposition_from_blocks",
     "validate_path_decomposition",
 ]
 
@@ -156,6 +157,30 @@ class PathDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
 
+    @classmethod
+    def from_spans(cls, spans: Sequence[tuple[int, int]], count: int) -> PathDecomposition:
+        """Bags 1..count, bag t listing in increasing order the ids whose span contains t.
+
+        One sweep over the block indices: an id joins the bag at its span's
+        left end and leaves it after its right end.
+        """
+        enter: list[list[int]] = [[] for _ in range(count + 2)]
+        leave: list[list[int]] = [[] for _ in range(count + 2)]
+        for v, (a, b) in enumerate(spans):
+            if not 1 <= a <= b <= count:
+                raise MalformedInterval(f"span {(a, b)!r} of {v} lies outside 1..{count}")
+            enter[a].append(v)
+            leave[b + 1].append(v)
+        bag: list[int] = []
+        bags = []
+        for t in range(1, count + 1):
+            for v in leave[t]:
+                del bag[bisect_left(bag, v)]
+            for v in enter[t]:
+                insort(bag, v)
+            bags.append(tuple(bag))
+        return cls(tuple(bags))
+
 
 def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
     """Slide windows up the Dilworth chains until nothing remains above them.
@@ -207,21 +232,6 @@ def spans_from_blocks(seq: BlockSequence) -> tuple[tuple[int, int], ...]:
     if 0 in first:
         raise InternalError(f"element {first.index(0)} never entered any block")
     return tuple(zip(first, last))
-
-
-def decomposition_from_blocks(seq: BlockSequence) -> PathDecomposition:
-    """One bag per block, in increasing id order.
-
-    The first bag is read off the first block's segments; each move then
-    swaps one element out and one in.
-    """
-    bag = sorted(e for chain in seq.partition for e in chain[: 2 * seq.k - 3])
-    bags = [tuple(bag)]
-    for mv in seq.moves:
-        del bag[bisect_left(bag, mv.removed)]
-        insort(bag, mv.added)
-        bags.append(tuple(bag))
-    return PathDecomposition(tuple(bags))
 
 
 def _valid_spans(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int], ...] | None:

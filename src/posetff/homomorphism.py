@@ -1,15 +1,16 @@
 """Collapsing greedy color classes inside an interval completion.
 
 A path decomposition turns a graph into a spanning subgraph of an
-interval graph: ``interval_completion`` returns each vertex's closed bag
-span as a tuple of pairs.  Within each greedy color class, the
+interval graph, and the quotient reads only each vertex's closed span of
+bags: ``spans_from_blocks`` gives the slide's, and ``interval_completion``
+reads them off a file's bags.  Within each greedy color class, the
 components of the completed graph merge into single interval vertices; the
 quotient is an interval graph with no larger clique than the completion,
 the quotient map preserves edges, and the transported classes are again a
 valid greedy coloring.  The module also carries the exact oracles used to
 certify all of this: interval clique number by an endpoint sweep and
 pathwidth as the vertex separation number, by a memoised top-down recursion
-over vertex subsets.
+over vertex subsets whose drops give the spans of an optimal decomposition.
 
 Costs, for n vertices: a class's components come from one sort of its
 spans by left end and a merge on the running right end, O(n log n) in all;
@@ -243,34 +244,28 @@ def path_decomposition_exact(g: Graph) -> PathDecomposition:
 
     From the full set down, each step drops the lowest v whose removal
     keeps the cost.  The recursion tried S's children lowest first and
-    stopped only at such a v, so every entry read here is filled.
+    stopped only at such a v, so every entry read here is filled.  The
+    vertex dropped from a set of m vertices takes place m, and its span
+    runs from there to its last neighbour's place.
     """
     nbr, cost = _separation_costs(g)
     n = g.n
     if n == 0:
         return PathDecomposition(())
-    layout: list[int] = []
+    place = [0] * n
+    last = [0] * n
     mask = (1 << n) - 1
     while mask:
         target = cost[mask]
         for v in iter_bits(mask):
             if cost[mask ^ (1 << v)] <= target:
-                layout.append(v)
-                mask ^= 1 << v
                 break
-    layout.reverse()
-    bags = []
-    placed = 0
-    for v in layout:
-        # carry along every placed vertex that still has unplaced neighbors
-        # (v itself is unplaced here, so its placed neighbors ride along)
-        bag = [v]
-        for u in iter_bits(placed):
-            if nbr[u] & ~placed:
-                bag.append(u)
-        placed |= 1 << v
-        bags.append(tuple(sorted(bag)))
-    pd = PathDecomposition(tuple(bags))
+        place[v] = mask.bit_count()
+        mask ^= 1 << v
+        # drops run down the places: u's first neighbour to drop ends u's span
+        for u in iter_bits(nbr[v] & mask):
+            last[u] = last[u] or place[v]
+    pd = PathDecomposition.from_spans(tuple(zip(place, map(max, place, last))), n)
     if not validate_path_decomposition(g, pd):
         raise InternalError("recovered layout is not a path decomposition")
     if pd.width != cost[(1 << n) - 1]:

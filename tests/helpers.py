@@ -16,6 +16,7 @@ from posetff import (
     Graph,
     InternalError,
     KkWitness,
+    PathDecomposition,
     PresentationOrder,
     SplitMix64,
     build_poset,
@@ -485,6 +486,11 @@ def brute_width(p):
 def slide_order(p, seq):
     """The interval order q of the slide's block spans, which p extends."""
     return interval_order_from_intervals(spans_from_blocks(seq), p.names)
+
+
+def slide_decomposition(seq):
+    """The slide's bags, one per block, read off its spans."""
+    return PathDecomposition.from_spans(spans_from_blocks(seq), len(seq))
 
 
 def bags_by_definition(spans, count):

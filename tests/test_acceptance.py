@@ -12,7 +12,6 @@ from posetff import (
     KkWitness,
     block_sequence,
     build_ff_image,
-    decomposition_from_blocks,
     find_k_plus_k,
     first_fit_chains,
     gen_interval_order,
@@ -41,6 +40,7 @@ from helpers import (
     gen_graph,
     minus_perfect_matching,
     path_graph,
+    slide_decomposition,
     slide_order,
 )
 
@@ -121,7 +121,7 @@ def test_criterion_05_path_decomposition_certificates():
         for p, k in _extension_runs():
             seq = block_sequence(p, k)
             assert not isinstance(seq, KkWitness)
-            pd = decomposition_from_blocks(seq)
+            pd = slide_decomposition(seq)
             w, _ = width_with_witness(p)
             assert validate_path_decomposition(incomparability_graph(p), pd)
             assert pd.width <= (2 * k - 3) * w - 1
@@ -137,7 +137,7 @@ def _quotient_cases():
         p = gen_interval_order(500 + i, 5 + i % 6)
         g = incomparability_graph(p)
         seq = block_sequence(p, 2)
-        cases.append((g, decomposition_from_blocks(seq)))
+        cases.append((g, slide_decomposition(seq)))
     return cases
 
 

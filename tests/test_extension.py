@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,13 @@ from posetff import (
     Graph,
     InternalError,
     KkWitness,
+    MalformedInterval,
     ParamError,
     SplitMix64,
     PathDecomposition,
     block_sequence,
     build_poset,
     canonical_dumps,
-    decomposition_from_blocks,
     dilworth_partition,
     find_k_plus_k,
     gen_interval_order,
@@ -47,6 +48,7 @@ from helpers import (
     path_graph,
     posets,
     shuffled_posets,
+    slide_decomposition,
     slide_order,
     spined_posets,
 )
@@ -367,12 +369,12 @@ class TestBlockSequence:
         p = chain_poset(7)
         seq = block_sequence(p, 2)
         assert isinstance(seq, BlockSequence)
-        assert decomposition_from_blocks(seq).bags == tuple((t,) for t in range(7))
+        assert slide_decomposition(seq).bags == tuple((t,) for t in range(7))
 
     def test_antichain_is_one_block(self):
         seq = block_sequence(antichain_poset(5), 2)
         assert len(seq) == 1 and seq.moves == ()
-        assert decomposition_from_blocks(seq).bags == (tuple(range(5)),)
+        assert slide_decomposition(seq).bags == (tuple(range(5)),)
 
     def test_block_count_formula(self):
         for seed in (0, 3, 9):
@@ -380,7 +382,7 @@ class TestBlockSequence:
             seq = block_sequence(p, 2)
             blocks = replay_blocks(seq)
             assert len(blocks) == p.n - block_size(first_block(seq)) + 1
-            bags = decomposition_from_blocks(seq).bags
+            bags = slide_decomposition(seq).bags
             assert [block_size(b) for b in blocks] == [len(bag) for bag in bags]
 
     def test_segment_sizes_are_conserved(self):
@@ -471,7 +473,7 @@ class TestIntervalOrderOf:
             wq, _ = width_with_witness(q)
             assert is_extension(p, q)
             assert is_interval_order(q)
-            assert wq == decomposition_from_blocks(seq).width + 1 <= (2 * 2 - 3) * w
+            assert wq == seq.width + 1 <= (2 * 2 - 3) * w
 
     def test_postconditions_on_seeded_three_free(self):
         for seed in range(5):
@@ -483,7 +485,7 @@ class TestIntervalOrderOf:
             wq, _ = width_with_witness(q)
             assert is_extension(p, q)
             assert is_interval_order(q)
-            assert wq == decomposition_from_blocks(seq).width + 1 <= (2 * 3 - 3) * w
+            assert wq == seq.width + 1 <= (2 * 3 - 3) * w
 
     def test_empty_poset(self):
         seq = block_sequence(build_poset(0, []), 2)
@@ -493,11 +495,11 @@ class TestIntervalOrderOf:
     @given(spined_posets(max_n=24), st.integers(2, 4))
     @settings(max_examples=150, deadline=None)
     def test_spans_are_the_completion_of_the_blocks(self, p, k):
-        # the two span readers: one off the moves, one off the validated bags
+        # the spans read back off the validated bags they were swept into
         seq = block_sequence(p, k)
         if isinstance(seq, KkWitness):
             return
-        pd = decomposition_from_blocks(seq)
+        pd = slide_decomposition(seq)
         assert spans_from_blocks(seq) == interval_completion(incomparability_graph(p), pd)
         assert seq.width == pd.width
 
@@ -506,7 +508,7 @@ class TestIntervalOrderOf:
             for k in (2, 3, 4):
                 p = gen_kk_free(seed, 20, k)
                 seq = block_sequence(p, k)
-                pd = decomposition_from_blocks(seq)
+                pd = slide_decomposition(seq)
                 assert spans_from_blocks(seq) == interval_completion(incomparability_graph(p), pd)
 
     def test_element_outside_every_block_raises(self):
@@ -518,18 +520,18 @@ class TestIntervalOrderOf:
 
 class TestPathDecomposition:
     def test_chain_bags(self):
-        pd = decomposition_from_blocks(block_sequence(chain_poset(4), 2))
+        pd = slide_decomposition(block_sequence(chain_poset(4), 2))
         assert pd.bags == ((0,), (1,), (2,), (3,))
         assert pd.width == 0
 
     def test_antichain_bag(self):
-        pd = decomposition_from_blocks(block_sequence(antichain_poset(4), 2))
+        pd = slide_decomposition(block_sequence(antichain_poset(4), 2))
         assert pd.bags == ((0, 1, 2, 3),)
         assert pd.width == 3
 
     def test_ladder_with_larger_k(self):
         kp = kierstead(5)
-        pd = decomposition_from_blocks(block_sequence(kp.poset, 4))
+        pd = slide_decomposition(block_sequence(kp.poset, 4))
         assert validate_path_decomposition(incomparability_graph(kp.poset), pd)
         assert pd.width <= (2 * 4 - 3) * 2 - 1
 
@@ -567,7 +569,7 @@ class TestPathDecomposition:
         for seed in range(6):
             p = gen_interval_order(seed + 100, 35)
             w, _ = width_with_witness(p)
-            pd = decomposition_from_blocks(block_sequence(p, 2))
+            pd = slide_decomposition(block_sequence(p, 2))
             assert validate_path_decomposition(incomparability_graph(p), pd)
             assert pd.width <= (2 * 2 - 3) * w - 1
 
@@ -587,7 +589,7 @@ class TestBagsFromSpans:
             return
         g = incomparability_graph(p)
         spans = spans_from_blocks(seq)
-        pd = decomposition_from_blocks(seq)
+        pd = PathDecomposition.from_spans(spans, len(seq))
         assert pd.bags == bags_by_definition(spans, len(seq))
         assert validate_path_decomposition(g, pd) and _spans_cover_edges(g, spans)
         assert pd.width == seq.width == interval_clique_number(spans) - 1
@@ -601,15 +603,26 @@ class TestBagsFromSpans:
             return
         v, span = data.draw(st.sampled_from(moved))
         spans = spans[:v] + (span,) + spans[v + 1 :]
-        pd = PathDecomposition(bags_by_definition(spans, len(seq)))
+        pd = PathDecomposition.from_spans(spans, len(seq))
+        assert pd.bags == bags_by_definition(spans, len(seq))
         assert validate_path_decomposition(g, pd) == _spans_cover_edges(g, spans)
         assert pd.width == interval_clique_number(spans) - 1
 
     def test_empty_poset(self, tmp_path):
         seq = block_sequence(build_poset(0, []), 2)
-        assert decomposition_from_blocks(seq).bags == ((),)
+        assert PathDecomposition.from_spans(spans_from_blocks(seq), len(seq)).bags == ((),)
         assert path_decomposition_exact(Graph(0, [])).bags == ()
+        assert PathDecomposition.from_spans((), 0).bags == ()
         poset_file, pd_file = tmp_path / "p.json", tmp_path / "pd.json"
         poset_file.write_text('{"n": 0, "relations": []}')
-        assert main(["extend", "--poset", str(poset_file), "--k", "2", "--out-pd", str(pd_file)]) == 0
+        assert main(["extend", "--poset", str(poset_file), "--k", "2",
+                     "--out-pd", str(pd_file)]) == 0
         assert pd_file.read_text() == '{"bags":[[]]}\n'
+
+    def test_span_outside_the_blocks_raises(self):
+        for span in ((0, 1), (2, 1), (1, 4), (0, 0), (4, 4)):
+            outside = rf"^span {re.escape(str(span))} of 1 lies outside 1\.\.3$"
+            with pytest.raises(MalformedInterval, match=outside):
+                PathDecomposition.from_spans([(1, 3), span], 3)
+        with pytest.raises(MalformedInterval, match=r"^span \(1, 1\) of 0 lies outside 1\.\.0$"):
+            PathDecomposition.from_spans([(1, 1)], 0)

@@ -27,13 +27,13 @@ import pytest
 
 from posetff import (
     KkWitness,
+    PathDecomposition,
     PresentationOrder,
     SplitMix64,
     block_sequence,
     build_ff_image,
     build_poset,
     canonical_dumps,
-    decomposition_from_blocks,
     ff_result_to_dict,
     first_fit_chains,
     first_fit_color,
@@ -52,6 +52,7 @@ from posetff import (
     stacked,
     witness_to_dict,
 )
+from helpers import slide_decomposition
 from test_acceptance import _quotient_cases as acceptance_quotient_cases
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "golden_extend.json"
@@ -106,7 +107,7 @@ def golden_record(p, k) -> dict:
         "sha256": {
             "order": _sha(poset_to_dict(interval_order_from_intervals(spans, p.names))),
             "intervals": _sha(intervals_to_dict(spans)),
-            "pd": _sha(pd_to_dict(decomposition_from_blocks(seq))),
+            "pd": _sha(pd_to_dict(PathDecomposition.from_spans(spans, len(seq)))),
         },
     }
 
@@ -143,11 +144,11 @@ def _quotient_cases():
         g = incomparability_graph(p)
         coloring = first_fit_color(g, PresentationOrder(tuple(SplitMix64(seed).permutation(n))))
         for k in (2, 3):
-            pd = decomposition_from_blocks(block_sequence(p, k))
+            pd = slide_decomposition(block_sequence(p, k))
             cases[f"interval-s{seed}-n{n}-k{k}"] = (g, pd, coloring)
     sp = stacked(5, 6)
     g = incomparability_graph(sp.poset)
-    pd = decomposition_from_blocks(block_sequence(sp.poset, 5))
+    pd = slide_decomposition(block_sequence(sp.poset, 5))
     cases["stacked-k5-w6-natural"] = (g, pd, first_fit_color(g, sp.natural_order))
     return cases
 

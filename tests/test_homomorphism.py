@@ -20,7 +20,6 @@ from posetff import (
     block_sequence,
     build_ff_image,
     canonical_dumps,
-    decomposition_from_blocks,
     first_fit_color,
     gen_interval_order,
     grundy_coloring,
@@ -30,6 +29,7 @@ from posetff import (
     interval_completion,
     path_decomposition_exact,
     pathwidth_exact,
+    spans_from_blocks,
     stacked,
     validate_ff_coloring,
     validate_homomorphism,
@@ -89,15 +89,12 @@ class TestIntervalCompletion:
 
     def test_pipeline_load_stays_within_bound(self):
         p = gen_interval_order(3, 25)
-        g = incomparability_graph(p)
-        pd = decomposition_from_blocks(block_sequence(p, 2))
-        ic = interval_completion(g, pd)
-        assert interval_clique_number(ic) == pd.width + 1
+        seq = block_sequence(p, 2)
+        assert interval_clique_number(spans_from_blocks(seq)) == seq.width + 1
 
     def test_ladder_pipeline_completion_load(self):
         kp = kierstead(5)
-        pd = decomposition_from_blocks(block_sequence(kp.poset, 4))
-        ic = interval_completion(incomparability_graph(kp.poset), pd)
+        ic = spans_from_blocks(block_sequence(kp.poset, 4))
         assert interval_clique_number(ic) <= (2 * 4 - 3) * 2
 
 
@@ -214,10 +211,10 @@ class TestBuildFFImage:
         # stacked(30, 10) in its natural order: every certificate runs at n = 3915
         sp = stacked(30, 10)
         g = incomparability_graph(sp.poset)
-        pd = decomposition_from_blocks(block_sequence(sp.poset, 30))
+        seq = block_sequence(sp.poset, 30)
         coloring = first_fit_color(g, sp.natural_order)
-        image, _ = build_ff_image(g, interval_completion(g, pd), coloring)
-        assert pd.width == 569
+        image, _ = build_ff_image(g, spans_from_blocks(seq), coloring)
+        assert seq.width == 569
         assert coloring.color_count == 261
         assert image.h.n == 270
         assert interval_clique_number(image.intervals) == 261
@@ -227,10 +224,10 @@ class TestBuildFFImage:
         # identity First-Fit: every certificate runs at n = 2000
         p = gen_interval_order(1, 2000)
         g = incomparability_graph(p)
-        pd = decomposition_from_blocks(block_sequence(p, 2))
+        seq = block_sequence(p, 2)
         coloring = first_fit_color(g, PresentationOrder.identity(g.n))
-        image, _ = build_ff_image(g, interval_completion(g, pd), coloring)
-        assert pd.width == 1018
+        image, _ = build_ff_image(g, spans_from_blocks(seq), coloring)
+        assert seq.width == 1018
         assert coloring.color_count == 1038
         assert image.h.n == 1576
         assert interval_clique_number(image.intervals) == 1019
@@ -246,8 +243,7 @@ class TestBuildFFImage:
         for seed in range(6):
             p = gen_interval_order(seed, 12)
             g = incomparability_graph(p)
-            pd = decomposition_from_blocks(block_sequence(p, 2))
-            ic = interval_completion(g, pd)
+            ic = spans_from_blocks(block_sequence(p, 2))
             coloring = first_fit_color(g, PresentationOrder.identity(g.n))
             image, hom = build_ff_image(g, ic, coloring)
             assert len(image.classes) == coloring.color_count
