@@ -625,31 +625,24 @@ def find_k_plus_k(p: Poset, k: int) -> KkWitness | None:
     The witness is deterministic: x is the least element whose row of R
     meets its transposed row, x' the least element of that meet, y the
     least top over x not above x', y' the least top over x' not above x,
-    and each chain is peeled from its open interval.  For k = 1 it is the
-    least element u with an incomparable element and u's least such v.
+    and each chain is peeled from its open interval.
     """
-    if k < 1:
-        raise ParamError("k must be at least 1")
+    if k < 2:
+        raise ParamError("k must be at least 2")
     n = p.n
     if 2 * k > n:
         return None
-    if k == 1:
-        u = next((u for u in range(n) if p.inc_mask(u)), None)
-        if u is None:
-            return None
-        witness = KkWitness((u,), (_low(p.inc_mask(u)),))
-    else:
-        full = (1 << n) - 1
-        tops = _power([p.succ_mask(u) for u in range(n)], k - 1, n)
-        reach = _reach(tops, [full & ~p.pred_mask(y) for y in range(n)], n)
-        both = [r & c for r, c in zip(reach, _transpose(reach, n))]
-        x = next((x for x in range(n) if both[x]), None)
-        if x is None:
-            return None
-        x2 = _low(both[x])
-        y = _low(tops[x] & ~p.succ_mask(x2))
-        y2 = _low(tops[x2] & ~p.succ_mask(x))
-        witness = KkWitness(_chain_between(p, x, y, k), _chain_between(p, x2, y2, k))
+    full = (1 << n) - 1
+    tops = _power([p.succ_mask(u) for u in range(n)], k - 1, n)
+    reach = _reach(tops, [full & ~p.pred_mask(y) for y in range(n)], n)
+    both = [r & c for r, c in zip(reach, _transpose(reach, n))]
+    x = next((x for x in range(n) if both[x]), None)
+    if x is None:
+        return None
+    x2 = _low(both[x])
+    y = _low(tops[x] & ~p.succ_mask(x2))
+    y2 = _low(tops[x2] & ~p.succ_mask(x))
+    witness = KkWitness(_chain_between(p, x, y, k), _chain_between(p, x2, y2, k))
     if not witness.is_valid(p):
         raise InternalError("k+k search returned an invalid witness")
     return witness

@@ -449,8 +449,9 @@ class TestIncomparabilityGraph:
 
 class TestFindKPlusK:
     def test_rejects_k_below_one(self):
-        with pytest.raises(ParamError, match="^k must be at least 1$"):
-            find_k_plus_k(chain_poset(2), 0)
+        for k in (0, 1):
+            with pytest.raises(ParamError, match="^k must be at least 2$"):
+                find_k_plus_k(chain_poset(2), k)
 
     def test_two_plus_two_witness_is_the_defining_pair(self):
         p = build_poset(4, TWO_PLUS_TWO)
@@ -482,11 +483,6 @@ class TestFindKPlusK:
     def test_kierstead_has_no_long_pattern(self):
         for q in (2, 3, 4):
             assert find_k_plus_k(kierstead(q).poset, q + 1) is None
-
-    def test_k_one(self):
-        assert find_k_plus_k(chain_poset(4), 1) is None
-        witness = find_k_plus_k(antichain_poset(2), 1)
-        assert witness is not None and witness.k == 1
 
     @given(posets(max_n=9))
     @settings(max_examples=60)
