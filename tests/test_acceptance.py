@@ -144,8 +144,6 @@ def _quotient_cases():
 def test_criterion_06_homomorphism_suite():
     with criterion("6 ff-homomorphism-suite", 180.0):
         for g, pd in _quotient_cases():
-            if g.n == 0:
-                continue
             ic = interval_completion(g, pd)
             best = grundy_coloring(g)  # Grundy-optimal input coloring
             image, hom = build_ff_image(g, ic, best)

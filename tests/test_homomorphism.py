@@ -273,8 +273,6 @@ class TestBuildFFImage:
     @settings(max_examples=40, deadline=None)
     def test_quotient_laws_hold(self, pair):
         g, order = pair
-        if g.n == 0:
-            return
         pd = path_decomposition_exact(g)
         ic = interval_completion(g, pd)
         coloring = first_fit_color(g, order)
