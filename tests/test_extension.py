@@ -610,7 +610,7 @@ class TestBagsFromSpans:
 
     def test_empty_poset(self, tmp_path):
         seq = block_sequence(build_poset(0, []), 2)
-        assert PathDecomposition.from_spans(spans_from_blocks(seq), len(seq)).bags == ((),)
+        assert slide_decomposition(seq).bags == ((),)
         assert path_decomposition_exact(Graph(0, [])).bags == ()
         assert PathDecomposition.from_spans((), 0).bags == ()
         poset_file, pd_file = tmp_path / "p.json", tmp_path / "pd.json"
