@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -56,6 +57,8 @@ from helpers import (
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
 WITNESS_COUNT = 234
 WITNESS_DIGEST = "0bdc5f14d8885c8fed10e26aa7dab2f25431932609d60a69a0a2026ab0daeaa9"
+SLIDE_COUNT, MOVE_COUNT = 616, 2549
+MOVES_DIGEST = "696d1a3f4cb771038901692868ccfa3786a7353698334835353d3154ac723f57"
 
 
 def spans_by_edge_rule(g, pd):
@@ -400,6 +403,23 @@ class TestBlockSequence:
             assert isinstance(seq, BlockSequence)
             assert all(block_size(b) <= w for b in replay_blocks(seq))
 
+    def test_moves_are_pinned(self):
+        # every completed slide's moves on seeded random posets and on the
+        # stacked adversaries at their k, pinned as one digest
+        slides = []
+        cases = [
+            (gen_random_poset(SplitMix64(seed), 12 + seed % 25, 0.15 + 0.05 * (seed % 6)), k)
+            for seed in range(200) for k in range(2, 6)
+        ]
+        cases += [(stacked(kk, w).poset, kk) for kk in range(3, 8) for w in range(2, 6)]
+        for p, k in cases:
+            seq = block_sequence(p, k)
+            if isinstance(seq, BlockSequence):
+                slides.append([dataclasses.asdict(mv) for mv in seq.moves])
+        digest = hashlib.sha256(canonical_dumps(slides).encode()).hexdigest()
+        assert (len(slides), sum(map(len, slides))) == (SLIDE_COUNT, MOVE_COUNT)
+        assert digest == MOVES_DIGEST
+
     def test_rejects_k_below_two(self):
         with pytest.raises(ParamError, match="^k must be at least 2$"):
             block_sequence(chain_poset(3), 1)
@@ -513,8 +533,8 @@ class TestIntervalOrderOf:
 
     def test_element_outside_every_block_raises(self):
         seq = block_sequence(chain_poset(3), 2)
-        lost = BlockSequence(seq.partition, seq.k, seq.moves[1:])
-        with pytest.raises(InternalError, match="^element 1 never entered any block$"):
+        lost = BlockSequence(seq.partition, seq.k, seq.moves[:-1])
+        with pytest.raises(InternalError, match="^element 2 never entered any block$"):
             spans_from_blocks(lost)
 
 
