@@ -4,19 +4,20 @@ Starting from a Dilworth chain partition, a window of 2k-3 consecutive
 elements slides up each chain.  At every step one chain owns a "good"
 element (below everything still above the windows); removing it and
 admitting the next element of that chain keeps the window family a valid
-block.  The membership spans of the elements across the block sequence
-form closed integer intervals whose interval order the input extends, and
-they are a path decomposition of the incomparability graph: bag t holds
-the elements whose span contains t.  The slide keeps only each chain's
-segment start, the live chains (those reaching past their segments) and
-the up-set bitmask.  A chain's segment minimum is good exactly when the
-up-set lies above it, so the per-step certificate is one mask test per
-live chain.  Only when no chain passes is each live chain's run cut: its
-2k-3 segment elements, then d, its next element.  The certifying digraph
-(an arc from chain i to chain j when i's run start is not below j's run
-end) then has no sink, and replaying the certification along its least
-cycle, on slices of the runs, produces two disjoint incomparable k-chains
-instead.
+block, so a move is recorded as that chain's index alone.  The membership
+spans of the elements across the block sequence, replayed from the moves
+on the partition, form closed integer intervals whose interval order the
+input extends, and they are a path decomposition of the incomparability
+graph: bag t holds the elements whose span contains t.  The slide keeps
+only each chain's segment start, the live chains (those reaching past
+their segments) and the up-set bitmask.  A chain's segment minimum is good
+exactly when the up-set lies above it, so the per-step certificate is one
+mask test per live chain.  Only when no chain passes is each live chain's
+run cut: its 2k-3 segment elements, then d, its next element.  The
+certifying digraph (an arc from chain i to chain j when i's run start is
+not below j's run end) then has no sink, and replaying the certification
+along its least cycle, on slices of the runs, produces two disjoint
+incomparable k-chains instead.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import InternalError, MalformedInterval, ParamError
 from .order import Graph, KkWitness, Poset, _spans_cover_edges, dilworth_partition
 
 __all__ = [
-    "BlockMove",
     "BlockSequence",
     "PathDecomposition",
     "block_sequence",
@@ -68,13 +68,6 @@ def _witness_from_cycle(
         # u > v pins the first run's c above this run's b; swap it into the chain
         left = runs[i][: k - 1] + (first[k - 1],)
     raise InternalError("cycle replay exhausted without contradiction or witness")
-
-
-@dataclass(frozen=True)
-class BlockMove:
-    removed: int
-    added: int
-    chain: int
 
 
 def _pick(
@@ -129,14 +122,14 @@ class BlockSequence:
 
     ``partition`` holds the Dilworth chains, each a tuple in increasing order.
     The first block is every chain's ``2k-3`` least elements (all of a
-    shorter chain).  Each next block shifts chain ``moves[t].chain``'s
-    segment up by one position, so the first block and the moves determine
-    every block.
+    shorter chain).  Each next block shifts chain ``moves[t]``'s segment up
+    one position, dropping its minimum and admitting the element just above,
+    so the first block and the moves determine every block.
     """
 
     partition: tuple[tuple[int, ...], ...]
     k: int
-    moves: tuple[BlockMove, ...]
+    moves: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.moves) + 1
@@ -198,17 +191,16 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
     lo = [0] * len(chains)
     live = [i for i, chain in enumerate(chains) if len(chain) > window]
     ups = sum(1 << e for i in live for e in chains[i][window:])
-    moves: list[BlockMove] = []
+    moves: list[int] = []
     while live:
         got = _pick(p, chains, lo, live, ups, k)
         if isinstance(got, KkWitness):
             return got
-        chain, start = chains[got], lo[got]
-        added = chain[start + window]
-        moves.append(BlockMove(removed=chain[start], added=added, chain=got))
-        ups &= ~(1 << added)
+        moves.append(got)
+        start = lo[got]
+        ups &= ~(1 << chains[got][start + window])
         lo[got] = start + 1
-        if start + 1 + window == len(chain):
+        if start + 1 + window == len(chains[got]):
             live.remove(got)
     return BlockSequence(partition=chains, k=k, moves=tuple(moves))
 
@@ -218,17 +210,24 @@ def spans_from_blocks(seq: BlockSequence) -> tuple[tuple[int, int], ...]:
 
     The interval order of these spans is the extension of the input.  An
     element enters in block 1 or when admitted, and leaves when removed or
-    after the last block, so its span is read straight off the moves.
+    after the last block.  Move t removes its chain's element at the
+    replayed segment start and admits the one just above the segment.
     """
+    window = 2 * seq.k - 3
     n = sum(map(len, seq.partition))
     first = [0] * n
     last = [len(seq)] * n
+    lo = [0] * len(seq.partition)
     for chain in seq.partition:
-        for e in chain[: 2 * seq.k - 3]:
+        for e in chain[:window]:
             first[e] = 1
-    for t, mv in enumerate(seq.moves, start=1):
-        last[mv.removed] = t
-        first[mv.added] = t + 1
+    for t, i in enumerate(seq.moves, start=1):
+        if not (0 <= i < len(lo) and lo[i] + window < len(seq.partition[i])):
+            raise InternalError(f"move {t} slides chain {i} past its end")
+        chain, start = seq.partition[i], lo[i]
+        last[chain[start]] = t
+        first[chain[start + window]] = t + 1
+        lo[i] = start + 1
     if 0 in first:
         raise InternalError(f"element {first.index(0)} never entered any block")
     return tuple(zip(first, last))

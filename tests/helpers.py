@@ -493,6 +493,22 @@ def slide_decomposition(seq):
     return PathDecomposition.from_spans(spans_from_blocks(seq), len(seq))
 
 
+def moves_of(seq):
+    """The slide's moves as ``{removed, added, chain}`` dicts, the form the goldens write.
+
+    Move t's chain drops the element at its segment start and admits the
+    element just above its segment.
+    """
+    window = 2 * seq.k - 3
+    lo = [0] * len(seq.partition)
+    out = []
+    for i in seq.moves:
+        chain = seq.partition[i]
+        out.append({"removed": chain[lo[i]], "added": chain[lo[i] + window], "chain": i})
+        lo[i] += 1
+    return out
+
+
 def bags_by_definition(spans, count):
     """Bag t, for t = 1..count, holds in increasing order the ids whose span contains t."""
     return tuple(

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import re
 
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetff import (
-    BlockMove,
     BlockSequence,
     Graph,
     InternalError,
@@ -46,6 +44,7 @@ from helpers import (
     chain_poset,
     empty_graph,
     graphs,
+    moves_of,
     path_graph,
     posets,
     shuffled_posets,
@@ -188,8 +187,9 @@ def slide_from_scratch(p, k):
     """Reference slide, from the definitions alone: on every block, move the
     smallest sink of the certifying digraph.
 
-    Returns (moves, blocks, stuck), each block its segments tuple; ``stuck``
-    says the last block's digraph has no sink, so the slide must end in a witness.
+    Returns (moves, blocks, stuck): the moved sinks, each block as its
+    segments tuple, and whether the last block's digraph has no sink, so
+    that the slide must end in a witness.
     """
     cp = dilworth_partition(p)
     segments = [(0, min(len(c), 2 * k - 3)) for c in cp]
@@ -200,26 +200,19 @@ def slide_from_scratch(p, k):
         if sink is None:
             return moves, blocks, True
         lo, hi = segments[sink]
-        chain = cp[sink]
-        moves.append(BlockMove(removed=chain[lo], added=chain[hi], chain=sink))
+        moves.append(sink)
         segments[sink] = (lo + 1, hi + 1)
         blocks.append(tuple(segments))
     return moves, blocks, False
 
 
 def replay_blocks(seq):
-    """Every block of a slide as its segments, replayed from the first block and the moves.
-
-    Each move must remove its chain's segment minimum and admit the element
-    just above the segment.
-    """
+    """Every block of a slide as its segments, replayed from the first block and the moves."""
     blocks = [first_block(seq)]
     segments = list(blocks[0])
-    for mv in seq.moves:
-        lo, hi = segments[mv.chain]
-        chain = seq.partition[mv.chain]
-        assert (mv.removed, mv.added) == (chain[lo], chain[hi])
-        segments[mv.chain] = (lo + 1, hi + 1)
+    for i in seq.moves:
+        lo, hi = segments[i]
+        segments[i] = (lo + 1, hi + 1)
         blocks.append(tuple(segments))
     assert len(blocks) == len(seq)
     return blocks
@@ -263,7 +256,7 @@ class TestUpSet:
         for p, k in [(gen_interval_order(3, 30), 2), (stacked(3, 6).poset, 3)]:
             seq = block_sequence(p, k)
             for t, segments in enumerate(replay_blocks(seq)):
-                admitted_later = {mv.added for mv in seq.moves[t:]}
+                admitted_later = {mv["added"] for mv in moves_of(seq)[t:]}
                 assert elements_above(seq.partition, segments) == admitted_later
 
 
@@ -329,8 +322,8 @@ class TestFindGoodElement:
         a = runs[sink][0]
         # the sink's a lies below every other run's d
         assert all(p.less(a, run[-1]) for j, run in runs.items() if j != sink)
-        assert seq.moves[0].chain == sink
-        assert seq.moves[0].removed == a
+        assert seq.moves[0] == sink
+        assert moves_of(seq)[0]["removed"] == a
         for run in runs.values():
             assert len(run) == 2 * k - 2
             assert p.is_chain(run)
@@ -364,7 +357,7 @@ class TestFindGoodElement:
         seq, states = traced_slide(p, 2)
         assert [live for _, live, _ in states] == [[0]] * 4
         assert pick(p, first_block(seq), 2) == 0
-        assert seq.moves[0] == BlockMove(removed=0, added=1, chain=0)
+        assert moves_of(seq)[0] == {"removed": 0, "added": 1, "chain": 0}
 
 
 class TestBlockSequence:
@@ -415,7 +408,7 @@ class TestBlockSequence:
         for p, k in cases:
             seq = block_sequence(p, k)
             if isinstance(seq, BlockSequence):
-                slides.append([dataclasses.asdict(mv) for mv in seq.moves])
+                slides.append(moves_of(seq))
         digest = hashlib.sha256(canonical_dumps(slides).encode()).hexdigest()
         assert (len(slides), sum(map(len, slides))) == (SLIDE_COUNT, MOVE_COUNT)
         assert digest == MOVES_DIGEST
@@ -536,6 +529,14 @@ class TestIntervalOrderOf:
         lost = BlockSequence(seq.partition, seq.k, seq.moves[:-1])
         with pytest.raises(InternalError, match="^element 2 never entered any block$"):
             spans_from_blocks(lost)
+
+    def test_move_past_a_chain_end_raises(self):
+        seq = block_sequence(chain_poset(3), 2)
+        assert seq.moves == (0, 0)
+        for moves, t, i in (((0, 0, 0), 3, 0), ((1,), 1, 1), ((-1,), 1, -1)):
+            past = rf"^move {t} slides chain {i} past its end$"
+            with pytest.raises(InternalError, match=past):
+                spans_from_blocks(BlockSequence(seq.partition, seq.k, moves))
 
 
 class TestPathDecomposition:

@@ -17,7 +17,6 @@ an intended output change, with
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -52,7 +51,7 @@ from posetff import (
     stacked,
     witness_to_dict,
 )
-from helpers import slide_decomposition
+from helpers import moves_of, slide_decomposition
 from test_acceptance import _quotient_cases as acceptance_quotient_cases
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "golden_extend.json"
@@ -103,7 +102,7 @@ def golden_record(p, k) -> dict:
         return {"witness": witness_to_dict(seq)}
     spans = spans_from_blocks(seq)
     return {
-        "moves": [dataclasses.asdict(mv) for mv in seq.moves],
+        "moves": moves_of(seq),
         "sha256": {
             "order": _sha(poset_to_dict(interval_order_from_intervals(spans, p.names))),
             "intervals": _sha(intervals_to_dict(spans)),

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -32,7 +31,7 @@ from posetff import (
     witness_to_dict,
     write_json,
 )
-from helpers import span_lists
+from helpers import moves_of, span_lists
 
 
 def test_poset_round_trip():
@@ -93,7 +92,7 @@ def test_intervals_round_trip():
 def test_block_trace_fields():
     """The move trace the goldens write: one step per move, three fields each."""
     seq = block_sequence(gen_interval_order(4, 12), 2)
-    trace = json.loads(canonical_dumps([dataclasses.asdict(mv) for mv in seq.moves]))
+    trace = json.loads(canonical_dumps(moves_of(seq)))
     assert len(trace) == len(seq) - 1
     assert all(set(step) == {"removed", "added", "chain"} for step in trace)
 
