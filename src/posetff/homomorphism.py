@@ -222,7 +222,7 @@ def _separation_costs(g: Graph) -> tuple[list[int], dict[int, int]]:
     if n > PATHWIDTH_LIMIT:
         raise TooLarge(f"subset DP limited to {PATHWIDTH_LIMIT} vertices, got {n}")
     nbr = [g.nbr_mask(v) for v in range(n)]
-    table = {0: 0}
+    table = {0: -1}  # no bags; any other set's boundary is >= 0, so no other cost moves
     if n:
         _fill_separation(nbr, (1 << n) - 1, 0, table)
     return nbr, table
@@ -250,8 +250,6 @@ def path_decomposition_exact(g: Graph) -> PathDecomposition:
     """
     nbr, cost = _separation_costs(g)
     n = g.n
-    if n == 0:
-        return PathDecomposition(())
     place = [0] * n
     last = [0] * n
     mask = (1 << n) - 1

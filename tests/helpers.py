@@ -353,7 +353,7 @@ def brute_grundy(g):
 
 
 def brute_pathwidth(g):
-    """Vertex separation by a full permutation sweep; usable to n ~ 7.
+    """Vertex separation by a full permutation sweep; usable to n ~ 7; -1 on no vertices.
 
     The boundary of a prefix of an order is its vertices with a neighbour
     after it; the pathwidth is the least, over all orders, of the largest
@@ -368,7 +368,7 @@ def brute_pathwidth(g):
         worst = max((sum(pos[u] < i <= last[u] for u in range(g.n)) for i in range(1, g.n + 1)),
                     default=0)
         best = min(best, worst)
-    return best
+    return best if g.n else -1
 
 
 def brute_first_fit_chains(p, order):

@@ -29,6 +29,7 @@ from posetff import (
     is_interval_order,
     kierstead,
     path_decomposition_exact,
+    pathwidth_exact,
     spans_from_blocks,
     stacked,
     validate_path_decomposition,
@@ -633,6 +634,9 @@ class TestBagsFromSpans:
         seq = block_sequence(build_poset(0, []), 2)
         assert slide_decomposition(seq).bags == ((),)
         assert path_decomposition_exact(Graph(0, [])).bags == ()
+        # the three widths of no vertices agree: no bags, or one empty bag
+        assert seq.width == path_decomposition_exact(Graph(0, [])).width == -1
+        assert pathwidth_exact(Graph(0, [])) == -1
         assert PathDecomposition.from_spans((), 0).bags == ()
         poset_file, pd_file = tmp_path / "p.json", tmp_path / "pd.json"
         poset_file.write_text('{"n": 0, "relations": []}')
