@@ -29,10 +29,9 @@ lookups in all, a cost fixed by n and k before the search starts.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -416,15 +415,9 @@ def _spans_cover_edges(g: Graph, spans: Sequence[tuple[float, float]]) -> bool:
 
 
 def _before(spans: Sequence[tuple[float, float]]) -> list[int]:
-    """For each span, the mask of the spans that end before it begins: ``_after``'s transpose.
-
-    With ids sorted by right end, they are the prefix that stops at
-    bisect_left(rights, left).
-    """
-    by_right = sorted(range(len(spans)), key=lambda v: spans[v][1])
-    rights = [spans[v][1] for v in by_right]
-    prefix = list(accumulate((1 << v for v in by_right), or_, initial=0))
-    return [prefix[bisect_left(rights, left)] for left, _ in spans]
+    """For each span, the mask of the spans that end before it begins: ``_after``'s transpose."""
+    # mirroring the line turns "ends before u begins" into "begins after u ends"
+    return _after([(-b, -a) for a, b in spans])
 
 
 # -- width, Dilworth --------------------------------------------------------
