@@ -72,10 +72,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif args.family == "interval":
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "interval", "n": args.n}
-        if args.range:
-            meta["range"] = args.range
-        intervals = random_intervals(args.seed, args.n, args.range)
-        _emit(interval_order_to_dict(intervals, meta=meta), args.out)
+        _emit(interval_order_to_dict(random_intervals(args.seed, args.n), meta=meta), args.out)
     elif args.family == "kkfree":
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
@@ -108,10 +105,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     p = poset_from_dict(read_json(args.poset))
     seq = block_sequence(p, args.k)
     if isinstance(seq, KkWitness):
-        payload = witness_to_dict(seq)
-        sys.stdout.write(canonical_dumps(payload))
-        if args.out_witness:
-            write_json(payload, args.out_witness)
+        sys.stdout.write(canonical_dumps(witness_to_dict(seq)))
         return 1
     # pairwise-intersecting spans share a block, so width(q) is a block's size
     w = len(seq.partition)
@@ -192,8 +186,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         writer.writerows(rows)
     if violation is not None:
         sys.stdout.write(canonical_dumps(violation))
-        if args.out_witness:
-            write_json(violation, args.out_witness)
         return 1
     return 0
 
@@ -216,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g_i = fam.add_parser("interval", help="random interval order")
     g_i.add_argument("--n", type=int, required=True)
     g_i.add_argument("--seed", type=int, default=0)
-    g_i.add_argument("--range", type=int, default=None)
     g_i.add_argument("--out", default=None)
     g_f = fam.add_parser("kkfree", help="rejection-sampled k+k-free poset")
     g_f.add_argument("--n", type=int, required=True)
@@ -236,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--out-order", default=None, help="interval order poset JSON")
     ext.add_argument("--out-intervals", default=None)
     ext.add_argument("--out-pd", default=None)
-    ext.add_argument("--out-witness", default=None)
 
     bench = sub.add_parser("bench", help="sweep First-Fit against the 8(2k-3)w bound")
     bench.add_argument("--k", type=int, required=True)
@@ -248,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--csv", required=True,
                        help="output CSV; its width column is each instance's measured width")
-    bench.add_argument("--out-witness", default=None)
     return parser
 
 

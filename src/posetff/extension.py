@@ -26,7 +26,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InternalError, MalformedInterval, ParamError
+from .errors import CoverageError, InternalError, MalformedInterval, ParamError
 from .order import Graph, KkWitness, Poset, _spans_cover_edges, dilworth_partition
 
 __all__ = [
@@ -212,9 +212,12 @@ def spans_from_blocks(seq: BlockSequence) -> tuple[tuple[int, int], ...]:
     element enters in block 1 or when admitted, and leaves when removed or
     after the last block.  Move t removes its chain's element at the
     replayed segment start and admits the one just above the segment.
+    Raises CoverageError unless the chains cover 0..n-1 exactly once.
     """
     window = 2 * seq.k - 3
     n = sum(map(len, seq.partition))
+    if sorted(e for chain in seq.partition for e in chain) != list(range(n)):
+        raise CoverageError(f"the chains do not cover 0..{n - 1} exactly once")
     first = [0] * n
     last = [len(seq)] * n
     lo = [0] * len(seq.partition)

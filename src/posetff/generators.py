@@ -66,28 +66,22 @@ def _threshold(density: float) -> int:
     return min(_MASK64 + 1, int(density * (_MASK64 + 1)))
 
 
-def random_intervals(
-    seed: int, n: int, coordinate_range: int | None = None
-) -> list[tuple[int, int]]:
-    """n random closed integer intervals with ends in [0, coordinate_range)."""
+def random_intervals(seed: int, n: int) -> list[tuple[int, int]]:
+    """n random closed integer intervals with ends in [0, 2n)."""
     if n < 0:
         raise ParamError("n must be non-negative")
-    if coordinate_range is None:
-        coordinate_range = max(1, 2 * n)
-    if coordinate_range < 1:
-        raise ParamError(f"coordinate range must be at least 1, got {coordinate_range}")
     rng = SplitMix64(seed)
     intervals = []
     for _ in range(n):
-        a = rng.below(coordinate_range)
-        b = rng.below(coordinate_range)
+        a = rng.below(2 * n)
+        b = rng.below(2 * n)
         intervals.append((min(a, b), max(a, b)))
     return intervals
 
 
-def gen_interval_order(seed: int, n: int, coordinate_range: int | None = None) -> Poset:
-    """n random closed integer intervals, read as a poset (2+2-free by construction)."""
-    return interval_order_from_intervals(random_intervals(seed, n, coordinate_range))
+def gen_interval_order(seed: int, n: int) -> Poset:
+    """The interval order of ``random_intervals(seed, n)`` (2+2-free by construction)."""
+    return interval_order_from_intervals(random_intervals(seed, n))
 
 
 def gen_random_poset(rng: SplitMix64, n: int, density: float = 0.5) -> Poset:

@@ -78,7 +78,8 @@ def interval_order_to_dict(
 ) -> dict:
     """The poset file of the spans' interval order, written without building it.
 
-    Equal to ``poset_to_dict(interval_order_from_intervals(spans, names), meta)``.
+    Equal to ``poset_to_dict(build_poset(len(spans), q.cover_pairs(), names), meta)``
+    with ``q = interval_order_from_intervals(spans)``.
     """
     if names is not None and len(names) != len(spans):
         raise SizeMismatch("names must match element count")

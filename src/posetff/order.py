@@ -111,15 +111,13 @@ class Poset:
 
     __slots__ = ("n", "names", "_succ", "_pred", "_inc")
 
-    def __init__(self, n: int, succ: Sequence[int], names: Sequence[str] | None = None):
+    def __init__(self, n: int, succ: Sequence[int]):
         if len(succ) != n:
             raise SizeMismatch(f"expected {n} masks, got {len(succ)}")
         self.n = n
         self._succ = tuple(succ)
         self._inc: tuple[int, ...] | None = None
-        self.names = tuple(names) if names is not None else None
-        if self.names is not None and len(self.names) != n:
-            raise SizeMismatch("names must match element count")
+        self.names = None
         self._check_axioms()
         self._pred = _transpose(self._succ, n)
 
@@ -189,11 +187,8 @@ class Poset:
 
     def sort_chain(self, elems: Iterable[int]) -> tuple[int, ...]:
         """Sort a set of pairwise comparable elements into increasing order."""
-        elems = list(elems)
-        mask = 0
-        for e in elems:
-            mask |= 1 << e
-        return tuple(sorted(elems, key=lambda e: (self._pred[e] & mask).bit_count()))
+        # u < v puts u and all of u's predecessors below v, so the count rises along a chain
+        return tuple(sorted(elems, key=lambda e: self._pred[e].bit_count()))
 
     def is_chain(self, elems: Sequence[int]) -> bool:
         """Whether elems are listed in increasing order (so pairwise comparable)."""
@@ -338,9 +333,7 @@ def build_poset(
     return Poset._closed(n, succ, pred, names)
 
 
-def interval_order_from_intervals(
-    intervals: Sequence[tuple[float, float]], names: Sequence[str] | None = None
-) -> Poset:
+def interval_order_from_intervals(intervals: Sequence[tuple[float, float]]) -> Poset:
     """Poset of closed intervals: u < v iff u's interval ends before v's begins.
 
     Endpoints may be any totally ordered numbers (ints, Fractions, floats;
@@ -348,7 +341,7 @@ def interval_order_from_intervals(
     of ``_after`` and ``_before`` are adopted unchecked.
     """
     spans = _checked_spans(intervals)
-    return Poset._closed(len(spans), _after(spans), _before(spans), names)
+    return Poset._closed(len(spans), _after(spans), _before(spans))
 
 
 def interval_cover_pairs(intervals: Sequence[tuple[float, float]]) -> list[tuple[int, int]]:

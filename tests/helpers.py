@@ -485,7 +485,7 @@ def brute_width(p):
 
 def slide_order(p, seq):
     """The interval order q of the slide's block spans, which p extends."""
-    return interval_order_from_intervals(spans_from_blocks(seq), p.names)
+    return interval_order_from_intervals(spans_from_blocks(seq))
 
 
 def slide_decomposition(seq):

@@ -114,45 +114,34 @@ def test_gen_kkfree_has_no_tuning_flags(tmp_path, flag):
     assert not out.exists()
 
 
-def test_gen_interval_range_meta(tmp_path):
-    out = tmp_path / "iv.json"
-    assert run(["gen", "interval", "--n", 4, "--seed", 3, "--range", 10, "--out", out]) == 0
-    d = read_json(out)
-    assert d["n"] == 4
-    assert d["meta"] == {"seed": 3, "kind": "interval", "n": 4, "range": 10}
+@pytest.mark.parametrize("argv", [
+    ["gen", "interval", "--n", 3, "--range", 10, "--out", "out.json"],
+    ["extend", "--poset", "2+2.json", "--k", 2, "--out-witness", "out.json"],
+    ["bench", "--k", 2, "--w", 1, "--trials", 1, "--orders", 1, "--csv", "bench.csv",
+     "--out-witness", "out.json"],
+], ids=["gen-range", "extend-out-witness", "bench-out-witness"])
+def test_retired_flags_are_refused(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "2+2.json").write_text('{"n": 4, "relations": [[0, 1], [2, 3]]}')
+    assert run(argv) == 2
+    assert [f.name for f in tmp_path.iterdir()] == ["2+2.json"]
 
 
 # sha256 of `gen interval` files as written through a built Poset, so the span
 # writer cannot drift from it
 INTERVAL_FILE_DIGESTS = {
-    (1, 300, None): "75e496aacedd42331a531bd739376831cb2d3d218093491276cc9910e35ac449",
-    (3, 40, 10): "fe9fab667723ff4f6c22cbb096730de5d8313e9b69cb40ffb9d1517b1e18ba66",
-    (11, 25, 1): "94606a5fe1f5d1c842d9a1db3cd77fbba4f1e5ec5ebfc0f3f0a471c5777463bb",
+    (1, 300): "75e496aacedd42331a531bd739376831cb2d3d218093491276cc9910e35ac449",
 }
 
 
-@pytest.mark.parametrize("seed, n, coordinate_range", sorted(INTERVAL_FILE_DIGESTS, key=str))
-def test_gen_interval_file_matches_the_poset_writer(tmp_path, seed, n, coordinate_range):
+@pytest.mark.parametrize("seed, n", sorted(INTERVAL_FILE_DIGESTS))
+def test_gen_interval_file_matches_the_poset_writer(tmp_path, seed, n):
     out = tmp_path / "iv.json"
-    argv = ["gen", "interval", "--n", n, "--seed", seed, "--out", out]
+    assert run(["gen", "interval", "--n", n, "--seed", seed, "--out", out]) == 0
+    p = gen_interval_order(seed, n)
     meta = {"seed": seed, "kind": "interval", "n": n}
-    if coordinate_range is not None:
-        argv += ["--range", coordinate_range]
-        meta["range"] = coordinate_range
-    assert run(argv) == 0
-    p = gen_interval_order(seed, n, coordinate_range)
     assert out.read_text() == canonical_dumps(poset_to_dict(p, meta=meta))
-    digest = INTERVAL_FILE_DIGESTS[seed, n, coordinate_range]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("value", [0, -2])
-def test_gen_interval_rejects_empty_range(tmp_path, capsys, value):
-    out = tmp_path / "iv.json"
-    assert run(["gen", "interval", "--n", 3, "--range", value, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: coordinate range must be at least 1, got {value}\n"
-    assert not out.exists()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INTERVAL_FILE_DIGESTS[seed, n]
 
 
 def test_gen_stdout(capsys):
@@ -284,7 +273,8 @@ def test_extend_builds_one_poset(tmp_path, capsys, monkeypatch):
     poset_file = tmp_path / "stacked.json"
     run(["gen", "stacked", "--k", 4, "--w", 3, "--out", poset_file])
     p = poset_from_dict(read_json(poset_file))
-    q_reference = canonical_dumps(poset_to_dict(slide_order(p, block_sequence(p, 4))))
+    q = slide_order(p, block_sequence(p, 4))
+    q_reference = canonical_dumps(poset_to_dict(build_poset(q.n, q.cover_pairs(), p.names)))
     built = []
     init = Poset.__init__
     closed = Poset._closed
@@ -407,12 +397,11 @@ def test_library_raises_only_its_own_errors():
 def test_extend_witness_exit_1(tmp_path, capsys):
     poset_file = tmp_path / "bad.json"
     poset_file.write_text('{"n": 4, "relations": [[0,1],[2,3]]}')
-    witness_file = tmp_path / "witness.json"
-    assert run(["extend", "--poset", poset_file, "--k", 2,
-                "--out-witness", witness_file]) == 1
-    payload = json.loads(capsys.readouterr().out)
+    assert run(["extend", "--poset", poset_file, "--k", 2]) == 1
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["k"] == 2
-    assert read_json(witness_file) == payload
+    assert out == canonical_dumps(payload)
 
 
 def test_extend_ladder_with_k4(tmp_path, capsys):
@@ -520,11 +509,10 @@ def test_bench_violation_exits_1(tmp_path, capsys, monkeypatch):
     # that starts highest
     monkeypatch.setattr(cli, "first_fit_chains",
                         lambda p, order: SimpleNamespace(chain_count=1000 + order.order[0]))
-    csv_file, witness_file = tmp_path / "bench.csv", tmp_path / "violation.json"
+    csv_file = tmp_path / "bench.csv"
     assert run(["bench", "--k", 2, "--w", 1, "--trials", 2, "--orders", 5, "--seed", 3,
-                "--csv", csv_file, "--out-witness", witness_file]) == 1
+                "--csv", csv_file]) == 1
     out = capsys.readouterr().out
-    assert out == witness_file.read_text()
     violation = json.loads(out)
     assert out == canonical_dumps(violation)
     with open(csv_file, newline="") as fh:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from posetff import (
     BlockSequence,
+    CoverageError,
     Graph,
     InternalError,
     KkWitness,
@@ -538,6 +539,19 @@ class TestIntervalOrderOf:
             past = rf"^move {t} slides chain {i} past its end$"
             with pytest.raises(InternalError, match=past):
                 spans_from_blocks(BlockSequence(seq.partition, seq.k, moves))
+
+    @pytest.mark.parametrize("partition, moves, n", [
+        (((0, -1),), (0,), 2),  # -1 would wrap round to element 1
+        (((5, 0),), (), 2),
+        (((0, 5),), (0,), 2),
+        (((-1, 0),), (), 2),
+        (((0, 1), (1, 2)), (), 4),
+    ])
+    def test_partition_off_the_ground_set_raises(self, partition, moves, n):
+        with pytest.raises(CoverageError) as info:
+            spans_from_blocks(BlockSequence(partition, 2, moves))
+        assert type(info.value) is CoverageError
+        assert str(info.value) == f"the chains do not cover 0..{n - 1} exactly once"
 
 
 class TestPathDecomposition:

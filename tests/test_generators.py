@@ -51,17 +51,9 @@ class TestGenIntervalOrder:
     def test_single(self):
         assert gen_interval_order(0, 1).n == 1
 
-    @pytest.mark.parametrize("n", [0, 3])
-    def test_empty_range_rejected(self, n):
-        with pytest.raises(ParamError, match="^coordinate range must be at least 1, got 0$"):
-            gen_interval_order(0, n, 0)
-        with pytest.raises(ParamError, match="^coordinate range must be at least 1, got 0$"):
-            random_intervals(0, n, 0)
-
     def test_draw_pinned(self):
         # regression pin: the draw behind gen_interval_order, generated once
         assert random_intervals(5, 6) == [(2, 4), (5, 11), (1, 4), (3, 9), (4, 11), (3, 4)]
-        assert random_intervals(2, 4, 3) == [(1, 2), (0, 0), (0, 1), (2, 2)]
         assert random_intervals(0, 0) == []
         assert all(0 <= lo <= hi < 60 for lo, hi in random_intervals(4, 30))
 

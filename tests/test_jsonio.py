@@ -51,7 +51,8 @@ def test_poset_relations_are_generators_not_closure():
 @settings(max_examples=100)
 def test_interval_order_dict_equals_the_built_orders(spans, named, meta):
     names = [f"e{v}" for v in range(len(spans))] if named else None
-    expected = poset_to_dict(interval_order_from_intervals(spans, names), meta=meta)
+    q = interval_order_from_intervals(spans)
+    expected = poset_to_dict(build_poset(q.n, q.cover_pairs(), names), meta=meta)
     assert interval_order_to_dict(spans, names, meta) == expected
 
 

@@ -193,28 +193,23 @@ class TestConstructorsAgreeWithTheCheckedPoset:
         assert_checked_copy_agrees(p)
         assert_checked_copy_agrees(q)
 
-    def test_interval_names_mismatch(self):
-        with pytest.raises(SizeMismatch, match="^names must match element count$"):
-            interval_order_from_intervals([(0, 1), (2, 3)], ["a"])
-
 
 class TestPosetConstructor:
     """Error class and message of ``Poset(n, succ)`` on fixed malformed masks."""
 
-    @pytest.mark.parametrize("n, succ, names, error, message", [
-        (2, [1, 0], None, CycleError, "element 0 below itself"),
-        (3, [2, 1, 0], None, CycleError, "both 0 < 1 and 1 < 0"),
-        (3, [2, 4, 0], None, CycleError, "relation below 0 is not transitively closed"),
+    @pytest.mark.parametrize("n, succ, error, message", [
+        (2, [1, 0], CycleError, "element 0 below itself"),
+        (3, [2, 1, 0], CycleError, "both 0 < 1 and 1 < 0"),
+        (3, [2, 4, 0], CycleError, "relation below 0 is not transitively closed"),
         # u = 0 is not closed and u = 3, 4 form a 2-cycle: the lower id reports first
-        (5, [2, 4, 0, 16, 8], None, CycleError, "relation below 0 is not transitively closed"),
-        (2, [0, 0], ["a"], SizeMismatch, "names must match element count"),
-        (2, [0], None, SizeMismatch, "expected 2 masks, got 1"),
-        (2, [8, 0], None, IdOutOfRange, "mask of 0 mentions ids >= 2"),
-        (2, [-1, 0], None, IdOutOfRange, "mask of 0 mentions ids >= 2"),
+        (5, [2, 4, 0, 16, 8], CycleError, "relation below 0 is not transitively closed"),
+        (2, [0], SizeMismatch, "expected 2 masks, got 1"),
+        (2, [8, 0], IdOutOfRange, "mask of 0 mentions ids >= 2"),
+        (2, [-1, 0], IdOutOfRange, "mask of 0 mentions ids >= 2"),
     ])
-    def test_pinned_errors(self, n, succ, names, error, message):
+    def test_pinned_errors(self, n, succ, error, message):
         with pytest.raises(error) as info:
-            Poset(n, succ, names)
+            Poset(n, succ)
         assert type(info.value) is error
         assert str(info.value) == message
 
