@@ -27,6 +27,7 @@ from posetff import (
     kierstead,
     poset_from_dict,
     poset_to_dict,
+    random_intervals,
     stacked,
     width_with_witness,
 )
@@ -192,6 +193,19 @@ class TestConstructorsAgreeWithTheCheckedPoset:
         assert q == want_spans
         assert_checked_copy_agrees(p)
         assert_checked_copy_agrees(q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Poset(2, [0, 0], ["a", "b"]),
+    lambda: interval_order_from_intervals([(0, 1), (2, 3)], ["a", "b"]),
+    lambda: gen_interval_order(0, 3, 10),
+    lambda: random_intervals(0, 3, 10),
+], ids=["Poset-names", "interval-order-names", "gen-interval-range", "random-intervals-range"])
+def test_retired_keywords_are_refused(call):
+    """Names reach a poset only through ``build_poset``, and interval ends
+    are drawn from [0, 2n) alone: the old keywords are not accepted."""
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestPosetConstructor:
