@@ -16,7 +16,7 @@ import time
 from .adversary import kierstead, stacked
 from .errors import InternalError, ParamError, PosetFFError
 from .extension import PathDecomposition, block_sequence, spans_from_blocks
-from .firstfit import PresentationOrder, first_fit_chains, validate_ff_partition
+from .firstfit import PresentationOrder, first_fit_chains, first_fit_color, validate_ff_partition
 from .generators import (
     KKFREE_DENSITY,
     SplitMix64,
@@ -39,7 +39,7 @@ from .jsonio import (
     witness_to_dict,
     write_json,
 )
-from .order import KkWitness
+from .order import KkWitness, incomparability_graph
 
 CSV_COLUMNS = ["kind", "params", "n", "width", "k", "ff_chains", "bound", "pd_width", "seconds"]
 
@@ -88,10 +88,10 @@ def cmd_ff(args: argparse.Namespace) -> int:
     p = poset_from_dict(read_json(args.poset))
     order = order_from_dict(read_json(args.order))
     res = first_fit_chains(p, order)
+    _emit(ff_result_to_dict(res), args.out)
     # with the JSON on stdout the report goes to stderr, so stdout is one document
     report = sys.stderr if args.out in (None, "-") else sys.stdout
     print(f"ff chains={res.chain_count} n={p.n}", file=report)
-    _emit(ff_result_to_dict(res), args.out)
     if not validate_ff_partition(p, res.partition):
         print("validation failed: output is not a First-Fit chain partition", file=sys.stderr)
         return 1
@@ -107,16 +107,16 @@ def cmd_extend(args: argparse.Namespace) -> int:
     if isinstance(seq, KkWitness):
         sys.stdout.write(canonical_dumps(witness_to_dict(seq)))
         return 1
-    # pairwise-intersecting spans share a block, so width(q) is a block's size
-    w = len(seq.partition)
     spans = spans_from_blocks(seq)
-    print(f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}")
     if args.out_order:
         write_json(interval_order_to_dict(spans, p.names), args.out_order)
     if args.out_intervals:
         write_json(intervals_to_dict(spans), args.out_intervals)
     if args.out_pd:
         write_json(pd_to_dict(PathDecomposition.from_spans(spans, len(seq))), args.out_pd)
+    w = len(seq.partition)  # the number of Dilworth chains, width(p)
+    # pairwise-intersecting spans share a block, so width(q) is a block's size
+    print(f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}")
     return 0
 
 
@@ -160,12 +160,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise InternalError("certified k+k-free instance produced a witness")
         width = len(seq.partition)
         bound = 8 * (2 * k - 3) * width
+        g = incomparability_graph(p)
         orders_rng = SplitMix64(inst_seed + 1)
         worst = 0
         worst_order = None
         for _ in range(args.orders):
             order = PresentationOrder(tuple(orders_rng.permutation(p.n)))
-            used = first_fit_chains(p, order).chain_count
+            used = first_fit_color(g, order).color_count
             if used > worst:
                 worst = used
                 worst_order = order

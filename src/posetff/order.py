@@ -100,13 +100,15 @@ def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 class Poset:
-    """A finite strict partial order, immutable after construction.
+    """A finite strict partial order; its relation is fixed at construction.
 
     ``succ_mask(u)`` has bit v set iff u < v; ``pred_mask`` is the mirror.
     The constructor, for masks from outside the library, checks the three
     order axioms (irreflexive, antisymmetric, transitive) and transposes the
     masks; the library's own constructors go through ``_closed``, which adopts
     both masks their construction proves.  Either way it is a closed order.
+    The incomparability graph is built on first use by
+    ``incomparability_graph`` and then kept in ``_inc``.
     """
 
     __slots__ = ("n", "names", "_succ", "_pred", "_inc")
@@ -116,7 +118,7 @@ class Poset:
             raise SizeMismatch(f"expected {n} masks, got {len(succ)}")
         self.n = n
         self._succ = tuple(succ)
-        self._inc: tuple[int, ...] | None = None
+        self._inc: Graph | None = None
         self.names = None
         self._check_axioms()
         self._pred = _transpose(self._succ, n)
@@ -169,14 +171,6 @@ class Poset:
 
     def pred_mask(self, u: int) -> int:
         return self._pred[u]
-
-    def inc_mask(self, u: int) -> int:
-        if self._inc is None:
-            full = (1 << self.n) - 1
-            self._inc = tuple(
-                full & ~(self._succ[v] | self._pred[v] | (1 << v)) for v in range(self.n)
-            )
-        return self._inc[u]
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Transitive reduction: pairs u < v with nothing strictly between."""
@@ -541,9 +535,14 @@ def dilworth_partition(p: Poset) -> tuple[tuple[int, ...], ...]:
 
 
 def incomparability_graph(p: Poset) -> Graph:
-    """Graph joining every incomparable pair of distinct elements."""
-    # incomparability is symmetric and irreflexive, so the masks are adjacency as is
-    return Graph._from_masks([p.inc_mask(u) for u in range(p.n)])
+    """Graph joining every incomparable pair of distinct elements: built once, kept on p."""
+    if p._inc is None:
+        full = (1 << p.n) - 1
+        # incomparability is symmetric and irreflexive, so the masks are adjacency as is
+        p._inc = Graph._from_masks(
+            [full & ~(s | b | 1 << v) for v, (s, b) in enumerate(zip(p._succ, p._pred))]
+        )
+    return p._inc
 
 
 # -- forbidden pattern search -----------------------------------------------

@@ -21,6 +21,7 @@ from posetff import (
     SplitMix64,
     build_poset,
     first_fit_color,
+    incomparability_graph,
     interval_order_from_intervals,
     spans_from_blocks,
 )
@@ -250,7 +251,8 @@ def backtrack_kk(p, k):
         return None
     full = (1 << n) - 1
     comp = [p.succ_mask(u) | p.pred_mask(u) for u in range(n)]
-    inc = [p.inc_mask(u) for u in range(n)]
+    g = incomparability_graph(p)
+    inc = [g.nbr_mask(u) for u in range(n)]
 
     def rec(last, cand_a, cand_b, need_a, need_b, a, b):
         if not need_a and not need_b:

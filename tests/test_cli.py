@@ -248,6 +248,24 @@ def test_ff_missing_file_exit_2(tmp_path):
                 "--order", tmp_path / "nope2.json"]) == 2
 
 
+@pytest.mark.parametrize("command", ["ff", "extend"])
+def test_unwritable_output_prints_no_report(tmp_path, capsys, command):
+    # the report line promises files that exist, so a failed write comes first
+    poset_file = tmp_path / "chain.json"
+    order_file = tmp_path / "ord.json"
+    poset_file.write_text('{"n": 2, "relations": [[0,1]]}')
+    order_file.write_text('{"order": [1,0]}')
+    missing = tmp_path / "missing"
+    argv = {
+        "ff": ["ff", "--poset", poset_file, "--order", order_file, "--out", missing / "ff.json"],
+        "extend": ["extend", "--poset", poset_file, "--k", 2, "--out-pd", missing / "pd.json"],
+    }[command]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def test_extend_success(tmp_path, capsys):
     poset_file = tmp_path / "io.json"
     run(["gen", "interval", "--n", 30, "--seed", 7, "--out", poset_file])
@@ -394,6 +412,23 @@ def test_library_raises_only_its_own_errors():
                 f"{path.name}:{node.lineno} raises {ast.unparse(node.exc)}")
 
 
+def test_library_imports_only_names_it_uses():
+    # a deletion that leaves its import behind shows up here; star imports re-export
+    for path in sorted((SRC / "posetff").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if alias.name != "*"
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+        assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
 def test_extend_witness_exit_1(tmp_path, capsys):
     poset_file = tmp_path / "bad.json"
     poset_file.write_text('{"n": 4, "relations": [[0,1],[2,3]]}')
@@ -507,8 +542,8 @@ def test_bench_violation_exits_1(tmp_path, capsys, monkeypatch):
     # First-Fit never beats the bound on k+k-free input, so a fake run reports
     # 1000 chains plus the order's first element: the worst order is the one
     # that starts highest
-    monkeypatch.setattr(cli, "first_fit_chains",
-                        lambda p, order: SimpleNamespace(chain_count=1000 + order.order[0]))
+    monkeypatch.setattr(cli, "first_fit_color",
+                        lambda g, order: SimpleNamespace(color_count=1000 + order.order[0]))
     csv_file = tmp_path / "bench.csv"
     assert run(["bench", "--k", 2, "--w", 1, "--trials", 2, "--orders", 5, "--seed", 3,
                 "--csv", csv_file]) == 1

@@ -454,6 +454,20 @@ class TestIncomparabilityGraph:
         g = incomparability_graph(p)
         assert g == Graph(n, pairs)
         assert g.n == n and list(g.edges()) == pairs
+        assert incomparability_graph(p) is g
+
+    @pytest.mark.parametrize("build", [
+        lambda: Poset(4, [0b1100, 0b1000, 0, 0]),
+        lambda: build_poset(5, [(0, 1), (1, 2), (3, 4)]),
+        lambda: interval_order_from_intervals([(0, 1), (1, 3), (2, 4), (5, 6), (0, 6)]),
+        lambda: stacked(4, 3).poset,
+    ], ids=["Poset", "build_poset", "interval_order_from_intervals", "stacked"])
+    def test_kept_graph_matches_definition(self, build):
+        p = build()
+        g = incomparability_graph(p)
+        assert incomparability_graph(p) is g
+        pairs = [(u, v) for u in range(p.n) for v in range(u + 1, p.n) if p.incomparable(u, v)]
+        assert g == Graph(p.n, pairs)
 
 
 class TestFindKPlusK:
