@@ -10,8 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 import time
+from collections.abc import Callable
+from pathlib import Path
 
 from .adversary import kierstead, stacked
 from .errors import InternalError, ParamError, PosetFFError
@@ -37,18 +40,47 @@ from .jsonio import (
     poset_to_dict,
     read_json,
     witness_to_dict,
-    write_json,
 )
 from .order import KkWitness, incomparability_graph
 
 CSV_COLUMNS = ["kind", "params", "n", "width", "k", "ff_chains", "bound", "pd_width", "seconds"]
 
 
-def _emit(obj: dict, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(canonical_dumps(obj))
-    else:
-        write_json(obj, path)
+def _write_files(docs: list[tuple[str, Callable[[], dict]]]) -> None:
+    """Write each (path, document builder) pair, all files or none.
+
+    Each document is built and serialised in turn and goes to a temporary
+    file beside its target, so one document is in memory at a time; the
+    targets are replaced only once every write has succeeded, and a failure
+    removes the temporary files.
+    """
+    for path, _ in docs:
+        if Path(path).is_dir():  # caught here, not by a rename after others succeeded
+            raise ParamError(f"output path {path} is a directory")
+    temps: list[Path] = []
+    try:
+        for i, (path, build) in enumerate(docs):
+            text = canonical_dumps(build())
+            temps.append(Path(path).with_name(f".{Path(path).name}.{os.getpid()}-{i}.tmp"))
+            try:
+                temps[-1].write_text(text)
+            except OSError as exc:
+                exc.filename = path  # name the target, not the temporary file
+                raise
+        for tmp, (path, _) in zip(temps, docs):
+            tmp.replace(path)
+    except BaseException:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
+def _emit(docs: list[tuple[str | None, Callable[[], dict]]]) -> None:
+    """Write the documents that have a file path, then print those whose path is None or "-"."""
+    _write_files([(path, build) for path, build in docs if path not in (None, "-")])
+    for path, build in docs:
+        if path in (None, "-"):
+            sys.stdout.write(canonical_dumps(build()))
 
 
 def _check_size(n: int) -> None:
@@ -66,19 +98,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
         # copies ladders of q rows; a q below 1 is left to the builder's own check
         _check_size(copies * max(q, 0) * (q + 1) // 2)
         adv = build(**params)
-        _emit(poset_to_dict(adv.poset, meta={"kind": args.family, **params}), args.out)
+        docs = [(args.out, lambda: poset_to_dict(adv.poset, meta={"kind": args.family, **params}))]
         if args.out_order:
-            write_json(order_to_dict(adv.natural_order), args.out_order)
+            docs.append((args.out_order, lambda: order_to_dict(adv.natural_order)))
+        _emit(docs)
     elif args.family == "interval":
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "interval", "n": args.n}
-        _emit(interval_order_to_dict(random_intervals(args.seed, args.n), meta=meta), args.out)
+        intervals = random_intervals(args.seed, args.n)
+        _emit([(args.out, lambda: interval_order_to_dict(intervals, meta=meta))])
     elif args.family == "kkfree":
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
                 "density": KKFREE_DENSITY}
         p = gen_kk_free(args.seed, args.n, args.k)
-        _emit(poset_to_dict(p, meta=meta), args.out)
+        _emit([(args.out, lambda: poset_to_dict(p, meta=meta))])
     return 0
 
 
@@ -88,7 +122,7 @@ def cmd_ff(args: argparse.Namespace) -> int:
     p = poset_from_dict(read_json(args.poset))
     order = order_from_dict(read_json(args.order))
     res = first_fit_chains(p, order)
-    _emit(ff_result_to_dict(res), args.out)
+    _emit([(args.out, lambda: ff_result_to_dict(res))])
     # with the JSON on stdout the report goes to stderr, so stdout is one document
     report = sys.stderr if args.out in (None, "-") else sys.stdout
     print(f"ff chains={res.chain_count} n={p.n}", file=report)
@@ -108,12 +142,12 @@ def cmd_extend(args: argparse.Namespace) -> int:
         sys.stdout.write(canonical_dumps(witness_to_dict(seq)))
         return 1
     spans = spans_from_blocks(seq)
-    if args.out_order:
-        write_json(interval_order_to_dict(spans, p.names), args.out_order)
-    if args.out_intervals:
-        write_json(intervals_to_dict(spans), args.out_intervals)
-    if args.out_pd:
-        write_json(pd_to_dict(PathDecomposition.from_spans(spans, len(seq))), args.out_pd)
+    docs = [
+        (args.out_order, lambda: interval_order_to_dict(spans, p.names)),
+        (args.out_intervals, lambda: intervals_to_dict(spans)),
+        (args.out_pd, lambda: pd_to_dict(PathDecomposition.from_spans(spans, len(seq)))),
+    ]
+    _write_files([(path, build) for path, build in docs if path])
     w = len(seq.partition)  # the number of Dilworth chains, width(p)
     # pairwise-intersecting spans share a block, so width(q) is a block's size
     print(f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}")

@@ -16,9 +16,11 @@ takes about 0.005-0.008 s (CPython 3.11, shared 2-vCPU x86-64 host).
 exactly, by the first-class recursion: the first class of any greedy
 coloring is a maximal independent set, so
 Gamma(G[S]) = max over maximal independent I in S of 1 + Gamma(G[S - I]).
-It is memoised on the bitmask S, enumerates I by Bron-Kerbosch on the
-complement, and stops a state at the Delta(G[S]) + 1 ceiling; it takes graphs
-of up to 16 vertices.
+It is memoised on the bitmask S and enumerates I by Bron-Kerbosch on the
+complement.  A state stops at its ceiling, 1 plus the largest d such that
+the vertices of degree >= d in G[S] span an edge (at most Delta(G[S]) + 1),
+and skips a rest whose ceiling is below the best so far, since it could at
+most tie; it takes graphs of up to 16 vertices.
 
 Both validators apply one greedy law, the chain partition's on the
 incomparability graph, plus the check that each chain is listed in
@@ -233,22 +235,58 @@ def _maximal_independent_sets(closed: list[int], p: int, x: int = 0, r: int = 0)
         x |= low
 
 
+def _grundy_ceiling(nbr: list[int], s: int) -> int:
+    """1 + the largest d such that the vertices of degree >= d in G[s] span an edge; 1 if none.
+
+    A bound on Gamma(G[s]): in a greedy coloring with k >= 2 colors, a vertex
+    x of color k and its neighbour y of color k - 1 both have degree at least
+    k - 1, since y meets colors 1..k-2 and x.  Taken in decreasing degree,
+    the first vertex with a neighbour already taken closes the first edge.
+    """
+    pairs = []
+    m = s
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        pairs.append(((nbr[v] & s).bit_count(), v))
+    pairs.sort(reverse=True)
+    taken = 0
+    for d, v in pairs:
+        if nbr[v] & taken:
+            return d + 1
+        taken |= 1 << v
+    return 1
+
+
 def _fill_grundy(nbr: list[int], closed: list[int], s: int,
-                 table: dict[int, tuple[int, int]]) -> None:
+                 table: dict[int, tuple[int, int]], ceilings: dict[int, int]) -> None:
     """Set table[s] = (Gamma(G[s]), first class of a witness), and so below s.
 
     The first class of a greedy coloring is a maximal independent set I, and
-    the rest is a greedy coloring of G[s - I]; the loop stops at the
-    Delta(G[s]) + 1 ceiling.  A module-level function rather than a closure,
-    so the table is freed as soon as the caller drops it.
+    the rest is a greedy coloring of G[s - I]; the loop stops once it reaches
+    s's ``_grundy_ceiling``.  A rest not yet in the table is skipped when its
+    own ceiling is below the best so far: 1 + Gamma of it could at most tie,
+    and only a larger value replaces the witness, so every entry filled holds
+    what the unpruned recursion puts there.  ``ceilings`` keeps each ceiling
+    computed, s's among them, since a skipped rest may be met again.  A
+    module-level function rather than a closure, so the tables are freed as
+    soon as the caller drops them.
     """
-    ceiling = 1 + max((nbr[v] & s).bit_count() for v in iter_bits(s))
+    ceiling = ceilings[s]
     best, first = 0, 0
     for i in _maximal_independent_sets(closed, s):
         rest = s & ~i
-        if rest not in table:
-            _fill_grundy(nbr, closed, rest, table)
-        value = table[rest][0] + 1
+        entry = table.get(rest)
+        if entry is None:
+            below = ceilings.get(rest)
+            if below is None:
+                below = ceilings[rest] = _grundy_ceiling(nbr, rest)
+            if below < best:
+                continue
+            _fill_grundy(nbr, closed, rest, table, ceilings)
+            entry = table[rest]
+        value = entry[0] + 1
         if value > best:
             best, first = value, i
             if best == ceiling:
@@ -271,7 +309,7 @@ def grundy_coloring(g: Graph) -> FFColoring:
     s = (1 << n) - 1
     table = {0: (0, 0)}
     if s:
-        _fill_grundy(nbr, closed, s, table)
+        _fill_grundy(nbr, closed, s, table, {s: _grundy_ceiling(nbr, s)})
     classes = []
     while s:
         i = table[s][1]

@@ -25,6 +25,7 @@ from posetff import (
     interval_order_from_intervals,
     spans_from_blocks,
 )
+from posetff.firstfit import _fill_grundy, _grundy_ceiling, _maximal_independent_sets
 
 
 def chain_poset(n):
@@ -553,3 +554,85 @@ def brute_components(g):
 def minus_perfect_matching(a):
     """K_{a,a} with the i-(a+i) matching removed."""
     return Graph(2 * a, [(u, a + v) for u in range(a) for v in range(a) if u != v])
+
+
+# -- the exact recursions with and without their lower-bound pruning -------------
+# Unlike the oracles above the references share the library's recursions,
+# less the skips: the pruned tables are checked against them key by key, and
+# the witnesses they give against the library's.
+
+
+def grundy_table(g):
+    """The library's pruned Grundy table for g: (Gamma(G[S]), first class) per filled S."""
+    nbr = [g.nbr_mask(v) for v in range(g.n)]
+    closed = [m | 1 << v for v, m in enumerate(nbr)]
+    s = (1 << g.n) - 1
+    table = {0: (0, 0)}
+    if s:
+        _fill_grundy(nbr, closed, s, table, {s: _grundy_ceiling(nbr, s)})
+    return table
+
+
+def reference_grundy_table(g):
+    """The first-class recursion stopped only at the Delta(G[S]) + 1 ceiling.
+
+    Every state below the full set that the loop reaches is filled: no rest
+    is skipped, however low its bound.
+    """
+    nbr = [g.nbr_mask(v) for v in range(g.n)]
+    closed = [m | 1 << v for v, m in enumerate(nbr)]
+    table = {0: (0, 0)}
+
+    def fill(s):
+        ceiling = 1 + max((nbr[v] & s).bit_count() for v in _iter_bits(s))
+        best, first = 0, 0
+        for i in _maximal_independent_sets(closed, s):
+            rest = s & ~i
+            if rest not in table:
+                fill(rest)
+            if table[rest][0] + 1 > best:
+                best, first = table[rest][0] + 1, i
+                if best == ceiling:
+                    break
+        table[s] = (best, first)
+
+    if g.n:
+        fill((1 << g.n) - 1)
+    return table
+
+
+def coloring_from_grundy_table(table, n):
+    """The witness read off a Grundy table: from the full set down, each set's first class."""
+    s = (1 << n) - 1
+    classes = []
+    while s:
+        classes.append(frozenset(_iter_bits(table[s][1])))
+        s &= ~table[s][1]
+    return tuple(classes)
+
+
+def reference_separation_table(g):
+    """The vertex separation recursion with the min stopped only at the boundary.
+
+    Every child tried is filled, whatever its own boundary; cost(S) is
+    max(|dS|, min over v of cost(S - v)) with -1 for the empty set.
+    """
+    nbr = [g.nbr_mask(v) for v in range(g.n)]
+    table = {0: -1}
+
+    def fill(s, reach):
+        boundary = (s & reach).bit_count()
+        best = s.bit_length()
+        for v in _iter_bits(s):
+            child = s ^ (1 << v)
+            if child not in table:
+                fill(child, reach | nbr[v])
+            if table[child] <= boundary:
+                best = boundary
+                break
+            best = min(best, table[child])
+        table[s] = best
+
+    if g.n:
+        fill((1 << g.n) - 1, 0)
+    return table

@@ -266,6 +266,48 @@ def test_unwritable_output_prints_no_report(tmp_path, capsys, command):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["extend", "extend --out-pd directory", "gen kierstead",
+                                     "gen stacked", "gen stacked --out missing"])
+def test_failed_write_leaves_no_file(tmp_path, capsys, command):
+    # the files are all or none: a write that fails removes the ones before it
+    poset_file = tmp_path / "chain.json"
+    poset_file.write_text('{"n": 3, "relations": [[0,1],[1,2]]}')
+    missing = tmp_path / "missing"
+    directory = tmp_path / "directory"
+    directory.mkdir()
+    argv, target = {
+        "extend": (["extend", "--poset", poset_file, "--k", 2, "--out-order", tmp_path / "q.json",
+                    "--out-intervals", tmp_path / "iv.json", "--out-pd", missing / "pd.json"],
+                   missing / "pd.json"),
+        "extend --out-pd directory": (["extend", "--poset", poset_file, "--k", 2, "--out-order",
+                                       tmp_path / "q.json", "--out-pd", directory], directory),
+        "gen kierstead": (["gen", "kierstead", "--q", 3, "--out", tmp_path / "p.json",
+                           "--out-order", missing / "order.json"], missing / "order.json"),
+        "gen stacked": (["gen", "stacked", "--k", 3, "--w", 2, "--out", tmp_path / "p.json",
+                         "--out-order", missing / "order.json"], missing / "order.json"),
+        "gen stacked --out missing": (["gen", "stacked", "--k", 3, "--w", 2,
+                                       "--out", missing / "p.json",
+                                       "--out-order", tmp_path / "order.json"], missing / "p.json"),
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert str(target) in captured.err  # the target is named, not a temporary file
+    assert sorted(tmp_path.rglob("*")) == before  # no target and no temporary file
+
+
+def test_written_files_replace_their_targets(tmp_path, capsys):
+    poset_file = tmp_path / "chain.json"
+    poset_file.write_text('{"n": 3, "relations": [[0,1],[1,2]]}')
+    q_file = tmp_path / "q.json"
+    q_file.write_text("stale")
+    assert run(["extend", "--poset", poset_file, "--k", 2, "--out-order", q_file]) == 0
+    assert read_json(q_file)["n"] == 3
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["chain.json", "q.json"]
+
+
 def test_extend_success(tmp_path, capsys):
     poset_file = tmp_path / "io.json"
     run(["gen", "interval", "--n", 30, "--seed", 7, "--out", poset_file])

@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from helpers import (
     brute_first_fit_color,
     brute_grundy,
     chain_poset,
+    coloring_from_grundy_table,
     complete_bipartite_graph,
     complete_graph,
     corrupted_parts,
@@ -39,11 +41,14 @@ from helpers import (
     gen_graph,
     graphs,
     graphs_with_orders,
+    grundy_table,
     minus_perfect_matching,
     outcome,
     path_graph,
     posets_with_orders,
+    reference_grundy_table,
 )
+from posetff.firstfit import _grundy_ceiling
 
 
 class TestPresentationOrder:
@@ -316,6 +321,68 @@ class TestGrundy:
     def test_dominates_any_single_order(self, pair):
         g, order = pair
         assert grundy_number(g) >= first_fit_color(g, order).color_count
+
+
+def all_graphs(max_n):
+    """Every labelled graph on at most max_n vertices."""
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
+
+
+def max_degree_plus_one(g):
+    return 1 + max((g.nbr_mask(v).bit_count() for v in range(g.n)), default=0)
+
+
+class TestGrundyCeiling:
+    def test_between_gamma_and_max_degree_plus_one(self):
+        # 1 + 1 + 2 + 8 + 64 + 1024 graphs, each with a full permutation sweep
+        for g in all_graphs(5):
+            full = (1 << g.n) - 1
+            if g.n:
+                nbr = [g.nbr_mask(v) for v in range(g.n)]
+                assert brute_grundy(g) <= _grundy_ceiling(nbr, full) <= max_degree_plus_one(g)
+
+    def test_star_is_two_against_six(self):
+        star = complete_bipartite_graph(1, 5)
+        nbr = [star.nbr_mask(v) for v in range(6)]
+        assert _grundy_ceiling(nbr, 0b111111) == 2
+        assert max_degree_plus_one(star) == 6
+        assert grundy_number(star) == 2
+
+    def test_reads_only_the_induced_subgraph(self):
+        # K4 on 0..3 plus a pendant 4 at 0: G[{0, 1, 4}] is a path
+        g = Graph(5, list(combinations(range(4), 2)) + [(0, 4)])
+        nbr = [g.nbr_mask(v) for v in range(5)]
+        assert _grundy_ceiling(nbr, 0b11111) == 4
+        assert _grundy_ceiling(nbr, 0b10011) == 2
+        assert _grundy_ceiling(nbr, 0b10010) == 1
+
+
+def pruning_graphs():
+    """Seeded graphs at n <= 12 over several densities, then larger pinned ones."""
+    seeded = [gen_graph(seed, n, density) for seed in range(3) for n in (5, 8, 10, 12)
+              for density in (0.15, 0.3, 0.5, 0.7, 0.9)]
+    return seeded + [gen_graph(2, 14, 0.6), path_graph(16), minus_perfect_matching(7),
+                     cycle_graph(13), complete_bipartite_graph(6, 7)]
+
+
+class TestGrundyPruning:
+    def test_table_is_a_part_of_the_unpruned_one(self):
+        for g in pruning_graphs() + [golden_graph(i) for i in range(len(GOLDEN_GRUNDY))]:
+            reference = reference_grundy_table(g)
+            table = grundy_table(g)
+            assert table.items() <= reference.items()
+            assert grundy_coloring(g).classes == coloring_from_grundy_table(reference, g.n)
+
+    @pytest.mark.parametrize("g, before, after", [
+        (gen_graph(2, 14, 0.6), 2199, 1543),
+        (path_graph(16), 5, 5),
+    ], ids=["gen_graph(2,14,0.6)", "P16"])
+    def test_pinned_table_sizes(self, g, before, after):
+        assert len(reference_grundy_table(g)) == before
+        assert len(grundy_table(g)) == after
 
 
 # Graph i is gen_graph(1000 + i, 5 + i % 6, GOLDEN_DENSITIES[i // 6 % 6]).

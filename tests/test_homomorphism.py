@@ -52,6 +52,7 @@ from helpers import (
     graphs_with_orders,
     outcome,
     path_graph,
+    reference_separation_table,
     span_lists,
 )
 
@@ -390,6 +391,39 @@ class TestPathwidthExact:
     @settings(max_examples=40, deadline=None)
     def test_ff_bounded_by_pathwidth(self, g):
         assert grundy_number(g) <= 8 * (pathwidth_exact(g) + 1)
+
+
+class TestSeparationPruning:
+    """The pruned cost table against the recursion that fills every child it tries."""
+
+    @staticmethod
+    def graphs():
+        seeded = [gen_graph(seed, n, density) for seed in range(3) for n in (5, 8, 10, 12)
+                  for density in (0.15, 0.3, 0.5, 0.7, 0.9)]
+        return seeded + pinned_pathwidth_graphs()
+
+    def test_table_is_a_part_of_the_unpruned_one(self):
+        for g in self.graphs():
+            assert homomorphism_module._separation_costs(g)[1].items() <= \
+                reference_separation_table(g).items()
+
+    def test_decomposition_is_the_unpruned_tables(self, monkeypatch):
+        graphs = self.graphs()
+        pruned = [path_decomposition_exact(g).bags for g in graphs]
+        # the walk over the full table, where no child it reads is missing
+        monkeypatch.setattr(homomorphism_module, "_separation_costs", lambda g: (
+            [g.nbr_mask(v) for v in range(g.n)], reference_separation_table(g)))
+        assert pruned == [path_decomposition_exact(g).bags for g in graphs]
+
+    @pytest.mark.parametrize("g, before, after", [
+        (cycle_graph(14), 7694, 4994),
+        (grid_graph(2, 7), 7953, 4056),
+        (complete_bipartite_graph(7, 7), 771, 771),
+        (gen_graph(1, 14, 0.2), 2449, 1237),
+    ], ids=["C14", "grid2x7", "K7,7", "gen_graph(1,14,0.2)"])
+    def test_pinned_table_sizes(self, g, before, after):
+        assert len(reference_separation_table(g)) == before
+        assert len(homomorphism_module._separation_costs(g)[1]) == after
 
 
 class TestValidateHomomorphism:
