@@ -56,7 +56,7 @@ def _write_files(docs: list[tuple[str, Callable[[], dict]]]) -> None:
     """
     for path, _ in docs:
         if Path(path).is_dir():  # caught here, not by a rename after others succeeded
-            raise ParamError(f"output path {path} is a directory")
+            raise ParamError(f"output path {path!r} is a directory")
     temps: list[Path] = []
     try:
         for i, (path, build) in enumerate(docs):
@@ -99,7 +99,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _check_size(copies * max(q, 0) * (q + 1) // 2)
         adv = build(**params)
         docs = [(args.out, lambda: poset_to_dict(adv.poset, meta={"kind": args.family, **params}))]
-        if args.out_order:
+        if args.out_order is not None:
             docs.append((args.out_order, lambda: order_to_dict(adv.natural_order)))
         _emit(docs)
     elif args.family == "interval":
@@ -147,7 +147,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
         (args.out_intervals, lambda: intervals_to_dict(spans)),
         (args.out_pd, lambda: pd_to_dict(PathDecomposition.from_spans(spans, len(seq)))),
     ]
-    _write_files([(path, build) for path, build in docs if path])
+    _write_files([(path, build) for path, build in docs if path is not None])
     w = len(seq.partition)  # the number of Dilworth chains, width(p)
     # pairwise-intersecting spans share a block, so width(q) is a block's size
     print(f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}")

@@ -21,7 +21,6 @@ from .order import KkWitness, Poset, build_poset, interval_cover_pairs
 
 __all__ = [
     "canonical_dumps",
-    "write_json",
     "read_json",
     "poset_to_dict",
     "poset_from_dict",
@@ -41,10 +40,6 @@ MAX_ELEMENTS = 1 << 16
 
 def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_json(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(canonical_dumps(obj))
 
 
 def read_json(path: str | Path) -> Any:

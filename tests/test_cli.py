@@ -298,6 +298,28 @@ def test_failed_write_leaves_no_file(tmp_path, capsys, command):
     assert sorted(tmp_path.rglob("*")) == before  # no target and no temporary file
 
 
+@pytest.mark.parametrize("argv", [
+    ["extend", "--k", 2, "--out-order", ""],
+    ["extend", "--k", 2, "--out-intervals", ""],
+    ["extend", "--k", 2, "--out-pd", ""],
+    ["gen", "stacked", "--k", 3, "--w", 2, "--out-order", ""],
+    ["gen", "interval", "--n", 3, "--out", ""],
+    ["ff", "--order", "ord.json", "--out", ""],
+], ids=["extend --out-order", "extend --out-intervals", "extend --out-pd",
+        "gen stacked --out-order", "gen interval --out", "ff --out"])
+def test_empty_output_path_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # an empty path names the working directory: refused up front, never skipped as if unset
+    monkeypatch.chdir(tmp_path)
+    Path("chain.json").write_text('{"n": 3, "relations": [[0,1],[1,2]]}')
+    Path("ord.json").write_text('{"order": [0, 1, 2]}')
+    if argv[0] != "gen":
+        argv = [argv[0], "--poset", "chain.json", *argv[1:]]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: output path '' is a directory\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["chain.json", "ord.json"]
+
+
 def test_written_files_replace_their_targets(tmp_path, capsys):
     poset_file = tmp_path / "chain.json"
     poset_file.write_text('{"n": 3, "relations": [[0,1],[1,2]]}')

@@ -142,12 +142,28 @@ class TestBuildFFImage:
         assert validate_homomorphism(g, image.h, hom)
 
     def test_failed_certificate_raises_internal_error(self, monkeypatch):
-        g = path_graph(4)
-        ic = interval_completion(g, PathDecomposition(((0, 1), (1, 2), (2, 3))))
-        coloring = FFColoring((frozenset({0, 3}), frozenset({2}), frozenset({1})))
-        monkeypatch.setattr(homomorphism_module, "validate_homomorphism", lambda *a: False)
-        with pytest.raises(InternalError):
-            build_ff_image(g, ic, coloring)
+        # a merge whose running right end never grows keeps vertex 1's span
+        # (2, 3) in the component of (1, 2), and the certificate refuses it
+        g = empty_graph(3)
+        spans = ((1, 2), (2, 3), (3, 4))
+        coloring = FFColoring((frozenset({0, 1, 2}),))
+        assert build_ff_image(g, spans, coloring)[0].intervals == ((1, 4),)
+        monkeypatch.setattr(homomorphism_module, "max", lambda reach, b: reach, raising=False)
+        message = r"vertex 1's span \(2, 3\) leaves its image's interval"
+        with pytest.raises(InternalError, match=message):
+            build_ff_image(g, spans, coloring)
+
+    @pytest.mark.parametrize("g, spans, classes, message", [
+        (path_graph(2), ((1, 1), (1, 1)), [{0, 1}], "vertex 1 shares its image 0 with a neighbour"),
+        (empty_graph(2), ((1, 1), (2, 2)), [{0}], r"vertex 1 has image -1, outside 0\.\.0"),
+        (empty_graph(2), ((1, 1), (2, 2)), [{0}, {0, 1}], "image vertex 0 is not hit"),
+    ], ids=["edge in a class", "vertex in no class", "vertex in two classes"])
+    def test_certificate_refuses_maps_from_a_bad_coloring(self, monkeypatch, g, spans, classes,
+                                                          message):
+        # with the coloring checks switched off, each bad input reaches the map's certificate
+        monkeypatch.setattr(homomorphism_module, "validate_ff_coloring", lambda *a: True)
+        with pytest.raises(InternalError, match=message):
+            build_ff_image(g, spans, FFColoring(tuple(map(frozenset, classes))))
 
     def test_completion_of_another_size_is_rejected(self):
         g = path_graph(3)
@@ -171,6 +187,7 @@ class TestBuildFFImage:
         if all(spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1] for u, v in g.edges()):
             image, hom = build_ff_image(g, ic, coloring)
             assert validate_homomorphism(g, image.h, hom)
+            assert brute_homomorphism_ok(g, image.h, hom)
         else:
             with pytest.raises(InvalidDecomposition):
                 build_ff_image(g, ic, coloring)
@@ -188,6 +205,8 @@ class TestBuildFFImage:
         image, hom = build_ff_image(g, ic, first_fit_color(g, PresentationOrder.identity(g.n)))
         assert tuple(image.intervals[x] for x in hom.mapping) == ic
         assert image.h == brute_interval_graph(image.intervals)
+        assert validate_homomorphism(g, image.h, hom)
+        assert brute_homomorphism_ok(g, image.h, hom)
 
     @given(span_lists())
     @example([])
@@ -207,6 +226,8 @@ class TestBuildFFImage:
         assert hom.mapping == tuple(
             next(i for i, c in enumerate(comps) if v in c) for v in range(g.n)
         )
+        assert validate_homomorphism(g, image.h, hom)
+        assert brute_homomorphism_ok(g, image.h, hom)
 
     def test_north_star_stacked_quotient(self):
         # stacked(30, 10) in its natural order: every certificate runs at n = 3915
@@ -214,7 +235,8 @@ class TestBuildFFImage:
         g = incomparability_graph(sp.poset)
         seq = block_sequence(sp.poset, 30)
         coloring = first_fit_color(g, sp.natural_order)
-        image, _ = build_ff_image(g, spans_from_blocks(seq), coloring)
+        image, hom = build_ff_image(g, spans_from_blocks(seq), coloring)
+        assert validate_homomorphism(g, image.h, hom)
         assert seq.width == 569
         assert coloring.color_count == 261
         assert image.h.n == 270
@@ -227,7 +249,8 @@ class TestBuildFFImage:
         g = incomparability_graph(p)
         seq = block_sequence(p, 2)
         coloring = first_fit_color(g, PresentationOrder.identity(g.n))
-        image, _ = build_ff_image(g, spans_from_blocks(seq), coloring)
+        image, hom = build_ff_image(g, spans_from_blocks(seq), coloring)
+        assert validate_homomorphism(g, image.h, hom)
         assert seq.width == 1018
         assert coloring.color_count == 1038
         assert image.h.n == 1576
@@ -280,6 +303,7 @@ class TestBuildFFImage:
         image, hom = build_ff_image(g, ic, coloring)
         assert interval_clique_number(image.intervals) <= pd.width + 1
         assert validate_homomorphism(g, image.h, hom)
+        assert brute_homomorphism_ok(g, image.h, hom)
         assert validate_ff_coloring(image.h, image.coloring())
         assert len(image.classes) == coloring.color_count
         assert image.h == brute_interval_graph(image.intervals)
@@ -492,12 +516,10 @@ class TestValidateHomomorphismAgreesWithOracle:
         f = Homomorphism(tuple(mapping))
         assert outcome(validate_homomorphism, g, h, f) == outcome(brute_homomorphism_ok, g, h, f)
 
-    # Each image vertex x ORs the preimages of the smaller side of its
-    # neighbourhood, picked by that side's bit string.  An edgeless h gives
-    # every x the empty neighbour side, bin(0).  A complete h gives x the
-    # non-neighbour side {x}, a string shorter than the preimage list for
-    # x < h.n - 1.  A star's centre takes the non-neighbour side {0} and its
-    # leaves the neighbour side {0}.  Random h mix both sides at every length.
+    # Each image vertex x ORs the preimages of its neighbours.  An edgeless h
+    # gives every x no neighbour, a complete h every other vertex, and a star
+    # its centre every leaf and each leaf the centre alone.  Random h mix
+    # sparse and dense neighbourhoods.
     @pytest.mark.parametrize("hn", [1, 7, 8, 9, 17])
     @pytest.mark.parametrize("shape", ["edgeless", "complete", "star", "sparse", "dense"])
     def test_both_sides_of_each_neighbourhood(self, hn, shape):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from posetff import (
     FormatError,
     PathDecomposition,
+    PosetFFError,
     PresentationOrder,
     SizeMismatch,
     block_sequence,
@@ -29,8 +30,8 @@ from posetff import (
     read_json,
     spans_from_blocks,
     witness_to_dict,
-    write_json,
 )
+from posetff.jsonio import MAX_ELEMENTS
 from helpers import moves_of, span_lists
 
 
@@ -119,11 +120,11 @@ def test_canonical_dumps_is_stable_and_newline_terminated():
 def test_write_and_read(tmp_path):
     path = tmp_path / "poset.json"
     p = gen_interval_order(9, 10)
-    write_json(poset_to_dict(p), path)
+    path.write_text(canonical_dumps(poset_to_dict(p)))
     assert poset_from_dict(read_json(path)) == p
     # canonical writer: identical content every time
     first = path.read_bytes()
-    write_json(poset_to_dict(p), path)
+    path.write_text(canonical_dumps(poset_to_dict(p)))
     assert path.read_bytes() == first
 
 
@@ -144,6 +145,38 @@ MALFORMED = [
 def test_malformed_document_raises_format_error(loader, doc):
     with pytest.raises(FormatError):
         loader(doc)
+
+
+# Any value json.loads returns, and objects shaped like the documents: lists
+# of integers read as element ids, pairs and bags.  Integers stay small, plus
+# counts past the size limit; a poset near the limit takes seconds to build.
+INTS = st.integers(-2, 6) | st.sampled_from([MAX_ELEMENTS + 1, 2**70, -(2**70)])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3) | INTS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12,
+)
+INT_LISTS = st.lists(st.lists(INTS, max_size=3), max_size=6)
+DOCUMENTS = JSON_VALUES | st.fixed_dictionaries({}, optional={
+    "n": INTS | JSON_VALUES,
+    "relations": INT_LISTS | JSON_VALUES,
+    "names": st.lists(st.text(max_size=2), max_size=4) | JSON_VALUES,
+    "order": st.lists(INTS, max_size=6) | JSON_VALUES,
+    "bags": INT_LISTS | JSON_VALUES,
+})
+
+
+@pytest.mark.parametrize("loader", [poset_from_dict, order_from_dict, pd_from_dict],
+                         ids=lambda f: f.__name__)
+@given(doc=DOCUMENTS)
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_documents_raise_only_library_errors(loader, doc):
+    # the CLI turns a PosetFFError into exit 2; any other exception is a traceback
+    try:
+        loader(doc)
+    except PosetFFError:
+        pass
 
 
 @pytest.mark.parametrize("loader, doc, message", [
