@@ -5,37 +5,24 @@ i elements) whose natural presentation order forces exactly q chains.
 ``stacked(k, w)`` glues w-1 such ladders (parameter k-1) on top of each
 other, keeping the top rows incomparable across copies; the concatenated
 natural order then forces (k-1)(w-1) chains while the result has width w
-and no two disjoint incomparable k-chains.  ``stacked_degenerate(w)``, the
-k = 2 stand-in, is w one-row ladders: an antichain forcing w chains.
+and no two disjoint incomparable k-chains.  There is no k = 2 family: its
+stand-in is an antichain of w elements, which forces w chains in any order.
 
-All three return one record, ``LadderPoset(q, copies, poset)``, closed from
-its cover pairs by ``build_poset``, whose closure proves the order, so none
+Both return one record, ``LadderPoset(q, copies, poset)``, closed from its
+cover pairs by ``build_poset``, whose closure proves the order, so neither
 runs the checked constructor's kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Iterator
 
-from .errors import IdOutOfRange, ParamError
+from .errors import ParamError
 from .firstfit import PresentationOrder
 from .order import Poset, build_poset
 
-__all__ = ["LadderPoset", "kierstead", "stacked", "stacked_degenerate"]
-
-
-def _row_start(i: int) -> int:
-    # rows are 1-based; row i occupies ids [i(i-1)/2, i(i+1)/2)
-    return i * (i - 1) // 2
-
-
-def _row_of(element: int) -> tuple[int, int]:
-    """Invert the row-major layout: id -> (i, j), both 1-based."""
-    # 8e + 1 lies in [(2i-1)^2, (2i+1)^2) for e in row i, so this is i exactly
-    i = (isqrt(8 * element + 1) + 1) // 2
-    return i, element - _row_start(i) + 1
+__all__ = ["LadderPoset", "kierstead", "stacked"]
 
 
 def _ladder_covers(q: int, copies: int) -> Iterator[tuple[int, int]]:
@@ -69,9 +56,10 @@ def _ladder_covers(q: int, copies: int) -> Iterator[tuple[int, int]]:
 class LadderPoset:
     """``copies`` ladders on rows 1..q, presented in id order.
 
-    Element v(i,j) of copy c (all 1-based) has id (c-1)·q(q+1)/2 +
-    i(i-1)/2 + j-1, and First-Fit in the natural order puts it in chain
-    q(c-1) + i - j + 1.
+    Ids run row by row through each copy in turn: element v(i,j) of copy c
+    (all 1-based) has id (c-1)·q(q+1)/2 + i(i-1)/2 + j-1.  First-Fit in the
+    natural order puts it in chain q(c-1) + i - j + 1, the lower-bound claim
+    that the tests check element by element.
     """
 
     q: int
@@ -81,24 +69,6 @@ class LadderPoset:
     @property
     def natural_order(self) -> PresentationOrder:
         return PresentationOrder.identity(self.poset.n)
-
-    def element_id(self, i: int, j: int, copy: int = 1) -> int:
-        if not (1 <= copy <= self.copies and 1 <= j <= i <= self.q):
-            raise IdOutOfRange(
-                f"no element v({i},{j}) of copy {copy} for q={self.q}, copies={self.copies}"
-            )
-        return (copy - 1) * _row_start(self.q + 1) + _row_start(i) + j - 1
-
-    def indices(self, element: int) -> tuple[int, int, int]:
-        """(copy, i, j) of an element id."""
-        if not 0 <= element < self.poset.n:
-            raise IdOutOfRange(f"element {element} outside 0..{self.poset.n - 1}")
-        copy, local = divmod(element, _row_start(self.q + 1))
-        return (copy + 1, *_row_of(local))
-
-    def predicted_chain(self, element: int) -> int:
-        copy, i, j = self.indices(element)
-        return self.q * (copy - 1) + i - j + 1
 
 
 def _ladders(q: int, copies: int, name: str) -> LadderPoset:
@@ -119,24 +89,11 @@ def stacked(k: int, w: int) -> LadderPoset:
     """w-1 ladders with parameter k-1, every non-top-row element below later copies.
 
     Width is exactly w and no two disjoint incomparable k-chains exist.
-    Raises ParamError for k < 3 (see ``stacked_degenerate`` for the k=2
-    stand-in) or w < 2.
+    Raises ParamError for k < 3 or w < 2: at k = 2 the ladders have one row,
+    which is their own top row, so nothing is stacked and the width is w-1.
     """
     if k < 3:
         raise ParamError("k must be at least 3")
     if w < 2:
         raise ParamError("w must be at least 2")
     return _ladders(k - 1, w - 1, "v{c}[{i},{j}]")
-
-
-def stacked_degenerate(w: int) -> LadderPoset:
-    """The documented k=2 stand-in: w one-row ladders, an antichain of w elements.
-
-    With k=2 the stacking recipe collapses (single-row ladders are their
-    own top row, so no cross relations survive) and yields width w-1, not
-    w.  w one-row ladders have width w, no incomparable pair of 2-chains,
-    and force First-Fit to w chains in any order.
-    """
-    if w < 1:
-        raise ParamError("w must be at least 1")
-    return _ladders(1, w, "v{c}[{i},{j}]")

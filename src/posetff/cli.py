@@ -54,9 +54,16 @@ def _write_files(docs: list[tuple[str, Callable[[], dict]]]) -> None:
     targets are replaced only once every write has succeeded, and a failure
     removes the temporary files.
     """
+    named: dict[str, str] = {}
     for path, _ in docs:
         if Path(path).is_dir():  # caught here, not by a rename after others succeeded
             raise ParamError(f"output path {path!r} is a directory")
+        # a second rename onto one file would replace the first document; unlike
+        # Path.resolve, realpath does not raise on a symlink loop
+        target = os.path.realpath(path)
+        if target in named:
+            raise ParamError(f"output paths {named[target]!r} and {path!r} name one file")
+        named[target] = path
     temps: list[Path] = []
     try:
         for i, (path, build) in enumerate(docs):

@@ -84,7 +84,7 @@ def gen_interval_order(seed: int, n: int) -> Poset:
     return interval_order_from_intervals(random_intervals(seed, n))
 
 
-def gen_random_poset(rng: SplitMix64, n: int, density: float = 0.5) -> Poset:
+def gen_random_poset(rng: SplitMix64, n: int, density: float) -> Poset:
     """Permutation skeleton + forward pairs at the given rate, closed."""
     thr = _threshold(density)
     perm = rng.permutation(n)

@@ -63,7 +63,7 @@ def _poset_dict(
     return d
 
 
-def poset_to_dict(p: Poset, meta: dict | None = None) -> dict:
+def poset_to_dict(p: Poset, meta: dict | None) -> dict:
     return _poset_dict(p.n, sorted(p.cover_pairs()), p.names, meta)
 
 

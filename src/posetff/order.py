@@ -252,17 +252,8 @@ class Graph:
         g._nbr = tuple(nbr)
         return g
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Each edge once as (u, v) with u < v, in increasing order."""
-        for u, mask in enumerate(self._nbr):
-            for off in iter_bits(mask >> (u + 1)):
-                yield u, u + 1 + off
-
     def nbr_mask(self, v: int) -> int:
         return self._nbr[v]
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return (self._nbr[u] >> v) & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -26,6 +26,27 @@ from posetff import (
     spans_from_blocks,
 )
 from posetff.firstfit import _fill_grundy, _grundy_ceiling, _maximal_independent_sets
+from posetff.jsonio import MAX_ELEMENTS
+
+
+# Any value json.loads returns, and objects shaped like the documents: lists
+# of integers read as element ids, pairs and bags.  Integers stay small, plus
+# counts past the size limit; a poset near the limit takes seconds to build.
+INTS = st.integers(-2, 6) | st.sampled_from([MAX_ELEMENTS + 1, 2**70, -(2**70)])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3) | INTS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12,
+)
+INT_LISTS = st.lists(st.lists(INTS, max_size=3), max_size=6)
+DOCUMENTS = JSON_VALUES | st.fixed_dictionaries({}, optional={
+    "n": INTS | JSON_VALUES,
+    "relations": INT_LISTS | JSON_VALUES,
+    "names": st.lists(st.text(max_size=2), max_size=4) | JSON_VALUES,
+    "order": st.lists(INTS, max_size=6) | JSON_VALUES,
+    "bags": INT_LISTS | JSON_VALUES,
+})
 
 
 def chain_poset(n):
@@ -36,6 +57,35 @@ def chain_poset(n):
 def antichain_poset(n):
     """n pairwise incomparable elements."""
     return build_poset(n, [])
+
+
+def stacked_degenerate(w):
+    """The k = 2 stand-in for ``stacked``: an antichain of w elements, named as
+    w one-row ladders.  Width w, no two incomparable 2-chains, w forced chains."""
+    return build_poset(w, [], [f"v{c}[1,1]" for c in range(1, w + 1)])
+
+
+def ladder_id(q, i, j, copy):
+    """The id of element v(i,j) of a ladder copy on rows 1..q, all 1-based:
+    the ids run row by row through each copy in turn."""
+    return (copy - 1) * q * (q + 1) // 2 + i * (i - 1) // 2 + j - 1
+
+
+def ladder_assignment(q, copies):
+    """The chain of each id, in id order, that First-Fit takes in the natural
+    order of ``copies`` stacked ladders on rows 1..q: v(i,j) of copy c goes to
+    chain q(c-1) + i - j + 1, the Omega(kw) lower bound's claim."""
+    return tuple(q * (c - 1) + i - j + 1
+                 for c in range(1, copies + 1) for i in range(1, q + 1) for j in range(1, i + 1))
+
+
+def graph_edges(g):
+    """Each edge once as (u, v) with u < v, in increasing order."""
+    return [(u, v) for u in range(g.n) for v in _iter_bits(g.nbr_mask(u)) if u < v]
+
+
+def adjacent(g, u, v):
+    return (g.nbr_mask(u) >> v) & 1 == 1
 
 
 def empty_graph(n):
@@ -362,7 +412,7 @@ def brute_pathwidth(g):
     after it; the pathwidth is the least, over all orders, of the largest
     prefix boundary (Kinnersley's vertex separation number).
     """
-    nbrs = [[v for v in range(g.n) if g.adjacent(u, v)] for u in range(g.n)]
+    nbrs = [[v for v in range(g.n) if adjacent(g, u, v)] for u in range(g.n)]
     best = g.n
     for perm in permutations(range(g.n)):
         pos = {v: i for i, v in enumerate(perm)}
@@ -397,7 +447,7 @@ def brute_first_fit_color(g, order):
     holds no neighbour of it.  Returns the classes in color order."""
     classes = []
     for v in order.order:
-        i = next((i for i, cls in enumerate(classes) if not any(g.adjacent(u, v) for u in cls)),
+        i = next((i for i, cls in enumerate(classes) if not any(adjacent(g, u, v) for u in cls)),
                  len(classes))
         if i == len(classes):
             classes.append(set())
@@ -446,10 +496,10 @@ def brute_ff_coloring_ok(g, coloring):
     for j, cls in enumerate(classes):
         if not cls:
             return False
-        if any(g.adjacent(u, v) for u, v in combinations(cls, 2)):
+        if any(adjacent(g, u, v) for u, v in combinations(cls, 2)):
             return False
         for v in cls:
-            if not all(any(g.adjacent(u, v) for u in earlier) for earlier in classes[:j]):
+            if not all(any(adjacent(g, u, v) for u in earlier) for earlier in classes[:j]):
                 return False
     return True
 
@@ -459,7 +509,7 @@ def brute_homomorphism_ok(g, h, f):
     m = f.mapping
     if len(m) != g.n or not all(0 <= x < h.n for x in m):
         return False
-    if any(g.adjacent(u, v) and not h.adjacent(m[u], m[v])
+    if any(adjacent(g, u, v) and not adjacent(h, m[u], m[v])
            for u, v in combinations(range(g.n), 2)):
         return False
     return set(m) == set(range(h.n))
@@ -543,7 +593,7 @@ def brute_components(g):
         while stack:
             u = stack.pop()
             for v in range(g.n):
-                if g.adjacent(u, v) and v not in comp:
+                if adjacent(g, u, v) and v not in comp:
                     comp.add(v)
                     stack.append(v)
         seen |= comp

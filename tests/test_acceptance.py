@@ -38,6 +38,7 @@ from helpers import (
     complete_multipartite_graph,
     cycle_graph,
     gen_graph,
+    ladder_assignment,
     minus_perfect_matching,
     path_graph,
     slide_decomposition,
@@ -65,8 +66,7 @@ def test_criterion_01_kierstead_exactness():
             kp = kierstead(q)
             res = first_fit_chains(kp.poset, kp.natural_order)
             assert res.chain_count == q
-            for e in range(kp.poset.n):
-                assert res.assignment[e] == kp.predicted_chain(e)
+            assert res.assignment == ladder_assignment(q, 1)
 
 
 def test_criterion_02_stacked_exactness():
@@ -76,8 +76,7 @@ def test_criterion_02_stacked_exactness():
                 sp = stacked(k, w)
                 res = first_fit_chains(sp.poset, sp.natural_order)
                 assert res.chain_count == (k - 1) * (w - 1)
-                for e in range(sp.poset.n):
-                    assert res.assignment[e] == sp.predicted_chain(e)
+                assert res.assignment == ladder_assignment(k - 1, w - 1)
                 assert width_with_witness(sp.poset)[0] == w
 
 

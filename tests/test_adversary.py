@@ -1,23 +1,21 @@
-import re
-
 import pytest
 
 from posetff import (
-    IdOutOfRange,
     LadderPoset,
     ParamError,
     Poset,
+    PresentationOrder,
     build_poset,
     find_k_plus_k,
     first_fit_chains,
     incomparability_graph,
     kierstead,
     stacked,
-    stacked_degenerate,
     width_with_witness,
 )
 from posetff import order
 from posetff.adversary import _ladder_covers
+from helpers import ladder_assignment, ladder_id, stacked_degenerate
 
 
 def ladder_rule_pairs(q):
@@ -68,8 +66,7 @@ class TestKierstead:
         assert kp.poset.n == q * (q + 1) // 2
         res = first_fit_chains(kp.poset, kp.natural_order)
         assert res.chain_count == q
-        for e in range(kp.poset.n):
-            assert res.assignment[e] == kp.predicted_chain(e)
+        assert res.assignment == ladder_assignment(q, 1)
 
     @pytest.mark.parametrize("q", range(2, 9))
     def test_width_two(self, q):
@@ -85,9 +82,11 @@ class TestKierstead:
         n, pairs = ladder_rule_pairs(q)
         assert_same_order(kierstead(q).poset, build_poset(n, pairs), ladder_names(q))
 
-    def test_names(self):
-        kp = kierstead(3)
-        assert kp.poset.names[kp.element_id(3, 2)] == "v[3,2]"
+    @pytest.mark.parametrize("q", [1, 3, 6])
+    def test_names_follow_the_ids(self, q):
+        names = kierstead(q).poset.names
+        assert [names[ladder_id(q, i, j, 1)] for i in range(1, q + 1)
+                for j in range(1, i + 1)] == ladder_names(q)
 
 
 class TestStacked:
@@ -113,8 +112,7 @@ class TestStacked:
         sp = stacked(k, w)
         res = first_fit_chains(sp.poset, sp.natural_order)
         assert res.chain_count == (k - 1) * (w - 1)
-        for e in range(sp.poset.n):
-            assert res.assignment[e] == sp.predicted_chain(e)
+        assert res.assignment == ladder_assignment(k - 1, w - 1)
         assert width_with_witness(sp.poset)[0] == w
 
     @pytest.mark.parametrize("k,w", [(3, 3), (3, 4), (4, 3), (4, 4)])
@@ -141,27 +139,27 @@ class TestStacked:
         names = [name for c in range(1, w) for name in ladder_names(q, f"v{c}")]
         assert_same_order(sp.poset, build_poset(sp.poset.n, pairs), names)
 
+    @pytest.mark.parametrize("k,w", [(3, 3), (4, 2), (5, 4)])
+    def test_names_follow_the_ids(self, k, w):
+        q, names = k - 1, stacked(k, w).poset.names
+        for c in range(1, w):
+            assert [names[ladder_id(q, i, j, c)] for i in range(1, q + 1)
+                    for j in range(1, i + 1)] == ladder_names(q, f"v{c}")
+
     def test_degenerate_k2(self):
-        sd = stacked_degenerate(4)
-        p = sd.poset
-        assert (sd.q, sd.copies) == (1, 4)
+        p = stacked_degenerate(4)
         assert p.names == ("v1[1,1]", "v2[1,1]", "v3[1,1]", "v4[1,1]")
         assert width_with_witness(p)[0] == 4
         assert find_k_plus_k(p, 2) is None
-        res = first_fit_chains(p, sd.natural_order)
+        res = first_fit_chains(p, PresentationOrder.identity(4))
         assert res.chain_count == 4
-        for e in range(p.n):
-            assert res.assignment[e] == e + 1 == sd.predicted_chain(e)
-
-    def test_degenerate_rejects_zero(self):
-        with pytest.raises(ParamError):
-            stacked_degenerate(0)
+        assert res.assignment == (1, 2, 3, 4) == ladder_assignment(1, 4)
 
 
 def test_one_record_for_every_family():
-    records = [kierstead(4), stacked(4, 3), stacked_degenerate(3)]
-    assert [type(r) for r in records] == [LadderPoset] * 3
-    assert [(r.q, r.copies) for r in records] == [(4, 1), (3, 2), (1, 3)]
+    records = [kierstead(4), stacked(4, 3)]
+    assert [type(r) for r in records] == [LadderPoset] * 2
+    assert [(r.q, r.copies) for r in records] == [(4, 1), (3, 2)]
 
 
 class TestCoverConstruction:
@@ -192,41 +190,14 @@ class TestCoverConstruction:
 
 class TestPredictedAssignment:
     def test_ladder_corners(self):
-        kp = kierstead(5)
-        assert kp.predicted_chain(kp.element_id(5, 5)) == 1
-        assert kp.predicted_chain(kp.element_id(5, 1)) == 5
+        chains = ladder_assignment(5, 1)
+        assert chains[ladder_id(5, 5, 5, 1)] == 1
+        assert chains[ladder_id(5, 5, 1, 1)] == 5
 
     def test_stacked_formula(self):
-        sp = stacked(5, 4)
-        assert sp.predicted_chain(sp.element_id(4, 1, copy=3)) == 12
+        assert ladder_assignment(4, 3)[ladder_id(4, 4, 1, 3)] == 12
 
-    # the ids of kierstead(300) on an antichain of its 45150 elements: the
-    # ladder itself would close about 0.5 GB of masks
-    @pytest.mark.parametrize("build", [
-        lambda: kierstead(6), lambda: LadderPoset(300, 1, build_poset(45150, [])),
-        lambda: stacked(5, 4), lambda: stacked_degenerate(5),
-    ], ids=["kierstead6", "kierstead300", "stacked54", "degenerate5"])
-    def test_indices_round_trip(self, build):
-        adv = build()
-        for e in range(adv.poset.n):
-            copy, i, j = adv.indices(e)
-            assert adv.element_id(i, j, copy) == e
-
-    @pytest.mark.parametrize("call,message", [
-        (lambda: kierstead(2).predicted_chain(3), "element 3 outside 0..2"),
-        (lambda: kierstead(2).predicted_chain(-1), "element -1 outside 0..2"),
-        (lambda: stacked(3, 2).predicted_chain(99), "element 99 outside 0..2"),
-        (lambda: stacked_degenerate(2).predicted_chain(2), "element 2 outside 0..1"),
-        (lambda: kierstead(2).element_id(3, 1), "no element v(3,1) of copy 1 for q=2, copies=1"),
-        (lambda: kierstead(2).element_id(1, 2), "no element v(1,2) of copy 1 for q=2, copies=1"),
-        (lambda: kierstead(2).element_id(1, 1, copy=2),
-         "no element v(1,1) of copy 2 for q=2, copies=1"),
-        (lambda: stacked(3, 2).element_id(1, 1, copy=2),
-         "no element v(1,1) of copy 2 for q=2, copies=1"),
-        (lambda: stacked(3, 2).element_id(3, 1), "no element v(3,1) of copy 1 for q=2, copies=1"),
-        (lambda: stacked_degenerate(2).element_id(1, 1, copy=0),
-         "no element v(1,1) of copy 0 for q=1, copies=2"),
-    ])
-    def test_out_of_range(self, call, message):
-        with pytest.raises(IdOutOfRange, match=f"^{re.escape(message)}$"):
-            call()
+    @pytest.mark.parametrize("q,copies", [(1, 1), (1, 5), (6, 1), (4, 3)])
+    def test_ids_run_row_by_row_through_each_copy(self, q, copies):
+        assert [ladder_id(q, i, j, c) for c in range(1, copies + 1) for i in range(1, q + 1)
+                for j in range(1, i + 1)] == list(range(len(ladder_assignment(q, copies))))

@@ -1,14 +1,19 @@
 import ast
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetff import (
     InternalError,
@@ -22,6 +27,7 @@ from posetff import (
     gen_interval_order,
     gen_kk_free,
     incomparability_graph,
+    order_from_dict,
     pd_from_dict,
     poset_from_dict,
     poset_to_dict,
@@ -32,7 +38,7 @@ from posetff import (
 from posetff import cli, errors
 from posetff.cli import main
 from posetff.jsonio import MAX_ELEMENTS
-from helpers import slide_order
+from helpers import DOCUMENTS, posets, slide_order
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -299,6 +305,40 @@ def test_failed_write_leaves_no_file(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("argv", [
+    ["extend", "--poset", "chain.json", "--k", 2, "--out-order", "same.json",
+     "--out-pd", "same.json"],
+    ["extend", "--poset", "chain.json", "--k", 2, "--out-intervals", "same.json",
+     "--out-pd", "./same.json"],
+    ["extend", "--poset", "chain.json", "--k", 2, "--out-order", "same.json",
+     "--out-pd", "link.json"],
+    ["gen", "kierstead", "--q", 3, "--out", "same.json", "--out-order", "same.json"],
+    ["gen", "stacked", "--k", 3, "--w", 2, "--out", "same.json", "--out-order", "same.json"],
+], ids=["extend", "extend ./", "extend symlink", "gen kierstead", "gen stacked"])
+def test_output_path_named_twice_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # the second rename would replace the first document without a word
+    monkeypatch.chdir(tmp_path)
+    Path("chain.json").write_text('{"n": 3, "relations": [[0,1],[1,2]]}')
+    Path("link.json").symlink_to("same.json")
+    before = sorted(tmp_path.iterdir())
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: output paths 'same.json' and '{argv[-1]}' name one file\n")
+    assert sorted(tmp_path.iterdir()) == before  # no target and no temporary file
+
+
+def test_output_path_through_a_symlink_loop_is_written(tmp_path, capsys, monkeypatch):
+    # realpath leaves a loop unresolved where Path.resolve would raise
+    monkeypatch.chdir(tmp_path)
+    Path("chain.json").write_text('{"n": 3, "relations": [[0,1],[1,2]]}')
+    Path("a.json").symlink_to("b.json")
+    Path("b.json").symlink_to("a.json")
+    assert run(["extend", "--poset", "chain.json", "--k", 2, "--out-pd", "a.json",
+                "--out-order", "b.json"]) == 0
+    assert read_json("a.json")["bags"] and read_json("b.json")["n"] == 3
+
+
+@pytest.mark.parametrize("argv", [
     ["extend", "--k", 2, "--out-order", ""],
     ["extend", "--k", 2, "--out-intervals", ""],
     ["extend", "--k", 2, "--out-pd", ""],
@@ -356,7 +396,7 @@ def test_extend_builds_one_poset(tmp_path, capsys, monkeypatch):
     run(["gen", "stacked", "--k", 4, "--w", 3, "--out", poset_file])
     p = poset_from_dict(read_json(poset_file))
     q = slide_order(p, block_sequence(p, 4))
-    q_reference = canonical_dumps(poset_to_dict(build_poset(q.n, q.cover_pairs(), p.names)))
+    q_reference = canonical_dumps(poset_to_dict(build_poset(q.n, q.cover_pairs(), p.names), None))
     built = []
     init = Poset.__init__
     closed = Poset._closed
@@ -461,6 +501,74 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, poset_doc, arg):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def loaded(loader, doc):
+    """What the loader makes of the document, or None if it refuses it."""
+    try:
+        return loader(doc)
+    except PosetFFError:
+        return None
+
+
+def run_on_files(argv, docs):
+    """Exit code, stdout and stderr of ``main`` with each document written to its flag's file."""
+    with tempfile.TemporaryDirectory() as folder:
+        for flag, doc in docs.items():
+            path = Path(folder) / f"{flag}.json"
+            path.write_text(json.dumps(doc))
+            argv = [*argv, f"--{flag}", path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_refused(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def fuzzed(data, valid, label):
+    """An arbitrary value or document-shaped object, or half the time a valid
+    document, as it reads back from JSON text."""
+    return json.loads(json.dumps(data.draw(valid if data.draw(st.booleans()) else DOCUMENTS,
+                                           label=label)))
+
+
+VALID_POSETS = posets(max_n=8).map(lambda p: poset_to_dict(p, None))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_ff_files_exit_0_or_2(data):
+    poset_doc = fuzzed(data, VALID_POSETS, "poset")
+    p = loaded(poset_from_dict, poset_doc)
+    n = data.draw(st.integers(0, 4)) if p is None else p.n
+    order_doc = fuzzed(data, st.permutations(range(n)).map(lambda order: {"order": order}), "order")
+    order = loaded(order_from_dict, order_doc)
+    code, out, err = run_on_files(["ff"], {"poset": poset_doc, "order": order_doc})
+    if p is None or order is None or len(order) != p.n:
+        assert_refused(code, out, err)
+    else:
+        assert (code, err) == (0, f"ff chains={len(json.loads(out)['chains'])} n={p.n}\n")
+
+
+@given(data=st.data(), k=st.integers(2, 3))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_extend_files_exit_0_1_or_2(data, k):
+    doc = fuzzed(data, VALID_POSETS, "poset")
+    p = loaded(poset_from_dict, doc)
+    code, out, err = run_on_files(["extend", "--k", k], {"poset": doc})
+    if p is None:
+        assert_refused(code, out, err)
+    elif code == 0:
+        # the slide may also get through a poset that holds a k+k
+        assert err == "" and re.fullmatch(r"width_q=\d+ bound=\d+ pd_width=-?\d+\n", out)
+    else:
+        witness = json.loads(out)
+        assert (code, err, witness["k"]) == (1, "", k)
+        assert KkWitness(tuple(witness["a"]), tuple(witness["b"])).is_valid(p)
 
 
 def test_library_raises_only_its_own_errors():

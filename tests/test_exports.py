@@ -1,11 +1,13 @@
 """The package's public names: each module's ``__all__``, re-exported by ``posetff``.
 
 ``posetff/__init__.py`` star-imports its modules, so a name listed by two
-modules would be shadowed silently by the later import.
+modules would be shadowed silently by the later import.  Every public
+function, class and method has a caller outside the tests.
 """
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -58,3 +60,55 @@ def test_every_listed_name_is_the_package_attribute():
         for name in exported(module)
         if getattr(posetff, name, None) is not getattr(module, name)
     ] == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "posetff"
+CALLERS = [PACKAGE, ROOT / "scripts", ROOT / "perfbench"]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+
+
+def public_definitions(tree):
+    """Each public module-level function or class, and each public method or
+    property of a module-level class, as (qualified name, node, is_method)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def references(node):
+    """How often each name is read under ``node``: keyed (is_attribute, name)."""
+    return Counter(
+        (True, n.attr) if isinstance(n, ast.Attribute) else (False, n.id)
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_function_is_referenced_outside_the_tests():
+    # a public name the package, scripts, benchmark and CI never use is test-only
+    # API; it belongs in tests/helpers.py.  A method is reached only as an
+    # attribute, so a local variable of the same name does not count for it.
+    # cli.main dispatches cmd_* by name.
+    trees = {path: ast.parse(path.read_text()) for folder in CALLERS
+             for path in sorted(folder.glob("*.py"))}
+    total = sum(map(references, trees.values()), Counter())
+    workflow = WORKFLOW.read_text()
+    unreferenced = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for qualname, node, is_method in public_definitions(tree):
+            name = node.name
+            outside = total - references(node)
+            if is_method:
+                used = outside[True, name] > 0 or re.search(rf"\.{name}\b", workflow)
+            else:
+                used = (outside[True, name] + outside[False, name] > 0
+                        or re.search(rf"\b{name}\b", workflow) or name.startswith("cmd_"))
+            if not used:
+                unreferenced.append(qualname)
+    assert not unreferenced, f"referenced only by the tests: {', '.join(unreferenced)}"

@@ -45,6 +45,7 @@ from helpers import (
     bags_by_definition,
     chain_poset,
     empty_graph,
+    graph_edges,
     graphs,
     moves_of,
     path_graph,
@@ -79,7 +80,7 @@ def spans_by_edge_rule(g, pd):
             last[v] = t
     if 0 in first:
         return None
-    if not all(first[u] <= last[v] and first[v] <= last[u] for u, v in g.edges()):
+    if not all(first[u] <= last[v] and first[v] <= last[u] for u, v in graph_edges(g)):
         return None
     return tuple(zip(first, last))
 

@@ -42,6 +42,7 @@ from helpers import (
     graphs,
     graphs_with_orders,
     grundy_table,
+    ladder_id,
     minus_perfect_matching,
     outcome,
     path_graph,
@@ -77,7 +78,7 @@ class TestFirstFitChains:
         assert res.chain_count == 5
         for i in range(1, 6):
             for j in range(1, i + 1):
-                assert res.assignment[kp.element_id(i, j)] == i - j + 1
+                assert res.assignment[ladder_id(5, i, j, 1)] == i - j + 1
 
     def test_empty(self):
         res = first_fit_chains(chain_poset(0), PresentationOrder(()))

@@ -15,7 +15,7 @@ from posetff import (
     random_intervals,
     width_with_witness,
 )
-from helpers import complete_graph, empty_graph, gen_graph, slide_order
+from helpers import complete_graph, empty_graph, gen_graph, graph_edges, slide_order
 
 # regression pin: published splitmix64 stream for seed 0
 SPLITMIX_SEED0 = (16294208416658607535, 7960286522194355700, 487617019471545679)
@@ -70,9 +70,9 @@ class TestGenIntervalOrder:
             assert wq <= wp
 
     def test_determinism_bytes(self):
-        a = canonical_dumps(poset_to_dict(gen_interval_order(11, 25)))
-        b = canonical_dumps(poset_to_dict(gen_interval_order(11, 25)))
-        c = canonical_dumps(poset_to_dict(gen_interval_order(12, 25)))
+        a = canonical_dumps(poset_to_dict(gen_interval_order(11, 25), None))
+        b = canonical_dumps(poset_to_dict(gen_interval_order(11, 25), None))
+        c = canonical_dumps(poset_to_dict(gen_interval_order(12, 25), None))
         assert a == b
         assert a != c
 
@@ -110,7 +110,7 @@ class TestGenRandomPoset:
 
 
 def graph_json(g):
-    return canonical_dumps({"n": g.n, "edges": [list(e) for e in g.edges()]})
+    return canonical_dumps({"n": g.n, "edges": [list(e) for e in graph_edges(g)]})
 
 
 class TestGenGraph:
@@ -122,7 +122,7 @@ class TestGenGraph:
 
     def test_pinned_fixture(self):
         g = gen_graph(3, 9, 0.4)
-        assert list(g.edges()) == PINNED_GRAPH_EDGES
+        assert graph_edges(g) == PINNED_GRAPH_EDGES
         assert graph_json(g) == PINNED_GRAPH_JSON
 
     def test_determinism_bytes(self):

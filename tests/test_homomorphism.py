@@ -37,6 +37,7 @@ from posetff import (
 from posetff import SplitMix64, interval_order_from_intervals, kierstead
 import posetff.homomorphism as homomorphism_module
 from helpers import (
+    adjacent,
     brute_components,
     brute_homomorphism_ok,
     brute_interval_clique_number,
@@ -48,6 +49,7 @@ from helpers import (
     cycle_graph,
     empty_graph,
     gen_graph,
+    graph_edges,
     graphs,
     graphs_with_orders,
     outcome,
@@ -184,7 +186,8 @@ class TestBuildFFImage:
         spans = (spans + [(1, 1)] * g.n)[: g.n]
         coloring = first_fit_color(g, PresentationOrder.identity(g.n))
         ic = tuple(spans)
-        if all(spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1] for u, v in g.edges()):
+        if all(spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]
+               for u, v in graph_edges(g)):
             image, hom = build_ff_image(g, ic, coloring)
             assert validate_homomorphism(g, image.h, hom)
             assert brute_homomorphism_ok(g, image.h, hom)
@@ -504,7 +507,7 @@ class TestValidateHomomorphismAgreesWithOracle:
         rank = {x: i for i, x in enumerate(sorted(set(raw)))}
         mapping = [rank[x] for x in raw]
         hn = len(rank) + data.draw(st.integers(0, 1))  # one more vertex is never hit
-        image = {tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges()}
+        image = {tuple(sorted((mapping[u], mapping[v]))) for u, v in graph_edges(g)}
         dropped = set()
         if image and data.draw(st.booleans()):
             dropped.add(data.draw(st.sampled_from(sorted(image))))
@@ -538,7 +541,7 @@ class TestValidateHomomorphismAgreesWithOracle:
             # adds one pair that collapses onto one vertex or lands on a non-edge
             mapping = list(range(hn)) + [rng.randrange(hn) for _ in range(rng.randrange(1, 8))]
             rng.shuffle(mapping)
-            over_edge = {(u, v): h.adjacent(mapping[u], mapping[v])
+            over_edge = {(u, v): adjacent(h, mapping[u], mapping[v])
                          for u, v in combinations(range(len(mapping)), 2)}
             edges = {e for e, ok in over_edge.items() if ok and rng.random() < 0.5}
             if trial % 2:

@@ -32,17 +32,17 @@ from posetff import (
     witness_to_dict,
 )
 from posetff.jsonio import MAX_ELEMENTS
-from helpers import moves_of, span_lists
+from helpers import DOCUMENTS, moves_of, span_lists
 
 
 def test_poset_round_trip():
     p = gen_interval_order(5, 20)
-    assert poset_from_dict(poset_to_dict(p)) == p
+    assert poset_from_dict(poset_to_dict(p, None)) == p
 
 
 def test_poset_relations_are_generators_not_closure():
     p = build_poset(3, [(0, 1), (1, 2), (0, 2)])
-    d = poset_to_dict(p)
+    d = poset_to_dict(p, None)
     # the file stores the transitive reduction; closure happens on load
     assert d["relations"] == [[0, 1], [1, 2]]
     assert poset_from_dict(d) == p
@@ -120,11 +120,11 @@ def test_canonical_dumps_is_stable_and_newline_terminated():
 def test_write_and_read(tmp_path):
     path = tmp_path / "poset.json"
     p = gen_interval_order(9, 10)
-    path.write_text(canonical_dumps(poset_to_dict(p)))
+    path.write_text(canonical_dumps(poset_to_dict(p, None)))
     assert poset_from_dict(read_json(path)) == p
     # canonical writer: identical content every time
     first = path.read_bytes()
-    path.write_text(canonical_dumps(poset_to_dict(p)))
+    path.write_text(canonical_dumps(poset_to_dict(p, None)))
     assert path.read_bytes() == first
 
 
@@ -145,26 +145,6 @@ MALFORMED = [
 def test_malformed_document_raises_format_error(loader, doc):
     with pytest.raises(FormatError):
         loader(doc)
-
-
-# Any value json.loads returns, and objects shaped like the documents: lists
-# of integers read as element ids, pairs and bags.  Integers stay small, plus
-# counts past the size limit; a poset near the limit takes seconds to build.
-INTS = st.integers(-2, 6) | st.sampled_from([MAX_ELEMENTS + 1, 2**70, -(2**70)])
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.floats() | st.text(max_size=3) | INTS,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
-    max_leaves=12,
-)
-INT_LISTS = st.lists(st.lists(INTS, max_size=3), max_size=6)
-DOCUMENTS = JSON_VALUES | st.fixed_dictionaries({}, optional={
-    "n": INTS | JSON_VALUES,
-    "relations": INT_LISTS | JSON_VALUES,
-    "names": st.lists(st.text(max_size=2), max_size=4) | JSON_VALUES,
-    "order": st.lists(INTS, max_size=6) | JSON_VALUES,
-    "bags": INT_LISTS | JSON_VALUES,
-})
 
 
 @pytest.mark.parametrize("loader", [poset_from_dict, order_from_dict, pd_from_dict],
