@@ -2,7 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 success, 1 a certified
 property was violated (a machine-readable witness goes to stdout),
-2 usage or input errors.
+2 usage or input errors. Every document flag takes a file path or "-"
+for stdout, which carries one document at most; the report line then
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -46,27 +48,32 @@ from .order import KkWitness, incomparability_graph
 CSV_COLUMNS = ["kind", "params", "n", "width", "k", "ff_chains", "bound", "pd_width", "seconds"]
 
 
-def _write_files(docs: list[tuple[str, Callable[[], dict]]]) -> None:
-    """Write each (path, document builder) pair, all files or none.
+def _write_files(docs: list[tuple[str | None, Callable[[], dict]]]) -> bool:
+    """Write each (target, document builder) pair; return whether stdout carries one.
 
-    Each document is built and serialised in turn and goes to a temporary
-    file beside its target, so one document is in memory at a time; the
-    targets are replaced only once every write has succeeded, and a failure
-    removes the temporary files.
+    None skips a document and "-" prints it to stdout, one document at most,
+    once every file is in place. Each file's document is built and serialised
+    in turn to a temporary file beside its target, so one document is in
+    memory at a time; the targets are replaced only once every write has
+    succeeded, and a failure removes the temporary files.
     """
+    docs = [(path, build) for path, build in docs if path is not None]
     named: dict[str, str] = {}
     for path, _ in docs:
-        if Path(path).is_dir():  # caught here, not by a rename after others succeeded
+        # caught here, not by a rename after others succeeded; a last component
+        # of "", "." or ".." names a directory even where none exists yet
+        if path != "-" and (os.path.basename(path) in ("", ".", "..") or Path(path).is_dir()):
             raise ParamError(f"output path {path!r} is a directory")
-        # a second rename onto one file would replace the first document; unlike
-        # Path.resolve, realpath does not raise on a symlink loop
-        target = os.path.realpath(path)
+        # a second document would replace the first file or follow the first on
+        # stdout; unlike Path.resolve, realpath does not raise on a symlink loop
+        target = path if path == "-" else os.path.realpath(path)
         if target in named:
             raise ParamError(f"output paths {named[target]!r} and {path!r} name one file")
         named[target] = path
+    files = [(path, build) for path, build in docs if path != "-"]
     temps: list[Path] = []
     try:
-        for i, (path, build) in enumerate(docs):
+        for i, (path, build) in enumerate(files):
             text = canonical_dumps(build())
             temps.append(Path(path).with_name(f".{Path(path).name}.{os.getpid()}-{i}.tmp"))
             try:
@@ -74,20 +81,16 @@ def _write_files(docs: list[tuple[str, Callable[[], dict]]]) -> None:
             except OSError as exc:
                 exc.filename = path  # name the target, not the temporary file
                 raise
-        for tmp, (path, _) in zip(temps, docs):
+        for tmp, (path, _) in zip(temps, files):
             tmp.replace(path)
     except BaseException:
         for tmp in temps:
             tmp.unlink(missing_ok=True)
         raise
-
-
-def _emit(docs: list[tuple[str | None, Callable[[], dict]]]) -> None:
-    """Write the documents that have a file path, then print those whose path is None or "-"."""
-    _write_files([(path, build) for path, build in docs if path not in (None, "-")])
     for path, build in docs:
-        if path in (None, "-"):
+        if path == "-":
             sys.stdout.write(canonical_dumps(build()))
+    return "-" in named
 
 
 def _check_size(n: int) -> None:
@@ -105,21 +108,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
         # copies ladders of q rows; a q below 1 is left to the builder's own check
         _check_size(copies * max(q, 0) * (q + 1) // 2)
         adv = build(**params)
-        docs = [(args.out, lambda: poset_to_dict(adv.poset, meta={"kind": args.family, **params}))]
-        if args.out_order is not None:
-            docs.append((args.out_order, lambda: order_to_dict(adv.natural_order)))
-        _emit(docs)
+        _write_files([
+            (args.out, lambda: poset_to_dict(adv.poset, meta={"kind": args.family, **params})),
+            (args.out_order, lambda: order_to_dict(adv.natural_order)),
+        ])
     elif args.family == "interval":
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "interval", "n": args.n}
         intervals = random_intervals(args.seed, args.n)
-        _emit([(args.out, lambda: interval_order_to_dict(intervals, meta=meta))])
+        _write_files([(args.out, lambda: interval_order_to_dict(intervals, meta=meta))])
     elif args.family == "kkfree":
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
                 "density": KKFREE_DENSITY}
         p = gen_kk_free(args.seed, args.n, args.k)
-        _emit([(args.out, lambda: poset_to_dict(p, meta=meta))])
+        _write_files([(args.out, lambda: poset_to_dict(p, meta=meta))])
     return 0
 
 
@@ -129,10 +132,9 @@ def cmd_ff(args: argparse.Namespace) -> int:
     p = poset_from_dict(read_json(args.poset))
     order = order_from_dict(read_json(args.order))
     res = first_fit_chains(p, order)
-    _emit([(args.out, lambda: ff_result_to_dict(res))])
     # with the JSON on stdout the report goes to stderr, so stdout is one document
-    report = sys.stderr if args.out in (None, "-") else sys.stdout
-    print(f"ff chains={res.chain_count} n={p.n}", file=report)
+    on_stdout = _write_files([(args.out, lambda: ff_result_to_dict(res))])
+    print(f"ff chains={res.chain_count} n={p.n}", file=sys.stderr if on_stdout else sys.stdout)
     if not validate_ff_partition(p, res.partition):
         print("validation failed: output is not a First-Fit chain partition", file=sys.stderr)
         return 1
@@ -146,18 +148,18 @@ def cmd_extend(args: argparse.Namespace) -> int:
     p = poset_from_dict(read_json(args.poset))
     seq = block_sequence(p, args.k)
     if isinstance(seq, KkWitness):
-        sys.stdout.write(canonical_dumps(witness_to_dict(seq)))
+        _write_files([("-", lambda: witness_to_dict(seq))])
         return 1
     spans = spans_from_blocks(seq)
-    docs = [
+    on_stdout = _write_files([
         (args.out_order, lambda: interval_order_to_dict(spans, p.names)),
         (args.out_intervals, lambda: intervals_to_dict(spans)),
         (args.out_pd, lambda: pd_to_dict(PathDecomposition.from_spans(spans, len(seq)))),
-    ]
-    _write_files([(path, build) for path, build in docs if path is not None])
+    ])
     w = len(seq.partition)  # the number of Dilworth chains, width(p)
     # pairwise-intersecting spans share a block, so width(q) is a block's size
-    print(f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}")
+    print(f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}",
+          file=sys.stderr if on_stdout else sys.stdout)
     return 0
 
 
@@ -227,7 +229,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         writer.writeheader()
         writer.writerows(rows)
     if violation is not None:
-        sys.stdout.write(canonical_dumps(violation))
+        _write_files([("-", lambda: violation)])
         return 1
     return 0
 
@@ -245,30 +247,29 @@ def _build_parser() -> argparse.ArgumentParser:
     g_s.add_argument("--k", type=int, required=True)
     g_s.add_argument("--w", type=int, required=True)
     for sp in (g_k, g_s):
-        sp.add_argument("--out", default=None, help="poset JSON path (default stdout)")
-        sp.add_argument("--out-order", default=None, help="natural order JSON path")
+        sp.add_argument("--out-order", help="natural order JSON path, or - for stdout")
     g_i = fam.add_parser("interval", help="random interval order")
     g_i.add_argument("--n", type=int, required=True)
     g_i.add_argument("--seed", type=int, default=0)
-    g_i.add_argument("--out", default=None)
     g_f = fam.add_parser("kkfree", help="rejection-sampled k+k-free poset")
     g_f.add_argument("--n", type=int, required=True)
     g_f.add_argument("--k", type=int, required=True)
     g_f.add_argument("--seed", type=int, default=0)
-    g_f.add_argument("--out", default=None)
+    for sp in (g_k, g_s, g_i, g_f):
+        sp.add_argument("--out", default="-", help="poset JSON path, or - for stdout (default)")
 
     ff = sub.add_parser("ff", help="run First-Fit on a poset file")
     ff.add_argument("--poset", required=True)
     ff.add_argument("--order", required=True)
     ff.add_argument("--expect", type=int, default=None)
-    ff.add_argument("--out", default=None, help="assignment JSON path (default stdout)")
+    ff.add_argument("--out", default="-", help="assignment JSON path, or - for stdout (default)")
 
     ext = sub.add_parser("extend", help="build the interval extension and decomposition")
     ext.add_argument("--poset", required=True)
     ext.add_argument("--k", type=int, required=True)
-    ext.add_argument("--out-order", default=None, help="interval order poset JSON")
-    ext.add_argument("--out-intervals", default=None)
-    ext.add_argument("--out-pd", default=None)
+    ext.add_argument("--out-order", help="interval order poset JSON path, or - for stdout")
+    ext.add_argument("--out-intervals", help="intervals JSON path, or - for stdout")
+    ext.add_argument("--out-pd", help="path decomposition JSON path, or - for stdout")
 
     bench = sub.add_parser("bench", help="sweep First-Fit against the 8(2k-3)w bound")
     bench.add_argument("--k", type=int, required=True)

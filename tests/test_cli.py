@@ -220,22 +220,46 @@ def test_ff_writes_assignment(tmp_path):
     order_file.write_text('{"order": [1,0]}')
     assert run(["ff", "--poset", poset_file, "--order", order_file, "--out", out]) == 0
     assert read_json(out) == {"chains": [[0, 1]], "assignment": [1, 1]}
+    assert out.read_text() == '{"assignment":[1,1],"chains":[[0,1]]}\n'
 
 
-@pytest.mark.parametrize("out", [None, "-"])
-def test_ff_json_on_stdout_sends_the_report_to_stderr(tmp_path, capsys, monkeypatch, out):
-    poset_file = tmp_path / "chain.json"
-    order_file = tmp_path / "ord.json"
-    poset_file.write_text('{"n": 2, "relations": [[0,1]]}')
-    order_file.write_text('{"order": [1,0]}')
+# each command with every document flag it takes; one flag at a time goes to
+# stdout while the others write files
+DOCUMENT_FLAGS = {
+    "gen kierstead": (["gen", "kierstead", "--q", 3], ["--out", "--out-order"]),
+    "gen stacked": (["gen", "stacked", "--k", 3, "--w", 2], ["--out", "--out-order"]),
+    "gen interval": (["gen", "interval", "--n", 5, "--seed", 1], ["--out"]),
+    "gen kkfree": (["gen", "kkfree", "--n", 6, "--k", 3, "--seed", 2], ["--out"]),
+    "ff": (["ff", "--poset", "chain.json", "--order", "ord.json"], ["--out"]),
+    "extend": (["extend", "--poset", "chain.json", "--k", 2],
+               ["--out-order", "--out-intervals", "--out-pd"]),
+}
+
+
+@pytest.mark.parametrize("argv, flag, flags", [
+    pytest.param(argv, flag, flags, id=f"{command} {flag}")
+    for command, (argv, flags) in DOCUMENT_FLAGS.items() for flag in flags
+])
+def test_dash_prints_what_the_flag_writes_to_a_file(tmp_path, capsys, monkeypatch, argv, flag,
+                                                     flags):
     monkeypatch.chdir(tmp_path)
-    argv = ["ff", "--poset", poset_file, "--order", order_file]
-    assert run(argv if out is None else argv + ["--out", out]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == '{"assignment":[1,1],"chains":[[0,1]]}\n'
-    assert json.loads(captured.out) == {"assignment": [1, 1], "chains": [[0, 1]]}
-    assert captured.err == "ff chains=1 n=2\n"
-    assert not (tmp_path / "-").exists()
+    Path("chain.json").write_text('{"n": 3, "relations": [[0,1],[2,1]]}')
+    Path("ord.json").write_text('{"order": [2, 0, 1]}')
+    files = {f: f"{f[2:]}.json" for f in flags}
+    assert run(argv + [a for f in flags for a in (f, files[f])]) == 0
+    to_file = capsys.readouterr()
+    assert to_file.err == ""
+    written = Path(files[flag]).read_text()
+    others = [a for f in flags if f != flag for a in (f, files[f])]
+    runs = [others + [flag, "-"]]
+    if flag == "--out":  # gen and ff print their --out document by default
+        runs.append(others)
+    for rest in runs:
+        assert run(argv + rest) == 0
+        captured = capsys.readouterr()
+        assert captured.out == written
+        assert captured.err == to_file.out  # the report line, if any, moves to stderr
+        assert not Path("-").exists()
 
 
 def test_ff_out_file_keeps_the_report_on_stdout(tmp_path, capsys):
@@ -272,7 +296,8 @@ def test_unwritable_output_prints_no_report(tmp_path, capsys, command):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["extend", "extend --out-pd directory", "gen kierstead",
+@pytest.mark.parametrize("command", ["extend", "extend --out-pd directory",
+                                     "extend --out-pd trailing slash", "gen kierstead",
                                      "gen stacked", "gen stacked --out missing"])
 def test_failed_write_leaves_no_file(tmp_path, capsys, command):
     # the files are all or none: a write that fails removes the ones before it
@@ -287,6 +312,12 @@ def test_failed_write_leaves_no_file(tmp_path, capsys, command):
                    missing / "pd.json"),
         "extend --out-pd directory": (["extend", "--poset", poset_file, "--k", 2, "--out-order",
                                        tmp_path / "q.json", "--out-pd", directory], directory),
+        # a trailing slash names a directory that does not exist: refused up
+        # front, not by the rename after q.json is in place
+        "extend --out-pd trailing slash": (["extend", "--poset", poset_file, "--k", 2,
+                                            "--out-order", tmp_path / "q.json",
+                                            "--out-pd", f"{tmp_path}/pd.json/"],
+                                           f"{tmp_path}/pd.json/"),
         "gen kierstead": (["gen", "kierstead", "--q", 3, "--out", tmp_path / "p.json",
                            "--out-order", missing / "order.json"], missing / "order.json"),
         "gen stacked": (["gen", "stacked", "--k", 3, "--w", 2, "--out", tmp_path / "p.json",
@@ -313,17 +344,23 @@ def test_failed_write_leaves_no_file(tmp_path, capsys, command):
      "--out-pd", "link.json"],
     ["gen", "kierstead", "--q", 3, "--out", "same.json", "--out-order", "same.json"],
     ["gen", "stacked", "--k", 3, "--w", 2, "--out", "same.json", "--out-order", "same.json"],
-], ids=["extend", "extend ./", "extend symlink", "gen kierstead", "gen stacked"])
+    ["extend", "--poset", "chain.json", "--k", 2, "--out-order", "-", "--out-pd", "-"],
+    ["gen", "kierstead", "--q", 2, "--out", "-", "--out-order", "-"],
+    ["gen", "stacked", "--k", 3, "--w", 2, "--out-order", "-"],
+], ids=["extend", "extend ./", "extend symlink", "gen kierstead", "gen stacked", "extend stdout",
+        "gen kierstead stdout", "gen stacked stdout by default"])
 def test_output_path_named_twice_exits_2(tmp_path, capsys, monkeypatch, argv):
-    # the second rename would replace the first document without a word
+    # the second rename would replace the first document without a word, and a
+    # second document on stdout would follow the first
     monkeypatch.chdir(tmp_path)
     Path("chain.json").write_text('{"n": 3, "relations": [[0,1],[1,2]]}')
     Path("link.json").symlink_to("same.json")
     before = sorted(tmp_path.iterdir())
     assert run(argv) == 2
     captured = capsys.readouterr()
+    first = "-" if argv[-1] == "-" else "same.json"
     assert (captured.out, captured.err) == (
-        "", f"error: output paths 'same.json' and '{argv[-1]}' name one file\n")
+        "", f"error: output paths '{first}' and '{argv[-1]}' name one file\n")
     assert sorted(tmp_path.iterdir()) == before  # no target and no temporary file
 
 
