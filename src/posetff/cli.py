@@ -132,12 +132,12 @@ def cmd_ff(args: argparse.Namespace) -> int:
     p = poset_from_dict(read_json(args.poset))
     order = order_from_dict(read_json(args.order))
     res = first_fit_chains(p, order)
-    # with the JSON on stdout the report goes to stderr, so stdout is one document
-    on_stdout = _write_files([(args.out, lambda: ff_result_to_dict(res))])
-    print(f"ff chains={res.chain_count} n={p.n}", file=sys.stderr if on_stdout else sys.stdout)
     if not validate_ff_partition(p, res.partition):
         print("validation failed: output is not a First-Fit chain partition", file=sys.stderr)
         return 1
+    # with the JSON on stdout the report goes to stderr, so stdout is one document
+    on_stdout = _write_files([(args.out, lambda: ff_result_to_dict(res))])
+    print(f"ff chains={res.chain_count} n={p.n}", file=sys.stderr if on_stdout else sys.stdout)
     if args.expect is not None and res.chain_count != args.expect:
         print(f"expected {args.expect} chains, got {res.chain_count}", file=sys.stderr)
         return 1
@@ -222,7 +222,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if worst > bound and violation is None:
             violation = {
                 "instance_seed": inst_seed, "ff_chains": worst, "bound": bound,
-                "order": list(worst_order.order),
+                "order": worst_order.order,
             }
     with open(args.csv, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)

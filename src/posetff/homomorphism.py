@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalError, InvalidColoring, InvalidDecomposition, TooLarge
-from .extension import PathDecomposition, _valid_spans, validate_path_decomposition
+from .extension import PathDecomposition, _valid_spans
 from .firstfit import FFColoring, validate_ff_coloring
 from .order import (
     Graph, _spans_cover_edges, incomparability_graph, interval_order_from_intervals, iter_bits
@@ -275,9 +275,10 @@ def path_decomposition_exact(g: Graph) -> PathDecomposition:
         # drops run down the places: u's first neighbour to drop ends u's span
         for u in iter_bits(nbr[v] & mask):
             last[u] = last[u] or place[v]
-    pd = PathDecomposition.from_spans(tuple(zip(place, map(max, place, last))), n)
-    if not validate_path_decomposition(g, pd):
+    spans = tuple(zip(place, map(max, place, last)))
+    if not _spans_cover_edges(g, spans):
         raise InternalError("recovered layout is not a path decomposition")
+    pd = PathDecomposition.from_spans(spans, n)
     if pd.width != cost[(1 << n) - 1]:
         raise InternalError(f"recovered width {pd.width} misses the optimum {cost[(1 << n) - 1]}")
     return pd

@@ -5,7 +5,9 @@ are closed again on load.  ``interval_order_to_dict`` writes the same
 layout for the interval order of a list of spans straight from the spans'
 cover pairs, so no ``Poset`` of that order is built.  Dumps are canonical
 (sorted keys, tight separators, trailing newline) so identical inputs give
-byte-identical files.
+byte-identical files.  Writers pass the library's tuples through uncopied
+(``json`` writes a tuple as a list); readers take parsed JSON only, whose
+arrays are lists.
 """
 
 from __future__ import annotations
@@ -55,12 +57,8 @@ def read_json(path: str | Path) -> Any:
 def _poset_dict(
     n: int, covers: list[tuple[int, int]], names: Sequence[str] | None, meta: dict | None
 ) -> dict:
-    d: dict[str, Any] = {"n": n, "relations": [list(pair) for pair in covers]}
-    if names is not None:
-        d["names"] = list(names)
-    if meta is not None:
-        d["meta"] = meta
-    return d
+    d = {"n": n, "relations": covers, "names": names, "meta": meta}
+    return {key: value for key, value in d.items() if value is not None}
 
 
 def poset_to_dict(p: Poset, meta: dict | None) -> dict:
@@ -107,14 +105,14 @@ def _int_list_field(d: Any, key: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _int_pairs_field(d: Any, key: str) -> list[tuple[int, int]]:
+def _int_pairs_field(d: Any, key: str) -> list[list[int]]:
     value = _field(d, key)
     if not isinstance(value, list) or not all(
         type(r) is list and len(r) == 2 and type(r[0]) is int and type(r[1]) is int
         for r in value
     ):
         raise FormatError(f"{key!r} must be a list of integer pairs")
-    return [(u, v) for u, v in value]
+    return value
 
 
 def poset_from_dict(d: dict) -> Poset:
@@ -131,7 +129,7 @@ def poset_from_dict(d: dict) -> Poset:
 
 
 def order_to_dict(order: PresentationOrder) -> dict:
-    return {"order": list(order.order)}
+    return {"order": order.order}
 
 
 def order_from_dict(d: dict) -> PresentationOrder:
@@ -142,18 +140,15 @@ def order_from_dict(d: dict) -> PresentationOrder:
 
 
 def ff_result_to_dict(res: FFChainResult) -> dict:
-    return {
-        "chains": [list(c) for c in res.partition],
-        "assignment": list(res.assignment),
-    }
+    return {"chains": res.partition, "assignment": res.assignment}
 
 
 def intervals_to_dict(spans: Sequence[tuple[int, int]]) -> dict:
-    return {"intervals": [list(iv) for iv in spans]}
+    return {"intervals": spans}
 
 
 def pd_to_dict(pd: PathDecomposition) -> dict:
-    return {"bags": [list(bag) for bag in pd.bags]}
+    return {"bags": pd.bags}
 
 
 def pd_from_dict(d: dict) -> PathDecomposition:
@@ -164,4 +159,4 @@ def pd_from_dict(d: dict) -> PathDecomposition:
 
 
 def witness_to_dict(w: KkWitness) -> dict:
-    return {"k": w.k, "a": list(w.a), "b": list(w.b)}
+    return {"k": w.k, "a": w.a, "b": w.b}

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations, repeat, starmap
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -185,12 +185,17 @@ class Poset:
         return tuple(sorted(elems, key=lambda e: self._pred[e].bit_count()))
 
     def is_chain(self, elems: Sequence[int]) -> bool:
-        """Whether elems are listed in increasing order (so pairwise comparable)."""
-        return all(map(self.less, elems, elems[1:]))
+        """Whether elems are ids in 0..n-1 listed in increasing order (so pairwise comparable)."""
+        # rows hold no bit past n-1, so each id after a first one in 0..n-1 passes only in range
+        try:
+            return not elems or 0 <= elems[0] < self.n and all(map(self.less, elems, elems[1:]))
+        except ValueError:  # a negative id after the first is a negative shift count
+            return False
 
     def is_antichain(self, elems: Sequence[int]) -> bool:
-        """Whether elems are pairwise incomparable (so also distinct)."""
-        return all(self.incomparable(u, v) for i, u in enumerate(elems) for v in elems[i + 1 :])
+        """Whether elems are pairwise incomparable ids in 0..n-1 (so also distinct)."""
+        in_range = not elems or (min(elems) >= 0 and max(elems) < self.n)
+        return in_range and all(starmap(self.incomparable, combinations(elems, 2)))
 
     def __eq__(self, other: object) -> bool:
         # names are reporting sugar, not identity
@@ -218,10 +223,9 @@ class KkWitness:
         return len(self.a)
 
     def is_valid(self, p: Poset) -> bool:
-        if len(self.a) != len(self.b) or not self.a or set(self.a) & set(self.b):
+        if not (0 < len(self.a) == len(self.b) and p.is_chain(self.a) and p.is_chain(self.b)):
             return False
-        if not (p.is_chain(self.a) and p.is_chain(self.b)):
-            return False
+        # no element is incomparable to itself, so the chains are disjoint
         return all(p.incomparable(u, v) for u in self.a for v in self.b)
 
 

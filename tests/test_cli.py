@@ -171,16 +171,20 @@ def test_ff_expected_count(tmp_path):
     assert run(["ff", "--poset", poset_file, "--order", order_file, "--validate"]) == 2
 
 
-def test_ff_validation_failure_exits_1(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("out", ["ff.json", "-"])
+def test_ff_validation_failure_exits_1(tmp_path, capsys, monkeypatch, out):
+    """A partition that fails validation is neither written nor reported."""
     poset_file = tmp_path / "p5.json"
     order_file = tmp_path / "ord.json"
     run(["gen", "kierstead", "--q", 5, "--out", poset_file, "--out-order", order_file])
     capsys.readouterr()
     monkeypatch.setattr(cli, "validate_ff_partition", lambda p, partition: False)
-    assert run(["ff", "--poset", poset_file, "--order", order_file,
-                "--out", tmp_path / "ff.json"]) == 1
-    assert capsys.readouterr().err == (
-        "validation failed: output is not a First-Fit chain partition\n")
+    target = out if out == "-" else tmp_path / out
+    assert run(["ff", "--poset", poset_file, "--order", order_file, "--out", target]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "validation failed: output is not a First-Fit chain partition\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == sorted([order_file, poset_file])  # no ff.json, no temp
 
 
 def test_ff_stacked_expectation(tmp_path):

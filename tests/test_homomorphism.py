@@ -410,8 +410,8 @@ class TestPathwidthExact:
             gc.enable()
 
     def test_failed_certificate_raises_internal_error(self, monkeypatch):
-        monkeypatch.setattr(homomorphism_module, "validate_path_decomposition", lambda *a: False)
-        with pytest.raises(InternalError):
+        monkeypatch.setattr(homomorphism_module, "_spans_cover_edges", lambda *a: False)
+        with pytest.raises(InternalError, match="recovered layout is not a path decomposition"):
             path_decomposition_exact(path_graph(4))
 
     @given(graphs(max_n=7))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from posetff import (
     FormatError,
+    KkWitness,
     PathDecomposition,
     PosetFFError,
     PresentationOrder,
@@ -32,17 +33,22 @@ from posetff import (
     witness_to_dict,
 )
 from posetff.jsonio import MAX_ELEMENTS
-from helpers import DOCUMENTS, moves_of, span_lists
+from helpers import DOCUMENTS, moves_of, posets_with_orders, span_lists
+
+
+def parsed(doc):
+    """A writer's document as the command line and the benchmark read it back."""
+    return json.loads(canonical_dumps(doc))
 
 
 def test_poset_round_trip():
     p = gen_interval_order(5, 20)
-    assert poset_from_dict(poset_to_dict(p, None)) == p
+    assert poset_from_dict(parsed(poset_to_dict(p, None))) == p
 
 
 def test_poset_relations_are_generators_not_closure():
     p = build_poset(3, [(0, 1), (1, 2), (0, 2)])
-    d = poset_to_dict(p, None)
+    d = parsed(poset_to_dict(p, None))
     # the file stores the transitive reduction; closure happens on load
     assert d["relations"] == [[0, 1], [1, 2]]
     assert poset_from_dict(d) == p
@@ -54,7 +60,7 @@ def test_interval_order_dict_equals_the_built_orders(spans, named, meta):
     names = [f"e{v}" for v in range(len(spans))] if named else None
     q = interval_order_from_intervals(spans)
     expected = poset_to_dict(build_poset(q.n, q.cover_pairs(), names), meta=meta)
-    assert interval_order_to_dict(spans, names, meta) == expected
+    assert parsed(interval_order_to_dict(spans, names, meta)) == parsed(expected)
 
 
 def test_interval_order_dict_rejects_a_names_mismatch():
@@ -64,7 +70,7 @@ def test_interval_order_dict_rejects_a_names_mismatch():
 
 def test_poset_names_carried():
     kp = kierstead(3)
-    d = poset_to_dict(kp.poset, meta={"kind": "kierstead", "q": 3})
+    d = parsed(poset_to_dict(kp.poset, meta={"kind": "kierstead", "q": 3}))
     again = poset_from_dict(d)
     assert again.names == kp.poset.names
     assert d["meta"]["q"] == 3
@@ -72,13 +78,13 @@ def test_poset_names_carried():
 
 def test_order_round_trip():
     order = PresentationOrder((2, 0, 1))
-    assert order_from_dict(order_to_dict(order)) == order
+    assert order_from_dict(parsed(order_to_dict(order))) == order
 
 
 def test_ff_result_shape():
     kp = kierstead(3)
     res = first_fit_chains(kp.poset, kp.natural_order)
-    d = ff_result_to_dict(res)
+    d = parsed(ff_result_to_dict(res))
     assert d["assignment"] == list(res.assignment)
     assert len(d["chains"]) == res.chain_count
     assert min(d["assignment"]) == 1
@@ -86,7 +92,7 @@ def test_ff_result_shape():
 
 def test_intervals_round_trip():
     spans = spans_from_blocks(block_sequence(gen_interval_order(1, 15), 2))
-    d = json.loads(canonical_dumps(intervals_to_dict(spans)))
+    d = parsed(intervals_to_dict(spans))
     assert min(lo for lo, _ in d["intervals"]) == 1  # block indices are 1-based
     assert tuple(map(tuple, d["intervals"])) == spans
 
@@ -94,20 +100,65 @@ def test_intervals_round_trip():
 def test_block_trace_fields():
     """The move trace the goldens write: one step per move, three fields each."""
     seq = block_sequence(gen_interval_order(4, 12), 2)
-    trace = json.loads(canonical_dumps(moves_of(seq)))
+    trace = parsed(moves_of(seq))
     assert len(trace) == len(seq) - 1
     assert all(set(step) == {"removed", "added", "chain"} for step in trace)
 
 
 def test_pd_round_trip():
     pd = PathDecomposition(((0, 1), (1, 2)))
-    assert pd_from_dict(pd_to_dict(pd)) == pd
+    assert pd_from_dict(parsed(pd_to_dict(pd))) == pd
 
 
 def test_witness_payload():
     w = find_k_plus_k(build_poset(4, [(0, 1), (2, 3)]), 2)
-    d = witness_to_dict(w)
+    d = parsed(witness_to_dict(w))
     assert d == {"k": 2, "a": [0, 1], "b": [2, 3]}
+
+
+BAG_LISTS = st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=5)
+
+
+@given(posets_with_orders(max_n=10), st.booleans(), st.sampled_from([None, {"kind": "gen"}]),
+       span_lists(max_size=12), BAG_LISTS, st.lists(st.integers(0, 9), max_size=3),
+       st.lists(st.integers(0, 9), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_documents_parse_to_the_list_built_ones(p_order, named, meta, spans, bags, a, b):
+    """Every writer's document, serialised and parsed, is the document built
+    here from lists, and the readers take it back to an equal object."""
+    p, order = p_order
+    names = [f"e{v}" for v in range(p.n)] if named else None
+    p = build_poset(p.n, p.cover_pairs(), names)
+    poset_doc = {"n": p.n, "relations": [[u, v] for u, v in sorted(p.cover_pairs())]}
+    if named:
+        poset_doc["names"] = names
+    if meta is not None:
+        poset_doc["meta"] = meta
+    d = parsed(poset_to_dict(p, meta))
+    assert d == poset_doc
+    assert poset_from_dict(d) == p and poset_from_dict(d).names == p.names
+
+    q = interval_order_from_intervals(spans)
+    d = parsed(interval_order_to_dict(spans))
+    assert d == {"n": q.n, "relations": [[u, v] for u, v in sorted(q.cover_pairs())]}
+    assert poset_from_dict(d) == q
+    assert parsed(intervals_to_dict(spans)) == {"intervals": [[lo, hi] for lo, hi in spans]}
+
+    d = parsed(order_to_dict(order))
+    assert d == {"order": list(order.order)}
+    assert order_from_dict(d) == order
+
+    res = first_fit_chains(p, order)
+    assert parsed(ff_result_to_dict(res)) == {
+        "chains": [list(c) for c in res.partition], "assignment": list(res.assignment)}
+
+    pd = PathDecomposition(tuple(map(tuple, bags)))
+    d = parsed(pd_to_dict(pd))
+    assert d == {"bags": bags}
+    assert pd_from_dict(d) == pd
+
+    w = KkWitness(tuple(a), tuple(b))
+    assert parsed(witness_to_dict(w)) == {"k": len(a), "a": a, "b": b}
 
 
 def test_canonical_dumps_is_stable_and_newline_terminated():
@@ -137,6 +188,9 @@ MALFORMED = [
     (poset_from_dict, {"n": 2}),
     (order_from_dict, {"order": [0, 1.5]}),
     (pd_from_dict, {"bags": [[0, True]]}),
+    # readers take parsed JSON, whose arrays are lists; a writer's tuples are refused
+    (poset_from_dict, {"n": 2, "relations": ((0, 1),)}),
+    (pd_from_dict, {"bags": ((0, 1),)}),
 ]
 
 

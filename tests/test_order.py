@@ -11,11 +11,13 @@ from posetff import (
     CycleError,
     Graph,
     IdOutOfRange,
+    KkWitness,
     MalformedInterval,
     ParamError,
     Poset,
     SizeMismatch,
     build_poset,
+    canonical_dumps,
     dilworth_partition,
     find_k_plus_k,
     gen_interval_order,
@@ -178,7 +180,7 @@ class TestConstructorsAgreeWithTheCheckedPoset:
         """Loading a file and building an interval order adopt their masks:
         with ``_reach`` and ``_transpose`` broken they still give the posets
         that the checked constructor accepts."""
-        doc = poset_to_dict(stacked(4, 3).poset, None)
+        doc = json.loads(canonical_dumps(poset_to_dict(stacked(4, 3).poset, None)))
         spans = [(v % 7, v % 7 + v % 3) for v in range(40)]
         want_spans = Poset(40, naive_interval_succ(spans))
 
@@ -682,3 +684,22 @@ class TestChainSortAndTypes:
         p = build_poset(3, [(0, 1)])
         assert p.is_antichain((0, 2))
         assert not p.is_antichain((0, 1))
+
+    def test_empty_selection_is_a_chain_and_an_antichain(self):
+        for n in (0, 3):
+            assert build_poset(n, []).is_chain(()) and build_poset(n, []).is_antichain(())
+
+    @pytest.mark.parametrize("relations, check", [
+        ([(2, 0)], lambda p: p.is_chain((-1, 0))),  # -1 would read element 2's row
+        ([(2, 0)], lambda p: p.is_chain((3,))),
+        ([(2, 0)], lambda p: p.is_antichain((0, 9))),
+        ([(2, 0)], lambda p: p.is_antichain((-1,))),
+        ([(2, 0)], lambda p: p.is_antichain((1, -2))),
+        ([], lambda p: KkWitness((0,), (5,)).is_valid(p)),
+        ([], lambda p: KkWitness((-1,), (0,)).is_valid(p)),
+    ], ids=["chain-negative", "chain-past-n", "antichain-past-n", "antichain-negative",
+            "antichain-negative-pair", "witness-past-n", "witness-negative"])
+    def test_ids_outside_the_poset_are_refused(self, relations, check):
+        """The public validators say False, without raising or reading
+        another element's row, for data read from a file."""
+        assert check(build_poset(3, relations)) is False
