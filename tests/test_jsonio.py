@@ -166,6 +166,19 @@ def test_canonical_dumps_is_stable_and_newline_terminated():
     s = canonical_dumps(obj)
     assert s == '{"a":[2,3],"b":1}\n'
     assert json.loads(s) == obj
+    # nested tuples as the writers pass them, a non-ASCII name and a meta dict
+    # come out as json.dumps writes them with the same keys and separators
+    p = build_poset(3, [(0, 1)], ["\u03b1", "b", "\u00e7"])
+    docs = [
+        pd_to_dict(PathDecomposition(((0, 1), (1, 2), (2,)))),
+        ff_result_to_dict(first_fit_chains(p, PresentationOrder((2, 0, 1)))),
+        poset_to_dict(p, {"generator": "stacked", "shape": (2, (1, 2)), "ratio": float("nan")}),
+    ]
+    for doc in docs:
+        assert canonical_dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert canonical_dumps(docs[2]) == (
+        '{"meta":{"generator":"stacked","ratio":NaN,"shape":[2,[1,2]]},'
+        '"n":3,"names":["\\u03b1","b","\\u00e7"],"relations":[[0,1]]}\n')
 
 
 def test_write_and_read(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posetff import (
@@ -16,6 +16,7 @@ from posetff import (
     ParamError,
     Poset,
     SizeMismatch,
+    SplitMix64,
     build_poset,
     canonical_dumps,
     dilworth_partition,
@@ -323,6 +324,18 @@ def _json_sha256(obj):
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
+def _narrow_spans(seed, n, span):
+    """Spans shaped like the certify-deep benchmark's: left end uniform on
+    [0, n), length uniform on [0, span), so width about span.  Most searches
+    after the first failure augment with failed sets left out."""
+    rng = SplitMix64(seed)
+    spans = []
+    for _ in range(n):
+        left = rng.below(n)
+        spans.append((left, left + rng.below(span)))
+    return spans
+
+
 def _greedy_roots(p):
     """The elements the greedy seed leaves unmatched on the left, in id order."""
     taken = 0
@@ -345,6 +358,8 @@ class TestMaximumMatching:
         assert _maximum_matching(p) == reference_matching(p)
 
     @given(span_lists(max_size=40))
+    @example(_narrow_spans(0, 400, 15))
+    @example(_narrow_spans(1, 400, 15))
     @settings(max_examples=200, deadline=None)
     def test_equals_reference_on_interval_orders(self, spans):
         p = interval_order_from_intervals(spans)
@@ -355,16 +370,17 @@ class TestMaximumMatching:
         p = stacked(k, w).poset
         assert _maximum_matching(p) == reference_matching(p)
 
-    @pytest.mark.parametrize("q", range(1, 10))
+    @pytest.mark.parametrize("q", [*range(1, 10), 30, 40])
     def test_equals_reference_on_kierstead(self, q):
         p = kierstead(q).poset
         assert _maximum_matching(p) == reference_matching(p)
 
     def test_searches_after_a_run_of_failures(self):
         # the greedy seed leaves roots 4, 5, 6, 7, 9, 10; roots 5, 6 and 7 fail
-        # in a row with successors to visit, then 9 and 10 augment: a visited
-        # set carried past an augmentation, a free-vertex mask left stale or a
-        # goal taken from the wrong end changes the result
+        # in a row with successors to visit, then 9 and 10 augment with those
+        # failed sets left out: keeping 9's own visits out of 10's search, a
+        # free-vertex mask left stale or a goal taken from the wrong end
+        # changes the result
         p = build_poset(11, [(0, 7), (1, 8), (1, 10), (2, 0), (2, 6), (3, 7), (5, 4),
                              (6, 4), (7, 4), (8, 5), (8, 9), (9, 2), (10, 2)])
         match_l, match_r = _maximum_matching(p)
