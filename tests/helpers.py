@@ -338,6 +338,17 @@ def backtrack_kk(p, k):
     return witness
 
 
+def transpose_by_strings(rows, n):
+    """Columns of the n x n bit matrix whose row u is rows[u], each rows[u] < 2**n.
+
+    Bit v of row u is character v of its reversed binary string, so one
+    ``zip`` over the strings yields the columns.  The oracle that the tile
+    kernel ``order._transpose`` must equal.
+    """
+    strings = [format(m, f"0{n}b")[::-1] for m in rows]
+    return tuple(int("".join(col)[::-1], 2) for col in zip(*strings))
+
+
 def reference_matching(p):
     """The Dilworth matching before failed searches kept their visited sets:
     every free root starts its BFS afresh.  Kept as the oracle that the

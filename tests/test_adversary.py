@@ -15,7 +15,7 @@ from posetff import (
 )
 from posetff import order
 from posetff.adversary import _ladder_covers
-from helpers import ladder_assignment, ladder_id, stacked_degenerate
+from helpers import ladder_assignment, ladder_id, stacked_degenerate, transpose_by_strings
 
 
 def ladder_rule_pairs(q):
@@ -177,7 +177,7 @@ class TestCoverConstruction:
         for p in (kp.poset, sp.poset):
             succ = [p.succ_mask(u) for u in range(p.n)]
             assert Poset(p.n, succ) == p
-            assert [p.pred_mask(u) for u in range(p.n)] == list(order._transpose(succ, p.n))
+            assert [p.pred_mask(u) for u in range(p.n)] == list(transpose_by_strings(succ, p.n))
 
     @pytest.mark.parametrize("q", [1, 2, 3, 7, 12])
     def test_ladder_covers_are_the_cover_pairs(self, q):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,7 +36,7 @@ from posetff import (
     width_with_witness,
 )
 from posetff import order
-from posetff.order import _maximum_matching, _reach
+from posetff.order import _maximum_matching, _reach, _transpose
 from helpers import (
     antichain_poset,
     backtrack_kk,
@@ -50,6 +51,7 @@ from helpers import (
     shuffled_posets,
     span_lists,
     spined_posets,
+    transpose_by_strings,
 )
 
 TWO_PLUS_TWO = [(0, 1), (2, 3)]
@@ -131,7 +133,7 @@ def assert_checked_copy_agrees(p):
     are the transpose of its successor masks."""
     succ = [p.succ_mask(u) for u in range(p.n)]
     assert Poset(p.n, succ) == p
-    assert [p.pred_mask(u) for u in range(p.n)] == list(order._transpose(succ, p.n))
+    assert [p.pred_mask(u) for u in range(p.n)] == list(transpose_by_strings(succ, p.n))
 
 
 class TestConstructorsAgreeWithTheCheckedPoset:
@@ -224,6 +226,11 @@ class TestPosetConstructor:
         (2, [0], SizeMismatch, "expected 2 masks, got 1"),
         (2, [8, 0], IdOutOfRange, "mask of 0 mentions ids >= 2"),
         (2, [-1, 0], IdOutOfRange, "mask of 0 mentions ids >= 2"),
+        (-1, [], IdOutOfRange, "negative element count"),
+        (2, [2.0, 0], ParamError, "mask of 0 is not an int"),
+        (2, [2, "0"], ParamError, "mask of 1 is not an int"),
+        # a bool is refused before the range check of an earlier bad row
+        (3, [8, True, 0], ParamError, "mask of 1 is not an int"),
     ])
     def test_pinned_errors(self, n, succ, error, message):
         with pytest.raises(error) as info:
@@ -591,6 +598,38 @@ class TestReach:
                     acc |= rows[v]
             want.append(acc)
         assert _reach(keys, rows, n) == want
+
+
+def transpose_cases(n):
+    """Rows of n x n bit matrices: empty, full, the diagonal and the
+    anti-diagonal, one bit in the last corner, one bit in each row's last
+    column, and two seeded random fills, one sparse and one dense."""
+    full = (1 << n) - 1
+    rng = random.Random(n)
+    yield [0] * n
+    yield [full] * n
+    yield [1 << u for u in range(n)]
+    yield [1 << (n - 1 - u) for u in range(n)]
+    yield [0] * (n - 1) + [1 << (n - 1)] if n else []
+    yield [1 << (n - 1)] * n if n else []
+    yield [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+    yield [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(n)]
+
+
+def test_transpose_equals_reference():
+    """The tile kernel equals the string transpose at every size up to 136
+    (each residue mod 8, the word edges 63-65 and 127-129) and past them."""
+    for n in [*range(137), 255, 256, 257, 1001]:
+        for rows in transpose_cases(n):
+            assert _transpose(rows, n) == transpose_by_strings(rows, n), n
+
+
+@given(st.integers(0, 80).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))))
+@settings(max_examples=200)
+def test_transpose_equals_reference_on_drawn_rows(case):
+    n, rows = case
+    assert _transpose(rows, n) == transpose_by_strings(rows, n)
 
 
 class TestIsExtension:
