@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import os
 import sys
 import time
@@ -33,13 +34,13 @@ from .jsonio import (
     MAX_ELEMENTS,
     canonical_dumps,
     ff_result_to_dict,
-    interval_order_to_dict,
+    interval_order_text,
     intervals_to_dict,
     order_from_dict,
     order_to_dict,
-    pd_to_dict,
+    pd_text,
     poset_from_dict,
-    poset_to_dict,
+    poset_text,
     read_json,
     witness_to_dict,
 )
@@ -48,14 +49,15 @@ from .order import KkWitness, incomparability_graph
 CSV_COLUMNS = ["kind", "params", "n", "width", "k", "ff_chains", "bound", "pd_width", "seconds"]
 
 
-def _write_files(docs: list[tuple[str | None, Callable[[], dict]]]) -> bool:
-    """Write each (target, document builder) pair; return whether stdout carries one.
+def _write_files(docs: list[tuple[str | None, Callable[[], str]]]) -> bool:
+    """Write each (target, text builder) pair; return whether stdout carries one.
 
     None skips a document and "-" prints it to stdout, one document at most,
-    once every file is in place. Each file's document is built and serialised
-    in turn to a temporary file beside its target, so one document is in
+    once every file is in place. Each file's text is built and written in
+    turn to a temporary file beside its target, so one document is in
     memory at a time; the targets are replaced only once every write has
-    succeeded, and a failure removes the temporary files.
+    succeeded, and a failure removes the temporary files.  A file holds the
+    text's exact characters: no newline is translated.
     """
     docs = [(path, build) for path, build in docs if path is not None]
     named: dict[str, str] = {}
@@ -74,10 +76,10 @@ def _write_files(docs: list[tuple[str | None, Callable[[], dict]]]) -> bool:
     temps: list[Path] = []
     try:
         for i, (path, build) in enumerate(files):
-            text = canonical_dumps(build())
+            text = build()
             temps.append(Path(path).with_name(f".{Path(path).name}.{os.getpid()}-{i}.tmp"))
             try:
-                temps[-1].write_text(text)
+                temps[-1].write_text(text, newline="")
             except OSError as exc:
                 exc.filename = path  # name the target, not the temporary file
                 raise
@@ -89,7 +91,7 @@ def _write_files(docs: list[tuple[str | None, Callable[[], dict]]]) -> bool:
         raise
     for path, build in docs:
         if path == "-":
-            sys.stdout.write(canonical_dumps(build()))
+            sys.stdout.write(build())
     return "-" in named
 
 
@@ -109,20 +111,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _check_size(copies * max(q, 0) * (q + 1) // 2)
         adv = build(**params)
         _write_files([
-            (args.out, lambda: poset_to_dict(adv.poset, meta={"kind": args.family, **params})),
-            (args.out_order, lambda: order_to_dict(adv.natural_order)),
+            (args.out, lambda: poset_text(adv.poset, meta={"kind": args.family, **params})),
+            (args.out_order, lambda: canonical_dumps(order_to_dict(adv.natural_order))),
         ])
     elif args.family == "interval":
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "interval", "n": args.n}
         intervals = random_intervals(args.seed, args.n)
-        _write_files([(args.out, lambda: interval_order_to_dict(intervals, meta=meta))])
+        _write_files([(args.out, lambda: interval_order_text(intervals, meta=meta))])
     elif args.family == "kkfree":
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
                 "density": KKFREE_DENSITY}
         p = gen_kk_free(args.seed, args.n, args.k)
-        _write_files([(args.out, lambda: poset_to_dict(p, meta=meta))])
+        _write_files([(args.out, lambda: poset_text(p, meta=meta))])
     return 0
 
 
@@ -136,7 +138,7 @@ def cmd_ff(args: argparse.Namespace) -> int:
         print("validation failed: output is not a First-Fit chain partition", file=sys.stderr)
         return 1
     # with the JSON on stdout the report goes to stderr, so stdout is one document
-    on_stdout = _write_files([(args.out, lambda: ff_result_to_dict(res))])
+    on_stdout = _write_files([(args.out, lambda: canonical_dumps(ff_result_to_dict(res)))])
     print(f"ff chains={res.chain_count} n={p.n}", file=sys.stderr if on_stdout else sys.stdout)
     if args.expect is not None and res.chain_count != args.expect:
         print(f"expected {args.expect} chains, got {res.chain_count}", file=sys.stderr)
@@ -148,13 +150,13 @@ def cmd_extend(args: argparse.Namespace) -> int:
     p = poset_from_dict(read_json(args.poset))
     seq = block_sequence(p, args.k)
     if isinstance(seq, KkWitness):
-        _write_files([("-", lambda: witness_to_dict(seq))])
+        _write_files([("-", lambda: canonical_dumps(witness_to_dict(seq)))])
         return 1
     spans = spans_from_blocks(seq)
     on_stdout = _write_files([
-        (args.out_order, lambda: interval_order_to_dict(spans, p.names)),
-        (args.out_intervals, lambda: intervals_to_dict(spans)),
-        (args.out_pd, lambda: pd_to_dict(PathDecomposition.from_spans(spans, len(seq)))),
+        (args.out_order, lambda: interval_order_text(spans, p.names)),
+        (args.out_intervals, lambda: canonical_dumps(intervals_to_dict(spans))),
+        (args.out_pd, lambda: pd_text(PathDecomposition.from_spans(spans, len(seq)))),
     ])
     w = len(seq.partition)  # the number of Dilworth chains, width(p)
     # pairwise-intersecting spans share a block, so width(q) is a block's size
@@ -224,12 +226,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "instance_seed": inst_seed, "ff_chains": worst, "bound": bound,
                 "order": worst_order.order,
             }
-    with open(args.csv, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    # with the CSV on stdout the violation goes to stderr, so stdout is one document
+    on_stdout = _write_files([(args.csv, table.getvalue)])
     if violation is not None:
-        _write_files([("-", lambda: violation)])
+        print(canonical_dumps(violation), end="", file=sys.stderr if on_stdout else sys.stdout)
         return 1
     return 0
 
@@ -280,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--orders", type=int, required=True)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--csv", required=True,
-                       help="output CSV; its width column is each instance's measured width")
+                       help="output CSV path, or - for stdout; its width column is each "
+                            "instance's measured width")
     return parser
 
 

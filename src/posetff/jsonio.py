@@ -1,13 +1,18 @@
 """Canonical JSON formats for every artifact the tools exchange.
 
 Poset files carry generator pairs (the transitive reduction on save) and
-are closed again on load.  ``interval_order_to_dict`` writes the same
-layout for the interval order of a list of spans straight from the spans'
-cover pairs, so no ``Poset`` of that order is built.  Dumps are canonical
-(sorted keys, tight separators, trailing newline) so identical inputs give
-byte-identical files.  Writers pass the library's tuples through uncopied
-(``json`` writes a tuple as a list); readers take parsed JSON only, whose
-arrays are lists.
+are closed again on load.  Dumps are canonical (sorted keys, tight
+separators, trailing newline) so identical inputs give byte-identical files.
+
+The two large kinds are written as text: ``poset_text`` and
+``interval_order_text`` write a poset file from its cover rows (the covers
+of each element, so no pair tuple is built, and for the interval order of
+a list of spans no ``Poset`` either), and ``pd_text`` writes a path
+decomposition's bags.  Each id's decimal string is made once and joined,
+byte for byte what ``canonical_dumps`` writes for the same document.  The
+small documents are dicts for ``canonical_dumps``: writers pass the
+library's tuples through uncopied (``json`` writes a tuple as a list).
+Readers take parsed JSON only, whose arrays are lists.
 """
 
 from __future__ import annotations
@@ -19,19 +24,19 @@ from typing import Any, Sequence
 from .errors import CoverageError, FormatError, SizeMismatch
 from .extension import PathDecomposition
 from .firstfit import FFChainResult, PresentationOrder
-from .order import KkWitness, Poset, build_poset, interval_cover_pairs
+from .order import KkWitness, Poset, build_poset, interval_cover_rows
 
 __all__ = [
     "canonical_dumps",
     "read_json",
-    "poset_to_dict",
+    "poset_text",
     "poset_from_dict",
-    "interval_order_to_dict",
+    "interval_order_text",
     "order_to_dict",
     "order_from_dict",
     "ff_result_to_dict",
     "intervals_to_dict",
-    "pd_to_dict",
+    "pd_text",
     "pd_from_dict",
     "witness_to_dict",
 ]
@@ -48,11 +53,11 @@ def canonical_dumps(obj: Any) -> str:
 
     The same bytes as ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
     plus the newline, through one encoder made once.  That encoder skips
-    ``json``'s cycle check, a marker per container (some 43k pair tuples in
-    one pass of the certify-deep benchmark), since every document the library
-    writes is a tree built afresh and none can hold itself.  Every other
-    default stays as ``json.dumps`` has it: ``ensure_ascii`` escapes
-    non-ASCII names, and ``allow_nan`` writes NaN and the infinities.
+    ``json``'s cycle check, a marker per container, since every document the
+    library writes is a tree built afresh and none can hold itself.  Every
+    other default stays as ``json.dumps`` has it: ``ensure_ascii`` escapes
+    non-ASCII names, and ``allow_nan`` writes NaN and the infinities.  The
+    text writers below encode their names and meta with it.
     """
     return _ENCODER.encode(obj) + "\n"
 
@@ -67,29 +72,43 @@ def read_json(path: str | Path) -> Any:
         raise FormatError(str(exc)) from None
 
 
-def _poset_dict(
-    n: int, covers: list[tuple[int, int]], names: Sequence[str] | None, meta: dict | None
-) -> dict:
-    d = {"n": n, "relations": covers, "names": names, "meta": meta}
-    return {key: value for key, value in d.items() if value is not None}
+def _poset_text(
+    n: int, rows: Sequence[Sequence[int]], names: Sequence[str] | None, meta: dict | None
+) -> str:
+    """The poset file of n elements whose row u lists, increasing, the elements that cover u.
+
+    Keys in sorted order (meta, n, names, relations), a key left out when
+    its value is None.  Each pair is written as ``[u,v]`` from the ids'
+    strings, made once.
+    """
+    ids = list(map(str, range(n)))
+    pairs = []
+    for u, vs in enumerate(rows):
+        if vs:
+            head = "[" + ids[u] + ","
+            pairs.append(head + ("]," + head).join(map(ids.__getitem__, vs)) + "]")
+    meta_text = "" if meta is None else '"meta":' + _ENCODER.encode(meta) + ","
+    names_text = "" if names is None else ',"names":' + _ENCODER.encode(names)
+    relations = ',"relations":[' + ",".join(pairs) + "]}\n"
+    return "{" + meta_text + '"n":' + str(n) + names_text + relations
 
 
-def poset_to_dict(p: Poset, meta: dict | None) -> dict:
-    return _poset_dict(p.n, sorted(p.cover_pairs()), p.names, meta)
+def poset_text(p: Poset, meta: dict | None) -> str:
+    return _poset_text(p.n, p.cover_rows(), p.names, meta)
 
 
-def interval_order_to_dict(
+def interval_order_text(
     spans: Sequence[tuple[float, float]], names: Sequence[str] | None = None,
     meta: dict | None = None,
-) -> dict:
+) -> str:
     """The poset file of the spans' interval order, written without building it.
 
-    Equal to ``poset_to_dict(build_poset(len(spans), q.cover_pairs(), names), meta)``
+    Equal to ``poset_text(build_poset(len(spans), q.cover_pairs(), names), meta)``
     with ``q = interval_order_from_intervals(spans)``.
     """
     if names is not None and len(names) != len(spans):
         raise SizeMismatch("names must match element count")
-    return _poset_dict(len(spans), interval_cover_pairs(spans), names, meta)
+    return _poset_text(len(spans), interval_cover_rows(spans), names, meta)
 
 
 def _field(d: Any, key: str) -> Any:
@@ -160,8 +179,19 @@ def intervals_to_dict(spans: Sequence[tuple[int, int]]) -> dict:
     return {"intervals": spans}
 
 
-def pd_to_dict(pd: PathDecomposition) -> dict:
-    return {"bags": pd.bags}
+class _IdText(dict):
+    """Each id's decimal string, made on its first lookup and kept."""
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = str(v)
+        return text
+
+
+def pd_text(pd: PathDecomposition) -> str:
+    """The path decomposition file: its bags, each id's string made once."""
+    text = _IdText().__getitem__
+    bags = ["[" + ",".join(map(text, bag)) + "]" for bag in pd.bags]
+    return '{"bags":[' + ",".join(bags) + "]}\n"
 
 
 def pd_from_dict(d: dict) -> PathDecomposition:

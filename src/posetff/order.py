@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations, repeat, starmap
+from itertools import accumulate, combinations, starmap
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -55,7 +55,7 @@ __all__ = [
     "find_k_plus_k",
     "is_extension",
     "interval_order_from_intervals",
-    "interval_cover_pairs",
+    "interval_cover_rows",
     "is_interval_order",
 ]
 
@@ -195,12 +195,14 @@ class Poset:
     def pred_mask(self, u: int) -> int:
         return self._pred[u]
 
+    def cover_rows(self) -> list[list[int]]:
+        """Transitive reduction by element: row u lists, increasing, the v that cover u."""
+        return [list(iter_bits(m & ~via))
+                for m, via in zip(self._succ, _reach(self._succ, self._succ, self.n))]
+
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Transitive reduction: pairs u < v with nothing strictly between."""
-        out = []
-        for u, (m, via) in enumerate(zip(self._succ, _reach(self._succ, self._succ, self.n))):
-            out.extend((u, v) for v in iter_bits(m & ~via))
-        return out
+        """Transitive reduction: pairs u < v with nothing strictly between, in sorted order."""
+        return [(u, v) for u, row in enumerate(self.cover_rows()) for v in row]
 
     def sort_chain(self, elems: Iterable[int]) -> tuple[int, ...]:
         """Sort a set of pairwise comparable elements into increasing order."""
@@ -356,26 +358,25 @@ def interval_order_from_intervals(intervals: Sequence[tuple[float, float]]) -> P
     return Poset._closed(len(spans), _after(spans), _before(spans))
 
 
-def interval_cover_pairs(intervals: Sequence[tuple[float, float]]) -> list[tuple[int, int]]:
-    """The cover pairs (u, v) of the interval order of closed spans, in sorted order.
+def interval_cover_rows(intervals: Sequence[tuple[float, float]]) -> list[list[int]]:
+    """Per span u, the spans that cover u in the interval order of closed spans, increasing.
 
     v covers u iff hi(u) < lo(v) <= m, where m is the least right end among
     the spans that begin after hi(u): a span strictly between u and v would
     end before v begins.  With ids sorted by left end, u's covers are the
     slice between bisect_right(lefts, hi(u)) and bisect_right(lefts, m), and
     a suffix minimum of the right ends gives m; no ``Poset`` is built.
-    Equal to ``sorted(interval_order_from_intervals(intervals).cover_pairs())``.
+    Equal to ``interval_order_from_intervals(intervals).cover_rows()``.
     """
     spans = _checked_spans(intervals)
     by_left, lefts = _by_left(spans)
     n = len(spans)
     least = list(accumulate((spans[v][1] for v in reversed(by_left)), min))[::-1]
-    out: list[tuple[int, int]] = []
-    for u, (_, right) in enumerate(spans):
+    rows: list[list[int]] = []
+    for _, right in spans:
         lo = bisect_right(lefts, right)
-        if lo < n:
-            out.extend(zip(repeat(u), sorted(by_left[lo:bisect_right(lefts, least[lo], lo)])))
-    return out
+        rows.append(sorted(by_left[lo:bisect_right(lefts, least[lo], lo)]) if lo < n else [])
+    return rows
 
 
 def _checked_spans(intervals: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:

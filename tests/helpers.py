@@ -18,10 +18,12 @@ from posetff import (
     KkWitness,
     PathDecomposition,
     PresentationOrder,
+    SizeMismatch,
     SplitMix64,
     build_poset,
     first_fit_color,
     incomparability_graph,
+    interval_cover_rows,
     interval_order_from_intervals,
     spans_from_blocks,
 )
@@ -347,6 +349,38 @@ def transpose_by_strings(rows, n):
     """
     strings = [format(m, f"0{n}b")[::-1] for m in rows]
     return tuple(int("".join(col)[::-1], 2) for col in zip(*strings))
+
+
+# -- the document dicts the text writers must equal byte for byte -------------
+# canonical_dumps of each is the reference for the writer named in its docstring.
+
+
+def _poset_dict(n, covers, names, meta):
+    d = {"n": n, "relations": covers, "names": names, "meta": meta}
+    return {key: value for key, value in d.items() if value is not None}
+
+
+def poset_to_dict(p, meta):
+    """The poset file of p as a dict: the reference of ``jsonio.poset_text``."""
+    return _poset_dict(p.n, sorted(p.cover_pairs()), p.names, meta)
+
+
+def interval_cover_pairs(intervals):
+    """The cover pairs (u, v) of the spans' interval order, in sorted order."""
+    return [(u, v) for u, row in enumerate(interval_cover_rows(intervals)) for v in row]
+
+
+def interval_order_to_dict(spans, names=None, meta=None):
+    """The poset file of the spans' interval order as a dict: the reference of
+    ``jsonio.interval_order_text``."""
+    if names is not None and len(names) != len(spans):
+        raise SizeMismatch("names must match element count")
+    return _poset_dict(len(spans), interval_cover_pairs(spans), names, meta)
+
+
+def pd_to_dict(pd):
+    """The path decomposition file as a dict: the reference of ``jsonio.pd_text``."""
+    return {"bags": pd.bags}
 
 
 def reference_matching(p):

@@ -30,7 +30,7 @@ from posetff import (
     order_from_dict,
     pd_from_dict,
     poset_from_dict,
-    poset_to_dict,
+    poset_text,
     read_json,
     validate_path_decomposition,
     width_with_witness,
@@ -146,7 +146,7 @@ def test_gen_interval_file_matches_the_poset_writer(tmp_path, seed, n):
     assert run(["gen", "interval", "--n", n, "--seed", seed, "--out", out]) == 0
     p = gen_interval_order(seed, n)
     meta = {"seed": seed, "kind": "interval", "n": n}
-    assert out.read_text() == canonical_dumps(poset_to_dict(p, meta=meta))
+    assert out.read_text() == poset_text(p, meta=meta)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == INTERVAL_FILE_DIGESTS[seed, n]
 
 
@@ -437,7 +437,7 @@ def test_extend_builds_one_poset(tmp_path, capsys, monkeypatch):
     run(["gen", "stacked", "--k", 4, "--w", 3, "--out", poset_file])
     p = poset_from_dict(read_json(poset_file))
     q = slide_order(p, block_sequence(p, 4))
-    q_reference = canonical_dumps(poset_to_dict(build_poset(q.n, q.cover_pairs(), p.names), None))
+    q_reference = poset_text(build_poset(q.n, q.cover_pairs(), p.names), None)
     built = []
     init = Poset.__init__
     closed = Poset._closed
@@ -577,7 +577,7 @@ def fuzzed(data, valid, label):
                                            label=label)))
 
 
-VALID_POSETS = posets(max_n=8).map(lambda p: poset_to_dict(p, None))
+VALID_POSETS = posets(max_n=8).map(lambda p: json.loads(poset_text(p, None)))
 
 
 @given(data=st.data())
@@ -772,6 +772,44 @@ def test_bench_violation_exits_1(tmp_path, capsys, monkeypatch):
         instance_seed(first), int(first["ff_chains"]), int(first["bound"]))
     assert sorted(violation["order"]) == list(range(int(first["n"])))
     assert violation["ff_chains"] == 1000 + violation["order"][0] > violation["bound"]
+
+
+BENCH = ["bench", "--k", 2, "--w", 1, "--trials", 2, "--orders", 3, "--seed", 4]
+
+
+def test_bench_csv_dash_prints_the_file(tmp_path, capsys, monkeypatch):
+    # a fixed clock makes the seconds column, and so the whole table, repeat
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    monkeypatch.chdir(tmp_path)
+    assert run(BENCH + ["--csv", "bench.csv"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert run(BENCH + ["--csv", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == Path("bench.csv").read_bytes()
+    assert captured.out.startswith(",".join(cli.CSV_COLUMNS) + "\r\n")
+    assert captured.err == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bench.csv"]
+
+
+def test_bench_violation_goes_to_stderr_with_the_csv_on_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    monkeypatch.setattr(cli, "first_fit_color",
+                        lambda g, order: SimpleNamespace(color_count=1000 + order.order[0]))
+    monkeypatch.chdir(tmp_path)
+    assert run(BENCH + ["--csv", "bench.csv"]) == 1
+    to_file = capsys.readouterr()
+    assert run(BENCH + ["--csv", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.encode() == Path("bench.csv").read_bytes()
+    assert captured.err == to_file.out == canonical_dumps(json.loads(to_file.out))
+    assert to_file.err == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bench.csv"]
+
+
+def test_bench_csv_directory_exits_2(tmp_path, capsys):
+    assert run(BENCH + ["--csv", tmp_path]) == 2
+    assert capsys.readouterr() == ("", f"error: output path {str(tmp_path)!r} is a directory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_witness_on_generated_instance_exits_2(tmp_path, capsys, monkeypatch):

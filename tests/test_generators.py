@@ -11,7 +11,7 @@ from posetff import (
     gen_kk_free,
     gen_random_poset,
     is_interval_order,
-    poset_to_dict,
+    poset_text,
     random_intervals,
     width_with_witness,
 )
@@ -70,9 +70,9 @@ class TestGenIntervalOrder:
             assert wq <= wp
 
     def test_determinism_bytes(self):
-        a = canonical_dumps(poset_to_dict(gen_interval_order(11, 25), None))
-        b = canonical_dumps(poset_to_dict(gen_interval_order(11, 25), None))
-        c = canonical_dumps(poset_to_dict(gen_interval_order(12, 25), None))
+        a = poset_text(gen_interval_order(11, 25), None)
+        b = poset_text(gen_interval_order(11, 25), None)
+        c = poset_text(gen_interval_order(12, 25), None)
         assert a == b
         assert a != c
 

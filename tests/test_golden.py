@@ -43,10 +43,10 @@ from posetff import (
     incomparability_graph,
     interval_completion,
     interval_order_from_intervals,
-    interval_order_to_dict,
+    interval_order_text,
     intervals_to_dict,
     kierstead,
-    pd_to_dict,
+    pd_text,
     spans_from_blocks,
     stacked,
     witness_to_dict,
@@ -103,8 +103,12 @@ def _cases():
     return cases
 
 
+def _text_sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _sha(obj) -> str:
-    return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()
+    return _text_sha(canonical_dumps(obj))
 
 
 def golden_record(p, k) -> dict:
@@ -115,9 +119,9 @@ def golden_record(p, k) -> dict:
     return {
         "moves": moves_of(seq),
         "sha256": {
-            "order": _sha(interval_order_to_dict(spans, p.names)),
+            "order": _text_sha(interval_order_text(spans, p.names)),
             "intervals": _sha(intervals_to_dict(spans)),
-            "pd": _sha(pd_to_dict(PathDecomposition.from_spans(spans, len(seq)))),
+            "pd": _text_sha(pd_text(PathDecomposition.from_spans(spans, len(seq)))),
         },
     }
 

@@ -1,7 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posetff import (
@@ -19,21 +20,30 @@ from posetff import (
     first_fit_chains,
     gen_interval_order,
     interval_order_from_intervals,
-    interval_order_to_dict,
+    interval_order_text,
     intervals_to_dict,
     kierstead,
     order_from_dict,
     order_to_dict,
     pd_from_dict,
-    pd_to_dict,
+    pd_text,
     poset_from_dict,
-    poset_to_dict,
+    poset_text,
     read_json,
     spans_from_blocks,
     witness_to_dict,
 )
 from posetff.jsonio import MAX_ELEMENTS
-from helpers import DOCUMENTS, moves_of, posets_with_orders, span_lists
+from helpers import (
+    DOCUMENTS,
+    interval_order_to_dict,
+    moves_of,
+    pd_to_dict,
+    poset_to_dict,
+    posets,
+    posets_with_orders,
+    span_lists,
+)
 
 
 def parsed(doc):
@@ -43,12 +53,12 @@ def parsed(doc):
 
 def test_poset_round_trip():
     p = gen_interval_order(5, 20)
-    assert poset_from_dict(parsed(poset_to_dict(p, None))) == p
+    assert poset_from_dict(json.loads(poset_text(p, None))) == p
 
 
 def test_poset_relations_are_generators_not_closure():
     p = build_poset(3, [(0, 1), (1, 2), (0, 2)])
-    d = parsed(poset_to_dict(p, None))
+    d = json.loads(poset_text(p, None))
     # the file stores the transitive reduction; closure happens on load
     assert d["relations"] == [[0, 1], [1, 2]]
     assert poset_from_dict(d) == p
@@ -59,18 +69,18 @@ def test_poset_relations_are_generators_not_closure():
 def test_interval_order_dict_equals_the_built_orders(spans, named, meta):
     names = [f"e{v}" for v in range(len(spans))] if named else None
     q = interval_order_from_intervals(spans)
-    expected = poset_to_dict(build_poset(q.n, q.cover_pairs(), names), meta=meta)
-    assert parsed(interval_order_to_dict(spans, names, meta)) == parsed(expected)
+    expected = poset_text(build_poset(q.n, q.cover_pairs(), names), meta=meta)
+    assert interval_order_text(spans, names, meta) == expected
 
 
 def test_interval_order_dict_rejects_a_names_mismatch():
     with pytest.raises(SizeMismatch, match="names must match element count"):
-        interval_order_to_dict([(1, 2), (3, 3)], ["a"])
+        interval_order_text([(1, 2), (3, 3)], ["a"])
 
 
 def test_poset_names_carried():
     kp = kierstead(3)
-    d = parsed(poset_to_dict(kp.poset, meta={"kind": "kierstead", "q": 3}))
+    d = json.loads(poset_text(kp.poset, meta={"kind": "kierstead", "q": 3}))
     again = poset_from_dict(d)
     assert again.names == kp.poset.names
     assert d["meta"]["q"] == 3
@@ -107,7 +117,7 @@ def test_block_trace_fields():
 
 def test_pd_round_trip():
     pd = PathDecomposition(((0, 1), (1, 2)))
-    assert pd_from_dict(parsed(pd_to_dict(pd))) == pd
+    assert pd_from_dict(json.loads(pd_text(pd))) == pd
 
 
 def test_witness_payload():
@@ -134,12 +144,12 @@ def test_documents_parse_to_the_list_built_ones(p_order, named, meta, spans, bag
         poset_doc["names"] = names
     if meta is not None:
         poset_doc["meta"] = meta
-    d = parsed(poset_to_dict(p, meta))
+    d = json.loads(poset_text(p, meta))
     assert d == poset_doc
     assert poset_from_dict(d) == p and poset_from_dict(d).names == p.names
 
     q = interval_order_from_intervals(spans)
-    d = parsed(interval_order_to_dict(spans))
+    d = json.loads(interval_order_text(spans))
     assert d == {"n": q.n, "relations": [[u, v] for u, v in sorted(q.cover_pairs())]}
     assert poset_from_dict(d) == q
     assert parsed(intervals_to_dict(spans)) == {"intervals": [[lo, hi] for lo, hi in spans]}
@@ -153,12 +163,76 @@ def test_documents_parse_to_the_list_built_ones(p_order, named, meta, spans, bag
         "chains": [list(c) for c in res.partition], "assignment": list(res.assignment)}
 
     pd = PathDecomposition(tuple(map(tuple, bags)))
-    d = parsed(pd_to_dict(pd))
+    d = json.loads(pd_text(pd))
     assert d == {"bags": bags}
     assert pd_from_dict(d) == pd
 
     w = KkWitness(tuple(a), tuple(b))
     assert parsed(witness_to_dict(w)) == {"k": len(a), "a": a, "b": b}
+
+
+# the text writers against canonical_dumps of their reference dicts: names
+# and meta keys with quotes, backslashes, control and non-ASCII characters,
+# meta values nested in tuples with NaN and the infinities
+TEXTS = st.text(st.sampled_from('a"\\\x00\x1f\n\x7f\u00e9\u03b1\u2028\U0001f600')
+                | st.characters(), max_size=3)
+META = st.none() | st.dictionaries(TEXTS, st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXTS,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(TEXTS, inner, max_size=3)),
+    max_leaves=8,
+), max_size=3)
+ENDS = (st.integers(-3, 5) | st.fractions(-3, 5, max_denominator=4)
+        | st.floats(-3, 5, allow_nan=False))
+
+
+def names_for(n):
+    return st.none() | st.lists(TEXTS, min_size=n, max_size=n)
+
+
+NAMED_POSETS = posets(max_n=8).flatmap(
+    lambda p: names_for(p.n).map(lambda names: build_poset(p.n, p.cover_pairs(), names)))
+NAMED_SPANS = st.lists(st.tuples(ENDS, ENDS).map(lambda t: (min(t), max(t))), max_size=10).flatmap(
+    lambda spans: st.tuples(st.just(spans), names_for(len(spans))))
+
+
+@given(NAMED_POSETS, META)
+@settings(max_examples=200, deadline=None)
+def test_poset_text_is_the_reference_dumps(p, meta):
+    assert poset_text(p, meta) == canonical_dumps(poset_to_dict(p, meta))
+
+
+@given(NAMED_SPANS, META)
+@example(([], None), None)
+@example(([(Fraction(1, 2), 1.5), (2, 2)], ["\u00e9", '"\\']), {"x": (float("nan"), (-1e400,))})
+@settings(max_examples=200, deadline=None)
+def test_interval_order_text_is_the_reference_dumps(spans_names, meta):
+    spans, names = spans_names
+    assert interval_order_text(spans, names, meta) == canonical_dumps(
+        interval_order_to_dict(spans, names, meta))
+
+
+@given(st.lists(st.lists(st.integers(-3, 12) | st.sampled_from([2**70, -(2**70)]), max_size=5),
+                max_size=6))
+@example([])
+@example([[], [3, 3], [0]])
+@settings(max_examples=200)
+def test_pd_text_is_the_reference_dumps(bags):
+    pd = PathDecomposition(tuple(map(tuple, bags)))
+    assert pd_text(pd) == canonical_dumps(pd_to_dict(pd))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_poset_text_of_zero_and_one_elements(n):
+    p = build_poset(n, [], ["\u00e9\"\\\n"] * n)
+    names = ',"names":["\\u00e9\\"\\\\\\n"]' if n else ',"names":[]'
+    assert poset_text(p, None) == '{"n":%d%s,"relations":[]}\n' % (n, names)
+    assert poset_text(p, None) == canonical_dumps(poset_to_dict(p, None))
+
+
+def test_pd_text_keeps_empty_bags_and_repeated_ids():
+    assert pd_text(PathDecomposition(((), (3, 3), (0,)))) == '{"bags":[[],[3,3],[0]]}\n'
+    assert pd_text(PathDecomposition(())) == '{"bags":[]}\n'
 
 
 def test_canonical_dumps_is_stable_and_newline_terminated():
@@ -179,16 +253,17 @@ def test_canonical_dumps_is_stable_and_newline_terminated():
     assert canonical_dumps(docs[2]) == (
         '{"meta":{"generator":"stacked","ratio":NaN,"shape":[2,[1,2]]},'
         '"n":3,"names":["\\u03b1","b","\\u00e7"],"relations":[[0,1]]}\n')
+    assert poset_text(p, docs[2]["meta"]) == canonical_dumps(docs[2])
 
 
 def test_write_and_read(tmp_path):
     path = tmp_path / "poset.json"
     p = gen_interval_order(9, 10)
-    path.write_text(canonical_dumps(poset_to_dict(p, None)))
+    path.write_text(poset_text(p, None))
     assert poset_from_dict(read_json(path)) == p
     # canonical writer: identical content every time
     first = path.read_bytes()
-    path.write_text(canonical_dumps(poset_to_dict(p, None)))
+    path.write_text(poset_text(p, None))
     assert path.read_bytes() == first
 
 

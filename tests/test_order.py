@@ -19,18 +19,17 @@ from posetff import (
     SizeMismatch,
     SplitMix64,
     build_poset,
-    canonical_dumps,
     dilworth_partition,
     find_k_plus_k,
     gen_interval_order,
     incomparability_graph,
-    interval_cover_pairs,
+    interval_cover_rows,
     interval_order_from_intervals,
     is_extension,
     is_interval_order,
     kierstead,
     poset_from_dict,
-    poset_to_dict,
+    poset_text,
     random_intervals,
     stacked,
     width_with_witness,
@@ -45,6 +44,7 @@ from helpers import (
     chain_poset,
     complete_multipartite_graph,
     graph_edges,
+    interval_cover_pairs,
     is_chain_partition,
     posets,
     reference_matching,
@@ -183,7 +183,7 @@ class TestConstructorsAgreeWithTheCheckedPoset:
         """Loading a file and building an interval order adopt their masks:
         with ``_reach`` and ``_transpose`` broken they still give the posets
         that the checked constructor accepts."""
-        doc = json.loads(canonical_dumps(poset_to_dict(stacked(4, 3).poset, None)))
+        doc = json.loads(poset_text(stacked(4, 3).poset, None))
         spans = [(v % 7, v % 7 + v % 3) for v in range(40)]
         want_spans = Poset(40, naive_interval_succ(spans))
 
@@ -264,6 +264,7 @@ class TestPosetConstructor:
             if p.less(u, v) and not any(p.less(u, x) and p.less(x, v) for x in range(n))
         ]
         assert p.cover_pairs() == covers
+        assert p.cover_rows() == [[v for u2, v in covers if u2 == u] for u in range(n)]
 
 
 class TestWidthAndDilworth:
@@ -680,24 +681,25 @@ class TestIntervalOrders:
 
     @given(st.one_of(interval_lists(), span_lists(max_size=24)))
     @settings(max_examples=300)
-    def test_cover_pairs_match_the_built_order(self, intervals):
-        expected = sorted(interval_order_from_intervals(intervals).cover_pairs())
-        assert interval_cover_pairs(intervals) == expected
+    def test_cover_rows_match_the_built_order(self, intervals):
+        q = interval_order_from_intervals(intervals)
+        assert interval_cover_rows(intervals) == q.cover_rows()
+        assert interval_cover_pairs(intervals) == sorted(q.cover_pairs())
 
-    def test_cover_pairs_pinned(self):
-        assert interval_cover_pairs([]) == []
-        assert interval_cover_pairs([(1, 1), (1, 1), (2, 2), (3, 3)]) == [(0, 2), (1, 2), (2, 3)]
+    def test_cover_rows_pinned(self):
+        assert interval_cover_rows([]) == []
+        assert interval_cover_rows([(1, 1), (1, 1), (2, 2), (3, 3)]) == [[2], [2], [3], []]
         mixed = [(0, 1), (1, 2), (Fraction(3, 2), 2.5), (1, 1)]
-        assert interval_cover_pairs(mixed) == [(0, 2), (3, 2)]
+        assert interval_cover_rows(mixed) == [[2], [], [], [2]]
         # (2, 5) begins after (0, 0) ends, but (1, 1) lies between them
-        assert interval_cover_pairs([(2, 5), (0, 0), (1, 1)]) == [(1, 2), (2, 0)]
+        assert interval_cover_rows([(2, 5), (0, 0), (1, 1)]) == [[], [2], [0]]
 
-    def test_cover_pairs_malformed(self):
+    def test_cover_rows_malformed(self):
         with pytest.raises(MalformedInterval, match=r"interval \(2, 1\) has left > right"):
-            interval_cover_pairs([(0, 1), (2, 1)])
+            interval_cover_rows([(0, 1), (2, 1)])
 
     @pytest.mark.parametrize("bad", [(NAN, NAN), (NAN, 1), (0, NAN), (NAN, 0.5), (0.5, NAN)])
-    @pytest.mark.parametrize("build", [interval_order_from_intervals, interval_cover_pairs])
+    @pytest.mark.parametrize("build", [interval_order_from_intervals, interval_cover_rows])
     def test_nan_ends_rejected(self, bad, build):
         for at in range(3):
             spans = [(0, 1), (2, 3)]
