@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .adversary import kierstead, stacked
 from .errors import InternalError, ParamError, PosetFFError
-from .extension import PathDecomposition, block_sequence, spans_from_blocks
+from .extension import block_sequence, spans_from_blocks
 from .firstfit import PresentationOrder, first_fit_chains, first_fit_color, validate_ff_partition
 from .generators import (
     KKFREE_DENSITY,
@@ -156,7 +156,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     on_stdout = _write_files([
         (args.out_order, lambda: interval_order_text(spans, p.names)),
         (args.out_intervals, lambda: canonical_dumps(intervals_to_dict(spans))),
-        (args.out_pd, lambda: pd_text(PathDecomposition.from_spans(spans, len(seq)))),
+        (args.out_pd, lambda: pd_text(spans, len(seq))),
     ])
     w = len(seq.partition)  # the number of Dilworth chains, width(p)
     # pairwise-intersecting spans share a block, so width(q) is a block's size

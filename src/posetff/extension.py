@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import CoverageError, InternalError, MalformedInterval, ParamError
 from .order import Graph, KkWitness, Poset, _spans_cover_edges, dilworth_partition
@@ -152,27 +152,31 @@ class PathDecomposition:
 
     @classmethod
     def from_spans(cls, spans: Sequence[tuple[int, int]], count: int) -> PathDecomposition:
-        """Bags 1..count, bag t listing in increasing order the ids whose span contains t.
+        """Bags 1..count, bag t listing in increasing order the ids whose span contains t."""
+        return cls(tuple(map(tuple, _bag_rows(spans, count))))
 
-        One sweep over the block indices: an id joins the bag at its span's
-        left end and leaves it after its right end.
-        """
-        enter: list[list[int]] = [[] for _ in range(count + 2)]
-        leave: list[list[int]] = [[] for _ in range(count + 2)]
-        for v, (a, b) in enumerate(spans):
-            if not 1 <= a <= b <= count:
-                raise MalformedInterval(f"span {(a, b)!r} of {v} lies outside 1..{count}")
-            enter[a].append(v)
-            leave[b + 1].append(v)
-        bag: list[int] = []
-        bags = []
-        for t in range(1, count + 1):
-            for v in leave[t]:
-                del bag[bisect_left(bag, v)]
-            for v in enter[t]:
-                insort(bag, v)
-            bags.append(tuple(bag))
-        return cls(tuple(bags))
+
+def _bag_rows(spans: Sequence[tuple[int, int]], count: int) -> Iterator[list[int]]:
+    """Bag t for t = 1..count in turn: the ids whose span contains t, in increasing order.
+
+    One sweep over the block indices: an id joins the bag at its span's left
+    end and leaves it after its right end.  Each yield is the same list,
+    updated in place, so a caller copies or uses it before taking the next.
+    """
+    enter: list[list[int]] = [[] for _ in range(count + 2)]
+    leave: list[list[int]] = [[] for _ in range(count + 2)]
+    for v, (a, b) in enumerate(spans):
+        if not 1 <= a <= b <= count:
+            raise MalformedInterval(f"span {(a, b)!r} of {v} lies outside 1..{count}")
+        enter[a].append(v)
+        leave[b + 1].append(v)
+    bag: list[int] = []
+    for t in range(1, count + 1):
+        for v in leave[t]:
+            del bag[bisect_left(bag, v)]
+        for v in enter[t]:
+            insort(bag, v)
+        yield bag
 
 
 def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:

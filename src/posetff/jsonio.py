@@ -7,11 +7,12 @@ separators, trailing newline) so identical inputs give byte-identical files.
 The two large kinds are written as text: ``poset_text`` and
 ``interval_order_text`` write a poset file from its cover rows (the covers
 of each element, so no pair tuple is built, and for the interval order of
-a list of spans no ``Poset`` either), and ``pd_text`` writes a path
-decomposition's bags.  Each id's decimal string is made once and joined,
-byte for byte what ``canonical_dumps`` writes for the same document.  The
-small documents are dicts for ``canonical_dumps``: writers pass the
-library's tuples through uncopied (``json`` writes a tuple as a list).
+a list of spans no ``Poset`` either), and ``pd_text`` writes the bags of
+a list of spans as their sweep yields them, keeping none.  Each id's
+decimal string is made once and joined, byte for byte what
+``canonical_dumps`` writes for the same document.  The small documents are
+dicts for ``canonical_dumps``: writers pass the library's tuples through
+uncopied (``json`` writes a tuple as a list).
 Readers take parsed JSON only, whose arrays are lists.
 """
 
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import CoverageError, FormatError, SizeMismatch
-from .extension import PathDecomposition
+from .extension import PathDecomposition, _bag_rows
 from .firstfit import FFChainResult, PresentationOrder
 from .order import KkWitness, Poset, build_poset, interval_cover_rows
 
@@ -65,7 +66,7 @@ def canonical_dumps(obj: Any) -> str:
 def read_json(path: str | Path) -> Any:
     """The parsed document; a file that is not UTF-8 JSON raises FormatError."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise FormatError("document nests too deeply to parse") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, the int digit limit
@@ -179,18 +180,10 @@ def intervals_to_dict(spans: Sequence[tuple[int, int]]) -> dict:
     return {"intervals": spans}
 
 
-class _IdText(dict):
-    """Each id's decimal string, made on its first lookup and kept."""
-
-    def __missing__(self, v: int) -> str:
-        text = self[v] = str(v)
-        return text
-
-
-def pd_text(pd: PathDecomposition) -> str:
-    """The path decomposition file: its bags, each id's string made once."""
-    text = _IdText().__getitem__
-    bags = ["[" + ",".join(map(text, bag)) + "]" for bag in pd.bags]
+def pd_text(spans: Sequence[tuple[int, int]], count: int) -> str:
+    """The file of ``PathDecomposition.from_spans(spans, count)``, each bag joined as swept."""
+    ids = list(map(str, range(len(spans))))
+    bags = ["[" + ",".join(map(ids.__getitem__, bag)) + "]" for bag in _bag_rows(spans, count)]
     return '{"bags":[' + ",".join(bags) + "]}\n"
 
 

@@ -378,11 +378,6 @@ def interval_order_to_dict(spans, names=None, meta=None):
     return _poset_dict(len(spans), interval_cover_pairs(spans), names, meta)
 
 
-def pd_to_dict(pd):
-    """The path decomposition file as a dict: the reference of ``jsonio.pd_text``."""
-    return {"bags": pd.bags}
-
-
 def reference_matching(p):
     """The Dilworth matching before failed searches kept their visited sets:
     every free root starts its BFS afresh.  Kept as the oracle that the

@@ -853,3 +853,17 @@ def test_console_entry_point_via_module(tmp_path):
     )
     assert proc.returncode == 0
     assert read_json(out)["n"] == 6
+
+
+def test_extend_reads_a_utf8_poset_file_under_an_ascii_locale(tmp_path):
+    # the file's bytes are UTF-8 whatever the locale's preferred encoding
+    poset_file, q_file = tmp_path / "p.json", tmp_path / "q.json"
+    poset_file.write_bytes('{"n":1,"names":["\u00e9"],"relations":[]}'.encode())
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetff", "extend", "--poset", str(poset_file), "--k", "2",
+         "--out-order", str(q_file)],
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin", "LC_ALL": "C", "PYTHONUTF8": "0"},
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert read_json(q_file)["names"] == ["\u00e9"]

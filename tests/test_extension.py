@@ -31,6 +31,7 @@ from posetff import (
     kierstead,
     path_decomposition_exact,
     pathwidth_exact,
+    pd_text,
     spans_from_blocks,
     stacked,
     validate_path_decomposition,
@@ -659,10 +660,11 @@ class TestBagsFromSpans:
                      "--out-pd", str(pd_file)]) == 0
         assert pd_file.read_text() == '{"bags":[[]]}\n'
 
-    def test_span_outside_the_blocks_raises(self):
+    @pytest.mark.parametrize("sweep", [PathDecomposition.from_spans, pd_text])
+    def test_span_outside_the_blocks_raises(self, sweep):
         for span in ((0, 1), (2, 1), (1, 4), (0, 0), (4, 4)):
             outside = rf"^span {re.escape(str(span))} of 1 lies outside 1\.\.3$"
             with pytest.raises(MalformedInterval, match=outside):
-                PathDecomposition.from_spans([(1, 3), span], 3)
+                sweep([(1, 3), span], 3)
         with pytest.raises(MalformedInterval, match=r"^span \(1, 1\) of 0 lies outside 1\.\.0$"):
-            PathDecomposition.from_spans([(1, 1)], 0)
+            sweep([(1, 1)], 0)

@@ -26,7 +26,6 @@ import pytest
 
 from posetff import (
     KkWitness,
-    PathDecomposition,
     PresentationOrder,
     SplitMix64,
     block_sequence,
@@ -121,7 +120,7 @@ def golden_record(p, k) -> dict:
         "sha256": {
             "order": _text_sha(interval_order_text(spans, p.names)),
             "intervals": _sha(intervals_to_dict(spans)),
-            "pd": _text_sha(pd_text(PathDecomposition.from_spans(spans, len(seq)))),
+            "pd": _text_sha(pd_text(spans, len(seq))),
         },
     }
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from posetff import (
     FormatError,
     KkWitness,
+    MalformedInterval,
     PathDecomposition,
     PosetFFError,
     PresentationOrder,
@@ -36,9 +38,9 @@ from posetff import (
 from posetff.jsonio import MAX_ELEMENTS
 from helpers import (
     DOCUMENTS,
+    bags_by_definition,
     interval_order_to_dict,
     moves_of,
-    pd_to_dict,
     poset_to_dict,
     posets,
     posets_with_orders,
@@ -116,8 +118,9 @@ def test_block_trace_fields():
 
 
 def test_pd_round_trip():
-    pd = PathDecomposition(((0, 1), (1, 2)))
-    assert pd_from_dict(json.loads(pd_text(pd))) == pd
+    spans = ((1, 2), (2, 3), (3, 3))
+    pd = PathDecomposition(((0,), (0, 1), (1, 2)))
+    assert pd_from_dict(json.loads(pd_text(spans, 3))) == pd
 
 
 def test_witness_payload():
@@ -126,14 +129,11 @@ def test_witness_payload():
     assert d == {"k": 2, "a": [0, 1], "b": [2, 3]}
 
 
-BAG_LISTS = st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=5)
-
-
 @given(posets_with_orders(max_n=10), st.booleans(), st.sampled_from([None, {"kind": "gen"}]),
-       span_lists(max_size=12), BAG_LISTS, st.lists(st.integers(0, 9), max_size=3),
+       span_lists(max_size=12), st.lists(st.integers(0, 9), max_size=3),
        st.lists(st.integers(0, 9), max_size=3))
 @settings(max_examples=150, deadline=None)
-def test_documents_parse_to_the_list_built_ones(p_order, named, meta, spans, bags, a, b):
+def test_documents_parse_to_the_list_built_ones(p_order, named, meta, spans, a, b):
     """Every writer's document, serialised and parsed, is the document built
     here from lists, and the readers take it back to an equal object."""
     p, order = p_order
@@ -162,10 +162,10 @@ def test_documents_parse_to_the_list_built_ones(p_order, named, meta, spans, bag
     assert parsed(ff_result_to_dict(res)) == {
         "chains": [list(c) for c in res.partition], "assignment": list(res.assignment)}
 
-    pd = PathDecomposition(tuple(map(tuple, bags)))
-    d = json.loads(pd_text(pd))
-    assert d == {"bags": bags}
-    assert pd_from_dict(d) == pd
+    count = max((hi for _, hi in spans), default=0)
+    d = json.loads(pd_text(spans, count))
+    assert d == {"bags": [list(bag) for bag in bags_by_definition(spans, count)]}
+    assert pd_from_dict(d) == PathDecomposition.from_spans(spans, count)
 
     w = KkWitness(tuple(a), tuple(b))
     assert parsed(witness_to_dict(w)) == {"k": len(a), "a": a, "b": b}
@@ -212,14 +212,23 @@ def test_interval_order_text_is_the_reference_dumps(spans_names, meta):
         interval_order_to_dict(spans, names, meta))
 
 
-@given(st.lists(st.lists(st.integers(-3, 12) | st.sampled_from([2**70, -(2**70)]), max_size=5),
-                max_size=6))
-@example([])
-@example([[], [3, 3], [0]])
-@settings(max_examples=200)
-def test_pd_text_is_the_reference_dumps(bags):
-    pd = PathDecomposition(tuple(map(tuple, bags)))
-    assert pd_text(pd) == canonical_dumps(pd_to_dict(pd))
+@given(span_lists(max_size=14), st.integers(0, 14))
+@example([], 0)
+@example([], 1)
+@example([(2, 3), (2, 2)], 5)
+@example([(1, 1), (1, 3)], 2)
+@settings(max_examples=300)
+def test_pd_text_is_the_reference_dumps(spans, count):
+    """Bags 1..count by definition, trailing empty bags too; a span past
+    count raises what ``from_spans`` raises."""
+    if all(hi <= count for _, hi in spans):
+        assert pd_text(spans, count) == canonical_dumps({"bags": bags_by_definition(spans, count)})
+        return
+    with pytest.raises(MalformedInterval) as raised:
+        pd_text(spans, count)
+    with pytest.raises(MalformedInterval) as expected:
+        PathDecomposition.from_spans(spans, count)
+    assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -230,9 +239,24 @@ def test_poset_text_of_zero_and_one_elements(n):
     assert poset_text(p, None) == canonical_dumps(poset_to_dict(p, None))
 
 
-def test_pd_text_keeps_empty_bags_and_repeated_ids():
-    assert pd_text(PathDecomposition(((), (3, 3), (0,)))) == '{"bags":[[],[3,3],[0]]}\n'
-    assert pd_text(PathDecomposition(())) == '{"bags":[]}\n'
+def test_pd_text_keeps_empty_bags():
+    assert pd_text([(2, 3), (2, 2), (5, 5)], 6) == '{"bags":[[],[0,1],[0],[],[2],[]]}\n'
+    assert pd_text((), 1) == '{"bags":[[]]}\n'  # the slide of no elements
+    assert pd_text((), 0) == '{"bags":[]}\n'
+
+
+def test_pd_text_builds_no_bag_copies():
+    """At its peak the writer holds its text, each bag's string and their
+    list, not a tuple per bag as well."""
+    seq = block_sequence(gen_interval_order(1, 2000), 2)
+    spans = spans_from_blocks(seq)
+    tracemalloc.start()
+    try:
+        text = pd_text(spans, len(seq))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 def test_canonical_dumps_is_stable_and_newline_terminated():
@@ -244,7 +268,7 @@ def test_canonical_dumps_is_stable_and_newline_terminated():
     # come out as json.dumps writes them with the same keys and separators
     p = build_poset(3, [(0, 1)], ["\u03b1", "b", "\u00e7"])
     docs = [
-        pd_to_dict(PathDecomposition(((0, 1), (1, 2), (2,)))),
+        {"bags": ((0, 1), (1, 2), (2,))},
         ff_result_to_dict(first_fit_chains(p, PresentationOrder((2, 0, 1)))),
         poset_to_dict(p, {"generator": "stacked", "shape": (2, (1, 2)), "ratio": float("nan")}),
     ]
