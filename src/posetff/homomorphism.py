@@ -21,13 +21,15 @@ tests.  Of the post-checks, the map's certificate is one pass over the
 vertices with two n-bit mask operations each (the whole quotient of the
 slide of ``gen_interval_order(1, n)`` at k = 2 takes 0.008 s at n = 2000
 and 0.04 s at n = 8000), and ``validate_ff_coloring`` is one mask test per
-class.  The pathwidth recursion costs
+class.  The pathwidth recursion, limited to 16 vertices, costs
 O(2^n * n) at worst, but it fills a subset only when a parent needs it,
 stops a subset's min at the first child that costs no more than the
-subset's boundary, and skips a child whose own boundary exceeds the best
-so far.  On the oracle graphs at n = 14 it fills 529-2124 of the 16384
-subsets, 0.2-0.7 ms a call, and on C14 and the 2 x 7 grid 4994 and 4056,
-about 1.3 ms (CPython 3.11, shared 2-vCPU x86-64 host).
+subset's boundary, and skips a child whose own boundary is at least the
+best so far.  On the oracle graphs at n = 14 it fills 220-610 of the 16384
+subsets, 0.1-0.3 ms a call; C14, the 2 x 7 grid and K7,7 fill 15 each,
+under 0.01 ms.  At n = 16, 300 random graphs fill at most 16928 of the
+65536 (23 ms), but one edge among 14 isolated vertices fills 49152 (59 ms)
+(CPython 3.11, shared 2-vCPU x86-64 host).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ __all__ = [
     "validate_homomorphism",
 ]
 
-PATHWIDTH_LIMIT = 14
+PATHWIDTH_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -199,10 +201,13 @@ def _fill_separation(nbr: list[int], s: int, reach: int, table: dict[int, int]) 
     which each child extends by the neighbours of the vertex it drops.  No
     child brings the cost below |dS|, so the min stops, lowest v first, at
     the first child that costs no more.  A child not yet in the table whose
-    own boundary exceeds the best so far costs more than S will, so it is
-    skipped: it could neither lower the min nor tie it.  A module-level
-    function rather than a closure, so the table is freed as soon as the
-    caller drops it.
+    own boundary is at least the best so far is skipped.  It costs at least
+    that boundary, so it cannot lower the min.  Nor is it the lowest child
+    that keeps S's cost: S costs at most the best so far, which is above
+    |dS| until the min stops, and the lower child that set that best costs
+    exactly it.  So every entry still filled keeps the value that filling
+    every child would give it.  A module-level function rather than a
+    closure, so the table is freed as soon as the caller drops it.
     """
     boundary = (s & reach).bit_count()
     best = s.bit_length()  # above every child's cost, at most |S| - 1
@@ -214,7 +219,7 @@ def _fill_separation(nbr: list[int], s: int, reach: int, table: dict[int, int]) 
         cost = table.get(child)
         if cost is None:
             below = reach | nbr[low.bit_length() - 1]
-            if (child & below).bit_count() > best:
+            if (child & below).bit_count() >= best:
                 continue
             cost = _fill_separation(nbr, child, below, table)
         if cost <= boundary:
@@ -242,9 +247,9 @@ def pathwidth_exact(g: Graph) -> int:
     """Exact pathwidth as the vertex separation number.
 
     The memoised recursion runs top-down from the full set, cuts each
-    subset's min at its boundary and skips a child whose boundary exceeds
-    the best so far: O(2^n * n) at worst, but 529-2124 of the 16384 subsets
-    on the oracle graphs at n = 14.
+    subset's min at its boundary and skips a child whose boundary is at
+    least the best so far: O(2^n * n) at worst, but 220-610 of the 16384
+    subsets on the oracle graphs at n = 14, and 15 on C14.
     """
     _, cost = _separation_costs(g)
     return cost[(1 << g.n) - 1]
@@ -253,12 +258,15 @@ def pathwidth_exact(g: Graph) -> int:
 def path_decomposition_exact(g: Graph) -> PathDecomposition:
     """An optimal path decomposition recovered from the separation costs.
 
-    From the full set down, each step drops the lowest v whose removal
-    keeps the cost.  The recursion tried S's children lowest first and
-    stopped only at such a v, skipping on the way only children that cost
-    more than S: a child missing from the table is read as costing n, above
-    any cost.  The vertex dropped from a set of m vertices takes place m,
-    and its span runs from there to its last neighbour's place.
+    From the full set down, each step drops the lowest v whose child
+    costs no more than S, which keeps the cost.  The recursion tried S's
+    children lowest first and stopped only at such a v.  A child missing
+    from the table is read as costing n, above any cost.  The children it
+    skipped on the way are such, and none of them is the lowest v: each
+    costs at least the best so far, set by a lower child that costs exactly
+    that, so it keeps S's cost only if that lower child does too.  The
+    vertex dropped from a set of m vertices takes place m, and its span
+    runs from there to its last neighbour's place.
     """
     nbr, cost = _separation_costs(g)
     n = g.n

@@ -19,7 +19,9 @@ from posetff import (
     TooLarge,
     block_sequence,
     build_ff_image,
+    build_poset,
     canonical_dumps,
+    find_k_plus_k,
     first_fit_color,
     gen_interval_order,
     grundy_coloring,
@@ -33,6 +35,7 @@ from posetff import (
     stacked,
     validate_ff_coloring,
     validate_homomorphism,
+    width_with_witness,
 )
 from posetff import SplitMix64, interval_order_from_intervals, kierstead
 import posetff.homomorphism as homomorphism_module
@@ -326,6 +329,16 @@ def grid_graph(rows, cols):
     return Graph(rows * cols, edges + [(v, v + rows) for v in range(rows * (cols - 1))])
 
 
+def three_plus_three_free_poset():
+    """A 16-element 3+3-free poset of width 7, by its cover pairs: a search
+    for posets whose Dilworth chains stick a slide at window 2 found it."""
+    return build_poset(16, [
+        (0, 4), (0, 14), (1, 6), (1, 8), (2, 1), (2, 5), (2, 7), (3, 14), (4, 7), (7, 6), (9, 3),
+        (9, 6), (9, 8), (10, 7), (10, 14), (11, 7), (11, 9), (11, 15), (13, 8), (13, 10),
+        (13, 15), (15, 14),
+    ])
+
+
 def pinned_pathwidth_graphs():
     """Past the golden quotient cases' n <= 10: seeded graphs at n = 11-14 with
     densities 0.1-0.95, then C14, the 2 x 7 grid and K7,7."""
@@ -365,12 +378,12 @@ class TestPathwidthExact:
 
     def test_too_large(self):
         for oracle in (pathwidth_exact, path_decomposition_exact):
-            with pytest.raises(TooLarge, match="subset DP limited to 14 vertices, got 15"):
-                oracle(empty_graph(15))
+            with pytest.raises(TooLarge, match="subset DP limited to 16 vertices, got 17"):
+                oracle(empty_graph(17))
 
     def test_largest_accepted_size(self):
-        assert pathwidth_exact(empty_graph(14)) == 0
-        assert path_decomposition_exact(empty_graph(14)).width == 0
+        assert pathwidth_exact(empty_graph(16)) == 0
+        assert path_decomposition_exact(empty_graph(16)).width == 0
 
     def test_exact_decomposition_matches(self):
         for seed in range(8):
@@ -425,9 +438,10 @@ class TestSeparationPruning:
 
     @staticmethod
     def graphs():
-        seeded = [gen_graph(seed, n, density) for seed in range(3) for n in (5, 8, 10, 12)
+        seeded = [gen_graph(seed, n, density) for seed in range(3) for n in (5, 8, 10, 12, 15, 16)
                   for density in (0.15, 0.3, 0.5, 0.7, 0.9)]
-        return seeded + pinned_pathwidth_graphs()
+        inc = incomparability_graph(three_plus_three_free_poset())
+        return seeded + pinned_pathwidth_graphs() + [inc]
 
     def test_table_is_a_part_of_the_unpruned_one(self):
         for g in self.graphs():
@@ -443,14 +457,23 @@ class TestSeparationPruning:
         assert pruned == [path_decomposition_exact(g).bags for g in graphs]
 
     @pytest.mark.parametrize("g, before, after", [
-        (cycle_graph(14), 7694, 4994),
-        (grid_graph(2, 7), 7953, 4056),
-        (complete_bipartite_graph(7, 7), 771, 771),
-        (gen_graph(1, 14, 0.2), 2449, 1237),
+        (cycle_graph(14), 7694, 15),
+        (grid_graph(2, 7), 7953, 15),
+        (complete_bipartite_graph(7, 7), 771, 15),
+        (gen_graph(1, 14, 0.2), 2449, 254),
     ], ids=["C14", "grid2x7", "K7,7", "gen_graph(1,14,0.2)"])
     def test_pinned_table_sizes(self, g, before, after):
         assert len(reference_separation_table(g)) == before
         assert len(homomorphism_module._separation_costs(g)[1]) == after
+
+    def test_three_plus_three_free_poset_at_the_limit(self):
+        p = three_plus_three_free_poset()
+        assert width_with_witness(p)[0] == 7
+        assert find_k_plus_k(p, 3) is None
+        g = incomparability_graph(p)
+        assert pathwidth_exact(g) == 10
+        assert path_decomposition_exact(g).width == 10
+        assert reference_separation_table(g)[(1 << g.n) - 1] == 10
 
 
 class TestValidateHomomorphism:
