@@ -9,15 +9,19 @@ spans of the elements across the block sequence, replayed from the moves
 on the partition, form closed integer intervals whose interval order the
 input extends, and they are a path decomposition of the incomparability
 graph: bag t holds the elements whose span contains t.  The slide keeps
-only each chain's segment start, the live chains (those reaching past
-their segments) and the up-set bitmask.  A chain's segment minimum is good
-exactly when the up-set lies above it, so the per-step certificate is one
-mask test per live chain.  Only when no chain passes is each live chain's
-run cut: its 2k-3 segment elements, then d, its next element.  The
-certifying digraph (an arc from chain i to chain j when i's run start is
-not below j's run end) then has no sink, and replaying the certification
-along its least cycle, on slices of the runs, produces two disjoint
-incomparable k-chains instead.
+each chain's segment start, the up-set bitmask and the good chains.  A
+chain's segment minimum is good exactly when the up-set lies above it.
+The up-set only shrinks, and a chain's segment minimum changes only when
+that chain moves, so one up-set element not above the minimum (its
+blocker) keeps the chain from being good until that element is admitted.
+Each live chain is therefore either good or listed under its blocker, and
+a step re-tests only the chain it moved and the chains listed under the
+element it admitted.  Only when no chain is good is each live chain's run
+cut: its 2k-3 segment elements, then d, its next element.  The certifying
+digraph (an arc from chain i to chain j when i's run start is not below
+j's run end) then has no sink, and replaying the certification along its
+least cycle, on slices of the runs, produces two disjoint incomparable
+k-chains instead.
 """
 
 from __future__ import annotations
@@ -70,27 +74,30 @@ def _witness_from_cycle(
     raise InternalError("cycle replay exhausted without contradiction or witness")
 
 
-def _pick(
-    p: Poset, chains: tuple[tuple[int, ...], ...], lo: list[int], live: list[int], ups: int,
-    k: int,
-) -> int | KkWitness:
-    """The least live chain whose segment minimum lies below the whole up-set, or a witness.
+def _retest(
+    p: Poset, chains: tuple[tuple[int, ...], ...], lo: list[int], ups: int, good: int,
+    blocked: dict[int, list[int]], tested: list[int],
+) -> int:
+    """``good`` plus each tested chain whose segment minimum lies below the whole up-set.
 
-    Chain i's segment is the 2k-3 elements from position ``lo[i]``; ``live``
-    lists, in increasing order, the chains reaching past their segments, and
-    ``ups`` masks the elements above the block.  The certifying digraph has
-    an arc i -> j when a_i, chain i's segment minimum, is not below d_j,
-    chain j's least element above its segment; a_i is below d_i, so chain i
-    is a sink exactly when a_i lies below the whole up-set.  Only when no
-    chain passes that test are the live chains' runs (segment, then d) cut,
-    to find the witness's cycle.
+    Chain i's segment starts at position ``lo[i]`` and ``ups`` masks the
+    elements above the block.  A chain passes exactly when it is a sink of
+    the certifying digraph: each chain's part of the up-set is a chain
+    whose least element is d_j.  A tested chain that fails is listed in
+    ``blocked`` under its blocker, the up-set element of highest id that is
+    not above its segment minimum.  The up-set only shrinks and the minimum
+    changes only when the chain moves, so the chain cannot pass before its
+    blocker is admitted.  Any such element would do; the highest is the top
+    bit, read without a scan.
     """
     succ_mask = p.succ_mask
-    for i in live:
-        if not ups & ~succ_mask(chains[i][lo[i]]):
-            return i
-    runs = {i: chains[i][lo[i] : lo[i] + 2 * k - 2] for i in live}
-    return _witness_from_cycle(p, runs, k, _least_cycle(p, runs))
+    for i in tested:
+        above = ups & succ_mask(chains[i][lo[i]])
+        if above == ups:
+            good |= 1 << i
+        else:
+            blocked.setdefault((ups ^ above).bit_length() - 1, []).append(i)
+    return good
 
 
 def _least_cycle(p: Poset, runs: dict[int, tuple[int, ...]]) -> list[int]:
@@ -184,28 +191,44 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
 
     Each step removes the certified good element and admits the smallest
     element above the same chain's segment, so per-chain segment sizes
-    never change.  The slide keeps each chain's segment start, the live
-    chains (those reaching past their segments) and the up-set mask; each
-    step is one ``_pick``, whose witness, when no chain is good, is returned.
+    never change.  The slide keeps each chain's segment start, the up-set
+    mask and the certifying digraph's sinks: ``good`` masks the chains whose
+    segment minimum lies below the whole up-set, and every other live chain
+    is listed under its blocker.  A step moves the least good chain, then
+    ``_retest`` tests only that chain and those listed under the element it
+    admitted.  When no chain is good, the live chains' runs (segment, then
+    d) are cut and the witness of their least cycle is returned.
     """
+    if type(k) is not int:
+        raise ParamError(f"k must be an int, got {k!r}")
     if k < 2:
         raise ParamError("k must be at least 2")
     chains = dilworth_partition(p)
     window = 2 * k - 3
     lo = [0] * len(chains)
-    live = [i for i, chain in enumerate(chains) if len(chain) > window]
-    ups = sum(1 << e for i in live for e in chains[i][window:])
+    tested = [i for i, chain in enumerate(chains) if len(chain) > window]
+    ups = sum(1 << e for i in tested for e in chains[i][window:])
+    good = 0
+    blocked: dict[int, list[int]] = {}
     moves: list[int] = []
-    while live:
-        got = _pick(p, chains, lo, live, ups, k)
-        if isinstance(got, KkWitness):
-            return got
-        moves.append(got)
-        start = lo[got]
-        ups &= ~(1 << chains[got][start + window])
-        lo[got] = start + 1
-        if start + 1 + window == len(chains[got]):
-            live.remove(got)
+    while ups:
+        good = _retest(p, chains, lo, ups, good, blocked, tested)
+        if not good:
+            runs = {
+                i: chain[lo[i] : lo[i] + window + 1]
+                for i, chain in enumerate(chains) if lo[i] + window < len(chain)
+            }
+            return _witness_from_cycle(p, runs, k, _least_cycle(p, runs))
+        i = (good & -good).bit_length() - 1
+        moves.append(i)
+        good ^= 1 << i
+        start = lo[i]
+        admitted = chains[i][start + window]
+        ups ^= 1 << admitted
+        lo[i] = start + 1
+        tested = blocked.pop(admitted, [])
+        if start + 1 + window < len(chains[i]):
+            tested.append(i)
     return BlockSequence(partition=chains, k=k, moves=tuple(moves))
 
 

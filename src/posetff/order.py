@@ -645,6 +645,8 @@ def find_k_plus_k(p: Poset, k: int) -> KkWitness | None:
     least top over x not above x', y' the least top over x' not above x,
     and each chain is peeled from its open interval.
     """
+    if type(k) is not int:
+        raise ParamError(f"k must be an int, got {k!r}")
     if k < 2:
         raise ParamError("k must be at least 2")
     n = p.n

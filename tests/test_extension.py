@@ -136,9 +136,29 @@ def slide_state(cp, segments):
     return cp, lo, live_chains(cp, segments), mask(elements_above(cp, segments))
 
 
+def check_blocked(p, chains, lo, ups, good, blocked):
+    """Every live chain is good or listed once under a blocker, an up-set element
+    not above its segment minimum; returns the live chains in increasing order."""
+    listed = [i for chains_under in blocked.values() for i in chains_under]
+    assert len(set(listed)) == len(listed) and not good & mask(listed)
+    for u, chains_under in blocked.items():
+        assert ups >> u & 1
+        assert not any(p.less(chains[i][lo[i]], u) for i in chains_under)
+    return sorted(listed + [i for i in range(len(chains)) if good >> i & 1])
+
+
 def pick(p, segments, k):
-    """The slide's per-step choice on one block of p's Dilworth partition."""
-    return extension_module._pick(p, *slide_state(dilworth_partition(p), segments), k)
+    """The slide's choice on one block of p's Dilworth partition, from scratch:
+    ``_retest`` on every live chain, then the least good chain, or the stuck
+    path's witness when none is good."""
+    cp, lo, live, ups = slide_state(dilworth_partition(p), segments)
+    blocked = {}
+    good = extension_module._retest(p, cp, lo, ups, 0, blocked, live)
+    assert check_blocked(p, cp, lo, ups, good, blocked) == live
+    if good:
+        return (good & -good).bit_length() - 1
+    runs = runs_of(p, segments)
+    return extension_module._witness_from_cycle(p, runs, k, extension_module._least_cycle(p, runs))
 
 
 def runs_of(p, segments):
@@ -148,16 +168,21 @@ def runs_of(p, segments):
 
 
 def traced_slide(p, k):
-    """The slide's result and its (segment starts, live chains, up-set) at every pick."""
-    states = []
-    real = extension_module._pick
+    """The slide's result and its (segment starts, live chains, up-set, good chains) at every pick.
 
-    def spy(p, chains, lo, live, ups, k):
-        states.append((list(lo), list(live), ups))
-        return real(p, chains, lo, live, ups, k)
+    The live chains are read off the slide's own bookkeeping: those it holds
+    good and those it lists under a blocker.
+    """
+    states = []
+    real = extension_module._retest
+
+    def spy(p, chains, lo, ups, good, blocked, tested):
+        good = real(p, chains, lo, ups, good, blocked, tested)
+        states.append((list(lo), check_blocked(p, chains, lo, ups, good, blocked), ups, good))
+        return good
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extension_module, "_pick", spy)
+        mp.setattr(extension_module, "_retest", spy)
         return block_sequence(p, k), states
 
 
@@ -171,9 +196,15 @@ def arcs_by_definition(p, cp, segments):
     return {i: mask(j for j in live if j != i and not p.less(a[i], d[j])) for i in live}
 
 
+def sinks(p, cp, segments):
+    """The sinks of the block's certifying digraph, as a mask over chain indices."""
+    return mask(i for i, out in arcs_by_definition(p, cp, segments).items() if not out)
+
+
 def least_sink(p, cp, segments):
     """The smallest sink of the block's certifying digraph, or None when it has none."""
-    return next((i for i, out in arcs_by_definition(p, cp, segments).items() if not out), None)
+    good = sinks(p, cp, segments)
+    return (good & -good).bit_length() - 1 if good else None
 
 
 def check_pick(p, cp, segments, k, got):
@@ -226,8 +257,11 @@ def assert_slide_matches_scratch(p, k):
     moves, blocks, stuck = slide_from_scratch(p, k)
     got, states = traced_slide(p, k)
     cp = dilworth_partition(p)
-    # the slide picks on every block with something above it, keeping that block's state
-    assert states == [slide_state(cp, b)[1:] for b in blocks if elements_above(cp, b)]
+    # the slide picks on every block with something above it, keeping that
+    # block's state, and holds good exactly the sinks of its certifying digraph
+    assert states == [
+        (*slide_state(cp, b)[1:], sinks(p, cp, b)) for b in blocks if elements_above(cp, b)
+    ]
     if stuck:
         assert isinstance(got, KkWitness) and got.is_valid(p) and got.k == k
     else:
@@ -240,7 +274,7 @@ class TestUpSet:
 
     def test_single_chain_window(self):
         _, states = traced_slide(chain_poset(5), 2)
-        assert states[1] == ([1], [0], mask({2, 3, 4}))  # X = {c_2}
+        assert states[1] == ([1], [0], mask({2, 3, 4}), 1)  # X = {c_2}, chain 0 good
 
     def test_full_antichain_block(self):
         seq, states = traced_slide(antichain_poset(4), 2)
@@ -344,9 +378,9 @@ class TestFindGoodElement:
             size = min(len(chain), 2 * k - 3)
             lo = data.draw(st.integers(0, len(chain) - size))
             segments.append((lo, lo + size))
-        state = slide_state(cp, segments)
-        if state[2]:  # the slide picks only while some chain reaches past its segment
-            check_pick(p, cp, segments, k, extension_module._pick(p, *state, k))
+        # the slide picks only while some chain reaches past its segment
+        if live_chains(cp, segments):
+            check_pick(p, cp, segments, k, pick(p, segments, k))
 
     def test_least_cycle_rejects_a_sink(self):
         # every chain failed the up-set test, so a sink means the lemma broke:
@@ -359,7 +393,7 @@ class TestFindGoodElement:
         # a singleton chain sits wholly inside the block and never participates
         p = build_poset(6, [(i, i + 1) for i in range(4)])  # chain of 5 plus element 5
         seq, states = traced_slide(p, 2)
-        assert [live for _, live, _ in states] == [[0]] * 4
+        assert [live for _, live, _, _ in states] == [[0]] * 4
         assert pick(p, first_block(seq), 2) == 0
         assert moves_of(seq)[0] == {"removed": 0, "added": 1, "chain": 0}
 
@@ -435,6 +469,27 @@ class TestBlockSequence:
         cases += [(gen_random_poset(SplitMix64(seed), 20, 0.4), 2) for seed in range(6)]
         for p, k in cases:
             assert_slide_matches_scratch(p, k)
+
+    def test_incremental_slide_matches_scratch_on_many_chains(self):
+        # wide interval orders, whose steps re-test many listed chains, and two
+        # slides that stick after several moves with at least 10 live chains
+        for seed in (1, 2, 3):
+            p = gen_interval_order(seed, 150)
+            assert len(dilworth_partition(p)) >= 50
+            assert_slide_matches_scratch(p, 2)
+        for seed, n, density in ((1, 70, 0.1), (9, 100, 0.05)):
+            p = gen_random_poset(SplitMix64(seed), n, density)
+            got, states = traced_slide(p, 3)
+            assert isinstance(got, KkWitness)
+            assert len(states) >= 10 and len(states[-1][1]) >= 10 and not states[-1][3]
+            assert_slide_matches_scratch(p, 3)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3"])
+    def test_rejects_a_k_that_is_not_an_int(self, k):
+        for search in (block_sequence, find_k_plus_k):
+            with pytest.raises(ParamError) as info:
+                search(chain_poset(6), k)
+            assert str(info.value) == f"k must be an int, got {k!r}"
 
     def test_non_increasing_chain_raises_internal_error(self, monkeypatch):
         def sabotaged(p):
