@@ -30,8 +30,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import CoverageError, InternalError, MalformedInterval, ParamError
-from .order import Graph, KkWitness, Poset, _spans_cover_edges, dilworth_partition
+from .errors import CoverageError, InternalError, MalformedInterval
+from .order import Graph, KkWitness, Poset, _check_k, _spans_cover_edges, dilworth_partition
 
 __all__ = [
     "BlockSequence",
@@ -138,6 +138,9 @@ class BlockSequence:
     k: int
     moves: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        _check_k(self.k)
+
     def __len__(self) -> int:
         return len(self.moves) + 1
 
@@ -199,10 +202,7 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
     admitted.  When no chain is good, the live chains' runs (segment, then
     d) are cut and the witness of their least cycle is returned.
     """
-    if type(k) is not int:
-        raise ParamError(f"k must be an int, got {k!r}")
-    if k < 2:
-        raise ParamError("k must be at least 2")
+    _check_k(k)
     chains = dilworth_partition(p)
     window = 2 * k - 3
     lo = [0] * len(chains)

@@ -11,7 +11,7 @@ search.
 from __future__ import annotations
 
 from .errors import GaveUp, ParamError
-from .order import Poset, build_poset, find_k_plus_k, interval_order_from_intervals
+from .order import Poset, _check_k, build_poset, find_k_plus_k, interval_order_from_intervals
 
 __all__ = [
     "SplitMix64",
@@ -102,8 +102,7 @@ def gen_kk_free(seed: int, n: int, k: int) -> Poset:
     Candidates keep forward pairs at rate KKFREE_DENSITY; raises GaveUp after
     KKFREE_TRIES rejected candidates.
     """
-    if k < 2:
-        raise ParamError("k must be at least 2")
+    _check_k(k)
     rng = SplitMix64(seed)
     for _ in range(KKFREE_TRIES):
         p = gen_random_poset(rng, n, KKFREE_DENSITY)

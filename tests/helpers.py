@@ -436,6 +436,36 @@ def reference_matching(p):
     return match_l, match_r
 
 
+def reference_koenig(p):
+    """Koenig's sets (zl, zr) of ``reference_matching(p)``, as masks, by the
+    alternating BFS that ``width_with_witness`` ran before it read Z_R off
+    ``order._maximum_matching``'s dead set.
+
+    A BFS from the unmatched left vertices along unmatched edges to the
+    right and matched edges back marks Z_L and Z_R; the elements in Z_L but
+    not in Z_R are a maximum antichain.  A left vertex in the BFS is a root
+    or the partner of a right vertex already marked, so its own matched
+    edge is never fresh and each right vertex's partner joins Z_L once.
+    """
+    match_l, match_r = reference_matching(p)
+    frontier = [u for u in range(p.n) if match_l[u] == -1]
+    zl = sum(1 << u for u in frontier)
+    zr = 0
+    while frontier:
+        nxt = []
+        for u in frontier:
+            fresh = p.succ_mask(u) & ~zr
+            zr |= fresh
+            for v in _iter_bits(fresh):
+                w = match_r[v]
+                if w == -1:
+                    raise AssertionError("an augmenting path survived the maximum matching")
+                zl |= 1 << w
+                nxt.append(w)
+        frontier = nxt
+    return zl, zr
+
+
 def brute_grundy(g):
     """Full permutation sweep, no pruning; usable to n ~ 6."""
     best = 0

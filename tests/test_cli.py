@@ -125,7 +125,8 @@ def test_gen_kkfree_has_no_tuning_flags(tmp_path, flag):
     ["extend", "--poset", "2+2.json", "--k", 2, "--out-witness", "out.json"],
     ["bench", "--k", 2, "--w", 1, "--trials", 1, "--orders", 1, "--csv", "bench.csv",
      "--out-witness", "out.json"],
-], ids=["gen-range", "extend-out-witness", "bench-out-witness"])
+    ["ff", "--poset", "2+2.json", "--order", "order.json", "--expect", 2, "--out", "out.json"],
+], ids=["gen-range", "extend-out-witness", "bench-out-witness", "ff-expect"])
 def test_retired_flags_are_refused(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "2+2.json").write_text('{"n": 4, "relations": [[0, 1], [2, 3]]}')
@@ -161,12 +162,13 @@ def test_bad_args_exit_2():
     assert run(["nonsense"]) == 2
 
 
-def test_ff_expected_count(tmp_path):
+def test_ff_expected_count(tmp_path, capsys):
     poset_file = tmp_path / "p5.json"
     order_file = tmp_path / "ord.json"
     run(["gen", "kierstead", "--q", 5, "--out", poset_file, "--out-order", order_file])
     assert run(["ff", "--poset", poset_file, "--order", order_file,
-                "--expect", 5]) == 0
+                "--out", tmp_path / "ff.json"]) == 0
+    assert capsys.readouterr().out == "ff chains=5 n=15\n"
     # validation always runs, so the option that asked for it is gone
     assert run(["ff", "--poset", poset_file, "--order", order_file, "--validate"]) == 2
 
@@ -190,30 +192,11 @@ def test_ff_validation_failure_exits_1(tmp_path, capsys, monkeypatch, out):
 def test_ff_stacked_expectation(tmp_path):
     poset_file = tmp_path / "q.json"
     order_file = tmp_path / "q.order.json"
+    out = tmp_path / "ff.json"
     run(["gen", "stacked", "--k", 5, "--w", 4, "--out", poset_file,
          "--out-order", order_file])
-    assert run(["ff", "--poset", poset_file, "--order", order_file, "--expect", 12]) == 0
-
-
-def test_ff_expectation_miss(tmp_path):
-    poset_file = tmp_path / "chain.json"
-    order_file = tmp_path / "ord.json"
-    poset_file.write_text('{"n": 3, "relations": [[0,1],[1,2]]}')
-    order_file.write_text('{"order": [0,1,2]}')
-    assert run(["ff", "--poset", poset_file, "--order", order_file, "--expect", 2]) == 1
-
-
-def test_ff_negative_expectation_exits_2(tmp_path, capsys):
-    # a usage error, not a certified miss: First-Fit never runs and nothing is written
-    poset_file = tmp_path / "chain.json"
-    order_file = tmp_path / "ord.json"
-    out = tmp_path / "ff.json"
-    poset_file.write_text('{"n": 3, "relations": [[0,1],[1,2]]}')
-    order_file.write_text('{"order": [0,1,2]}')
-    assert run(["ff", "--poset", poset_file, "--order", order_file, "--expect", -1,
-                "--out", out]) == 2
-    assert capsys.readouterr().err == "error: ff needs --expect >= 0, got -1\n"
-    assert not out.exists()
+    assert run(["ff", "--poset", poset_file, "--order", order_file, "--out", out]) == 0
+    assert len(read_json(out)["chains"]) == 12
 
 
 def test_ff_writes_assignment(tmp_path):

@@ -491,6 +491,20 @@ class TestBlockSequence:
                 search(chain_poset(6), k)
             assert str(info.value) == f"k must be an int, got {k!r}"
 
+    @pytest.mark.parametrize("k, message", [
+        (2.5, "k must be an int, got 2.5"),
+        (3.0, "k must be an int, got 3.0"),
+        ("3", "k must be an int, got '3'"),
+        (1, "k must be at least 2"),
+    ])
+    def test_record_and_generator_refuse_a_bad_k(self, k, message):
+        # a record built by hand and the k+k-free generator check k as the
+        # searches do, not with a TypeError or a record of width -2
+        for make in (lambda: BlockSequence(((0, 1),), k, ()), lambda: gen_kk_free(0, 8, k)):
+            with pytest.raises(ParamError) as info:
+                make()
+            assert str(info.value) == message
+
     def test_non_increasing_chain_raises_internal_error(self, monkeypatch):
         def sabotaged(p):
             return (tuple(reversed(range(p.n))),)

@@ -12,6 +12,7 @@ from posetff import (
     CycleError,
     Graph,
     IdOutOfRange,
+    InternalError,
     KkWitness,
     MalformedInterval,
     ParamError,
@@ -47,6 +48,7 @@ from helpers import (
     interval_cover_pairs,
     is_chain_partition,
     posets,
+    reference_koenig,
     reference_matching,
     shuffled_posets,
     span_lists,
@@ -295,6 +297,18 @@ class TestWidthAndDilworth:
         cp = dilworth_partition(build_poset(4, TWO_PLUS_TWO))
         assert len(cp) == 2
 
+    def test_free_vertex_in_the_dead_set_is_refused(self, monkeypatch):
+        # on 0 < 1 with nothing matched, the dead right vertex 1 is free
+        monkeypatch.setattr(order, "_maximum_matching", lambda p: ([-1, -1], [-1, -1], 1 << 1))
+        with pytest.raises(InternalError, match="^an augmenting path survived the maximum matching$"):
+            width_with_witness(chain_poset(2))
+
+    def test_witness_of_the_wrong_size_is_refused(self, monkeypatch):
+        # on 0 < 1 < 2, a match_r that leaves 1 free counts a width of 2
+        monkeypatch.setattr(order, "_maximum_matching", lambda p: ([1, 2, -1], [-1, -1, 1], 0))
+        with pytest.raises(InternalError, match="^Koenig witness has 1 elements, width is 2$"):
+            width_with_witness(chain_poset(3))
+
     @given(posets())
     @settings(max_examples=60)
     def test_width_matches_partition_and_brute_force(self, p):
@@ -356,32 +370,45 @@ def _greedy_roots(p):
     return roots
 
 
+def _assert_equals_reference(p):
+    """The matching, its dead set and the width witness equal the references':
+    the dead set is Koenig's Z_R, and the witness is Z_L minus Z_R."""
+    match_l, match_r = reference_matching(p)
+    zl, zr = reference_koenig(p)
+    assert _maximum_matching(p) == (match_l, match_r, zr)
+    assert width_with_witness(p) == (match_r.count(-1), tuple(order.iter_bits(zl & ~zr)))
+
+
 class TestMaximumMatching:
     """``_maximum_matching`` against the copy of its earlier search: the same
-    (match_l, match_r), so the same chains, block moves and files."""
+    (match_l, match_r), so the same chains, block moves and files, and a dead
+    set that is Koenig's Z_R, so the same width witness."""
 
     @given(shuffled_posets())
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_on_shuffled_posets(self, p):
-        assert _maximum_matching(p) == reference_matching(p)
+        _assert_equals_reference(p)
 
     @given(span_lists(max_size=40))
     @example(_narrow_spans(0, 400, 15))
     @example(_narrow_spans(1, 400, 15))
     @settings(max_examples=200, deadline=None)
     def test_equals_reference_on_interval_orders(self, spans):
-        p = interval_order_from_intervals(spans)
-        assert _maximum_matching(p) == reference_matching(p)
+        _assert_equals_reference(interval_order_from_intervals(spans))
 
     @pytest.mark.parametrize("k, w", [(3, 2), (3, 5), (4, 3), (5, 4), (6, 6), (8, 3)])
     def test_equals_reference_on_stacked(self, k, w):
-        p = stacked(k, w).poset
-        assert _maximum_matching(p) == reference_matching(p)
+        _assert_equals_reference(stacked(k, w).poset)
 
     @pytest.mark.parametrize("q", [*range(1, 10), 30, 40])
     def test_equals_reference_on_kierstead(self, q):
-        p = kierstead(q).poset
-        assert _maximum_matching(p) == reference_matching(p)
+        _assert_equals_reference(kierstead(q).poset)
+
+    def test_empty_poset(self):
+        p = Poset(0, [])
+        assert _maximum_matching(p) == ([], [], 0)
+        assert width_with_witness(p) == (0, ())
+        _assert_equals_reference(p)
 
     def test_searches_after_a_run_of_failures(self):
         # the greedy seed leaves roots 4, 5, 6, 7, 9, 10; roots 5, 6 and 7 fail
@@ -391,15 +418,30 @@ class TestMaximumMatching:
         # changes the result
         p = build_poset(11, [(0, 7), (1, 8), (1, 10), (2, 0), (2, 6), (3, 7), (5, 4),
                              (6, 4), (7, 4), (8, 5), (8, 9), (9, 2), (10, 2)])
-        match_l, match_r = _maximum_matching(p)
-        assert (match_l, match_r) == reference_matching(p)
+        match_l, match_r, dead = _maximum_matching(p)
+        _assert_equals_reference(p)
         assert match_l == [4, 5, 6, 7, -1, -1, -1, -1, 9, 0, 2]
         assert match_r == [9, -1, 10, -1, 0, 1, 2, 3, -1, 8, -1]
+        # root 5 kills 4 and 7 (through 4's partner 0); roots 6 and 7 then
+        # find every successor dead, and the augmentations leave both dead
+        assert dead == 1 << 4 | 1 << 7
+        assert width_with_witness(p) == (4, (0, 3, 5, 6))
         # a root that fails stays unmatched and one that augments stays matched
         roots = _greedy_roots(p)
         assert roots == [4, 5, 6, 7, 9, 10]
         assert [match_l[r] == -1 for r in roots] == [True, True, True, True, False, False]
         assert all(p.succ_mask(r) for r in (5, 6, 7))
+
+    def test_dead_set_joins_failed_searches_across_an_augmentation(self):
+        # three components: root 2 fails visiting 1, root 6 augments (6 takes
+        # 4 from 3, which moves to 5), and root 9 fails visiting 8
+        p = build_poset(10, [(0, 1), (2, 1), (3, 4), (3, 5), (6, 4), (7, 8), (9, 8)])
+        match_l, _, dead = _maximum_matching(p)
+        _assert_equals_reference(p)
+        assert _greedy_roots(p) == [1, 2, 4, 5, 6, 8, 9]
+        assert match_l == [1, -1, -1, 5, -1, -1, 4, 8, -1, -1]
+        assert dead == 1 << 1 | 1 << 8
+        assert width_with_witness(p) == (6, (0, 2, 4, 5, 7, 9))
 
     @pytest.mark.parametrize(
         "name, build, width, chains_sha256, antichain_sha256",
