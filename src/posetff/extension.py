@@ -60,7 +60,7 @@ def _witness_from_cycle(
     left = first[:k]
     for i in cycle[1:]:
         right = runs[i][-k:]
-        found = next(((u, v) for u in left for v in right if p.comparable(u, v)), None)
+        found = next(((u, v) for u in left for v in right if p.less(u, v) or p.less(v, u)), None)
         if found is None:
             witness = KkWitness(left, right)
             if not witness.is_valid(p):
@@ -159,11 +159,6 @@ class PathDecomposition:
     @property
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
-
-    @classmethod
-    def from_spans(cls, spans: Sequence[tuple[int, int]], count: int) -> PathDecomposition:
-        """Bags 1..count, bag t listing in increasing order the ids whose span contains t."""
-        return cls(tuple(map(tuple, _bag_rows(spans, count))))
 
 
 def _bag_rows(spans: Sequence[tuple[int, int]], count: int) -> Iterator[list[int]]:

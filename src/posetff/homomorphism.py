@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalError, InvalidColoring, InvalidDecomposition, TooLarge
-from .extension import PathDecomposition, _valid_spans
-from .firstfit import FFColoring, validate_ff_coloring
+from .extension import PathDecomposition, _bag_rows, _valid_spans
+from .firstfit import FFColoring, _greedy_law, validate_ff_coloring
 from .order import (
     Graph, _spans_cover_edges, incomparability_graph, interval_order_from_intervals, iter_bits
 )
@@ -73,9 +73,6 @@ class FFImage:
     h: Graph
     intervals: tuple[tuple[int, int], ...]
     classes: tuple[tuple[int, ...], ...]  # per input class: the quotient vertices
-
-    def coloring(self) -> FFColoring:
-        return FFColoring(tuple(frozenset(z) for z in self.classes))
 
 
 def interval_completion(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int], ...]:
@@ -158,7 +155,7 @@ def build_ff_image(
     hom = Homomorphism(tuple(mapping))
     if interval_clique_number(image.intervals) > interval_clique_number(spans):
         raise InternalError("quotient clique number exceeds the completion's")
-    if not validate_ff_coloring(h, image.coloring()):
+    if not _greedy_law(h, image.classes):
         raise InternalError("transported classes are not a First-Fit coloring")
     if len(image.classes) != len(coloring.classes):
         raise InternalError("quotient lost color classes")
@@ -286,7 +283,7 @@ def path_decomposition_exact(g: Graph) -> PathDecomposition:
     spans = tuple(zip(place, map(max, place, last)))
     if not _spans_cover_edges(g, spans):
         raise InternalError("recovered layout is not a path decomposition")
-    pd = PathDecomposition.from_spans(spans, n)
+    pd = PathDecomposition(tuple(map(tuple, _bag_rows(spans, n))))
     if pd.width != cost[(1 << n) - 1]:
         raise InternalError(f"recovered width {pd.width} misses the optimum {cost[(1 << n) - 1]}")
     return pd

@@ -181,7 +181,7 @@ def intervals_to_dict(spans: Sequence[tuple[int, int]]) -> dict:
 
 
 def pd_text(spans: Sequence[tuple[int, int]], count: int) -> str:
-    """The file of ``PathDecomposition.from_spans(spans, count)``, each bag joined as swept."""
+    """The pd file of bags 1..count, bag t the ids whose span contains t, joined as swept."""
     ids = list(map(str, range(len(spans))))
     bags = ["[" + ",".join(map(ids.__getitem__, bag)) + "]" for bag in _bag_rows(spans, count)]
     return '{"bags":[' + ",".join(bags) + "]}\n"

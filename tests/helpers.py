@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from posetff import (
     CoverageError,
+    FFColoring,
     Graph,
     InternalError,
     KkWitness,
@@ -88,6 +89,45 @@ def graph_edges(g):
 
 def adjacent(g, u, v):
     return (g.nbr_mask(u) >> v) & 1 == 1
+
+
+def comparable(p, u, v):
+    """Distinct ids in 0..n-1 with one below the other."""
+    return 0 <= u < p.n and 0 <= v < p.n and u != v and (p.less(u, v) or p.less(v, u))
+
+
+def incomparable(p, u, v):
+    """Distinct ids in 0..n-1 with neither below the other."""
+    return 0 <= u < p.n and 0 <= v < p.n and u != v and not p.less(u, v) and not p.less(v, u)
+
+
+def is_antichain_pairwise(p, elems):
+    """Ids in 0..n-1, every two of them incomparable (so also distinct)."""
+    return all(0 <= u < p.n for u in elems) and all(
+        incomparable(p, u, v) for u, v in combinations(elems, 2))
+
+
+def is_chain_pairwise(p, chain):
+    """Ids in 0..n-1, each below every one listed after it."""
+    return all(0 <= u < p.n for u in chain) and all(
+        p.less(u, v) for u, v in combinations(chain, 2))
+
+
+def is_kk_witness_pairwise(p, a, b):
+    """Two k-chains for some k >= 1, each listed in increasing order, with
+    every cross pair incomparable (so disjoint)."""
+    return (0 < len(a) == len(b) and is_chain_pairwise(p, a) and is_chain_pairwise(p, b)
+            and all(incomparable(p, u, v) for u in a for v in b))
+
+
+def increasing(p, chain):
+    """A chain listed in increasing order: a member's place is the number of members below it."""
+    return tuple(sorted(chain, key=lambda e: sum(p.less(u, e) for u in chain)))
+
+
+def image_coloring(image):
+    """An FFImage's transported classes as an FFColoring of its graph H."""
+    return FFColoring(tuple(map(frozenset, image.classes)))
 
 
 def empty_graph(n):
@@ -274,11 +314,11 @@ def brute_contains_kk(p, k):
             if a_part[0] != sub[0]:
                 continue  # fix the smallest id into the first chain
             b_part = tuple(x for x in sub if x not in a_part)
-            if not all(p.comparable(u, v) for u, v in combinations(a_part, 2)):
+            if not all(comparable(p, u, v) for u, v in combinations(a_part, 2)):
                 continue
-            if not all(p.comparable(u, v) for u, v in combinations(b_part, 2)):
+            if not all(comparable(p, u, v) for u, v in combinations(b_part, 2)):
                 continue
-            if all(p.incomparable(u, v) for u in a_part for v in b_part):
+            if all(incomparable(p, u, v) for u in a_part for v in b_part):
                 return True
     return False
 
@@ -334,7 +374,7 @@ def backtrack_kk(p, k):
     if got is None:
         return None
     a, b = got
-    witness = KkWitness(p.sort_chain(a), p.sort_chain(b))
+    witness = KkWitness(increasing(p, a), increasing(p, b))
     if not witness.is_valid(p):
         raise InternalError("k+k search returned an invalid witness")
     return witness
@@ -501,14 +541,13 @@ def brute_first_fit_chains(p, order):
     chains = []
     assignment = [0] * p.n
     for v in order.order:
-        i = next((i for i, c in enumerate(chains) if all(p.comparable(u, v) for u in c)),
+        i = next((i for i, c in enumerate(chains) if all(comparable(p, u, v) for u in c)),
                  len(chains))
         if i == len(chains):
             chains.append([])
         chains[i].append(v)
         assignment[v] = i + 1
-    # an element's place in its chain is the number of chain members below it
-    chains = [tuple(sorted(c, key=lambda e: sum(p.less(u, e) for u in c))) for c in chains]
+    chains = [increasing(p, c) for c in chains]
     return tuple(assignment), chains
 
 
@@ -552,7 +591,7 @@ def brute_ff_partition_ok(p, parts):
         if not all(p.less(part[a], part[b]) for a, b in combinations(range(len(part)), 2)):
             return False
         for v in part:
-            if not all(any(p.incomparable(u, v) for u in earlier) for earlier in parts[:j]):
+            if not all(any(incomparable(p, u, v) for u in earlier) for earlier in parts[:j]):
                 return False
     return True
 
@@ -600,7 +639,7 @@ def brute_width(p):
         if size <= best:
             break
         for sub in combinations(range(p.n), size):
-            if all(p.incomparable(u, v) for u, v in combinations(sub, 2)):
+            if is_antichain_pairwise(p, sub):
                 best = size
                 break
     return best
@@ -613,7 +652,7 @@ def slide_order(p, seq):
 
 def slide_decomposition(seq):
     """The slide's bags, one per block, read off its spans."""
-    return PathDecomposition.from_spans(spans_from_blocks(seq), len(seq))
+    return PathDecomposition(bags_by_definition(spans_from_blocks(seq), len(seq)))
 
 
 def moves_of(seq):

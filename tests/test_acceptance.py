@@ -38,6 +38,7 @@ from helpers import (
     complete_multipartite_graph,
     cycle_graph,
     gen_graph,
+    image_coloring,
     ladder_assignment,
     minus_perfect_matching,
     path_graph,
@@ -148,7 +149,7 @@ def test_criterion_06_homomorphism_suite():
             image, hom = build_ff_image(g, ic, best)
             assert validate_homomorphism(g, image.h, hom)
             assert interval_clique_number(image.intervals) <= pd.width + 1
-            assert validate_ff_coloring(image.h, image.coloring())
+            assert validate_ff_coloring(image.h, image_coloring(image))
             assert len(image.classes) == best.color_count
             # hence FF(H) >= c = FF(G): the transported classes witness it
 

@@ -696,7 +696,7 @@ class TestBagsFromSpans:
             return
         g = incomparability_graph(p)
         spans = spans_from_blocks(seq)
-        pd = PathDecomposition.from_spans(spans, len(seq))
+        pd = PathDecomposition(tuple(map(tuple, extension_module._bag_rows(spans, len(seq)))))
         assert pd.bags == bags_by_definition(spans, len(seq))
         assert validate_path_decomposition(g, pd) and _spans_cover_edges(g, spans)
         assert pd.width == seq.width == interval_clique_number(spans) - 1
@@ -710,7 +710,7 @@ class TestBagsFromSpans:
             return
         v, span = data.draw(st.sampled_from(moved))
         spans = spans[:v] + (span,) + spans[v + 1 :]
-        pd = PathDecomposition.from_spans(spans, len(seq))
+        pd = PathDecomposition(tuple(map(tuple, extension_module._bag_rows(spans, len(seq)))))
         assert pd.bags == bags_by_definition(spans, len(seq))
         assert validate_path_decomposition(g, pd) == _spans_cover_edges(g, spans)
         assert pd.width == interval_clique_number(spans) - 1
@@ -722,14 +722,16 @@ class TestBagsFromSpans:
         # the three widths of no vertices agree: no bags, or one empty bag
         assert seq.width == path_decomposition_exact(Graph(0, [])).width == -1
         assert pathwidth_exact(Graph(0, [])) == -1
-        assert PathDecomposition.from_spans((), 0).bags == ()
+        assert list(extension_module._bag_rows((), 0)) == []
         poset_file, pd_file = tmp_path / "p.json", tmp_path / "pd.json"
         poset_file.write_text('{"n": 0, "relations": []}')
         assert main(["extend", "--poset", str(poset_file), "--k", "2",
                      "--out-pd", str(pd_file)]) == 0
         assert pd_file.read_text() == '{"bags":[[]]}\n'
 
-    @pytest.mark.parametrize("sweep", [PathDecomposition.from_spans, pd_text])
+    @pytest.mark.parametrize("sweep", [
+        lambda spans, count: list(extension_module._bag_rows(spans, count)), pd_text,
+    ], ids=["bag_rows", "pd_text"])
     def test_span_outside_the_blocks_raises(self, sweep):
         for span in ((0, 1), (2, 1), (1, 4), (0, 0), (4, 4)):
             outside = rf"^span {re.escape(str(span))} of 1 lies outside 1\.\.3$"

@@ -42,12 +42,14 @@ from helpers import (
     graphs,
     graphs_with_orders,
     grundy_table,
+    increasing,
     ladder_id,
     minus_perfect_matching,
     outcome,
     path_graph,
     posets_with_orders,
     reference_grundy_table,
+    shuffled_posets,
 )
 from posetff.firstfit import _grundy_ceiling
 
@@ -178,6 +180,13 @@ class TestValidateFFPartition:
         res = first_fit_chains(p, order)
         assert validate_ff_partition(p, res.partition)
 
+    @given(shuffled_posets(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_ff_output_lists_chains_in_increasing_order(self, p, rng):
+        # ids do not follow the order here, so a chain sorted by id would fail
+        order = PresentationOrder(tuple(rng.sample(range(p.n), p.n)))
+        assert validate_ff_partition(p, first_fit_chains(p, order).partition)
+
 
 class TestValidatorsAgreeWithOracles:
     """Each validator against its pair-by-pair oracle: the same bool, or the
@@ -190,7 +199,7 @@ class TestValidatorsAgreeWithOracles:
         chains = first_fit_chains(p, order).partition
         parts = data.draw(corrupted_parts(chains, p.n))
         if data.draw(st.booleans()) and all(0 <= e < p.n for part in parts for e in part):
-            parts = [p.sort_chain(part) for part in parts]  # list chain parts in order
+            parts = [increasing(p, part) for part in parts]  # list chain parts in order
         cp = tuple(map(tuple, parts))
         assert outcome(validate_ff_partition, p, cp) == outcome(brute_ff_partition_ok, p, cp)
 

@@ -35,6 +35,7 @@ from posetff import (
     stacked,
     validate_ff_coloring,
     validate_homomorphism,
+    validate_path_decomposition,
     width_with_witness,
 )
 from posetff import SplitMix64, interval_order_from_intervals, kierstead
@@ -55,6 +56,7 @@ from helpers import (
     graph_edges,
     graphs,
     graphs_with_orders,
+    image_coloring,
     outcome,
     path_graph,
     reference_separation_table,
@@ -135,7 +137,7 @@ class TestBuildFFImage:
         assert image.intervals == ((1, 1), (3, 3), (2, 3), (1, 2))
         assert interval_clique_number(image.intervals) == 2
         assert tuple(len(z) for z in image.classes) == (2, 1, 1)
-        assert validate_ff_coloring(image.h, image.coloring())
+        assert validate_ff_coloring(image.h, image_coloring(image))
         assert validate_homomorphism(g, image.h, hom)
 
     def test_edgeless_single_class(self):
@@ -277,7 +279,7 @@ class TestBuildFFImage:
             coloring = first_fit_color(g, PresentationOrder.identity(g.n))
             image, hom = build_ff_image(g, ic, coloring)
             assert len(image.classes) == coloring.color_count
-            assert validate_ff_coloring(image.h, image.coloring())
+            assert validate_ff_coloring(image.h, image_coloring(image))
             assert validate_homomorphism(g, image.h, hom)
 
     def test_interval_graph_with_clique_path_maps_injectively(self):
@@ -297,7 +299,7 @@ class TestBuildFFImage:
             image, hom = build_ff_image(g, ic, coloring)
             assert sorted(hom.mapping) == list(range(g.n))  # injective
             assert len(image.classes) == coloring.color_count
-            assert validate_ff_coloring(image.h, image.coloring())
+            assert validate_ff_coloring(image.h, image_coloring(image))
 
     @given(graphs_with_orders(max_n=8))
     @settings(max_examples=40, deadline=None)
@@ -310,7 +312,7 @@ class TestBuildFFImage:
         assert interval_clique_number(image.intervals) <= pd.width + 1
         assert validate_homomorphism(g, image.h, hom)
         assert brute_homomorphism_ok(g, image.h, hom)
-        assert validate_ff_coloring(image.h, image.coloring())
+        assert validate_ff_coloring(image.h, image_coloring(image))
         assert len(image.classes) == coloring.color_count
         assert image.h == brute_interval_graph(image.intervals)
         # distinct quotient intervals of one class never meet
@@ -336,6 +338,15 @@ def three_plus_three_free_poset():
         (0, 4), (0, 14), (1, 6), (1, 8), (2, 1), (2, 5), (2, 7), (3, 14), (4, 7), (7, 6), (9, 3),
         (9, 6), (9, 8), (10, 7), (10, 14), (11, 7), (11, 9), (11, 15), (13, 8), (13, 10),
         (13, 15), (15, 14),
+    ])
+
+
+def width_three_poset_above_window_k_minus_1():
+    """A 13-element 3+3-free poset of width 3, by its cover pairs: its exact
+    pathwidth 6 lies above (k-1)w - 1 = 5 at k = 3 and below the slide's 8."""
+    return build_poset(13, [
+        (0, 1), (0, 2), (1, 3), (1, 9), (2, 4), (2, 5), (2, 10), (3, 5), (4, 8), (4, 12), (6, 7),
+        (6, 8), (7, 9), (8, 11), (9, 10), (10, 11), (10, 12),
     ])
 
 
@@ -475,6 +486,18 @@ class TestSeparationPruning:
         assert path_decomposition_exact(g).width == 10
         assert reference_separation_table(g)[(1 << g.n) - 1] == 10
 
+    def test_width_three_poset_above_window_k_minus_1(self):
+        p = width_three_poset_above_window_k_minus_1()
+        assert width_with_witness(p)[0] == 3
+        assert find_k_plus_k(p, 3) is None
+        g = incomparability_graph(p)
+        assert pathwidth_exact(g) == 6
+        assert reference_separation_table(g)[(1 << g.n) - 1] == 6
+        pd = path_decomposition_exact(g)
+        assert pd.width == 6 and validate_path_decomposition(g, pd)
+        # the paper's window 2k - 3 on the 3 Dilworth chains: (2k - 3)w - 1
+        assert block_sequence(p, 3).width == 8
+
 
 class TestValidateHomomorphism:
     def test_identity(self):
@@ -503,7 +526,7 @@ class TestValidateHomomorphism:
             ic = interval_completion(g, pd)
             best = grundy_coloring(g)
             image, _ = build_ff_image(g, ic, best)
-            assert validate_ff_coloring(image.h, image.coloring())
+            assert validate_ff_coloring(image.h, image_coloring(image))
             assert grundy_number(image.h) >= best.color_count
 
 

@@ -167,7 +167,7 @@ def test_documents_parse_to_the_list_built_ones(p_order, named, meta, spans, bag
     count = max((hi for _, hi in spans), default=0)
     d = json.loads(pd_text(spans, count))
     assert d == {"bags": [list(bag) for bag in bags_by_definition(spans, count)]}
-    assert pd_from_dict(d) == PathDecomposition.from_spans(spans, count)
+    assert pd_from_dict(d) == PathDecomposition(bags_by_definition(spans, count))
     # the reader takes any bags, unsorted and with repeated ids, as they stand
     assert pd_from_dict({"bags": bags}) == PathDecomposition(tuple(map(tuple, bags)))
 

@@ -45,8 +45,11 @@ from helpers import (
     chain_poset,
     complete_multipartite_graph,
     graph_edges,
+    incomparable,
     interval_cover_pairs,
+    is_antichain_pairwise,
     is_chain_partition,
+    is_kk_witness_pairwise,
     posets,
     reference_koenig,
     reference_matching,
@@ -86,7 +89,7 @@ class TestBuildPoset:
         p = build_poset(4, [(0, 1), (1, 2)])
         assert p.less(0, 2)
         assert not p.less(2, 0)
-        assert p.incomparable(0, 3)
+        assert incomparable(p, 0, 3)
 
     def test_cycle_rejected(self):
         with pytest.raises(CycleError):
@@ -519,7 +522,7 @@ class TestIncomparabilityGraph:
     @settings(max_examples=80)
     def test_matches_definition(self, p):
         n = p.n
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if p.incomparable(u, v)]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if incomparable(p, u, v)]
         g = incomparability_graph(p)
         assert g == Graph(n, pairs)
         assert g.n == n and graph_edges(g) == pairs
@@ -535,7 +538,7 @@ class TestIncomparabilityGraph:
         p = build()
         g = incomparability_graph(p)
         assert incomparability_graph(p) is g
-        pairs = [(u, v) for u in range(p.n) for v in range(u + 1, p.n) if p.incomparable(u, v)]
+        pairs = [(u, v) for u in range(p.n) for v in range(u + 1, p.n) if incomparable(p, u, v)]
         assert g == Graph(p.n, pairs)
 
 
@@ -604,7 +607,7 @@ class TestFindKPlusK:
             return
         a = data.draw(st.sampled_from(chains))
         b = data.draw(st.sampled_from(chains))
-        pairwise = not set(a) & set(b) and all(p.incomparable(u, v) for u in a for v in b)
+        pairwise = not set(a) & set(b) and all(incomparable(p, u, v) for u in a for v in b)
         assert pairwise == (not p.less(a[0], b[-1]) and not p.less(b[0], a[-1]))
 
     def test_north_star_interval_order_is_two_two_free(self):
@@ -698,13 +701,13 @@ class TestIntervalOrders:
 
     def test_overlapping_intervals_are_incomparable(self):
         p = interval_order_from_intervals([(0, 2), (1, 3)])
-        assert p.incomparable(0, 1)
+        assert incomparable(p, 0, 1)
 
     def test_point_pair_with_cover(self):
         p = interval_order_from_intervals([(0, 0), (1, 1), (0, 1)])
         assert p.less(0, 1)
-        assert p.incomparable(0, 2)
-        assert p.incomparable(1, 2)
+        assert incomparable(p, 0, 2)
+        assert incomparable(p, 1, 2)
 
     @given(interval_lists())
     @settings(max_examples=150)
@@ -770,10 +773,6 @@ class TestIntervalOrders:
 
 
 class TestChainSortAndTypes:
-    def test_sort_chain(self):
-        p = build_poset(4, [(3, 1), (1, 0), (0, 2)])
-        assert p.sort_chain([2, 3, 0, 1]) == (3, 1, 0, 2)
-
     def test_chain_validity(self):
         p = chain_poset(3)
         assert p.is_chain((0, 1, 2))
@@ -788,6 +787,37 @@ class TestChainSortAndTypes:
         for n in (0, 3):
             assert build_poset(n, []).is_chain(()) and build_poset(n, []).is_antichain(())
 
+    @given(shuffled_posets(), st.data())
+    @settings(max_examples=150)
+    def test_antichain_test_is_the_pairwise_definition(self, p, data):
+        # the mask test against every pair: sub-lists of a width antichain, with
+        # repeats, and lists of any ids, negative and >= n among them
+        _, antichain = width_with_witness(p)
+        drawn = data.draw(st.lists(st.sampled_from(antichain), max_size=8) if antichain
+                          else st.just([]))
+        ids = data.draw(st.lists(st.integers(-2, p.n + 1), max_size=6))
+        for elems in ((), antichain, drawn, ids, (0, 0), (-1,), (p.n,), (p.n - 1, -1)):
+            assert p.is_antichain(elems) == is_antichain_pairwise(p, elems), elems
+
+    @given(spined_posets(max_n=12), st.integers(1, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_witness_test_is_the_pairwise_definition(self, p, k, data):
+        # ids increase along every chain of these posets, so the id-sorted
+        # k-subsets that are chains are all the k-chains; two drawn ones may
+        # share elements, and lists of any ids need not be chains at all
+        chains = [c for c in combinations(range(p.n), k)
+                  if all(p.less(u, v) for u, v in zip(c, c[1:]))]
+        pairs = [((0,), (0,)), ((), ())]
+        if chains:
+            pairs.append((data.draw(st.sampled_from(chains)), data.draw(st.sampled_from(chains))))
+        ids = st.lists(st.integers(-1, p.n), min_size=k, max_size=k).map(tuple)
+        pairs.append((data.draw(ids), data.draw(ids)))
+        found = find_k_plus_k(p, k) if k >= 2 else None
+        if found is not None:
+            pairs.append((found.a, found.b))
+        for a, b in pairs:
+            assert KkWitness(a, b).is_valid(p) == is_kk_witness_pairwise(p, a, b), (a, b)
+
     @pytest.mark.parametrize("relations, check", [
         ([(2, 0)], lambda p: p.is_chain((-1, 0))),  # -1 would read element 2's row
         ([(2, 0)], lambda p: p.is_chain((3,))),
@@ -796,8 +826,11 @@ class TestChainSortAndTypes:
         ([(2, 0)], lambda p: p.is_antichain((1, -2))),
         ([], lambda p: KkWitness((0,), (5,)).is_valid(p)),
         ([], lambda p: KkWitness((-1,), (0,)).is_valid(p)),
+        ([], lambda p: p.is_antichain((0, 0))),
+        ([], lambda p: KkWitness((0,), (0,)).is_valid(p)),
     ], ids=["chain-negative", "chain-past-n", "antichain-past-n", "antichain-negative",
-            "antichain-negative-pair", "witness-past-n", "witness-negative"])
+            "antichain-negative-pair", "witness-past-n", "witness-negative", "antichain-repeated",
+            "witness-shared"])
     def test_ids_outside_the_poset_are_refused(self, relations, check):
         """The public validators say False, without raising or reading
         another element's row, for data read from a file."""
