@@ -107,10 +107,9 @@ def first_fit_chains(p: Poset, order: PresentationOrder) -> FFChainResult:
     for i, cls in enumerate(classes, start=1):
         for v in cls:
             assignment[v] = i
-    # u < v puts u and all of u's predecessors below v, so the count rises along a chain
-    below = [p.pred_mask(v).bit_count() for v in range(p.n)]
-    chains = tuple(tuple(sorted(cls, key=below.__getitem__)) for cls in classes)
-    return FFChainResult(chains, tuple(assignment))
+    # u < v puts u and all of u's predecessors below v: a strict superset, so a larger int
+    return FFChainResult(tuple(tuple(sorted(cls, key=p.pred_mask)) for cls in classes),
+                         tuple(assignment))
 
 
 def validate_ff_partition(p: Poset, chains: Sequence[Sequence[int]]) -> bool:

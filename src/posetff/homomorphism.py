@@ -20,8 +20,8 @@ entry check that every edge joins meeting spans is one sort and n mask
 tests.  Of the post-checks, the map's certificate is one pass over the
 vertices with two n-bit mask operations each (the whole quotient of the
 slide of ``gen_interval_order(1, n)`` at k = 2 takes 0.008 s at n = 2000
-and 0.04 s at n = 8000), and ``validate_ff_coloring`` is one mask test per
-class.  The pathwidth recursion, limited to 16 vertices, costs
+and 0.04 s at n = 8000), and ``_greedy_law`` is one mask test per class.
+The pathwidth recursion, limited to 16 vertices, costs
 O(2^n * n) at worst, but it fills a subset only when a parent needs it,
 stops a subset's min at the first child that costs no more than the
 subset's boundary, and skips a child whose own boundary is at least the
@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .errors import InternalError, InvalidColoring, InvalidDecomposition, TooLarge
 from .extension import PathDecomposition, _bag_rows, _valid_spans
-from .firstfit import FFColoring, _greedy_law, validate_ff_coloring
+from .firstfit import FFColoring, _greedy_law
 from .order import (
     Graph, _spans_cover_edges, incomparability_graph, interval_order_from_intervals, iter_bits
 )
@@ -109,7 +109,7 @@ def build_ff_image(
         raise InvalidDecomposition("completion and graph sizes differ")
     if not _spans_cover_edges(g, spans):
         raise InvalidDecomposition("an edge of the graph joins two disjoint spans")
-    if not validate_ff_coloring(g, coloring):
+    if not _greedy_law(g, coloring.classes):
         raise InvalidColoring("input classes are not a First-Fit coloring")
     mapping = [-1] * g.n
     h_intervals: list[tuple[int, int]] = []

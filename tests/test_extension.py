@@ -696,8 +696,9 @@ class TestBagsFromSpans:
             return
         g = incomparability_graph(p)
         spans = spans_from_blocks(seq)
-        pd = PathDecomposition(tuple(map(tuple, extension_module._bag_rows(spans, len(seq)))))
-        assert pd.bags == bags_by_definition(spans, len(seq))
+        bags = bags_by_definition(spans, len(seq))
+        assert tuple(map(tuple, extension_module._bag_rows(spans, len(seq)))) == bags
+        pd = PathDecomposition(bags)
         assert validate_path_decomposition(g, pd) and _spans_cover_edges(g, spans)
         assert pd.width == seq.width == interval_clique_number(spans) - 1
         moved = [
@@ -710,8 +711,9 @@ class TestBagsFromSpans:
             return
         v, span = data.draw(st.sampled_from(moved))
         spans = spans[:v] + (span,) + spans[v + 1 :]
-        pd = PathDecomposition(tuple(map(tuple, extension_module._bag_rows(spans, len(seq)))))
-        assert pd.bags == bags_by_definition(spans, len(seq))
+        bags = bags_by_definition(spans, len(seq))
+        assert tuple(map(tuple, extension_module._bag_rows(spans, len(seq)))) == bags
+        pd = PathDecomposition(bags)
         assert validate_path_decomposition(g, pd) == _spans_cover_edges(g, spans)
         assert pd.width == interval_clique_number(spans) - 1
 
