@@ -2,9 +2,10 @@
 
 Exit codes are uniform across subcommands: 0 success, 1 a certified
 property was violated (a machine-readable witness goes to stdout),
-2 usage or input errors. Every document flag takes a file path or "-"
-for stdout, which carries one document at most; the report line then
-goes to stderr.
+2 usage or input errors, or a failed self-check. Every document flag
+takes a file path or "-" for stdout, which carries one document at most.
+A command's note (its report line, or bench's violation) goes to stdout
+unless a document did, and then to stderr.
 """
 
 from __future__ import annotations
@@ -49,15 +50,17 @@ from .order import KkWitness, incomparability_graph
 CSV_COLUMNS = ["kind", "params", "n", "width", "k", "ff_chains", "bound", "pd_width", "seconds"]
 
 
-def _write_files(docs: list[tuple[str | None, Callable[[], str]]]) -> bool:
-    """Write each (target, text builder) pair; return whether stdout carries one.
+def _write_files(docs: list[tuple[str | None, Callable[[], str]]], note: str) -> None:
+    """Write each (target, text builder) pair, then the command's note.
 
     None skips a document and "-" prints it to stdout, one document at most,
-    once every file is in place. Each file's text is built and written in
+    once every file is in place.  Each file's text is built and written in
     turn to a temporary file beside its target, so one document is in
     memory at a time; the targets are replaced only once every write has
     succeeded, and a failure removes the temporary files.  A file holds the
-    text's exact characters: no newline is translated.
+    text's exact characters: no newline is translated.  The note comes last,
+    so it never promises a file that failed: on stdout, or on stderr when a
+    document went to stdout, so stdout carries one document.
     """
     docs = [(path, build) for path, build in docs if path is not None]
     named: dict[str, str] = {}
@@ -92,7 +95,7 @@ def _write_files(docs: list[tuple[str | None, Callable[[], str]]]) -> bool:
     for path, build in docs:
         if path == "-":
             sys.stdout.write(build())
-    return "-" in named
+    (sys.stderr if "-" in named else sys.stdout).write(note)
 
 
 def _check_size(n: int) -> None:
@@ -110,21 +113,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
         # copies ladders of q rows; a q below 1 is left to the builder's own check
         _check_size(copies * max(q, 0) * (q + 1) // 2)
         adv = build(**params)
-        _write_files([
+        docs = [
             (args.out, lambda: poset_text(adv.poset, meta={"kind": args.family, **params})),
             (args.out_order, lambda: canonical_dumps(order_to_dict(adv.natural_order))),
-        ])
+        ]
     elif args.family == "interval":
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "interval", "n": args.n}
         intervals = random_intervals(args.seed, args.n)
-        _write_files([(args.out, lambda: interval_order_text(intervals, meta=meta))])
-    elif args.family == "kkfree":
+        docs = [(args.out, lambda: interval_order_text(intervals, meta=meta))]
+    else:
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
                 "density": KKFREE_DENSITY}
         p = gen_kk_free(args.seed, args.n, args.k)
-        _write_files([(args.out, lambda: poset_text(p, meta=meta))])
+        docs = [(args.out, lambda: poset_text(p, meta=meta))]
+    _write_files(docs, "")
     return 0
 
 
@@ -133,11 +137,9 @@ def cmd_ff(args: argparse.Namespace) -> int:
     order = order_from_dict(read_json(args.order))
     res = first_fit_chains(p, order)
     if not validate_ff_partition(p, res.partition):
-        print("validation failed: output is not a First-Fit chain partition", file=sys.stderr)
-        return 1
-    # with the JSON on stdout the report goes to stderr, so stdout is one document
-    on_stdout = _write_files([(args.out, lambda: canonical_dumps(ff_result_to_dict(res)))])
-    print(f"ff chains={res.chain_count} n={p.n}", file=sys.stderr if on_stdout else sys.stdout)
+        raise InternalError("self-check failed: output is not a First-Fit chain partition")
+    _write_files([(args.out, lambda: canonical_dumps(ff_result_to_dict(res)))],
+                 f"ff chains={res.chain_count} n={p.n}\n")
     return 0
 
 
@@ -145,18 +147,16 @@ def cmd_extend(args: argparse.Namespace) -> int:
     p = poset_from_dict(read_json(args.poset))
     seq = block_sequence(p, args.k)
     if isinstance(seq, KkWitness):
-        _write_files([("-", lambda: canonical_dumps(witness_to_dict(seq)))])
+        _write_files([("-", lambda: canonical_dumps(witness_to_dict(seq)))], "")
         return 1
     spans = spans_from_blocks(seq)
-    on_stdout = _write_files([
+    w = len(seq.partition)  # the number of Dilworth chains, width(p)
+    # pairwise-intersecting spans share a block, so width(q) is a block's size
+    _write_files([
         (args.out_order, lambda: interval_order_text(spans, p.names)),
         (args.out_intervals, lambda: canonical_dumps(intervals_to_dict(spans))),
         (args.out_pd, lambda: pd_text(spans, len(seq))),
-    ])
-    w = len(seq.partition)  # the number of Dilworth chains, width(p)
-    # pairwise-intersecting spans share a block, so width(q) is a block's size
-    print(f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}",
-          file=sys.stderr if on_stdout else sys.stdout)
+    ], f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}\n")
     return 0
 
 
@@ -225,12 +225,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     writer = csv.DictWriter(table, fieldnames=CSV_COLUMNS)
     writer.writeheader()
     writer.writerows(rows)
-    # with the CSV on stdout the violation goes to stderr, so stdout is one document
-    on_stdout = _write_files([(args.csv, table.getvalue)])
-    if violation is not None:
-        print(canonical_dumps(violation), end="", file=sys.stderr if on_stdout else sys.stdout)
-        return 1
-    return 0
+    _write_files([(args.csv, table.getvalue)],
+                 "" if violation is None else canonical_dumps(violation))
+    return 0 if violation is None else 1
 
 
 @functools.cache

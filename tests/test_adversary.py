@@ -1,10 +1,12 @@
 import pytest
 
 from posetff import (
+    KkWitness,
     LadderPoset,
     ParamError,
     Poset,
     PresentationOrder,
+    block_sequence,
     build_poset,
     find_k_plus_k,
     first_fit_chains,
@@ -87,6 +89,25 @@ class TestKierstead:
         names = kierstead(q).poset.names
         assert [names[ladder_id(q, i, j, 1)] for i in range(1, q + 1)
                 for j in range(1, i + 1)] == ladder_names(q)
+
+    def test_least_k_without_k_plus_k_and_least_k_the_slide_completes(self):
+        # the slide may finish where a k+k still exists, never the other way
+        kk_free, slid = [], []
+        for q in range(2, 16):
+            p = kierstead(q).poset
+            kk_free.append(next(k for k in range(2, q + 2) if find_k_plus_k(p, k) is None))
+            slid.append(next(k for k in range(2, q + 2)
+                             if not isinstance(block_sequence(p, k), KkWitness)))
+        assert kk_free == [q // 2 + 1 for q in range(2, 16)]
+        assert slid == [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5]
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_odd_ladder_forces_2k_minus_1_chains_at_width_two(self, k):
+        # stacked(k, 2) forces only k - 1 chains on a width-2 k+k-free poset
+        kp = kierstead(2 * k - 1)
+        assert width_with_witness(kp.poset)[0] == 2
+        assert find_k_plus_k(kp.poset, k) is None
+        assert first_fit_chains(kp.poset, kp.natural_order).chain_count == 2 * k - 1
 
 
 class TestStacked:

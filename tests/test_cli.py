@@ -174,17 +174,18 @@ def test_ff_expected_count(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("out", ["ff.json", "-"])
-def test_ff_validation_failure_exits_1(tmp_path, capsys, monkeypatch, out):
-    """A partition that fails validation is neither written nor reported."""
+def test_ff_validation_failure_exits_2(tmp_path, capsys, monkeypatch, out):
+    """A partition that fails the self-check is a bug: neither written nor reported."""
     poset_file = tmp_path / "p5.json"
     order_file = tmp_path / "ord.json"
     run(["gen", "kierstead", "--q", 5, "--out", poset_file, "--out-order", order_file])
     capsys.readouterr()
     monkeypatch.setattr(cli, "validate_ff_partition", lambda p, partition: False)
     target = out if out == "-" else tmp_path / out
-    assert run(["ff", "--poset", poset_file, "--order", order_file, "--out", target]) == 1
+    assert run(["ff", "--poset", poset_file, "--order", order_file, "--out", target]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "validation failed: output is not a First-Fit chain partition\n"
+    assert captured.err == (
+        "error: self-check failed: output is not a First-Fit chain partition\n")
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == sorted([order_file, poset_file])  # no ff.json, no temp
 
@@ -633,6 +634,39 @@ def test_extend_witness_exit_1(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["k"] == 2
     assert out == canonical_dumps(payload)
+
+
+def test_extend_witness_ignores_every_document_flag(tmp_path, capsys):
+    # exit 1 means the witness alone on stdout, whatever the flags asked for
+    poset_file = tmp_path / "bad.json"
+    poset_file.write_text('{"n": 4, "relations": [[0,1],[2,3]]}')
+    assert run(["extend", "--poset", poset_file, "--k", 2, "--out-order", "-",
+                "--out-intervals", tmp_path / "iv.json", "--out-pd", tmp_path / "pd.json"]) == 1
+    assert capsys.readouterr() == ('{"a":[0,1],"b":[2,3],"k":2}\n', "")
+    assert list(tmp_path.iterdir()) == [poset_file]
+
+
+@pytest.mark.parametrize("target, out, err", [
+    ("doc.txt", "note\n", ""),
+    ("-", "doc\n", "note\n"),
+    (None, "note\n", ""),
+], ids=["file", "stdout", "none"])
+def test_write_files_puts_the_note_where_no_document_went(tmp_path, capsys, monkeypatch,
+                                                         target, out, err):
+    monkeypatch.chdir(tmp_path)
+    cli._write_files([(target, lambda: "doc\n")], "note\n")
+    assert capsys.readouterr() == (out, err)
+    cli._write_files([(target, lambda: "doc\n")], "")
+    assert capsys.readouterr() == ("doc\n" if target == "-" else "", "")
+    assert [f.name for f in tmp_path.iterdir()] == (["doc.txt"] if target == "doc.txt" else [])
+
+
+def test_write_files_prints_no_note_after_a_failed_write(tmp_path, capsys):
+    with pytest.raises(OSError):
+        cli._write_files([("-", lambda: "doc\n"), (f"{tmp_path}/missing/doc.txt",
+                                                   lambda: "doc\n")], "note\n")
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_extend_ladder_with_k4(tmp_path, capsys):
