@@ -3,7 +3,9 @@
 
 Prints, for the ladder family and the stacked family, the chain count the
 natural presentation order forces out of First-Fit, the predicted count,
-and how it compares to the certified upper bound 8(2k-3)w.
+and how it compares to the certified upper bound 8(2k-3)w.  A last table
+gives, for each k, the odd ladder kierstead(2k-1): width 2, no k+k, and
+2k-1 forced chains where stacked(k, 2) forces k-1.
 
 Usage: python scripts/adversary_report.py [--qmax Q] [--kmax K] [--wmax W]
 """
@@ -14,7 +16,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from posetff import first_fit_chains, kierstead, stacked, width_with_witness  # noqa: E402
+from posetff import (  # noqa: E402
+    find_k_plus_k,
+    first_fit_chains,
+    kierstead,
+    stacked,
+    width_with_witness,
+)
 
 
 def run(args):
@@ -43,6 +51,21 @@ def run(args):
                 return 1
             print(f"{k:>3} {w:>3} {sp.poset.n:>5} {width:>6} {res.chain_count:>4} "
                   f"{forced:>11} {8 * (2 * k - 3) * w:>9}")
+
+    print("\nodd ladders at width 2, k+k-free:")
+    print(f"{'k':>3} {'q':>4} {'n':>6} {'width':>6} {'ff':>4} {'(k-1)(w-1)':>11}")
+    for k in range(2, args.kmax + 1):
+        q = 2 * k - 1
+        kp = kierstead(q)
+        res = first_fit_chains(kp.poset, kp.natural_order)
+        width, _ = width_with_witness(kp.poset)
+        kk_free = find_k_plus_k(kp.poset, k) is None
+        if res.chain_count != q or width != 2 or not kk_free:
+            print(f"kierstead({q}): First-Fit used {res.chain_count} chains at width {width}, "
+                  f"{k}+{k}-free {kk_free}; expected {q} at width 2, {k}+{k}-free",
+                  file=sys.stderr)
+            return 1
+        print(f"{k:>3} {q:>4} {kp.poset.n:>6} {width:>6} {res.chain_count:>4} {k - 1:>11}")
     return 0
 
 

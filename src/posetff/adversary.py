@@ -8,9 +8,9 @@ natural order then forces (k-1)(w-1) chains while the result has width w
 and no two disjoint incomparable k-chains.  There is no k = 2 family: its
 stand-in is an antichain of w elements, which forces w chains in any order.
 
-Both return one record, ``LadderPoset(q, copies, poset)``, closed from its
-cover pairs by ``build_poset``, whose closure proves the order, so neither
-runs the checked constructor's kernels.
+Both return one record, ``LadderPoset(poset, names)``: the poset closed
+from its cover pairs by ``build_poset``, whose closure proves the order, so
+neither runs the checked constructor's kernels, and each element's name.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _ladder_covers(q: int, copies: int) -> Iterator[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class LadderPoset:
-    """``copies`` ladders on rows 1..q, presented in id order.
+    """``copies`` ladders on rows 1..q, presented in id order, and their names.
 
     Ids run row by row through each copy in turn: element v(i,j) of copy c
     (all 1-based) has id (c-1)·q(q+1)/2 + i(i-1)/2 + j-1.  First-Fit in the
@@ -62,9 +62,8 @@ class LadderPoset:
     that the tests check element by element.
     """
 
-    q: int
-    copies: int
     poset: Poset
+    names: tuple[str, ...]
 
     @property
     def natural_order(self) -> PresentationOrder:
@@ -73,9 +72,9 @@ class LadderPoset:
 
 def _ladders(q: int, copies: int, name: str) -> LadderPoset:
     """Close the cover pairs of ``copies`` ladders; ``name`` formats element v(i,j) of copy c."""
-    names = [name.format(c=c, i=i, j=j)
-             for c in range(1, copies + 1) for i in range(1, q + 1) for j in range(1, i + 1)]
-    return LadderPoset(q, copies, build_poset(len(names), _ladder_covers(q, copies), names))
+    names = tuple(name.format(c=c, i=i, j=j)
+                  for c in range(1, copies + 1) for i in range(1, q + 1) for j in range(1, i + 1))
+    return LadderPoset(build_poset(len(names), _ladder_covers(q, copies)), names)
 
 
 def kierstead(q: int) -> LadderPoset:

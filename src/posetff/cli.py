@@ -114,20 +114,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _check_size(copies * max(q, 0) * (q + 1) // 2)
         adv = build(**params)
         docs = [
-            (args.out, lambda: poset_text(adv.poset, meta={"kind": args.family, **params})),
+            (args.out, lambda: poset_text(adv.poset, adv.names, {"kind": args.family, **params})),
             (args.out_order, lambda: canonical_dumps(order_to_dict(adv.natural_order))),
         ]
     elif args.family == "interval":
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "interval", "n": args.n}
         intervals = random_intervals(args.seed, args.n)
-        docs = [(args.out, lambda: interval_order_text(intervals, meta=meta))]
+        docs = [(args.out, lambda: interval_order_text(intervals, None, meta))]
     else:
         _check_size(args.n)
         meta = {"seed": args.seed, "kind": "kkfree", "n": args.n, "k": args.k,
                 "density": KKFREE_DENSITY}
         p = gen_kk_free(args.seed, args.n, args.k)
-        docs = [(args.out, lambda: poset_text(p, meta=meta))]
+        docs = [(args.out, lambda: poset_text(p, None, meta))]
     _write_files(docs, "")
     return 0
 
@@ -144,7 +144,8 @@ def cmd_ff(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    p = poset_from_dict(read_json(args.poset))
+    doc = read_json(args.poset)
+    p = poset_from_dict(doc)
     seq = block_sequence(p, args.k)
     if isinstance(seq, KkWitness):
         _write_files([("-", lambda: canonical_dumps(witness_to_dict(seq)))], "")
@@ -153,7 +154,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     w = len(seq.partition)  # the number of Dilworth chains, width(p)
     # pairwise-intersecting spans share a block, so width(q) is a block's size
     _write_files([
-        (args.out_order, lambda: interval_order_text(spans, p.names)),
+        (args.out_order, lambda: interval_order_text(spans, doc.get("names"), None)),
         (args.out_intervals, lambda: canonical_dumps(intervals_to_dict(spans))),
         (args.out_pd, lambda: pd_text(spans, len(seq))),
     ], f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}\n")

@@ -1,8 +1,10 @@
 """Canonical JSON formats for every artifact the tools exchange.
 
 Poset files carry generator pairs (the transitive reduction on save) and
-are closed again on load.  Dumps are canonical (sorted keys, tight
-separators, trailing newline) so identical inputs give byte-identical files.
+are closed again on load; their ``names`` and ``meta`` stay document data,
+checked by the reader and passed to the writers.  Dumps are canonical
+(sorted keys, tight separators, trailing newline) so identical inputs give
+byte-identical files.
 
 The two large kinds are written as text: ``poset_text`` and
 ``interval_order_text`` write a poset file from its cover rows (the covers
@@ -82,6 +84,8 @@ def _poset_text(
     its value is None.  Each pair is written as ``[u,v]`` from the ids'
     strings, made once.
     """
+    if names is not None and len(names) != n:
+        raise SizeMismatch("names must match element count")
     ids = list(map(str, range(n)))
     pairs = []
     for u, vs in enumerate(rows):
@@ -94,21 +98,17 @@ def _poset_text(
     return "{" + meta_text + '"n":' + str(n) + names_text + relations
 
 
-def poset_text(p: Poset, meta: dict | None) -> str:
-    return _poset_text(p.n, p.cover_rows(), p.names, meta)
+def poset_text(p: Poset, names: Sequence[str] | None, meta: dict | None) -> str:
+    return _poset_text(p.n, p.cover_rows(), names, meta)
 
 
 def interval_order_text(
-    spans: Sequence[tuple[float, float]], names: Sequence[str] | None = None,
-    meta: dict | None = None,
+    spans: Sequence[tuple[float, float]], names: Sequence[str] | None, meta: dict | None
 ) -> str:
     """The poset file of the spans' interval order, written without building it.
 
-    Equal to ``poset_text(build_poset(len(spans), q.cover_pairs(), names), meta)``
-    with ``q = interval_order_from_intervals(spans)``.
+    Equal to ``poset_text(interval_order_from_intervals(spans), names, meta)``.
     """
-    if names is not None and len(names) != len(spans):
-        raise SizeMismatch("names must match element count")
     return _poset_text(len(spans), interval_cover_rows(spans), names, meta)
 
 
@@ -158,7 +158,10 @@ def poset_from_dict(d: dict) -> Poset:
         isinstance(names, list) and all(isinstance(s, str) for s in names)
     ):
         raise FormatError("'names' must be a list of strings")
-    return build_poset(n, relations, names)
+    p = build_poset(n, relations)
+    if names is not None and len(names) != n:
+        raise SizeMismatch("names must match element count")
+    return p
 
 
 def order_to_dict(order: PresentationOrder) -> dict:

@@ -8,9 +8,9 @@ reduce to integer set algebra.
 
 Posets come into being on two paths.  The library's two constructors
 build both masks in one pass whose structure proves the order, and hand them
-to ``Poset._closed``, which checks nothing but the names' length:
-``build_poset`` (so every file the loader reads, and the adversaries' cover
-pairs) closes the generator pairs in Kahn's topological order, and
+to ``Poset._closed``, which adopts them unchecked: ``build_poset`` (so
+every file the loader reads, and the adversaries' cover pairs) closes the
+generator pairs in Kahn's topological order, and
 ``interval_order_from_intervals`` reads the masks off the endpoints.  The
 public ``Poset(n, succ)`` is for masks from outside the library (callers,
 tests) and checks them: the predecessor masks come from one transpose of
@@ -18,7 +18,8 @@ the successor masks by 8 x 8 bit tiles (a strided byte regrouping and three
 delta swaps over one integer), O(n²/8) bytes of C-level work, and the axiom
 check ORs each element's successors' rows through a Four-Russians
 table (8-row chunks, 256 ORs each), n²/8 table lookups plus 32n big-int ORs
-in all.
+in all.  The transitive reduction needs no table: ``cover_rows`` walks each
+up-set in a linear extension and takes one cover per step.
 
 The k+k search runs on the same two kernels.  For k >= 2, two k-chains are
 disjoint with every cross pair incomparable iff neither bottom lies below
@@ -66,6 +67,10 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def _reach(keys: Sequence[int], rows: Sequence[int], n: int) -> list[int]:
@@ -133,7 +138,7 @@ class Poset:
     ``is_antichain`` and ``KkWitness.is_valid``, which refuse other ids.
     """
 
-    __slots__ = ("n", "names", "_succ", "_pred", "_inc")
+    __slots__ = ("n", "_succ", "_pred", "_inc")
 
     def __init__(self, n: int, succ: Sequence[int]):
         if n < 0:
@@ -143,26 +148,17 @@ class Poset:
         self.n = n
         self._succ = tuple(succ)
         self._inc: Graph | None = None
-        self.names = None
         self._check_axioms()
         self._pred = _transpose(self._succ, n)
 
     @classmethod
-    def _closed(
-        cls, n: int, succ: Sequence[int], pred: Sequence[int], names: Sequence[str] | None = None
-    ) -> Poset:
-        """Adopt the successor masks of a closed strict order and their transpose.
-
-        Only the names' length is checked; the caller's construction proves the rest.
-        """
+    def _closed(cls, n: int, succ: Sequence[int], pred: Sequence[int]) -> Poset:
+        """Adopt a closed strict order's successor masks and their transpose, unchecked."""
         p = cls.__new__(cls)
         p.n = n
         p._succ = tuple(succ)
         p._pred = tuple(pred)
         p._inc = None
-        p.names = tuple(names) if names is not None else None
-        if p.names is not None and len(p.names) != n:
-            raise SizeMismatch("names must match element count")
         return p
 
     def _check_axioms(self) -> None:
@@ -197,9 +193,31 @@ class Poset:
         return self._pred[u]
 
     def cover_rows(self) -> list[list[int]]:
-        """Transitive reduction by element: row u lists, increasing, the v that cover u."""
-        return [list(iter_bits(m & ~via))
-                for m, via in zip(self._succ, _reach(self._succ, self._succ, self.n))]
+        """Transitive reduction by element: row u lists, increasing, the v that cover u.
+
+        Each row walks u's up-set in a linear extension: the ids when they
+        follow the order, else the elements sorted by predecessor count, with
+        the up-sets transposed into that order.  The first element left is
+        minimal among those left, so it covers u: whatever lay between was a
+        cover, or above one, and went with it.  Then it and everything above
+        it go, until nothing is left: one mask operation per cover, plus the
+        one transpose when the ids run against the order.
+        """
+        n, pred = self.n, self._pred
+        ext, up = range(n), self._succ
+        if any(m >> v for v, m in enumerate(pred)):  # some element lies above a larger id
+            ext = sorted(range(n), key=lambda v: pred[v].bit_count())
+            up = _transpose([pred[v] for v in ext], n)
+        rows = []
+        for m in up:
+            row = []
+            while m:
+                i = _low(m)
+                row.append(ext[i])
+                m &= ~(up[ext[i]] | 1 << i)
+            row.sort()
+            rows.append(row)
+        return rows
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Transitive reduction: pairs u < v with nothing strictly between, in sorted order."""
@@ -222,7 +240,6 @@ class Poset:
         return mask.bit_count() == len(elems) and not any(self._succ[u] & mask for u in elems)
 
     def __eq__(self, other: object) -> bool:
-        # names are reporting sugar, not identity
         if not isinstance(other, Poset):
             return NotImplemented
         return self.n == other.n and self._succ == other._succ
@@ -300,9 +317,7 @@ class Graph:
 # -- construction -----------------------------------------------------------
 
 
-def build_poset(
-    n: int, relations: Iterable[tuple[int, int]], names: Sequence[str] | None = None
-) -> Poset:
+def build_poset(n: int, relations: Iterable[tuple[int, int]]) -> Poset:
     """Transitively close generator pairs (u < v) into a Poset.
 
     Raises CycleError when the generators admit a directed cycle (including
@@ -345,7 +360,7 @@ def build_poset(
         for v in adj[u]:
             m |= succ[v] | (1 << v)
         succ[u] = m
-    return Poset._closed(n, succ, pred, names)
+    return Poset._closed(n, succ, pred)
 
 
 def interval_order_from_intervals(intervals: Sequence[tuple[float, float]]) -> Poset:
@@ -525,7 +540,7 @@ def width_with_witness(p: Poset) -> tuple[int, tuple[int, ...]]:
     The matching's dead set is Z_R, the right vertices an alternating path
     reaches from an unmatched left vertex; Z_L is the unmatched left
     vertices plus the partners of Z_R.  The witness is the elements in Z_L
-    but not in Z_R.
+    but not in Z_R; its size and its antichain property are checked.
     """
     match_l, match_r, zr = _maximum_matching(p)
     zl = sum(1 << u for u, v in enumerate(match_l) if v == -1)
@@ -538,6 +553,8 @@ def width_with_witness(p: Poset) -> tuple[int, tuple[int, ...]]:
     witness = tuple(iter_bits(zl & ~zr))
     if len(witness) != width:
         raise InternalError(f"Koenig witness has {len(witness)} elements, width is {width}")
+    if not p.is_antichain(witness):
+        raise InternalError("Koenig witness is not an antichain")
     return width, witness
 
 
@@ -571,10 +588,6 @@ def incomparability_graph(p: Poset) -> Graph:
 
 
 # -- forbidden pattern search -----------------------------------------------
-
-
-def _low(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def _power(succ: Sequence[int], m: int, n: int) -> Sequence[int]:

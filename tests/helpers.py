@@ -17,6 +17,7 @@ from posetff import (
     Graph,
     InternalError,
     KkWitness,
+    LadderPoset,
     PathDecomposition,
     PresentationOrder,
     SizeMismatch,
@@ -65,7 +66,7 @@ def antichain_poset(n):
 def stacked_degenerate(w):
     """The k = 2 stand-in for ``stacked``: an antichain of w elements, named as
     w one-row ladders.  Width w, no two incomparable 2-chains, w forced chains."""
-    return build_poset(w, [], [f"v{c}[1,1]" for c in range(1, w + 1)])
+    return LadderPoset(build_poset(w, []), tuple(f"v{c}[1,1]" for c in range(1, w + 1)))
 
 
 def ladder_id(q, i, j, copy):
@@ -396,13 +397,15 @@ def transpose_by_strings(rows, n):
 
 
 def _poset_dict(n, covers, names, meta):
+    if names is not None and len(names) != n:
+        raise SizeMismatch("names must match element count")
     d = {"n": n, "relations": covers, "names": names, "meta": meta}
     return {key: value for key, value in d.items() if value is not None}
 
 
-def poset_to_dict(p, meta):
+def poset_to_dict(p, names, meta):
     """The poset file of p as a dict: the reference of ``jsonio.poset_text``."""
-    return _poset_dict(p.n, sorted(p.cover_pairs()), p.names, meta)
+    return _poset_dict(p.n, sorted(p.cover_pairs()), names, meta)
 
 
 def interval_cover_pairs(intervals):
@@ -410,11 +413,9 @@ def interval_cover_pairs(intervals):
     return [(u, v) for u, row in enumerate(interval_cover_rows(intervals)) for v in row]
 
 
-def interval_order_to_dict(spans, names=None, meta=None):
+def interval_order_to_dict(spans, names, meta):
     """The poset file of the spans' interval order as a dict: the reference of
     ``jsonio.interval_order_text``."""
-    if names is not None and len(names) != len(spans):
-        raise SizeMismatch("names must match element count")
     return _poset_dict(len(spans), interval_cover_pairs(spans), names, meta)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from posetff import (
@@ -39,11 +41,13 @@ def ladder_names(q, prefix="v"):
 
 
 def assert_same_order(got, want, names):
-    """Equal successor and predecessor masks, and the given names.
+    """A ladder record whose poset has want's successor and predecessor masks,
+    and the given names.
 
     ``Poset.__eq__`` compares only the successor masks."""
-    assert got == want
-    assert [got.pred_mask(u) for u in range(got.n)] == [want.pred_mask(u) for u in range(want.n)]
+    p = got.poset
+    assert p == want
+    assert [p.pred_mask(u) for u in range(p.n)] == [want.pred_mask(u) for u in range(want.n)]
     assert got.names == tuple(names)
 
 
@@ -82,11 +86,11 @@ class TestKierstead:
     @pytest.mark.parametrize("q", range(1, 17))
     def test_masks_match_the_rule_closure(self, q):
         n, pairs = ladder_rule_pairs(q)
-        assert_same_order(kierstead(q).poset, build_poset(n, pairs), ladder_names(q))
+        assert_same_order(kierstead(q), build_poset(n, pairs), ladder_names(q))
 
     @pytest.mark.parametrize("q", [1, 3, 6])
     def test_names_follow_the_ids(self, q):
-        names = kierstead(q).poset.names
+        names = kierstead(q).names
         assert [names[ladder_id(q, i, j, 1)] for i in range(1, q + 1)
                 for j in range(1, i + 1)] == ladder_names(q)
 
@@ -158,18 +162,19 @@ class TestStacked:
                 for later in range(copy + 1, w - 1):
                     pairs.extend((u + off, later * m + v) for v in range(m))
         names = [name for c in range(1, w) for name in ladder_names(q, f"v{c}")]
-        assert_same_order(sp.poset, build_poset(sp.poset.n, pairs), names)
+        assert_same_order(sp, build_poset(sp.poset.n, pairs), names)
 
     @pytest.mark.parametrize("k,w", [(3, 3), (4, 2), (5, 4)])
     def test_names_follow_the_ids(self, k, w):
-        q, names = k - 1, stacked(k, w).poset.names
+        q, names = k - 1, stacked(k, w).names
         for c in range(1, w):
             assert [names[ladder_id(q, i, j, c)] for i in range(1, q + 1)
                     for j in range(1, i + 1)] == ladder_names(q, f"v{c}")
 
     def test_degenerate_k2(self):
-        p = stacked_degenerate(4)
-        assert p.names == ("v1[1,1]", "v2[1,1]", "v3[1,1]", "v4[1,1]")
+        sp = stacked_degenerate(4)
+        assert sp.names == ("v1[1,1]", "v2[1,1]", "v3[1,1]", "v4[1,1]")
+        p = sp.poset
         assert width_with_witness(p)[0] == 4
         assert find_k_plus_k(p, 2) is None
         res = first_fit_chains(p, PresentationOrder.identity(4))
@@ -180,7 +185,8 @@ class TestStacked:
 def test_one_record_for_every_family():
     records = [kierstead(4), stacked(4, 3)]
     assert [type(r) for r in records] == [LadderPoset] * 2
-    assert [(r.q, r.copies) for r in records] == [(4, 1), (3, 2)]
+    assert [f.name for f in fields(LadderPoset)] == ["poset", "names"]
+    assert [(r.poset.n, len(r.names)) for r in records] == [(10, 10), (12, 12)]
 
 
 class TestCoverConstruction:

@@ -147,7 +147,7 @@ def test_gen_interval_file_matches_the_poset_writer(tmp_path, seed, n):
     assert run(["gen", "interval", "--n", n, "--seed", seed, "--out", out]) == 0
     p = gen_interval_order(seed, n)
     meta = {"seed": seed, "kind": "interval", "n": n}
-    assert out.read_text() == poset_text(p, meta=meta)
+    assert out.read_text() == poset_text(p, None, meta)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == INTERVAL_FILE_DIGESTS[seed, n]
 
 
@@ -419,9 +419,10 @@ def test_extend_builds_one_poset(tmp_path, capsys, monkeypatch):
     both paths: the checked constructor and the adopting ``_closed``."""
     poset_file = tmp_path / "stacked.json"
     run(["gen", "stacked", "--k", 4, "--w", 3, "--out", poset_file])
-    p = poset_from_dict(read_json(poset_file))
+    doc = read_json(poset_file)
+    p = poset_from_dict(doc)
     q = slide_order(p, block_sequence(p, 4))
-    q_reference = poset_text(build_poset(q.n, q.cover_pairs(), p.names), None)
+    q_reference = poset_text(q, doc["names"], None)
     built = []
     init = Poset.__init__
     closed = Poset._closed
@@ -561,7 +562,7 @@ def fuzzed(data, valid, label):
                                            label=label)))
 
 
-VALID_POSETS = posets(max_n=8).map(lambda p: json.loads(poset_text(p, None)))
+VALID_POSETS = posets(max_n=8).map(lambda p: json.loads(poset_text(p, None, None)))
 
 
 @given(data=st.data())

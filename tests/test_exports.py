@@ -112,3 +112,15 @@ def test_every_public_function_is_referenced_outside_the_tests():
             if not used:
                 unreferenced.append(qualname)
     assert not unreferenced, f"referenced only by the tests: {', '.join(unreferenced)}"
+
+
+def test_only_the_console_entry_has_a_keyword_default():
+    # a default that only tests change is a settable value nobody sets;
+    # cli.main's argv=None is the console script's entry
+    with_defaults = [
+        f"{path.stem}.{qualname}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualname, node, _ in public_definitions(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and (node.args.defaults or any(node.args.kw_defaults))
+    ]
+    assert with_defaults == ["cli.main"]

@@ -70,9 +70,9 @@ class TestGenIntervalOrder:
             assert wq <= wp
 
     def test_determinism_bytes(self):
-        a = poset_text(gen_interval_order(11, 25), None)
-        b = poset_text(gen_interval_order(11, 25), None)
-        c = poset_text(gen_interval_order(12, 25), None)
+        a = poset_text(gen_interval_order(11, 25), None, None)
+        b = poset_text(gen_interval_order(11, 25), None, None)
+        c = poset_text(gen_interval_order(12, 25), None, None)
         assert a == b
         assert a != c
 

@@ -79,26 +79,31 @@ def _tied_interval_order(seed, n, coordinate_range):
     return interval_order_from_intervals(intervals)
 
 
+def _named(adv, k):
+    """A ladder record's case: its poset, its names and k."""
+    return adv.poset, adv.names, k
+
+
 def _cases():
-    """Name -> (poset, k), all from fixed seeds or fixed constructions."""
+    """Name -> (poset, names or None, k), all from fixed seeds or fixed constructions."""
     cases = {}
     for seed in range(6):
-        cases[f"interval-s{seed}-k2"] = (gen_interval_order(seed, 30 + 10 * seed), 2)
-    cases["interval-ties-s8-k2"] = (_tied_interval_order(8, 50, 20), 2)
+        cases[f"interval-s{seed}-k2"] = (gen_interval_order(seed, 30 + 10 * seed), None, 2)
+    cases["interval-ties-s8-k2"] = (_tied_interval_order(8, 50, 20), None, 2)
     for seed, k in ((7, 3), (9, 4)):
-        cases[f"interval-narrow-s{seed}-k{k}"] = (_narrow_interval_order(seed, 120), k)
+        cases[f"interval-narrow-s{seed}-k{k}"] = (_narrow_interval_order(seed, 120), None, k)
     for w in (3, 20):
-        cases[f"stacked-k3-w{w}"] = (stacked(3, w).poset, 3)
+        cases[f"stacked-k3-w{w}"] = _named(stacked(3, w), 3)
     for w in (5, 12):
-        cases[f"stacked-k4-w{w}"] = (stacked(4, w).poset, 4)
-    cases["kkfree-s4-n16-k3"] = (gen_kk_free(4, 16, 3), 3)
+        cases[f"stacked-k4-w{w}"] = _named(stacked(4, w), 4)
+    cases["kkfree-s4-n16-k3"] = (gen_kk_free(4, 16, 3), None, 3)
     # inputs that contain a k+k: the slide either meets it or still finds sinks
-    cases["two-plus-two-k2"] = (build_poset(4, [(0, 1), (2, 3)]), 2)
-    cases["kkfree-s4-n16-as-k2"] = (gen_kk_free(4, 16, 3), 2)
-    cases["kierstead-q4-k2"] = (kierstead(4).poset, 2)
-    cases["stacked-k4-w5-as-k3"] = (stacked(4, 5).poset, 3)
+    cases["two-plus-two-k2"] = (build_poset(4, [(0, 1), (2, 3)]), None, 2)
+    cases["kkfree-s4-n16-as-k2"] = (gen_kk_free(4, 16, 3), None, 2)
+    cases["kierstead-q4-k2"] = _named(kierstead(4), 2)
+    cases["stacked-k4-w5-as-k3"] = _named(stacked(4, 5), 3)
     for seed in range(4):
-        cases[f"random-s{seed}-n14-k2"] = (gen_random_poset(SplitMix64(seed), 14, 0.3), 2)
+        cases[f"random-s{seed}-n14-k2"] = (gen_random_poset(SplitMix64(seed), 14, 0.3), None, 2)
     return cases
 
 
@@ -110,7 +115,7 @@ def _sha(obj) -> str:
     return _text_sha(canonical_dumps(obj))
 
 
-def golden_record(p, k) -> dict:
+def golden_record(p, names, k) -> dict:
     seq = block_sequence(p, k)
     if isinstance(seq, KkWitness):
         return {"witness": witness_to_dict(seq)}
@@ -118,7 +123,7 @@ def golden_record(p, k) -> dict:
     return {
         "moves": moves_of(seq),
         "sha256": {
-            "order": _text_sha(interval_order_text(spans, p.names)),
+            "order": _text_sha(interval_order_text(spans, names, None)),
             "intervals": _sha(intervals_to_dict(spans)),
             "pd": _text_sha(pd_text(spans, len(seq))),
         },
@@ -205,8 +210,7 @@ def test_fixture_is_canonical_and_complete(golden):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_case_is_byte_identical(golden, name):
-    p, k = CASES[name]
-    assert canonical_dumps(golden_record(p, k)) == canonical_dumps(golden[name])
+    assert canonical_dumps(golden_record(*CASES[name])) == canonical_dumps(golden[name])
 
 
 def test_ff_fixture_is_canonical_and_complete(golden_ff):
@@ -233,7 +237,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     FIXTURE.parent.mkdir(exist_ok=True)
-    records = {name: golden_record(p, k) for name, (p, k) in CASES.items()}
+    records = {name: golden_record(*case) for name, case in CASES.items()}
     FIXTURE.write_text(canonical_dumps(records))
     ffs = {name: ff_record(*case) for name, case in FF_CASES.items()}
     FF_FIXTURE.write_text(canonical_dumps(ffs))

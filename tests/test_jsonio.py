@@ -54,12 +54,12 @@ def parsed(doc):
 
 def test_poset_round_trip():
     p = gen_interval_order(5, 20)
-    assert poset_from_dict(json.loads(poset_text(p, None))) == p
+    assert poset_from_dict(json.loads(poset_text(p, None, None))) == p
 
 
 def test_poset_relations_are_generators_not_closure():
     p = build_poset(3, [(0, 1), (1, 2), (0, 2)])
-    d = json.loads(poset_text(p, None))
+    d = json.loads(poset_text(p, None, None))
     # the file stores the transitive reduction; closure happens on load
     assert d["relations"] == [[0, 1], [1, 2]]
     assert poset_from_dict(d) == p
@@ -70,20 +70,25 @@ def test_poset_relations_are_generators_not_closure():
 def test_interval_order_dict_equals_the_built_orders(spans, named, meta):
     names = [f"e{v}" for v in range(len(spans))] if named else None
     q = interval_order_from_intervals(spans)
-    expected = poset_text(build_poset(q.n, q.cover_pairs(), names), meta=meta)
-    assert interval_order_text(spans, names, meta) == expected
+    assert interval_order_text(spans, names, meta) == poset_text(q, names, meta)
 
 
 def test_interval_order_dict_rejects_a_names_mismatch():
     with pytest.raises(SizeMismatch, match="names must match element count"):
-        interval_order_text([(1, 2), (3, 3)], ["a"])
+        interval_order_text([(1, 2), (3, 3)], ["a"], None)
+
+
+@pytest.mark.parametrize("names", [[], ["a"], ["a", "b", "c"]])
+def test_poset_text_rejects_a_names_mismatch(names):
+    with pytest.raises(SizeMismatch, match="^names must match element count$"):
+        poset_text(build_poset(2, [(0, 1)]), names, None)
 
 
 def test_poset_names_carried():
     kp = kierstead(3)
-    d = json.loads(poset_text(kp.poset, meta={"kind": "kierstead", "q": 3}))
-    again = poset_from_dict(d)
-    assert again.names == kp.poset.names
+    d = json.loads(poset_text(kp.poset, kp.names, {"kind": "kierstead", "q": 3}))
+    assert poset_from_dict(d) == kp.poset
+    assert d["names"] == list(kp.names)
     assert d["meta"]["q"] == 3
 
 
@@ -140,18 +145,17 @@ def test_documents_parse_to_the_list_built_ones(p_order, named, meta, spans, bag
     here from lists, and the readers take it back to an equal object."""
     p, order = p_order
     names = [f"e{v}" for v in range(p.n)] if named else None
-    p = build_poset(p.n, p.cover_pairs(), names)
     poset_doc = {"n": p.n, "relations": [[u, v] for u, v in sorted(p.cover_pairs())]}
     if named:
         poset_doc["names"] = names
     if meta is not None:
         poset_doc["meta"] = meta
-    d = json.loads(poset_text(p, meta))
+    d = json.loads(poset_text(p, names, meta))
     assert d == poset_doc
-    assert poset_from_dict(d) == p and poset_from_dict(d).names == p.names
+    assert poset_from_dict(d) == p
 
     q = interval_order_from_intervals(spans)
-    d = json.loads(interval_order_text(spans))
+    d = json.loads(interval_order_text(spans, None, None))
     assert d == {"n": q.n, "relations": [[u, v] for u, v in sorted(q.cover_pairs())]}
     assert poset_from_dict(d) == q
     assert parsed(intervals_to_dict(spans)) == {"intervals": [[lo, hi] for lo, hi in spans]}
@@ -194,16 +198,16 @@ def names_for(n):
     return st.none() | st.lists(TEXTS, min_size=n, max_size=n)
 
 
-NAMED_POSETS = posets(max_n=8).flatmap(
-    lambda p: names_for(p.n).map(lambda names: build_poset(p.n, p.cover_pairs(), names)))
+NAMED_POSETS = posets(max_n=8).flatmap(lambda p: st.tuples(st.just(p), names_for(p.n)))
 NAMED_SPANS = st.lists(st.tuples(ENDS, ENDS).map(lambda t: (min(t), max(t))), max_size=10).flatmap(
     lambda spans: st.tuples(st.just(spans), names_for(len(spans))))
 
 
 @given(NAMED_POSETS, META)
 @settings(max_examples=200, deadline=None)
-def test_poset_text_is_the_reference_dumps(p, meta):
-    assert poset_text(p, meta) == canonical_dumps(poset_to_dict(p, meta))
+def test_poset_text_is_the_reference_dumps(p_names, meta):
+    p, names = p_names
+    assert poset_text(p, names, meta) == canonical_dumps(poset_to_dict(p, names, meta))
 
 
 @given(NAMED_SPANS, META)
@@ -238,10 +242,10 @@ def test_pd_text_is_the_reference_dumps(spans_count):
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_poset_text_of_zero_and_one_elements(n):
-    p = build_poset(n, [], ["\u00e9\"\\\n"] * n)
-    names = ',"names":["\\u00e9\\"\\\\\\n"]' if n else ',"names":[]'
-    assert poset_text(p, None) == '{"n":%d%s,"relations":[]}\n' % (n, names)
-    assert poset_text(p, None) == canonical_dumps(poset_to_dict(p, None))
+    p, names = build_poset(n, []), ["\u00e9\"\\\n"] * n
+    text = ',"names":["\\u00e9\\"\\\\\\n"]' if n else ',"names":[]'
+    assert poset_text(p, names, None) == '{"n":%d%s,"relations":[]}\n' % (n, text)
+    assert poset_text(p, names, None) == canonical_dumps(poset_to_dict(p, names, None))
 
 
 def test_pd_text_builds_no_bag_copies():
@@ -265,28 +269,28 @@ def test_canonical_dumps_is_stable_and_newline_terminated():
     assert json.loads(s) == obj
     # nested tuples as the writers pass them, a non-ASCII name and a meta dict
     # come out as json.dumps writes them with the same keys and separators
-    p = build_poset(3, [(0, 1)], ["\u03b1", "b", "\u00e7"])
+    p, names = build_poset(3, [(0, 1)]), ["\u03b1", "b", "\u00e7"]
     docs = [
         {"bags": ((0, 1), (1, 2), (2,))},
         ff_result_to_dict(first_fit_chains(p, PresentationOrder((2, 0, 1)))),
-        poset_to_dict(p, {"generator": "stacked", "shape": (2, (1, 2)), "ratio": float("nan")}),
+        poset_to_dict(p, names, {"generator": "stacked", "shape": (2, (1, 2)), "ratio": float("nan")}),
     ]
     for doc in docs:
         assert canonical_dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert canonical_dumps(docs[2]) == (
         '{"meta":{"generator":"stacked","ratio":NaN,"shape":[2,[1,2]]},'
         '"n":3,"names":["\\u03b1","b","\\u00e7"],"relations":[[0,1]]}\n')
-    assert poset_text(p, docs[2]["meta"]) == canonical_dumps(docs[2])
+    assert poset_text(p, names, docs[2]["meta"]) == canonical_dumps(docs[2])
 
 
 def test_write_and_read(tmp_path):
     path = tmp_path / "poset.json"
     p = gen_interval_order(9, 10)
-    path.write_text(poset_text(p, None))
+    path.write_text(poset_text(p, None, None))
     assert poset_from_dict(read_json(path)) == p
     # canonical writer: identical content every time
     first = path.read_bytes()
-    path.write_text(poset_text(p, None))
+    path.write_text(poset_text(p, None, None))
     assert path.read_bytes() == first
 
 

@@ -188,7 +188,7 @@ class TestConstructorsAgreeWithTheCheckedPoset:
         """Loading a file and building an interval order adopt their masks:
         with ``_reach`` and ``_transpose`` broken they still give the posets
         that the checked constructor accepts."""
-        doc = json.loads(poset_text(stacked(4, 3).poset, None))
+        doc = json.loads(poset_text(stacked(4, 3).poset, None, None))
         spans = [(v % 7, v % 7 + v % 3) for v in range(40)]
         want_spans = Poset(40, naive_interval_succ(spans))
 
@@ -209,12 +209,14 @@ class TestConstructorsAgreeWithTheCheckedPoset:
 @pytest.mark.parametrize("call", [
     lambda: Poset(2, [0, 0], ["a", "b"]),
     lambda: interval_order_from_intervals([(0, 1), (2, 3)], ["a", "b"]),
+    lambda: build_poset(2, [], ["a", "b"]),
     lambda: gen_interval_order(0, 3, 10),
     lambda: random_intervals(0, 3, 10),
-], ids=["Poset-names", "interval-order-names", "gen-interval-range", "random-intervals-range"])
+], ids=["Poset-names", "interval-order-names", "build-poset-names", "gen-interval-range",
+        "random-intervals-range"])
 def test_retired_keywords_are_refused(call):
-    """Names reach a poset only through ``build_poset``, and interval ends
-    are drawn from [0, 2n) alone: the old keywords are not accepted."""
+    """Names stay in the documents, never on a poset, and interval ends are
+    drawn from [0, 2n) alone: the old keywords are not accepted."""
     with pytest.raises(TypeError):
         call()
 
@@ -260,8 +262,9 @@ class TestPosetConstructor:
         for v in range(p.n):
             assert p.pred_mask(v) == sum(1 << u for u in range(p.n) if p.less(u, v))
 
-    @given(posets(max_n=12))
-    @settings(max_examples=80)
+    # shuffled ids do not follow the order, so the cover walk takes a linear extension
+    @given(posets(max_n=12) | shuffled_posets(max_n=24))
+    @settings(max_examples=120)
     def test_cover_pairs_are_the_transitive_reduction(self, p):
         n = p.n
         covers = [
@@ -311,6 +314,12 @@ class TestWidthAndDilworth:
         monkeypatch.setattr(order, "_maximum_matching", lambda p: ([1, 2, -1], [-1, -1, 1], 0))
         with pytest.raises(InternalError, match="^Koenig witness has 1 elements, width is 2$"):
             width_with_witness(chain_poset(3))
+
+    def test_witness_that_is_no_antichain_is_refused(self, monkeypatch):
+        # on 0 < 1 with 2 apart, nothing matched passes the size and path checks
+        monkeypatch.setattr(order, "_maximum_matching", lambda p: ([-1] * 3, [-1] * 3, 0))
+        with pytest.raises(InternalError, match="^Koenig witness is not an antichain$"):
+            width_with_witness(build_poset(3, [(0, 1)]))
 
     @given(posets())
     @settings(max_examples=60)

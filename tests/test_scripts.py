@@ -23,7 +23,9 @@ def test_adversary_report_passes_on_the_real_counts(capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("qmax,kmax,expected", [(3, 2, "kierstead(2)"), (1, 3, "stacked(3, 2)")])
+@pytest.mark.parametrize("qmax,kmax,expected", [
+    (3, 2, "kierstead(2)"), (1, 3, "stacked(3, 2)"), (1, 2, "kierstead(3)"),
+])
 def test_adversary_report_returns_1_on_a_wrong_count(monkeypatch, capsys, qmax, kmax, expected):
     # the checks are plain ifs, so they hold under python -O as well
     report = load_script("adversary_report")
