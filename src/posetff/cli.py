@@ -22,8 +22,7 @@ from pathlib import Path
 
 from .adversary import kierstead, stacked
 from .errors import InternalError, ParamError, PosetFFError
-from .extension import block_sequence, spans_from_blocks
-from .firstfit import PresentationOrder, first_fit_chains, first_fit_color, validate_ff_partition
+from .firstfit import PresentationOrder, first_fit_chains, validate_ff_partition
 from .generators import (
     KKFREE_DENSITY,
     SplitMix64,
@@ -31,6 +30,7 @@ from .generators import (
     gen_kk_free,
     random_intervals,
 )
+from .homomorphism import certify
 from .jsonio import (
     MAX_ELEMENTS,
     canonical_dumps,
@@ -45,7 +45,7 @@ from .jsonio import (
     read_json,
     witness_to_dict,
 )
-from .order import KkWitness, incomparability_graph
+from .order import KkWitness
 
 CSV_COLUMNS = ["kind", "params", "n", "width", "k", "ff_chains", "bound", "pd_width", "seconds"]
 
@@ -145,16 +145,16 @@ def cmd_ff(args: argparse.Namespace) -> int:
 
 def cmd_extend(args: argparse.Namespace) -> int:
     doc = read_json(args.poset)
-    p = poset_from_dict(doc)
-    seq = block_sequence(p, args.k)
-    if isinstance(seq, KkWitness):
-        _write_files([("-", lambda: canonical_dumps(witness_to_dict(seq)))], "")
+    p, names = poset_from_dict(doc), doc.get("names")
+    del doc  # the parsed relations are no longer needed
+    cert = certify(p, args.k)
+    if isinstance(cert, KkWitness):
+        _write_files([("-", lambda: canonical_dumps(witness_to_dict(cert)))], "")
         return 1
-    spans = spans_from_blocks(seq)
+    seq, spans = cert.seq, cert.spans
     w = len(seq.partition)  # the number of Dilworth chains, width(p)
-    # pairwise-intersecting spans share a block, so width(q) is a block's size
     _write_files([
-        (args.out_order, lambda: interval_order_text(spans, doc.get("names"), None)),
+        (args.out_order, lambda: interval_order_text(spans, names, None)),
         (args.out_intervals, lambda: canonical_dumps(intervals_to_dict(spans))),
         (args.out_pd, lambda: pd_text(spans, len(seq))),
     ], f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}\n")
@@ -196,25 +196,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
             p = gen_kk_free(inst_seed, n, k)
             params = (f"w={w};orders={args.orders};instance_seed={inst_seed};"
                       f"density={KKFREE_DENSITY}")
-        seq = block_sequence(p, k)
-        if isinstance(seq, KkWitness):
+        cert = certify(p, k)
+        if isinstance(cert, KkWitness):
             raise InternalError("certified k+k-free instance produced a witness")
-        width = len(seq.partition)
+        width = len(cert.seq.partition)
         bound = 8 * (2 * k - 3) * width
-        g = incomparability_graph(p)
         orders_rng = SplitMix64(inst_seed + 1)
         worst = 0
         worst_order = None
         for _ in range(args.orders):
             order = PresentationOrder(tuple(orders_rng.permutation(p.n)))
-            used = first_fit_color(g, order).color_count
+            used = first_fit_chains(p, order).chain_count
             if used > worst:
                 worst = used
                 worst_order = order
         seconds = time.perf_counter() - t0
         rows.append({
             "kind": kind, "params": params, "n": p.n, "width": width, "k": k,
-            "ff_chains": worst, "bound": bound, "pd_width": seq.width,
+            "ff_chains": worst, "bound": bound, "pd_width": cert.seq.width,
             "seconds": f"{seconds:.6f}",
         })
         if worst > bound and violation is None:

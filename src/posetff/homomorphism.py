@@ -11,6 +11,7 @@ valid greedy coloring.  The module also carries the exact oracles used to
 certify all of this: interval clique number by an endpoint sweep and
 pathwidth as the vertex separation number, by a memoised top-down recursion
 over vertex subsets whose drops give the spans of an optimal decomposition.
+``certify`` checks the slide's spans against P's masks and the slide's width.
 
 Costs, for n vertices: a class's components come from one sort of its
 spans by left end and a merge on the running right end, O(n log n) in all;
@@ -39,13 +40,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalError, InvalidColoring, InvalidDecomposition, TooLarge
-from .extension import PathDecomposition, _bag_rows, _valid_spans
+from .extension import (
+    BlockSequence, PathDecomposition, _bag_rows, _valid_spans, block_sequence, spans_from_blocks
+)
 from .firstfit import FFColoring, _greedy_law
 from .order import (
-    Graph, _spans_cover_edges, incomparability_graph, interval_order_from_intervals, iter_bits
+    Graph, KkWitness, Poset, _after, _spans_cover_edges, incomparability_graph,
+    interval_order_from_intervals, iter_bits
 )
 
 __all__ = [
+    "Certificate",
+    "certify",
     "Homomorphism",
     "FFImage",
     "interval_completion",
@@ -92,6 +98,32 @@ def interval_clique_number(intervals: Sequence[tuple[int, int]]) -> int:
     lefts = sorted(a for a, _ in intervals)
     rights = sorted(b for _, b in intervals)
     return max((bisect_right(lefts, x) - bisect_left(rights, x) for x in lefts), default=0)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A completed slide and its element spans, both checked by ``certify``."""
+
+    seq: BlockSequence
+    spans: tuple[tuple[int, int], ...]
+
+
+def certify(p: Poset, k: int) -> Certificate | KkWitness:
+    """The slide over P's Dilworth chains and its spans, or the k+k witness it ends in.
+
+    Either check failing raises InternalError.  P extends the spans' interval
+    order, so incomparable elements have meeting spans and the bags decompose
+    inc(P); and the spans' clique number is the width read off ``seq``, plus one.
+    """
+    seq = block_sequence(p, k)
+    if isinstance(seq, KkWitness):
+        return seq
+    spans = spans_from_blocks(seq)
+    if any(a & ~p.succ_mask(u) for u, a in enumerate(_after(spans))):
+        raise InternalError("P does not extend the interval order of the slide's spans")
+    if interval_clique_number(spans) != seq.width + 1:
+        raise InternalError(f"the spans' clique number is not the slide's width {seq.width} + 1")
+    return Certificate(seq, spans)
 
 
 def build_ff_image(

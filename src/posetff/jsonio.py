@@ -158,10 +158,9 @@ def poset_from_dict(d: dict) -> Poset:
         isinstance(names, list) and all(isinstance(s, str) for s in names)
     ):
         raise FormatError("'names' must be a list of strings")
-    p = build_poset(n, relations)
     if names is not None and len(names) != n:
         raise SizeMismatch("names must match element count")
-    return p
+    return build_poset(n, relations)
 
 
 def order_to_dict(order: PresentationOrder) -> dict:

@@ -773,8 +773,8 @@ def test_bench_violation_exits_1(tmp_path, capsys, monkeypatch):
     # First-Fit never beats the bound on k+k-free input, so a fake run reports
     # 1000 chains plus the order's first element: the worst order is the one
     # that starts highest
-    monkeypatch.setattr(cli, "first_fit_color",
-                        lambda g, order: SimpleNamespace(color_count=1000 + order.order[0]))
+    monkeypatch.setattr(cli, "first_fit_chains",
+                        lambda p, order: SimpleNamespace(chain_count=1000 + order.order[0]))
     csv_file = tmp_path / "bench.csv"
     assert run(["bench", "--k", 2, "--w", 1, "--trials", 2, "--orders", 5, "--seed", 3,
                 "--csv", csv_file]) == 1
@@ -811,8 +811,8 @@ def test_bench_csv_dash_prints_the_file(tmp_path, capsys, monkeypatch):
 
 def test_bench_violation_goes_to_stderr_with_the_csv_on_stdout(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
-    monkeypatch.setattr(cli, "first_fit_color",
-                        lambda g, order: SimpleNamespace(color_count=1000 + order.order[0]))
+    monkeypatch.setattr(cli, "first_fit_chains",
+                        lambda p, order: SimpleNamespace(chain_count=1000 + order.order[0]))
     monkeypatch.chdir(tmp_path)
     assert run(BENCH + ["--csv", "bench.csv"]) == 1
     to_file = capsys.readouterr()
@@ -834,7 +834,7 @@ def test_bench_witness_on_generated_instance_exits_2(tmp_path, capsys, monkeypat
     # generated instances are k+k-free, so only a bug can make the slide return a witness
     witness = block_sequence(build_poset(4, [(0, 1), (2, 3)]), 2)
     assert isinstance(witness, KkWitness)
-    monkeypatch.setattr(cli, "block_sequence", lambda p, k: witness)
+    monkeypatch.setattr(cli, "certify", lambda p, k: witness)
     argv = ["bench", "--k", 2, "--w", 1, "--trials", 1, "--orders", 1,
             "--csv", tmp_path / "bench.csv"]
     assert run(argv) == 2

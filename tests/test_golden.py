@@ -1,6 +1,6 @@
 """Golden gates for the extension pipeline, First-Fit and its quotient.
 
-Each extension case runs ``block_sequence`` on a fixed input and records
+Each extension case runs ``certify`` on a fixed input and records
 either the k+k witness it returns or the block moves plus the sha256 of each
 canonical ``posetff extend`` output (the interval order of the block spans,
 the spans, the path decomposition).  Each First-Fit case runs
@@ -32,6 +32,7 @@ from posetff import (
     build_ff_image,
     build_poset,
     canonical_dumps,
+    certify,
     ff_result_to_dict,
     first_fit_chains,
     first_fit_color,
@@ -46,7 +47,6 @@ from posetff import (
     intervals_to_dict,
     kierstead,
     pd_text,
-    spans_from_blocks,
     stacked,
     witness_to_dict,
 )
@@ -116,16 +116,15 @@ def _sha(obj) -> str:
 
 
 def golden_record(p, names, k) -> dict:
-    seq = block_sequence(p, k)
-    if isinstance(seq, KkWitness):
-        return {"witness": witness_to_dict(seq)}
-    spans = spans_from_blocks(seq)
+    cert = certify(p, k)  # extend's own route to the slide and its spans
+    if isinstance(cert, KkWitness):
+        return {"witness": witness_to_dict(cert)}
     return {
-        "moves": moves_of(seq),
+        "moves": moves_of(cert.seq),
         "sha256": {
-            "order": _text_sha(interval_order_text(spans, names, None)),
-            "intervals": _sha(intervals_to_dict(spans)),
-            "pd": _text_sha(pd_text(spans, len(seq))),
+            "order": _text_sha(interval_order_text(cert.spans, names, None)),
+            "intervals": _sha(intervals_to_dict(cert.spans)),
+            "pd": _text_sha(pd_text(cert.spans, len(cert.seq))),
         },
     }
 

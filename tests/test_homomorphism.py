@@ -8,12 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posetff import (
+    Certificate,
     FFColoring,
     Graph,
     Homomorphism,
     InternalError,
     InvalidColoring,
     InvalidDecomposition,
+    KkWitness,
     PathDecomposition,
     PresentationOrder,
     TooLarge,
@@ -21,6 +23,7 @@ from posetff import (
     build_ff_image,
     build_poset,
     canonical_dumps,
+    certify,
     find_k_plus_k,
     first_fit_color,
     gen_interval_order,
@@ -29,6 +32,7 @@ from posetff import (
     incomparability_graph,
     interval_clique_number,
     interval_completion,
+    is_extension,
     path_decomposition_exact,
     pathwidth_exact,
     spans_from_blocks,
@@ -38,7 +42,7 @@ from posetff import (
     validate_path_decomposition,
     width_with_witness,
 )
-from posetff import SplitMix64, interval_order_from_intervals, kierstead
+from posetff import SplitMix64, cli, interval_order_from_intervals, kierstead
 import posetff.homomorphism as homomorphism_module
 from helpers import (
     adjacent,
@@ -60,6 +64,7 @@ from helpers import (
     outcome,
     path_graph,
     reference_separation_table,
+    shuffled_posets,
     span_lists,
 )
 
@@ -104,6 +109,91 @@ class TestIntervalCompletion:
         kp = kierstead(5)
         ic = spans_from_blocks(block_sequence(kp.poset, 4))
         assert interval_clique_number(ic) <= (2 * 4 - 3) * 2
+
+
+def swap_a_related_pair(spans):
+    """The spans with two interval-order related elements' spans exchanged."""
+    spans = list(spans)
+    u, v = next((u, v) for u in range(len(spans)) for v in range(len(spans))
+                if spans[u][1] < spans[v][0])
+    spans[u], spans[v] = spans[v], spans[u]
+    return tuple(spans)
+
+
+def widen_one_span(spans, count):
+    """The spans with one span that misses a block stretched over blocks 1..count."""
+    spans = list(spans)
+    spans[next(v for v, s in enumerate(spans) if s != (1, count))] = (1, count)
+    return tuple(spans)
+
+
+SABOTAGES = {
+    # the multiset of spans is kept, so only the extension check can fail
+    "swap": lambda real: lambda seq: swap_a_related_pair(real(seq)),
+    # every block holds width + 1 elements, so a block the span now meets holds one more
+    "widen": lambda real: lambda seq: widen_one_span(real(seq), len(seq)),
+}
+SABOTAGE_MESSAGES = {
+    "swap": "P does not extend the interval order of the slide's spans",
+    "widen": "the spans' clique number is not the slide's width",
+}
+SABOTAGED_INPUTS = [
+    (build_poset(3, [(0, 1), (1, 2)]), 2),
+    (gen_interval_order(3, 25), 2),
+    (stacked(4, 3).poset, 3),
+]
+
+
+class TestCertify:
+    @given(shuffled_posets(), st.integers(2, 4))
+    @example(stacked(4, 5).poset, 3)  # holds a 3+3, yet the slide completes
+    @settings(max_examples=200, deadline=None)
+    def test_certify_is_the_hand_assembled_chain(self, p, k):
+        seq = block_sequence(p, k)
+        cert = certify(p, k)
+        if isinstance(seq, KkWitness):
+            assert cert == seq
+            return
+        assert cert == Certificate(seq, spans_from_blocks(seq))
+        # independently of certify's mask test: q is built and compared relation by relation
+        assert is_extension(p, interval_order_from_intervals(cert.spans))
+
+    def test_a_completed_slide_over_a_k_plus_k(self):
+        p = stacked(4, 5).poset
+        assert find_k_plus_k(p, 3) is not None
+        assert isinstance(certify(p, 3), Certificate)
+
+    def test_north_star_stacked(self):
+        cert = certify(stacked(30, 10).poset, 30)
+        assert (len(cert.seq.partition), cert.seq.width) == (10, 569)
+
+    def test_north_star_interval_order(self):
+        cert = certify(gen_interval_order(1, 2000), 2)
+        assert (len(cert.seq.partition), cert.seq.width) == (1019, 1018)
+
+    @pytest.mark.parametrize("sabotage", sorted(SABOTAGES))
+    @pytest.mark.parametrize("p, k", SABOTAGED_INPUTS)
+    def test_each_check_fires(self, monkeypatch, sabotage, p, k):
+        real = homomorphism_module.spans_from_blocks
+        assert isinstance(certify(p, k), Certificate)
+        monkeypatch.setattr(homomorphism_module, "spans_from_blocks", SABOTAGES[sabotage](real))
+        with pytest.raises(InternalError, match=SABOTAGE_MESSAGES[sabotage]):
+            certify(p, k)
+
+    @pytest.mark.parametrize("sabotage", sorted(SABOTAGES))
+    def test_extend_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, sabotage):
+        poset_file = tmp_path / "stacked.json"
+        assert cli.main(["gen", "stacked", "--k", "4", "--w", "3", "--out", str(poset_file)]) == 0
+        real = homomorphism_module.spans_from_blocks
+        monkeypatch.setattr(homomorphism_module, "spans_from_blocks", SABOTAGES[sabotage](real))
+        outs = [str(tmp_path / name) for name in ("q.json", "iv.json", "pd.json")]
+        assert cli.main(["extend", "--poset", str(poset_file), "--k", "3", "--out-order", outs[0],
+                         "--out-intervals", outs[1], "--out-pd", outs[2]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert SABOTAGE_MESSAGES[sabotage] in captured.err
+        assert list(tmp_path.iterdir()) == [poset_file]
 
 
 class TestIntervalCliqueNumber:

@@ -34,6 +34,7 @@ from posetff import (
     spans_from_blocks,
     witness_to_dict,
 )
+from posetff import jsonio
 from posetff.jsonio import MAX_ELEMENTS
 from helpers import (
     DOCUMENTS,
@@ -82,6 +83,20 @@ def test_interval_order_dict_rejects_a_names_mismatch():
 def test_poset_text_rejects_a_names_mismatch(names):
     with pytest.raises(SizeMismatch, match="^names must match element count$"):
         poset_text(build_poset(2, [(0, 1)]), names, None)
+
+
+def test_loader_refuses_short_names_before_the_closure(monkeypatch):
+    def never(n, pairs):
+        raise AssertionError("the closure ran before the names were checked")
+
+    monkeypatch.setattr(jsonio, "build_poset", never)
+    with pytest.raises(SizeMismatch, match="^names must match element count$"):
+        poset_from_dict({"n": 2, "relations": [[0, 1]], "names": ["a"]})
+
+
+def test_short_names_are_reported_before_a_cycle():
+    with pytest.raises(SizeMismatch, match="^names must match element count$"):
+        poset_from_dict({"n": 2, "relations": [[0, 1], [1, 0]], "names": ["a"]})
 
 
 def test_poset_names_carried():
