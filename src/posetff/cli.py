@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .adversary import kierstead, stacked
 from .errors import InternalError, ParamError, PosetFFError
+from .extension import certify
 from .firstfit import PresentationOrder, first_fit_chains, validate_ff_partition
 from .generators import (
     KKFREE_DENSITY,
@@ -30,7 +31,6 @@ from .generators import (
     gen_kk_free,
     random_intervals,
 )
-from .homomorphism import certify
 from .jsonio import (
     MAX_ELEMENTS,
     canonical_dumps,
@@ -151,13 +151,13 @@ def cmd_extend(args: argparse.Namespace) -> int:
     if isinstance(cert, KkWitness):
         _write_files([("-", lambda: canonical_dumps(witness_to_dict(cert)))], "")
         return 1
-    seq, spans = cert.seq, cert.spans
-    w = len(seq.partition)  # the number of Dilworth chains, width(p)
+    spans = cert.spans
+    w = len(cert.partition)  # the number of Dilworth chains, width(p)
     _write_files([
         (args.out_order, lambda: interval_order_text(spans, names, None)),
         (args.out_intervals, lambda: canonical_dumps(intervals_to_dict(spans))),
-        (args.out_pd, lambda: pd_text(spans, len(seq))),
-    ], f"width_q={seq.width + 1} bound={(2 * args.k - 3) * w} pd_width={seq.width}\n")
+        (args.out_pd, lambda: pd_text(spans, len(cert))),
+    ], f"width_q={cert.width + 1} bound={(2 * args.k - 3) * w} pd_width={cert.width}\n")
     return 0
 
 
@@ -199,7 +199,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cert = certify(p, k)
         if isinstance(cert, KkWitness):
             raise InternalError("certified k+k-free instance produced a witness")
-        width = len(cert.seq.partition)
+        width = len(cert.partition)
         bound = 8 * (2 * k - 3) * width
         orders_rng = SplitMix64(inst_seed + 1)
         worst = 0
@@ -213,7 +213,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seconds = time.perf_counter() - t0
         rows.append({
             "kind": kind, "params": params, "n": p.n, "width": width, "k": k,
-            "ff_chains": worst, "bound": bound, "pd_width": cert.seq.width,
+            "ff_chains": worst, "bound": bound, "pd_width": cert.width,
             "seconds": f"{seconds:.6f}",
         })
         if worst > bound and violation is None:

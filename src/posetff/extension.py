@@ -4,11 +4,12 @@ Starting from a Dilworth chain partition, a window of 2k-3 consecutive
 elements slides up each chain.  At every step one chain owns a "good"
 element (below everything still above the windows); removing it and
 admitting the next element of that chain keeps the window family a valid
-block, so a move is recorded as that chain's index alone.  The membership
-spans of the elements across the block sequence, replayed from the moves
-on the partition, form closed integer intervals whose interval order the
-input extends, and they are a path decomposition of the incomparability
-graph: bag t holds the elements whose span contains t.  The slide keeps
+block.  The slide records each element's span of blocks as it goes: step
+t ends the removed element's span at block t and begins the admitted
+element's at block t + 1.  The spans are closed integer intervals whose
+interval order the input extends, and they are a path decomposition of
+the incomparability graph: bag t holds the elements whose span contains
+t.  ``certify`` checks both facts before it returns them.  The slide keeps
 each chain's segment start, the up-set bitmask and the good chains.  A
 chain's segment minimum is good exactly when the up-set lies above it.
 The up-set only shrinks, and a chain's segment minimum changes only when
@@ -26,18 +27,20 @@ k-chains instead.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import CoverageError, InternalError, MalformedInterval
-from .order import Graph, KkWitness, Poset, _check_k, _spans_cover_edges, dilworth_partition
+from .errors import InternalError, MalformedInterval
+from .order import (
+    Graph, KkWitness, Poset, _after, _check_k, _spans_cover_edges, dilworth_partition
+)
 
 __all__ = [
-    "BlockSequence",
+    "Certificate",
     "PathDecomposition",
-    "block_sequence",
-    "spans_from_blocks",
+    "certify",
+    "interval_clique_number",
     "validate_path_decomposition",
 ]
 
@@ -124,25 +127,25 @@ def _least_cycle(p: Poset, runs: dict[int, tuple[int, ...]]) -> list[int]:
 
 
 @dataclass(frozen=True)
-class BlockSequence:
-    """The full slide over one chain partition: the first block, then one move per step.
+class Certificate:
+    """A completed slide over one chain partition, with each element's span of blocks.
 
     ``partition`` holds the Dilworth chains, each a tuple in increasing order.
     The first block is every chain's ``2k-3`` least elements (all of a
-    shorter chain).  Each next block shifts chain ``moves[t]``'s segment up
-    one position, dropping its minimum and admitting the element just above,
-    so the first block and the moves determine every block.
+    shorter chain), and each next block shifts one chain's segment up one
+    position.  ``spans[e]`` is the closed 1-based range of blocks holding
+    element e, so the spans determine every block; with the partition they
+    also determine every move, since step t moves the chain of the one
+    element whose span ends at t.
     """
 
     partition: tuple[tuple[int, ...], ...]
     k: int
-    moves: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_k(self.k)
+    spans: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
-        return len(self.moves) + 1
+        """The block count: the largest right end, or 1 (one empty block) with no elements."""
+        return max((b for _, b in self.spans), default=1)
 
     @property
     def width(self) -> int:
@@ -184,7 +187,7 @@ def _bag_rows(spans: Sequence[tuple[int, int]], count: int) -> Iterator[list[int
         yield bag
 
 
-def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
+def _slide(p: Poset, k: int) -> Certificate | KkWitness:
     """Slide windows up the Dilworth chains until nothing remains above them.
 
     Each step removes the certified good element and admits the smallest
@@ -195,7 +198,10 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
     is listed under its blocker.  A step moves the least good chain, then
     ``_retest`` tests only that chain and those listed under the element it
     admitted.  When no chain is good, the live chains' runs (segment, then
-    d) are cut and the witness of their least cycle is returned.
+    d) are cut and the witness of their least cycle is returned.  An element
+    enters in block 1 or when admitted, and leaves when removed or after the
+    last block; the slide ends only once every element above the first
+    block has been admitted.
     """
     _check_k(k)
     chains = dilworth_partition(p)
@@ -205,7 +211,9 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
     ups = sum(1 << e for i in tested for e in chains[i][window:])
     good = 0
     blocked: dict[int, list[int]] = {}
-    moves: list[int] = []
+    first = [1] * p.n
+    last = [0] * p.n  # stays 0 for an element of the last block
+    t = 0
     while ups:
         good = _retest(p, chains, lo, ups, good, blocked, tested)
         if not good:
@@ -215,47 +223,46 @@ def block_sequence(p: Poset, k: int) -> BlockSequence | KkWitness:
             }
             return _witness_from_cycle(p, runs, k, _least_cycle(p, runs))
         i = (good & -good).bit_length() - 1
-        moves.append(i)
         good ^= 1 << i
+        t += 1
         start = lo[i]
+        last[chains[i][start]] = t
         admitted = chains[i][start + window]
+        first[admitted] = t + 1
         ups ^= 1 << admitted
         lo[i] = start + 1
         tested = blocked.pop(admitted, [])
         if start + 1 + window < len(chains[i]):
             tested.append(i)
-    return BlockSequence(partition=chains, k=k, moves=tuple(moves))
+    return Certificate(chains, k, tuple(zip(first, [b or t + 1 for b in last])))
 
 
-def spans_from_blocks(seq: BlockSequence) -> tuple[tuple[int, int], ...]:
-    """Per element, the closed 1-based range of blocks containing it.
+def interval_clique_number(intervals: Sequence[tuple[int, int]]) -> int:
+    """Maximum point load of closed intervals, by an endpoint sweep.
 
-    The interval order of these spans is the extension of the input.  An
-    element enters in block 1 or when admitted, and leaves when removed or
-    after the last block.  Move t removes its chain's element at the
-    replayed segment start and admits the one just above the segment.
-    Raises CoverageError unless the chains cover 0..n-1 exactly once.
+    The load peaks at some left end x, where it is the number of spans that
+    begin at or before x less the number that end before x.
     """
-    window = 2 * seq.k - 3
-    n = sum(map(len, seq.partition))
-    if sorted(e for chain in seq.partition for e in chain) != list(range(n)):
-        raise CoverageError(f"the chains do not cover 0..{n - 1} exactly once")
-    first = [0] * n
-    last = [len(seq)] * n
-    lo = [0] * len(seq.partition)
-    for chain in seq.partition:
-        for e in chain[:window]:
-            first[e] = 1
-    for t, i in enumerate(seq.moves, start=1):
-        if not (0 <= i < len(lo) and lo[i] + window < len(seq.partition[i])):
-            raise InternalError(f"move {t} slides chain {i} past its end")
-        chain, start = seq.partition[i], lo[i]
-        last[chain[start]] = t
-        first[chain[start + window]] = t + 1
-        lo[i] = start + 1
-    if 0 in first:
-        raise InternalError(f"element {first.index(0)} never entered any block")
-    return tuple(zip(first, last))
+    lefts = sorted(a for a, _ in intervals)
+    rights = sorted(b for _, b in intervals)
+    return max((bisect_right(lefts, x) - bisect_left(rights, x) for x in lefts), default=0)
+
+
+def certify(p: Poset, k: int) -> Certificate | KkWitness:
+    """The slide over P's Dilworth chains with its spans, or the k+k witness it ends in.
+
+    Either check failing raises InternalError.  P extends the spans' interval
+    order, so incomparable elements have meeting spans and the bags decompose
+    inc(P); and the spans' clique number is the certificate's width plus one.
+    """
+    cert = _slide(p, k)
+    if isinstance(cert, KkWitness):
+        return cert
+    if any(a & ~p.succ_mask(u) for u, a in enumerate(_after(cert.spans))):
+        raise InternalError("P does not extend the interval order of the slide's spans")
+    if interval_clique_number(cert.spans) != cert.width + 1:
+        raise InternalError(f"the spans' clique number is not the slide's width {cert.width} + 1")
+    return cert
 
 
 def _valid_spans(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int], ...] | None:

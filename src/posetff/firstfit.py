@@ -60,7 +60,8 @@ class PresentationOrder:
 
     def __post_init__(self):
         n = len(self.order)
-        if sorted(self.order) != list(range(n)):
+        # a bool or a float equal to an id sorts as that id, so the types are tested first
+        if set(map(type, self.order)) - {int} or sorted(self.order) != list(range(n)):
             raise CoverageError("presentation order must be a permutation of 0..n-1")
 
     @classmethod
@@ -177,32 +178,35 @@ def _greedy_law(g: Graph, classes: Sequence[Collection[int]]) -> bool:
     """The greedy coloring law on classes given as collections of vertices.
 
     Raises CoverageError unless the classes list each vertex exactly once; a
-    vertex listed twice in one class counts as a duplicate.  Then, from the
-    last class back, class j passes when it is non-empty, its vertices touch
-    no neighbour among themselves, and it neighbours every vertex of a later
-    class.
+    vertex listed twice in one class counts as a duplicate, and an id that is
+    not an int is refused.  Then, from the last class back, class j passes
+    when it is non-empty, its vertices touch no neighbour among themselves,
+    and it neighbours every vertex of a later class.
     """
     seen: set[int] = set()
-    for cls in classes:
-        for v in cls:
-            if not 0 <= v < g.n or v in seen:
-                raise CoverageError(f"vertex {v} missing, duplicated, or out of range")
-            seen.add(v)
-    if len(seen) != g.n:
-        raise CoverageError("classes do not cover all vertices")
-    later = 0
-    for cls in reversed(classes):
-        if not cls:
-            return False
-        mask = touched = 0
-        for v in cls:
-            mask |= 1 << v
-            touched |= g.nbr_mask(v)
-        if mask & touched:
-            return False  # not independent
-        if later & ~touched:
-            return False  # a later vertex has no neighbour in this class
-        later |= mask
+    try:
+        for cls in classes:
+            for v in cls:
+                if not 0 <= v < g.n or v in seen:
+                    raise CoverageError(f"vertex {v} missing, duplicated, or out of range")
+                seen.add(v)
+        if len(seen) != g.n:
+            raise CoverageError("classes do not cover all vertices")
+        later = 0
+        for cls in reversed(classes):
+            if not cls:
+                return False
+            mask = touched = 0
+            for v in cls:
+                mask |= 1 << v
+                touched |= g.nbr_mask(v)
+            if mask & touched:
+                return False  # not independent
+            if later & ~touched:
+                return False  # a later vertex has no neighbour in this class
+            later |= mask
+    except TypeError:  # a float equal to an id passes the range test, then fails the shift
+        raise CoverageError("a class lists a vertex id that is not an int") from None
     return True
 
 

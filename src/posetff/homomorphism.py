@@ -2,16 +2,16 @@
 
 A path decomposition turns a graph into a spanning subgraph of an
 interval graph, and the quotient reads only each vertex's closed span of
-bags: ``spans_from_blocks`` gives the slide's, and ``interval_completion``
+bags: ``certify``'s record holds the slide's, and ``interval_completion``
 reads them off a file's bags.  Within each greedy color class, the
 components of the completed graph merge into single interval vertices; the
 quotient is an interval graph with no larger clique than the completion,
 the quotient map preserves edges, and the transported classes are again a
 valid greedy coloring.  The module also carries the exact oracles used to
-certify all of this: interval clique number by an endpoint sweep and
-pathwidth as the vertex separation number, by a memoised top-down recursion
-over vertex subsets whose drops give the spans of an optimal decomposition.
-``certify`` checks the slide's spans against P's masks and the slide's width.
+certify all of this: the extension module's interval clique number by an
+endpoint sweep, and pathwidth as the vertex separation number, by a
+memoised top-down recursion over vertex subsets whose drops give the spans
+of an optimal decomposition.
 
 Costs, for n vertices: a class's components come from one sort of its
 spans by left end and a merge on the running right end, O(n log n) in all;
@@ -35,28 +35,21 @@ under 0.01 ms.  At n = 16, 300 random graphs fill at most 16928 of the
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalError, InvalidColoring, InvalidDecomposition, TooLarge
-from .extension import (
-    BlockSequence, PathDecomposition, _bag_rows, _valid_spans, block_sequence, spans_from_blocks
-)
+from .extension import PathDecomposition, _bag_rows, _valid_spans, interval_clique_number
 from .firstfit import FFColoring, _greedy_law
 from .order import (
-    Graph, KkWitness, Poset, _after, _spans_cover_edges, incomparability_graph,
-    interval_order_from_intervals, iter_bits
+    Graph, _spans_cover_edges, incomparability_graph, interval_order_from_intervals, iter_bits
 )
 
 __all__ = [
-    "Certificate",
-    "certify",
     "Homomorphism",
     "FFImage",
     "interval_completion",
     "build_ff_image",
-    "interval_clique_number",
     "pathwidth_exact",
     "path_decomposition_exact",
     "validate_homomorphism",
@@ -87,43 +80,6 @@ def interval_completion(g: Graph, pd: PathDecomposition) -> tuple[tuple[int, int
     if spans is None:
         raise InvalidDecomposition("path decomposition invalid for this graph")
     return spans
-
-
-def interval_clique_number(intervals: Sequence[tuple[int, int]]) -> int:
-    """Maximum point load of closed intervals, by an endpoint sweep.
-
-    The load peaks at some left end x, where it is the number of spans that
-    begin at or before x less the number that end before x.
-    """
-    lefts = sorted(a for a, _ in intervals)
-    rights = sorted(b for _, b in intervals)
-    return max((bisect_right(lefts, x) - bisect_left(rights, x) for x in lefts), default=0)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A completed slide and its element spans, both checked by ``certify``."""
-
-    seq: BlockSequence
-    spans: tuple[tuple[int, int], ...]
-
-
-def certify(p: Poset, k: int) -> Certificate | KkWitness:
-    """The slide over P's Dilworth chains and its spans, or the k+k witness it ends in.
-
-    Either check failing raises InternalError.  P extends the spans' interval
-    order, so incomparable elements have meeting spans and the bags decompose
-    inc(P); and the spans' clique number is the width read off ``seq``, plus one.
-    """
-    seq = block_sequence(p, k)
-    if isinstance(seq, KkWitness):
-        return seq
-    spans = spans_from_blocks(seq)
-    if any(a & ~p.succ_mask(u) for u, a in enumerate(_after(spans))):
-        raise InternalError("P does not extend the interval order of the slide's spans")
-    if interval_clique_number(spans) != seq.width + 1:
-        raise InternalError(f"the spans' clique number is not the slide's width {seq.width} + 1")
-    return Certificate(seq, spans)
 
 
 def build_ff_image(

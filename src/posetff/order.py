@@ -227,16 +227,20 @@ class Poset:
         """Whether elems are ids in 0..n-1 listed in increasing order (so pairwise comparable)."""
         # rows hold no bit past n-1, so each id after a first one in 0..n-1 passes only in range
         try:
-            return not elems or 0 <= elems[0] < self.n and all(map(self.less, elems, elems[1:]))
-        except ValueError:  # a negative id after the first is a negative shift count
+            return not elems or (type(elems[0]) is int and 0 <= elems[0] < self.n
+                                 and all(map(self.less, elems, elems[1:])))
+        except (TypeError, ValueError):  # a later id that is not an int, or a negative shift count
             return False
 
     def is_antichain(self, elems: Sequence[int]) -> bool:
         """Whether elems are distinct, pairwise incomparable ids in 0..n-1."""
-        if elems and not (min(elems) >= 0 and max(elems) < self.n):
+        try:
+            if elems and not (min(elems) >= 0 and max(elems) < self.n):
+                return False
+            # a sum of powers of two has one bit per term exactly when no two terms are equal
+            mask = sum(1 << u for u in elems)
+        except TypeError:  # an id that is not an int fails the range test or the shift
             return False
-        # a sum of powers of two has one bit per term exactly when no two terms are equal
-        mask = sum(1 << u for u in elems)
         return mask.bit_count() == len(elems) and not any(self._succ[u] & mask for u in elems)
 
     def __eq__(self, other: object) -> bool:

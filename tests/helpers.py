@@ -27,7 +27,6 @@ from posetff import (
     incomparability_graph,
     interval_cover_rows,
     interval_order_from_intervals,
-    spans_from_blocks,
 )
 from posetff.firstfit import _fill_grundy, _grundy_ceiling, _maximal_independent_sets
 from posetff.jsonio import MAX_ELEMENTS
@@ -646,27 +645,70 @@ def brute_width(p):
     return best
 
 
-def slide_order(p, seq):
+def slide_order(p, cert):
     """The interval order q of the slide's block spans, which p extends."""
-    return interval_order_from_intervals(spans_from_blocks(seq))
+    return interval_order_from_intervals(cert.spans)
 
 
-def slide_decomposition(seq):
+def slide_decomposition(cert):
     """The slide's bags, one per block, read off its spans."""
-    return PathDecomposition(bags_by_definition(spans_from_blocks(seq), len(seq)))
+    return PathDecomposition(bags_by_definition(cert.spans, len(cert)))
 
 
-def moves_of(seq):
+def replay_spans(partition, k, moves):
+    """Per element, the closed 1-based range of blocks containing it, replayed from the moves.
+
+    An independent reference for the spans the slide records: an element
+    enters in block 1 or when admitted, and leaves when removed or after the
+    last block.  Move t removes its chain's element at the replayed segment
+    start and admits the one just above the segment.  Raises CoverageError
+    unless the chains partition 0..n-1, and InternalError on a move
+    past a chain's end or an element that never enters a block.
+    """
+    window = 2 * k - 3
+    n = sum(map(len, partition))
+    _brute_cover(partition, n, "the chains")
+    first = [0] * n
+    last = [len(moves) + 1] * n
+    lo = [0] * len(partition)
+    for chain in partition:
+        for e in chain[:window]:
+            first[e] = 1
+    for t, i in enumerate(moves, start=1):
+        if not (0 <= i < len(lo) and lo[i] + window < len(partition[i])):
+            raise InternalError(f"move {t} slides chain {i} past its end")
+        chain, start = partition[i], lo[i]
+        last[chain[start]] = t
+        first[chain[start + window]] = t + 1
+        lo[i] = start + 1
+    if 0 in first:
+        raise InternalError(f"element {first.index(0)} never entered any block")
+    return tuple(zip(first, last))
+
+
+def slide_moves(cert):
+    """The chain index the slide moved at each step, read off the spans.
+
+    Step t removes the one element whose span ends at block t, for t below
+    the block count; a step with no such element raises KeyError.
+    """
+    count = len(cert)
+    chain_of = {e: i for i, chain in enumerate(cert.partition) for e in chain}
+    removed = {b: e for e, (_, b) in enumerate(cert.spans) if b < count}
+    return tuple(chain_of[removed[t]] for t in range(1, count))
+
+
+def moves_of(cert):
     """The slide's moves as ``{removed, added, chain}`` dicts, the form the goldens write.
 
     Move t's chain drops the element at its segment start and admits the
     element just above its segment.
     """
-    window = 2 * seq.k - 3
-    lo = [0] * len(seq.partition)
+    window = 2 * cert.k - 3
+    lo = [0] * len(cert.partition)
     out = []
-    for i in seq.moves:
-        chain = seq.partition[i]
+    for i in slide_moves(cert):
+        chain = cert.partition[i]
         out.append({"removed": chain[lo[i]], "added": chain[lo[i] + window], "chain": i})
         lo[i] += 1
     return out

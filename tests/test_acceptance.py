@@ -10,8 +10,8 @@ from contextlib import contextmanager
 
 from posetff import (
     KkWitness,
-    block_sequence,
     build_ff_image,
+    certify,
     find_k_plus_k,
     first_fit_chains,
     gen_interval_order,
@@ -106,9 +106,9 @@ def _extension_runs():
 def test_criterion_04_extension_certificates():
     with criterion("4 extension-certificates", 120.0):
         for p, k in _extension_runs():
-            seq = block_sequence(p, k)
-            assert not isinstance(seq, KkWitness)
-            q = slide_order(p, seq)
+            cert = certify(p, k)
+            assert not isinstance(cert, KkWitness)
+            q = slide_order(p, cert)
             w, _ = width_with_witness(p)
             wq, _ = width_with_witness(q)
             assert is_extension(p, q)
@@ -119,9 +119,9 @@ def test_criterion_04_extension_certificates():
 def test_criterion_05_path_decomposition_certificates():
     with criterion("5 path-decomposition-certificates", 120.0):
         for p, k in _extension_runs():
-            seq = block_sequence(p, k)
-            assert not isinstance(seq, KkWitness)
-            pd = slide_decomposition(seq)
+            cert = certify(p, k)
+            assert not isinstance(cert, KkWitness)
+            pd = slide_decomposition(cert)
             w, _ = width_with_witness(p)
             assert validate_path_decomposition(incomparability_graph(p), pd)
             assert pd.width <= (2 * k - 3) * w - 1
@@ -136,8 +136,8 @@ def _quotient_cases():
     for i in range(30):
         p = gen_interval_order(500 + i, 5 + i % 6)
         g = incomparability_graph(p)
-        seq = block_sequence(p, 2)
-        cases.append((g, slide_decomposition(seq)))
+        cert = certify(p, 2)
+        cases.append((g, slide_decomposition(cert)))
     return cases
 
 

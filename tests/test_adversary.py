@@ -8,8 +8,8 @@ from posetff import (
     ParamError,
     Poset,
     PresentationOrder,
-    block_sequence,
     build_poset,
+    certify,
     find_k_plus_k,
     first_fit_chains,
     incomparability_graph,
@@ -101,7 +101,7 @@ class TestKierstead:
             p = kierstead(q).poset
             kk_free.append(next(k for k in range(2, q + 2) if find_k_plus_k(p, k) is None))
             slid.append(next(k for k in range(2, q + 2)
-                             if not isinstance(block_sequence(p, k), KkWitness)))
+                             if not isinstance(certify(p, k), KkWitness)))
         assert kk_free == [q // 2 + 1 for q in range(2, 16)]
         assert slid == [2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5]
 

@@ -21,9 +21,9 @@ from posetff import (
     ParamError,
     Poset,
     PosetFFError,
-    block_sequence,
     build_poset,
     canonical_dumps,
+    certify,
     gen_interval_order,
     gen_kk_free,
     incomparability_graph,
@@ -66,7 +66,7 @@ def check_extend_report(report, poset_file, q_file, pd_file, k):
 def check_bench_row(row, p, k):
     """width is width(p); pd_width + 1 is the width of the slide's interval order."""
     assert int(row["width"]) == width_with_witness(p)[0]
-    wq, _ = width_with_witness(slide_order(p, block_sequence(p, k)))
+    wq, _ = width_with_witness(slide_order(p, certify(p, k)))
     assert int(row["pd_width"]) + 1 == wq
 
 
@@ -421,7 +421,7 @@ def test_extend_builds_one_poset(tmp_path, capsys, monkeypatch):
     run(["gen", "stacked", "--k", 4, "--w", 3, "--out", poset_file])
     doc = read_json(poset_file)
     p = poset_from_dict(doc)
-    q = slide_order(p, block_sequence(p, 4))
+    q = slide_order(p, certify(p, 4))
     q_reference = poset_text(q, doc["names"], None)
     built = []
     init = Poset.__init__
@@ -832,7 +832,7 @@ def test_bench_csv_directory_exits_2(tmp_path, capsys):
 
 def test_bench_witness_on_generated_instance_exits_2(tmp_path, capsys, monkeypatch):
     # generated instances are k+k-free, so only a bug can make the slide return a witness
-    witness = block_sequence(build_poset(4, [(0, 1), (2, 3)]), 2)
+    witness = certify(build_poset(4, [(0, 1), (2, 3)]), 2)
     assert isinstance(witness, KkWitness)
     monkeypatch.setattr(cli, "certify", lambda p, k: witness)
     argv = ["bench", "--k", 2, "--w", 1, "--trials", 1, "--orders", 1,

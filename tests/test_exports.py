@@ -124,3 +124,26 @@ def test_only_the_console_entry_has_a_keyword_default():
         if isinstance(node, ast.FunctionDef) and (node.args.defaults or any(node.args.kw_defaults))
     ]
     assert with_defaults == ["cli.main"]
+
+
+def listed_names(tree):
+    """The module's ``__all__``, read off its assignment."""
+    return next((ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["__all__"]), [])
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_used_or_listed(path):
+    # an import that nothing reads is a leftover of code moved elsewhere;
+    # __init__.py star-imports the modules to re-export their names
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read - set(listed_names(tree))) == []

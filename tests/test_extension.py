@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetff import (
-    BlockSequence,
-    CoverageError,
+    Certificate,
     Graph,
     InternalError,
     KkWitness,
@@ -15,9 +14,9 @@ from posetff import (
     ParamError,
     SplitMix64,
     PathDecomposition,
-    block_sequence,
     build_poset,
     canonical_dumps,
+    certify,
     dilworth_partition,
     find_k_plus_k,
     gen_interval_order,
@@ -32,7 +31,6 @@ from posetff import (
     path_decomposition_exact,
     pathwidth_exact,
     pd_text,
-    spans_from_blocks,
     stacked,
     validate_path_decomposition,
     width_with_witness,
@@ -51,8 +49,10 @@ from helpers import (
     moves_of,
     path_graph,
     posets,
+    replay_spans,
     shuffled_posets,
     slide_decomposition,
+    slide_moves,
     slide_order,
     spined_posets,
 )
@@ -107,9 +107,9 @@ def graphs_with_bag_lists(draw):
     return g, PathDecomposition(tuple(bags))
 
 
-def first_block(seq):
+def first_block(cert):
     """The slide's first block as segments: each chain's 2k-3 least positions, or all of it."""
-    return tuple((0, min(len(chain), 2 * seq.k - 3)) for chain in seq.partition)
+    return tuple((0, min(len(chain), 2 * cert.k - 3)) for chain in cert.partition)
 
 
 def block_size(segments):
@@ -183,7 +183,7 @@ def traced_slide(p, k):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extension_module, "_retest", spy)
-        return block_sequence(p, k), states
+        return certify(p, k), states
 
 
 def arcs_by_definition(p, cp, segments):
@@ -241,15 +241,15 @@ def slide_from_scratch(p, k):
     return moves, blocks, False
 
 
-def replay_blocks(seq):
+def replay_blocks(cert):
     """Every block of a slide as its segments, replayed from the first block and the moves."""
-    blocks = [first_block(seq)]
+    blocks = [first_block(cert)]
     segments = list(blocks[0])
-    for i in seq.moves:
+    for i in slide_moves(cert):
         lo, hi = segments[i]
         segments[i] = (lo + 1, hi + 1)
         blocks.append(tuple(segments))
-    assert len(blocks) == len(seq)
+    assert len(blocks) == len(cert)
     return blocks
 
 
@@ -265,7 +265,7 @@ def assert_slide_matches_scratch(p, k):
     if stuck:
         assert isinstance(got, KkWitness) and got.is_valid(p) and got.k == k
     else:
-        assert got.moves == tuple(moves)
+        assert slide_moves(got) == tuple(moves)
         assert replay_blocks(got) == blocks
 
 
@@ -277,25 +277,25 @@ class TestUpSet:
         assert states[1] == ([1], [0], mask({2, 3, 4}), 1)  # X = {c_2}, chain 0 good
 
     def test_full_antichain_block(self):
-        seq, states = traced_slide(antichain_poset(4), 2)
-        assert first_block(seq) == ((0, 1),) * 4
-        assert block_size(first_block(seq)) == 4
-        assert seq.moves == ()
+        cert, states = traced_slide(antichain_poset(4), 2)
+        assert first_block(cert) == ((0, 1),) * 4
+        assert block_size(first_block(cert)) == 4
+        assert slide_moves(cert) == ()
         assert states == []  # nothing above the block, so no pick
 
     def test_two_chains(self):
         # a1 < a2 < a3 plus an isolated b1
         p = build_poset(4, [(0, 1), (1, 2)])
-        seq, states = traced_slide(p, 2)
-        assert first_block(seq) == ((0, 1), (0, 1))  # X = {a1, b1}
+        cert, states = traced_slide(p, 2)
+        assert first_block(cert) == ((0, 1), (0, 1))  # X = {a1, b1}
         assert states[0][2] == mask({1, 2})
 
     def test_up_set_is_what_later_moves_admit(self):
         for p, k in [(gen_interval_order(3, 30), 2), (stacked(3, 6).poset, 3)]:
-            seq = block_sequence(p, k)
-            for t, segments in enumerate(replay_blocks(seq)):
-                admitted_later = {mv["added"] for mv in moves_of(seq)[t:]}
-                assert elements_above(seq.partition, segments) == admitted_later
+            cert = certify(p, k)
+            for t, segments in enumerate(replay_blocks(cert)):
+                admitted_later = {mv["added"] for mv in moves_of(cert)[t:]}
+                assert elements_above(cert.partition, segments) == admitted_later
 
 
 class TestFindGoodElement:
@@ -309,7 +309,7 @@ class TestFindGoodElement:
 
     def test_two_plus_two_yields_witness(self):
         p = build_poset(4, TWO_PLUS_TWO)
-        got = block_sequence(p, 2)
+        got = certify(p, 2)
         assert isinstance(got, KkWitness)
         assert got.is_valid(p)
         assert pick(p, ((0, 1), (0, 1)), 2) == got
@@ -325,7 +325,7 @@ class TestFindGoodElement:
             (gen_random_poset(SplitMix64(50), 20, 0.2), 3, ((9, 4, 15), (12, 8, 3))),
         ]
         for p, k, chains in cases:
-            got = block_sequence(p, k)
+            got = certify(p, k)
             assert isinstance(got, KkWitness) and got.is_valid(p)
             assert (got.a, got.b) == chains
 
@@ -336,14 +336,14 @@ class TestFindGoodElement:
         for seed in range(200):
             p = gen_random_poset(SplitMix64(seed), 12 + seed % 25, 0.15 + 0.05 * (seed % 6))
             for k in range(2, 6):
-                got = block_sequence(p, k)
+                got = certify(p, k)
                 if isinstance(got, KkWitness):
                     docs.append([seed, k, witness_to_dict(got)])
         for kk in range(3, 8):
             for w in range(2, 6):
                 p = stacked(kk, w).poset
                 for k in range(2, kk):
-                    got = block_sequence(p, k)
+                    got = certify(p, k)
                     if isinstance(got, KkWitness):
                         docs.append(["stacked", kk, w, k, witness_to_dict(got)])
         digest = hashlib.sha256(canonical_dumps(docs).encode()).hexdigest()
@@ -353,15 +353,15 @@ class TestFindGoodElement:
     def test_certificate_shape(self):
         p = gen_interval_order(2, 40)  # two chains reach past their windows here
         k = 3
-        seq = block_sequence(p, k)
-        runs = runs_of(p, first_block(seq))
+        cert = certify(p, k)
+        runs = runs_of(p, first_block(cert))
         assert len(runs) >= 2
-        sink = pick(p, first_block(seq), k)
+        sink = pick(p, first_block(cert), k)
         a = runs[sink][0]
         # the sink's a lies below every other run's d
         assert all(p.less(a, run[-1]) for j, run in runs.items() if j != sink)
-        assert seq.moves[0] == sink
-        assert moves_of(seq)[0]["removed"] == a
+        assert slide_moves(cert)[0] == sink
+        assert moves_of(cert)[0]["removed"] == a
         for run in runs.values():
             assert len(run) == 2 * k - 2
             assert p.is_chain(run)
@@ -392,47 +392,47 @@ class TestFindGoodElement:
     def test_saturated_chain_is_omitted_from_certificate(self):
         # a singleton chain sits wholly inside the block and never participates
         p = build_poset(6, [(i, i + 1) for i in range(4)])  # chain of 5 plus element 5
-        seq, states = traced_slide(p, 2)
+        cert, states = traced_slide(p, 2)
         assert [live for _, live, _, _ in states] == [[0]] * 4
-        assert pick(p, first_block(seq), 2) == 0
-        assert moves_of(seq)[0] == {"removed": 0, "added": 1, "chain": 0}
+        assert pick(p, first_block(cert), 2) == 0
+        assert moves_of(cert)[0] == {"removed": 0, "added": 1, "chain": 0}
 
 
-class TestBlockSequence:
+class TestSlide:
     def test_chain_slides_one_by_one(self):
         p = chain_poset(7)
-        seq = block_sequence(p, 2)
-        assert isinstance(seq, BlockSequence)
-        assert slide_decomposition(seq).bags == tuple((t,) for t in range(7))
+        cert = certify(p, 2)
+        assert isinstance(cert, Certificate)
+        assert slide_decomposition(cert).bags == tuple((t,) for t in range(7))
 
     def test_antichain_is_one_block(self):
-        seq = block_sequence(antichain_poset(5), 2)
-        assert len(seq) == 1 and seq.moves == ()
-        assert slide_decomposition(seq).bags == (tuple(range(5)),)
+        cert = certify(antichain_poset(5), 2)
+        assert len(cert) == 1 and slide_moves(cert) == ()
+        assert slide_decomposition(cert).bags == (tuple(range(5)),)
 
     def test_block_count_formula(self):
         for seed in (0, 3, 9):
             p = gen_interval_order(seed, 25)
-            seq = block_sequence(p, 2)
-            blocks = replay_blocks(seq)
-            assert len(blocks) == p.n - block_size(first_block(seq)) + 1
-            bags = slide_decomposition(seq).bags
+            cert = certify(p, 2)
+            blocks = replay_blocks(cert)
+            assert len(blocks) == p.n - block_size(first_block(cert)) + 1
+            bags = slide_decomposition(cert).bags
             assert [block_size(b) for b in blocks] == [len(bag) for bag in bags]
 
     def test_segment_sizes_are_conserved(self):
         p = gen_interval_order(5, 30)
-        seq = block_sequence(p, 2)
-        sizes0 = [hi - lo for lo, hi in first_block(seq)]
-        for blk in replay_blocks(seq)[1:]:
+        cert = certify(p, 2)
+        sizes0 = [hi - lo for lo, hi in first_block(cert)]
+        for blk in replay_blocks(cert)[1:]:
             assert [hi - lo for lo, hi in blk] == sizes0
 
     def test_interval_orders_stay_within_width(self):
         for seed in range(8):
             p = gen_interval_order(seed, 40 + seed)
             w, _ = width_with_witness(p)
-            seq = block_sequence(p, 2)
-            assert isinstance(seq, BlockSequence)
-            assert all(block_size(b) <= w for b in replay_blocks(seq))
+            cert = certify(p, 2)
+            assert isinstance(cert, Certificate)
+            assert all(block_size(b) <= w for b in replay_blocks(cert))
 
     def test_moves_are_pinned(self):
         # every completed slide's moves on seeded random posets and on the
@@ -444,16 +444,16 @@ class TestBlockSequence:
         ]
         cases += [(stacked(kk, w).poset, kk) for kk in range(3, 8) for w in range(2, 6)]
         for p, k in cases:
-            seq = block_sequence(p, k)
-            if isinstance(seq, BlockSequence):
-                slides.append(moves_of(seq))
+            cert = certify(p, k)
+            if isinstance(cert, Certificate):
+                slides.append(moves_of(cert))
         digest = hashlib.sha256(canonical_dumps(slides).encode()).hexdigest()
         assert (len(slides), sum(map(len, slides))) == (SLIDE_COUNT, MOVE_COUNT)
         assert digest == MOVES_DIGEST
 
     def test_rejects_k_below_two(self):
         with pytest.raises(ParamError, match="^k must be at least 2$"):
-            block_sequence(chain_poset(3), 1)
+            certify(chain_poset(3), 1)
 
     @given(posets(max_n=12))
     @settings(max_examples=80)
@@ -484,9 +484,25 @@ class TestBlockSequence:
             assert len(states) >= 10 and len(states[-1][1]) >= 10 and not states[-1][3]
             assert_slide_matches_scratch(p, 3)
 
+    @given(st.integers(2, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_recorded_spans_replay_from_the_reference_moves(self, k, data):
+        # the spans the slide records in its loop equal an independent replay
+        # of the moves they imply, and those moves are the reference slide's
+        p = data.draw(st.one_of(
+            spined_posets(), shuffled_posets(),
+            st.integers(0, 40).map(lambda seed: gen_kk_free(seed, 16, k)),
+        ))
+        cert = certify(p, k)
+        if isinstance(cert, KkWitness):
+            return
+        assert cert.spans == replay_spans(cert.partition, cert.k, slide_moves(cert))
+        moves, _, stuck = slide_from_scratch(p, k)
+        assert not stuck and slide_moves(cert) == tuple(moves)
+
     @pytest.mark.parametrize("k", [2.5, 3.0, "3"])
     def test_rejects_a_k_that_is_not_an_int(self, k):
-        for search in (block_sequence, find_k_plus_k):
+        for search in (certify, find_k_plus_k):
             with pytest.raises(ParamError) as info:
                 search(chain_poset(6), k)
             assert str(info.value) == f"k must be an int, got {k!r}"
@@ -497,13 +513,11 @@ class TestBlockSequence:
         ("3", "k must be an int, got '3'"),
         (1, "k must be at least 2"),
     ])
-    def test_record_and_generator_refuse_a_bad_k(self, k, message):
-        # a record built by hand and the k+k-free generator check k as the
-        # searches do, not with a TypeError or a record of width -2
-        for make in (lambda: BlockSequence(((0, 1),), k, ()), lambda: gen_kk_free(0, 8, k)):
-            with pytest.raises(ParamError) as info:
-                make()
-            assert str(info.value) == message
+    def test_generator_refuses_a_bad_k(self, k, message):
+        # the k+k-free generator checks k as the searches do, not with a TypeError
+        with pytest.raises(ParamError) as info:
+            gen_kk_free(0, 8, k)
+        assert str(info.value) == message
 
     def test_non_increasing_chain_raises_internal_error(self, monkeypatch):
         def sabotaged(p):
@@ -512,16 +526,16 @@ class TestBlockSequence:
         monkeypatch.setattr(extension_module, "dilworth_partition", sabotaged)
         # the up-set test fails at once, and the lone live chain has no out-arc
         with pytest.raises(InternalError, match="has no out-arc"):
-            block_sequence(chain_poset(4), 2)
+            certify(chain_poset(4), 2)
 
     @given(posets(max_n=12), st.integers(2, 4))
     @settings(max_examples=150)
     def test_k_plus_k_free_posets_slide_to_the_end(self, p, k):
         # the theorem: without a k+k the slide never gets stuck; a witness it
         # returns is a genuine k+k
-        got = block_sequence(p, k)
+        got = certify(p, k)
         if find_k_plus_k(p, k) is None:
-            assert isinstance(got, BlockSequence)
+            assert isinstance(got, Certificate)
         if isinstance(got, KkWitness):
             assert got.is_valid(p) and got.k == k
             assert find_k_plus_k(p, k) is not None
@@ -530,7 +544,7 @@ class TestBlockSequence:
     @settings(max_examples=60)
     def test_one_sided_contract(self, p):
         # on arbitrary input: either a valid sequence or a valid witness
-        got = block_sequence(p, 2)
+        got = certify(p, 2)
         if isinstance(got, KkWitness):
             assert got.is_valid(p)
             assert got.k == 2
@@ -541,11 +555,11 @@ class TestBlockSequence:
 class TestIntervalOrderOf:
     def test_chain_maps_to_itself(self):
         p = chain_poset(6)
-        assert slide_order(p, block_sequence(p, 2)) == p
+        assert slide_order(p, certify(p, 2)) == p
 
     def test_antichain_maps_to_itself(self):
         p = antichain_poset(5)
-        q = slide_order(p, block_sequence(p, 2))
+        q = slide_order(p, certify(p, 2))
         assert q == p
         wq, _ = width_with_witness(q)
         assert wq == 5 == (2 * 2 - 3) * 5
@@ -553,92 +567,65 @@ class TestIntervalOrderOf:
     def test_postconditions_on_seeded_two_two_free(self):
         for seed in range(10):
             p = gen_interval_order(seed, 20 + 2 * seed)
-            seq = block_sequence(p, 2)
-            q = slide_order(p, seq)
+            cert = certify(p, 2)
+            q = slide_order(p, cert)
             w, _ = width_with_witness(p)
             wq, _ = width_with_witness(q)
             assert is_extension(p, q)
             assert is_interval_order(q)
-            assert wq == seq.width + 1 <= (2 * 2 - 3) * w
+            assert wq == cert.width + 1 <= (2 * 2 - 3) * w
 
     def test_postconditions_on_seeded_three_free(self):
         for seed in range(5):
             p = gen_kk_free(seed, 16, 3)
-            seq = block_sequence(p, 3)
-            assert not isinstance(seq, KkWitness)
-            q = slide_order(p, seq)
+            cert = certify(p, 3)
+            assert not isinstance(cert, KkWitness)
+            q = slide_order(p, cert)
             w, _ = width_with_witness(p)
             wq, _ = width_with_witness(q)
             assert is_extension(p, q)
             assert is_interval_order(q)
-            assert wq == seq.width + 1 <= (2 * 3 - 3) * w
+            assert wq == cert.width + 1 <= (2 * 3 - 3) * w
 
     def test_empty_poset(self):
-        seq = block_sequence(build_poset(0, []), 2)
-        assert spans_from_blocks(seq) == ()
-        assert len(seq) == 1
+        cert = certify(build_poset(0, []), 2)
+        assert cert.spans == ()
+        assert len(cert) == 1
 
     @given(spined_posets(max_n=24), st.integers(2, 4))
     @settings(max_examples=150, deadline=None)
     def test_spans_are_the_completion_of_the_blocks(self, p, k):
         # the spans read back off the validated bags they were swept into
-        seq = block_sequence(p, k)
-        if isinstance(seq, KkWitness):
+        cert = certify(p, k)
+        if isinstance(cert, KkWitness):
             return
-        pd = slide_decomposition(seq)
-        assert spans_from_blocks(seq) == interval_completion(incomparability_graph(p), pd)
-        assert seq.width == pd.width
+        pd = slide_decomposition(cert)
+        assert cert.spans == interval_completion(incomparability_graph(p), pd)
+        assert cert.width == pd.width
 
     def test_spans_are_the_completion_on_seeded_kk_free(self):
         for seed in range(10):
             for k in (2, 3, 4):
                 p = gen_kk_free(seed, 20, k)
-                seq = block_sequence(p, k)
-                pd = slide_decomposition(seq)
-                assert spans_from_blocks(seq) == interval_completion(incomparability_graph(p), pd)
-
-    def test_element_outside_every_block_raises(self):
-        seq = block_sequence(chain_poset(3), 2)
-        lost = BlockSequence(seq.partition, seq.k, seq.moves[:-1])
-        with pytest.raises(InternalError, match="^element 2 never entered any block$"):
-            spans_from_blocks(lost)
-
-    def test_move_past_a_chain_end_raises(self):
-        seq = block_sequence(chain_poset(3), 2)
-        assert seq.moves == (0, 0)
-        for moves, t, i in (((0, 0, 0), 3, 0), ((1,), 1, 1), ((-1,), 1, -1)):
-            past = rf"^move {t} slides chain {i} past its end$"
-            with pytest.raises(InternalError, match=past):
-                spans_from_blocks(BlockSequence(seq.partition, seq.k, moves))
-
-    @pytest.mark.parametrize("partition, moves, n", [
-        (((0, -1),), (0,), 2),  # -1 would wrap round to element 1
-        (((5, 0),), (), 2),
-        (((0, 5),), (0,), 2),
-        (((-1, 0),), (), 2),
-        (((0, 1), (1, 2)), (), 4),
-    ])
-    def test_partition_off_the_ground_set_raises(self, partition, moves, n):
-        with pytest.raises(CoverageError) as info:
-            spans_from_blocks(BlockSequence(partition, 2, moves))
-        assert type(info.value) is CoverageError
-        assert str(info.value) == f"the chains do not cover 0..{n - 1} exactly once"
+                cert = certify(p, k)
+                pd = slide_decomposition(cert)
+                assert cert.spans == interval_completion(incomparability_graph(p), pd)
 
 
 class TestPathDecomposition:
     def test_chain_bags(self):
-        pd = slide_decomposition(block_sequence(chain_poset(4), 2))
+        pd = slide_decomposition(certify(chain_poset(4), 2))
         assert pd.bags == ((0,), (1,), (2,), (3,))
         assert pd.width == 0
 
     def test_antichain_bag(self):
-        pd = slide_decomposition(block_sequence(antichain_poset(4), 2))
+        pd = slide_decomposition(certify(antichain_poset(4), 2))
         assert pd.bags == ((0, 1, 2, 3),)
         assert pd.width == 3
 
     def test_ladder_with_larger_k(self):
         kp = kierstead(5)
-        pd = slide_decomposition(block_sequence(kp.poset, 4))
+        pd = slide_decomposition(certify(kp.poset, 4))
         assert validate_path_decomposition(incomparability_graph(kp.poset), pd)
         assert pd.width <= (2 * 4 - 3) * 2 - 1
 
@@ -676,7 +663,7 @@ class TestPathDecomposition:
         for seed in range(6):
             p = gen_interval_order(seed + 100, 35)
             w, _ = width_with_witness(p)
-            pd = slide_decomposition(block_sequence(p, 2))
+            pd = slide_decomposition(certify(p, 2))
             assert validate_path_decomposition(incomparability_graph(p), pd)
             assert pd.width <= (2 * 2 - 3) * w - 1
 
@@ -691,38 +678,38 @@ class TestBagsFromSpans:
             spined_posets(), shuffled_posets(),
             st.integers(0, 40).map(lambda seed: gen_kk_free(seed, 16, k)),
         ))
-        seq = block_sequence(p, k)
-        if isinstance(seq, KkWitness):
+        cert = certify(p, k)
+        if isinstance(cert, KkWitness):
             return
         g = incomparability_graph(p)
-        spans = spans_from_blocks(seq)
-        bags = bags_by_definition(spans, len(seq))
-        assert tuple(map(tuple, extension_module._bag_rows(spans, len(seq)))) == bags
+        spans = cert.spans
+        bags = bags_by_definition(spans, len(cert))
+        assert tuple(map(tuple, extension_module._bag_rows(spans, len(cert)))) == bags
         pd = PathDecomposition(bags)
         assert validate_path_decomposition(g, pd) and _spans_cover_edges(g, spans)
-        assert pd.width == seq.width == interval_clique_number(spans) - 1
+        assert pd.width == cert.width == interval_clique_number(spans) - 1
         moved = [
             (v, (a + da, b + db))
             for v, (a, b) in enumerate(spans)
             for da, db in ((-1, 0), (1, 0), (0, -1), (0, 1))
-            if 1 <= a + da <= b + db <= len(seq)
+            if 1 <= a + da <= b + db <= len(cert)
         ]
         if not moved:
             return
         v, span = data.draw(st.sampled_from(moved))
         spans = spans[:v] + (span,) + spans[v + 1 :]
-        bags = bags_by_definition(spans, len(seq))
-        assert tuple(map(tuple, extension_module._bag_rows(spans, len(seq)))) == bags
+        bags = bags_by_definition(spans, len(cert))
+        assert tuple(map(tuple, extension_module._bag_rows(spans, len(cert)))) == bags
         pd = PathDecomposition(bags)
         assert validate_path_decomposition(g, pd) == _spans_cover_edges(g, spans)
         assert pd.width == interval_clique_number(spans) - 1
 
     def test_empty_poset(self, tmp_path):
-        seq = block_sequence(build_poset(0, []), 2)
-        assert slide_decomposition(seq).bags == ((),)
+        cert = certify(build_poset(0, []), 2)
+        assert slide_decomposition(cert).bags == ((),)
         assert path_decomposition_exact(Graph(0, [])).bags == ()
         # the three widths of no vertices agree: no bags, or one empty bag
-        assert seq.width == path_decomposition_exact(Graph(0, [])).width == -1
+        assert cert.width == path_decomposition_exact(Graph(0, [])).width == -1
         assert pathwidth_exact(Graph(0, [])) == -1
         assert list(extension_module._bag_rows((), 0)) == []
         poset_file, pd_file = tmp_path / "p.json", tmp_path / "pd.json"

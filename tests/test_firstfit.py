@@ -63,6 +63,14 @@ class TestPresentationOrder:
                            match=r"^presentation order must be a permutation of 0\.\.n-1$"):
             PresentationOrder((0, 0, 1))
 
+    @pytest.mark.parametrize("order", [(0.0, 1.0, 2.0), (False, True), (0, 1.0), ("a", 0)],
+                             ids=["floats", "bools", "one-float", "str"])
+    def test_rejects_entries_that_are_not_ints(self, order):
+        # floats and bools equal to ids would pass the permutation test as those ids
+        with pytest.raises(CoverageError,
+                           match=r"^presentation order must be a permutation of 0\.\.n-1$"):
+            PresentationOrder(order)
+
 
 class TestFirstFitChains:
     def test_chain_single(self):
@@ -161,6 +169,12 @@ class TestValidateFFPartition:
         # as a set this chain is {0, 1}, a valid cover; as listed it repeats 0
         with pytest.raises(CoverageError):
             validate_ff_partition(chain_poset(2), ((0, 0, 1),))
+
+    @pytest.mark.parametrize("chains", [((0.0, 1),), ((0,), (1.5,)), (("a",), (1,))],
+                             ids=["float-equal-to-an-id", "float-in-range", "str"])
+    def test_ids_that_are_not_ints_raise_coverage_error(self, chains):
+        with pytest.raises(CoverageError):
+            validate_ff_partition(chain_poset(2), chains)
 
     def test_comparable_pair_listed_out_of_order(self):
         # as a set {0, 1} is a chain of chain_poset(2); a chain lists it increasing

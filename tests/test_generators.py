@@ -4,8 +4,8 @@ from posetff import (
     GaveUp,
     ParamError,
     SplitMix64,
-    block_sequence,
     canonical_dumps,
+    certify,
     find_k_plus_k,
     gen_interval_order,
     gen_kk_free,
@@ -65,7 +65,7 @@ class TestGenIntervalOrder:
     def test_blocks_stay_within_width(self):
         for seed in range(6):
             p = gen_interval_order(seed, 30)
-            wq, _ = width_with_witness(slide_order(p, block_sequence(p, 2)))
+            wq, _ = width_with_witness(slide_order(p, certify(p, 2)))
             wp, _ = width_with_witness(p)
             assert wq <= wp
 

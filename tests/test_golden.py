@@ -28,7 +28,6 @@ from posetff import (
     KkWitness,
     PresentationOrder,
     SplitMix64,
-    block_sequence,
     build_ff_image,
     build_poset,
     canonical_dumps,
@@ -120,11 +119,11 @@ def golden_record(p, names, k) -> dict:
     if isinstance(cert, KkWitness):
         return {"witness": witness_to_dict(cert)}
     return {
-        "moves": moves_of(cert.seq),
+        "moves": moves_of(cert),
         "sha256": {
             "order": _text_sha(interval_order_text(cert.spans, names, None)),
             "intervals": _sha(intervals_to_dict(cert.spans)),
-            "pd": _text_sha(pd_text(cert.spans, len(cert.seq))),
+            "pd": _text_sha(pd_text(cert.spans, len(cert))),
         },
     }
 
@@ -161,11 +160,11 @@ def _quotient_cases():
         g = incomparability_graph(p)
         coloring = first_fit_color(g, PresentationOrder(tuple(SplitMix64(seed).permutation(n))))
         for k in (2, 3):
-            pd = slide_decomposition(block_sequence(p, k))
+            pd = slide_decomposition(certify(p, k))
             cases[f"interval-s{seed}-n{n}-k{k}"] = (g, pd, coloring)
     sp = stacked(5, 6)
     g = incomparability_graph(sp.poset)
-    pd = slide_decomposition(block_sequence(sp.poset, 5))
+    pd = slide_decomposition(certify(sp.poset, 5))
     cases["stacked-k5-w6-natural"] = (g, pd, first_fit_color(g, sp.natural_order))
     return cases
 

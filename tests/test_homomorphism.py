@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -19,7 +20,6 @@ from posetff import (
     PathDecomposition,
     PresentationOrder,
     TooLarge,
-    block_sequence,
     build_ff_image,
     build_poset,
     canonical_dumps,
@@ -35,7 +35,6 @@ from posetff import (
     is_extension,
     path_decomposition_exact,
     pathwidth_exact,
-    spans_from_blocks,
     stacked,
     validate_ff_coloring,
     validate_homomorphism,
@@ -43,6 +42,7 @@ from posetff import (
     width_with_witness,
 )
 from posetff import SplitMix64, cli, interval_order_from_intervals, kierstead
+import posetff.extension as extension_module
 import posetff.homomorphism as homomorphism_module
 from helpers import (
     adjacent,
@@ -101,13 +101,12 @@ class TestIntervalCompletion:
             interval_completion(path_graph(2), PathDecomposition(((0,), (1,))))
 
     def test_pipeline_load_stays_within_bound(self):
-        p = gen_interval_order(3, 25)
-        seq = block_sequence(p, 2)
-        assert interval_clique_number(spans_from_blocks(seq)) == seq.width + 1
+        cert = certify(gen_interval_order(3, 25), 2)
+        assert interval_clique_number(cert.spans) == cert.width + 1
 
     def test_ladder_pipeline_completion_load(self):
         kp = kierstead(5)
-        ic = spans_from_blocks(block_sequence(kp.poset, 4))
+        ic = certify(kp.poset, 4).spans
         assert interval_clique_number(ic) <= (2 * 4 - 3) * 2
 
 
@@ -129,14 +128,27 @@ def widen_one_span(spans, count):
 
 SABOTAGES = {
     # the multiset of spans is kept, so only the extension check can fail
-    "swap": lambda real: lambda seq: swap_a_related_pair(real(seq)),
+    "swap": lambda cert: swap_a_related_pair(cert.spans),
     # every block holds width + 1 elements, so a block the span now meets holds one more
-    "widen": lambda real: lambda seq: widen_one_span(real(seq), len(seq)),
+    "widen": lambda cert: widen_one_span(cert.spans, len(cert)),
 }
 SABOTAGE_MESSAGES = {
     "swap": "P does not extend the interval order of the slide's spans",
     "widen": "the spans' clique number is not the slide's width",
 }
+
+
+def sabotage_the_slide(monkeypatch, sabotage):
+    """Make the private slide record damaged spans, as a bug in its loop would."""
+    real = extension_module._slide
+
+    def slide(p, k):
+        cert = real(p, k)
+        return replace(cert, spans=SABOTAGES[sabotage](cert))
+
+    monkeypatch.setattr(extension_module, "_slide", slide)
+
+
 SABOTAGED_INPUTS = [
     (build_poset(3, [(0, 1), (1, 2)]), 2),
     (gen_interval_order(3, 25), 2),
@@ -148,13 +160,12 @@ class TestCertify:
     @given(shuffled_posets(), st.integers(2, 4))
     @example(stacked(4, 5).poset, 3)  # holds a 3+3, yet the slide completes
     @settings(max_examples=200, deadline=None)
-    def test_certify_is_the_hand_assembled_chain(self, p, k):
-        seq = block_sequence(p, k)
+    def test_certify_is_the_checked_slide(self, p, k):
+        slid = extension_module._slide(p, k)
         cert = certify(p, k)
-        if isinstance(seq, KkWitness):
-            assert cert == seq
+        assert cert == slid
+        if isinstance(cert, KkWitness):
             return
-        assert cert == Certificate(seq, spans_from_blocks(seq))
         # independently of certify's mask test: q is built and compared relation by relation
         assert is_extension(p, interval_order_from_intervals(cert.spans))
 
@@ -165,18 +176,17 @@ class TestCertify:
 
     def test_north_star_stacked(self):
         cert = certify(stacked(30, 10).poset, 30)
-        assert (len(cert.seq.partition), cert.seq.width) == (10, 569)
+        assert (len(cert.partition), cert.width) == (10, 569)
 
     def test_north_star_interval_order(self):
         cert = certify(gen_interval_order(1, 2000), 2)
-        assert (len(cert.seq.partition), cert.seq.width) == (1019, 1018)
+        assert (len(cert.partition), cert.width) == (1019, 1018)
 
     @pytest.mark.parametrize("sabotage", sorted(SABOTAGES))
     @pytest.mark.parametrize("p, k", SABOTAGED_INPUTS)
     def test_each_check_fires(self, monkeypatch, sabotage, p, k):
-        real = homomorphism_module.spans_from_blocks
         assert isinstance(certify(p, k), Certificate)
-        monkeypatch.setattr(homomorphism_module, "spans_from_blocks", SABOTAGES[sabotage](real))
+        sabotage_the_slide(monkeypatch, sabotage)
         with pytest.raises(InternalError, match=SABOTAGE_MESSAGES[sabotage]):
             certify(p, k)
 
@@ -184,8 +194,7 @@ class TestCertify:
     def test_extend_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch, sabotage):
         poset_file = tmp_path / "stacked.json"
         assert cli.main(["gen", "stacked", "--k", "4", "--w", "3", "--out", str(poset_file)]) == 0
-        real = homomorphism_module.spans_from_blocks
-        monkeypatch.setattr(homomorphism_module, "spans_from_blocks", SABOTAGES[sabotage](real))
+        sabotage_the_slide(monkeypatch, sabotage)
         outs = [str(tmp_path / name) for name in ("q.json", "iv.json", "pd.json")]
         assert cli.main(["extend", "--poset", str(poset_file), "--k", "3", "--out-order", outs[0],
                          "--out-intervals", outs[1], "--out-pd", outs[2]]) == 2
@@ -331,11 +340,11 @@ class TestBuildFFImage:
         # stacked(30, 10) in its natural order: every certificate runs at n = 3915
         sp = stacked(30, 10)
         g = incomparability_graph(sp.poset)
-        seq = block_sequence(sp.poset, 30)
+        cert = certify(sp.poset, 30)
         coloring = first_fit_color(g, sp.natural_order)
-        image, hom = build_ff_image(g, spans_from_blocks(seq), coloring)
+        image, hom = build_ff_image(g, cert.spans, coloring)
         assert validate_homomorphism(g, image.h, hom)
-        assert seq.width == 569
+        assert cert.width == 569
         assert coloring.color_count == 261
         assert image.h.n == 270
         assert interval_clique_number(image.intervals) == 261
@@ -345,11 +354,11 @@ class TestBuildFFImage:
         # identity First-Fit: every certificate runs at n = 2000
         p = gen_interval_order(1, 2000)
         g = incomparability_graph(p)
-        seq = block_sequence(p, 2)
+        cert = certify(p, 2)
         coloring = first_fit_color(g, PresentationOrder.identity(g.n))
-        image, hom = build_ff_image(g, spans_from_blocks(seq), coloring)
+        image, hom = build_ff_image(g, cert.spans, coloring)
         assert validate_homomorphism(g, image.h, hom)
-        assert seq.width == 1018
+        assert cert.width == 1018
         assert coloring.color_count == 1038
         assert image.h.n == 1576
         assert interval_clique_number(image.intervals) == 1019
@@ -365,7 +374,7 @@ class TestBuildFFImage:
         for seed in range(6):
             p = gen_interval_order(seed, 12)
             g = incomparability_graph(p)
-            ic = spans_from_blocks(block_sequence(p, 2))
+            ic = certify(p, 2).spans
             coloring = first_fit_color(g, PresentationOrder.identity(g.n))
             image, hom = build_ff_image(g, ic, coloring)
             assert len(image.classes) == coloring.color_count
@@ -586,7 +595,7 @@ class TestSeparationPruning:
         pd = path_decomposition_exact(g)
         assert pd.width == 6 and validate_path_decomposition(g, pd)
         # the paper's window 2k - 3 on the 3 Dilworth chains: (2k - 3)w - 1
-        assert block_sequence(p, 3).width == 8
+        assert certify(p, 3).width == 8
 
 
 class TestValidateHomomorphism:

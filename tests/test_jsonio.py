@@ -13,9 +13,9 @@ from posetff import (
     PosetFFError,
     PresentationOrder,
     SizeMismatch,
-    block_sequence,
     build_poset,
     canonical_dumps,
+    certify,
     ff_result_to_dict,
     find_k_plus_k,
     first_fit_chains,
@@ -31,7 +31,6 @@ from posetff import (
     poset_from_dict,
     poset_text,
     read_json,
-    spans_from_blocks,
     witness_to_dict,
 )
 from posetff import jsonio
@@ -122,7 +121,7 @@ def test_ff_result_shape():
 
 
 def test_intervals_round_trip():
-    spans = spans_from_blocks(block_sequence(gen_interval_order(1, 15), 2))
+    spans = certify(gen_interval_order(1, 15), 2).spans
     d = parsed(intervals_to_dict(spans))
     assert min(lo for lo, _ in d["intervals"]) == 1  # block indices are 1-based
     assert tuple(map(tuple, d["intervals"])) == spans
@@ -130,9 +129,9 @@ def test_intervals_round_trip():
 
 def test_block_trace_fields():
     """The move trace the goldens write: one step per move, three fields each."""
-    seq = block_sequence(gen_interval_order(4, 12), 2)
-    trace = parsed(moves_of(seq))
-    assert len(trace) == len(seq) - 1
+    cert = certify(gen_interval_order(4, 12), 2)
+    trace = parsed(moves_of(cert))
+    assert len(trace) == len(cert) - 1
     assert all(set(step) == {"removed", "added", "chain"} for step in trace)
 
 
@@ -266,11 +265,11 @@ def test_poset_text_of_zero_and_one_elements(n):
 def test_pd_text_builds_no_bag_copies():
     """At its peak the writer holds its text, each bag's string and their
     list, not a tuple per bag as well."""
-    seq = block_sequence(gen_interval_order(1, 2000), 2)
-    spans = spans_from_blocks(seq)
+    cert = certify(gen_interval_order(1, 2000), 2)
+    spans, count = cert.spans, len(cert)
     tracemalloc.start()
     try:
-        text = pd_text(spans, len(seq))
+        text = pd_text(spans, count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -837,9 +837,16 @@ class TestChainSortAndTypes:
         ([], lambda p: KkWitness((-1,), (0,)).is_valid(p)),
         ([], lambda p: p.is_antichain((0, 0))),
         ([], lambda p: KkWitness((0,), (0,)).is_valid(p)),
+        ([(2, 0)], lambda p: p.is_chain((0.0,))),
+        ([(2, 0)], lambda p: p.is_chain((2.0, 0.0))),
+        ([(2, 0)], lambda p: p.is_chain((2, 0.0))),
+        ([(2, 0)], lambda p: p.is_antichain((0.5,))),
+        ([(2, 0)], lambda p: p.is_antichain(("a",))),
+        ([], lambda p: KkWitness((0.0,), (2,)).is_valid(p)),
     ], ids=["chain-negative", "chain-past-n", "antichain-past-n", "antichain-negative",
             "antichain-negative-pair", "witness-past-n", "witness-negative", "antichain-repeated",
-            "witness-shared"])
+            "witness-shared", "chain-float", "chain-floats", "chain-later-float",
+            "antichain-float", "antichain-str", "witness-float"])
     def test_ids_outside_the_poset_are_refused(self, relations, check):
         """The public validators say False, without raising or reading
         another element's row, for data read from a file."""
